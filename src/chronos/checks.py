@@ -30,6 +30,7 @@ from .axes import (
     tensor_state,
 )
 from .constraints import (
+    DEFAULT_TOL,
     first_constraint_operator,
     first_constraint_residual,
     generalized_constraint_operator,
@@ -54,8 +55,6 @@ from .models import (
     ladder_operators,
     oscillator_clock_operator,
 )
-
-DEFAULT_CONSTRAINT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -336,7 +335,6 @@ def run_suite(name, constants=None, constraint_tol=None):
             "unknown suite %r (expected one of %s)"
             % (name, ", ".join(sorted(SUITES))))
     k = constants if constants is not None else PhysicalConstants()
-    tol = constraint_tol if constraint_tol is not None \
-        else DEFAULT_CONSTRAINT_TOL
+    tol = constraint_tol if constraint_tol is not None else DEFAULT_TOL
     rows = SUITES[name](k, tol)
     return rows, all(row.passed for row in rows)

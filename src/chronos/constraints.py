@@ -12,8 +12,12 @@ a Hamiltonian, G a clock operator, and F an arbitrary Hermitian composite.
 States in the near-kernel of a constraint operator form the physical
 subspace; measurement statistics are renormalized inside it.
 
+Each operator of the form I (x) K - A (x) I is a Kronecker sum: the first
+and second kinds always, the generalized kind whenever F = A (x) I.  Its
+near-kernel is solved exactly from one eigendecomposition of each factor.
 Applications are Kronecker-factored throughout; the composite matrix is
-materialized only for the dense near-null solve and only up to a size cap.
+materialized only for a generalized F that is not A (x) I, which is solved
+by dense SVD and only up to a size cap.
 """
 from __future__ import annotations
 
@@ -28,7 +32,6 @@ from .axes import (
     CompositeState,
     PhysicalConstants,
     energy_eigenvector,
-    energy_lattice,
     energy_operator,
     time_operator,
     tensor_state,
@@ -43,12 +46,11 @@ from .exceptions import (
 )
 from .linalg import (
     OperatorMatrix,
-    canonical_phase,
     eig_hermitian,
     identity,
     kron,
+    kronecker_null_space,
     near_null_space,
-    near_null_space_matvec,
     operator,
 )
 
@@ -61,10 +63,6 @@ MATERIALIZE_LIMIT = 4096
 
 ZERO_WEIGHT = 1e-14
 DEFAULT_TOL = 1e-6
-# system eigenvalues closer than this count as one degenerate group
-DEGENERACY_ATOL = 1e-9
-# projection-weight gap below which a recovered label is ambiguous
-LABEL_GAP = 1e-6
 
 
 def _require_time(grid, what):
@@ -101,37 +99,51 @@ class ConstraintOperator:
         return self.kind
 
     @cached_property
-    def _s_matrix(self):
-        return energy_operator(self.time_grid, self.constants).matrix
+    def _s_op(self):
+        return energy_operator(self.time_grid, self.constants)
 
     @cached_property
     def _t_samples(self):
         return self.time_grid.samples
 
     @cached_property
+    def kronecker_factors(self):
+        """(A, K) with this operator equal to I (x) K - A (x) I, or None.
+
+        The first and second kinds always factor; the generalized kind
+        factors when F = A (x) I exactly, with K = c_s s_op + c_t t_op.
+        """
+        if self.kind == FIRST:
+            return self.system_op, self._s_op
+        if self.kind == SECOND:
+            return self.system_op, time_operator(self.time_grid)
+        a = _system_factor(self.extra.matrix, self.n_q, self.n_t)
+        if a is None:
+            return None
+        k = np.zeros((self.n_t, self.n_t), dtype=np.complex128)
+        if self.coeff_s != 0.0:
+            k = k + self.coeff_s * self._s_op.matrix
+        if self.coeff_t != 0.0:
+            k = k + np.diag(self.coeff_t * self._t_samples)
+        return operator(a, hermitian=True), operator(k, hermitian=True)
+
+    @cached_property
     def system_eigensystem(self):
-        return eig_hermitian(self.system_op)
+        """Eigensystem of the system factor A of kronecker_factors."""
+        return eig_hermitian(self.kronecker_factors[0])
 
     def apply_matrix(self, m):
         """Constraint image of a state given as its (n_q, n_t) matrix."""
         if self.kind == FIRST:
-            return m @ self._s_matrix.T - self.system_op.matrix @ m
+            return m @ self._s_op.matrix.T - self.system_op.matrix @ m
         if self.kind == SECOND:
             return m * self._t_samples[None, :] - self.system_op.matrix @ m
         out = np.zeros_like(m)
         if self.coeff_s != 0.0:
-            out = out + self.coeff_s * (m @ self._s_matrix.T)
+            out = out + self.coeff_s * (m @ self._s_op.matrix.T)
         if self.coeff_t != 0.0:
             out = out + self.coeff_t * (m * self._t_samples[None, :])
         return out - (self.extra.matrix @ m.ravel()).reshape(m.shape)
-
-    def apply_block(self, x):
-        """Matvec for iterative solvers: columns of x are composite vectors."""
-        out = np.empty_like(x)
-        for j in range(x.shape[1]):
-            m = x[:, j].reshape(self.n_q, self.n_t)
-            out[:, j] = self.apply_matrix(m).ravel()
-        return out
 
     def residual(self, state):
         """||D s|| / ||s|| via factored application."""
@@ -149,17 +161,15 @@ class ConstraintOperator:
                 "use the factored application" % (self.dim, MATERIALIZE_LIMIT))
         i_q = identity(self.n_q)
         if self.kind == FIRST:
-            s_op = energy_operator(self.time_grid, self.constants)
-            m = kron(i_q, s_op).matrix - kron(self.system_op,
-                                              identity(self.n_t)).matrix
+            m = kron(i_q, self._s_op).matrix - kron(self.system_op,
+                                                    identity(self.n_t)).matrix
         elif self.kind == SECOND:
             m = kron(i_q, time_operator(self.time_grid)).matrix \
                 - kron(self.system_op, identity(self.n_t)).matrix
         else:
             m = -self.extra.matrix
             if self.coeff_s != 0.0:
-                s_op = energy_operator(self.time_grid, self.constants)
-                m = m + self.coeff_s * kron(i_q, s_op).matrix
+                m = m + self.coeff_s * kron(i_q, self._s_op).matrix
             if self.coeff_t != 0.0:
                 m = m + self.coeff_t * kron(
                     i_q, time_operator(self.time_grid)).matrix
@@ -179,6 +189,23 @@ def _state_matrix(state, n_q, n_t):
             "state has %d amplitudes, constraint space has %d"
             % (a.shape[0], n_q * n_t))
     return a.reshape(n_q, n_t), float(np.linalg.norm(a))
+
+
+def _system_factor(f, n_q, n_t):
+    """A when the composite matrix f equals A (x) I_{n_t} exactly, else None.
+
+    The time blocks of f are compared in place, so no composite-sized
+    temporary is built.
+    """
+    blocks = f.reshape(n_q, n_t, n_q, n_t)
+    a = blocks[:, 0, :, 0]
+    for k in range(1, n_t):
+        if not np.array_equal(blocks[:, k, :, k], a):
+            return None
+    # with equal diagonal blocks, every other entry of f must be zero
+    if np.count_nonzero(f) != n_t * np.count_nonzero(a):
+        return None
+    return a
 
 
 def _verified_hermitian(candidate, what):
@@ -271,11 +298,11 @@ def separable_second(pair, tg):
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal near-kernel basis with recovered eigenvalue labels.
+    """Orthonormal near-kernel basis with system eigenvalue labels.
 
-    labels holds one entry per member: the matched system eigenvalue, or
-    None when the projection weights tie within LABEL_GAP (a degenerate
-    multiplet is then visible as repeated or missing labels).
+    labels holds one entry per member: the system eigenvalue a_m of its
+    product factor, repeated across a degenerate level, or None for every
+    member of a generalized-constraint basis.
     """
 
     members: tuple
@@ -316,123 +343,29 @@ class SubspaceBasis:
         return operator(b @ b.conj().T, hermitian=True)
 
 
-def _matched_candidates(op, tol):
-    """Product-basis kernel candidates: (label, system vector, axis vector).
-
-    The product eigenbasis diagonalizes the separable constraints exactly,
-    so a candidate's composite residual is |axis eigenvalue - system
-    eigenvalue| and thresholding those gaps reproduces the singular-value
-    threshold without forming the composite.
-    """
-    es = op.system_eigensystem
-    out = []
-    if op.kind == FIRST:
-        lattice = energy_lattice(op.time_grid, op.constants)
-        for m, value in enumerate(es.values):
-            i = int(np.argmin(np.abs(lattice - value)))
-            if abs(lattice[i] - value) <= tol:
-                chi = energy_eigenvector(op.time_grid, float(lattice[i]),
-                                         op.constants)
-                out.append((float(value), es.vector(m), chi))
-    else:
-        samples = op.time_grid.samples
-        for m, value in enumerate(es.values):
-            i = int(np.argmin(np.abs(samples - value)))
-            if abs(samples[i] - value) <= tol:
-                delta = np.zeros(op.n_t, dtype=np.complex128)
-                delta[i] = 1.0
-                out.append((float(value), es.vector(m), delta))
-    return out
-
-
-def _project_out(vector, basis_columns, passes=2):
-    v = np.array(vector, dtype=np.complex128, copy=True)
-    for _ in range(passes):
-        for u in basis_columns:
-            v -= u * np.vdot(u, v)
-    return v
-
-
-def _dominant_label(op, vector):
-    """System eigenvalue with the largest projection weight, or None on a tie."""
-    es = op.system_eigensystem
-    m = vector.reshape(op.n_q, op.n_t)
-    coeffs = es.vectors.conj().T @ m
-    weights = np.sum(np.abs(coeffs) ** 2, axis=1)
-    # fold weights of numerically degenerate system levels together
-    groups = []
-    start = 0
-    values = es.values
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[start] > DEGENERACY_ATOL:
-            groups.append((float(np.mean(values[start:i])),
-                           float(np.sum(weights[start:i]))))
-            start = i
-    groups.sort(key=lambda g: -g[1])
-    if len(groups) > 1 and groups[0][1] - groups[1][1] < LABEL_GAP:
-        return None
-    return groups[0][0]
-
-
-def _levelled_basis(op, vectors, tol):
-    """Align an extracted kernel basis with the matched product solutions.
-
-    The raw near-null vectors span the right subspace but mix degenerate
-    directions arbitrarily; re-expressing the span through the matched
-    (eigenvalue, product state) candidates makes member k track level k,
-    so probability columns downstream keep a fixed meaning.  Directions
-    the candidates miss are appended with projection-recovered labels.
-    """
-    if not vectors:
-        return [], []
-    b = np.stack(vectors, axis=1)
-    aligned = []
-    labels = []
-    for label, psi, chi in _matched_candidates(op, tol):
-        sep = np.outer(psi, chi).ravel()
-        inside = b @ (b.conj().T @ sep)
-        u = _project_out(inside, aligned)
-        norm = np.linalg.norm(u)
-        if norm >= 0.5:
-            aligned.append(u / norm)
-            labels.append(label)
-    for j in range(b.shape[1]):
-        u = _project_out(b[:, j], aligned)
-        norm = np.linalg.norm(u)
-        if norm >= 0.5:
-            u = u / norm
-            aligned.append(u)
-            labels.append(_dominant_label(op, u))
-    if len(aligned) != b.shape[1]:
-        # alignment lost rank; fall back to the raw basis order
-        aligned = [b[:, j] for j in range(b.shape[1])]
-        labels = [_dominant_label(op, v) for v in aligned]
-    cols = canonical_phase(np.stack(aligned, axis=1))
-    return [cols[:, j] for j in range(cols.shape[1])], labels
-
-
 def physical_subspace(op, tol=DEFAULT_TOL):
     """Near-kernel basis of a constraint operator with eigenvalue labels.
 
-    Below the materialization cap the kernel comes from a dense singular
-    value decomposition of the composite; above it the separable kinds use
-    the exact product-eigenbasis selection and the generalized kind falls
-    back to filtered subspace iteration on the factored application.
+    When the operator is a Kronecker sum I (x) K - A (x) I (see
+    kronecker_factors) the basis is exact: every product eigenvector
+    psi_m (x) chi_k with |kappa_k - a_m| <= tol, ordered by system level and
+    then by axis eigenvalue, labelled a_m.  A generalized F that is not
+    A (x) I falls back to a dense SVD of the composite, which refuses to
+    materialize above MATERIALIZE_LIMIT.  Generalized members carry no
+    label.  Every residual is measured against the full operator.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    if op.dim <= MATERIALIZE_LIMIT:
+    factors = op.kronecker_factors
+    if factors is None:
         vectors = near_null_space(op.composite, tol)
-    elif op.kind in (FIRST, SECOND):
-        cands = _matched_candidates(op, tol)
-        cols = [np.outer(psi, chi).ravel() for _, psi, chi in cands]
-        vectors = [c / np.linalg.norm(c) for c in cols]
     else:
-        vectors = near_null_space_matvec(op.apply_block, op.dim, tol)
+        system = op.system_eigensystem
+        found = kronecker_null_space(system, eig_hermitian(factors[1]), tol)
+        vectors = [v for _, _, v in found]
+        labels = [float(system.values[m]) for m, _, _ in found]
     if op.kind == GENERALIZED:
         labels = [None] * len(vectors)
-    else:
-        vectors, labels = _levelled_basis(op, vectors, tol)
     members = tuple(CompositeState(v, op.n_q, op.n_t) for v in vectors)
     residuals = tuple(op.residual(m) for m in members)
     return SubspaceBasis(members, tuple(labels), residuals, op.kind,

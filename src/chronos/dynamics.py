@@ -8,6 +8,7 @@ after each one.  All composite applications are Kronecker-factored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +50,9 @@ from .models import (
 
 EIGEN_TOL = 1e-9
 EQUIVALENCE_TOL = 1e-6
+# evolution operators kept per run, by duration; bounded because a run
+# of distinct durations would otherwise keep every one of them alive
+EVOLVE_CACHE = 8
 
 
 def time_translation(tg, constants, dt):
@@ -317,8 +321,14 @@ def run_scenario(sc):
     p_op = momentum_operator(sc.q_grid, sc.constants)
 
     records = []
-    t_cache = {}
-    h_cache = {}
+
+    @lru_cache(maxsize=EVOLVE_CACHE)
+    def translation(dt):
+        return time_translation(tg, sc.constants, dt).matrix
+
+    @lru_cache(maxsize=EVOLVE_CACHE)
+    def evolution(dt):
+        return unitary_exp(h_op, dt / sc.constants.hbar).matrix
 
     def observe(index, kind, state):
         coeffs = basis.coefficients(state) if basis.count else np.zeros(0)
@@ -338,13 +348,9 @@ def run_scenario(sc):
             probabilities))
 
     def evolve(state, dt):
-        if dt not in t_cache:
-            t_cache[dt] = time_translation(tg, sc.constants, dt)
-        new = state.matrix @ t_cache[dt].matrix.T
+        new = state.matrix @ translation(dt).T
         if cop.residual(state) <= sc.constraint_tol:
-            if dt not in h_cache:
-                h_cache[dt] = unitary_exp(h_op, dt / sc.constants.hbar)
-            alt = h_cache[dt].matrix @ state.matrix
+            alt = evolution(dt) @ state.matrix
             gap = float(np.linalg.norm(alt - new))
             if gap > EQUIVALENCE_TOL:
                 raise ChronosError(

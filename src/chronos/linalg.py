@@ -3,8 +3,9 @@
 Immutable operator values plus the four primitives everything else is
 built from: Kronecker products, Hermitian eigendecomposition with a fixed
 phase and ordering convention, unitary exponentials, and near-null-space
-extraction.  Matrices are dense complex128; intended sizes are a few
-hundred rows per factor space and a few thousand for composites.
+extraction, by dense SVD or exactly for a Kronecker sum I (x) K - A (x) I.
+Matrices are dense complex128; intended sizes are a few hundred rows per
+factor space and a few thousand for composites.
 """
 from __future__ import annotations
 
@@ -306,139 +307,20 @@ def near_null_space(op, tol):
     return [cols[:, j].copy() for j in range(cols.shape[1])]
 
 
-def apply_left_factor(a, state_matrix):
-    """(A (x) I) acting on a composite state reshaped to (n_left, n_right)."""
-    a = a.matrix if isinstance(a, OperatorMatrix) else a
-    return a @ state_matrix
+def kronecker_null_space(left, right, tol):
+    """Near-null basis of the Kronecker sum I (x) K - A (x) I, exactly.
 
-
-def apply_right_factor(b, state_matrix):
-    """(I (x) B) acting on a composite state reshaped to (n_left, n_right)."""
-    b = b.matrix if isinstance(b, OperatorMatrix) else b
-    return state_matrix @ b.T
-
-
-def orthonormalize(block, against=None, passes=2):
-    """Modified Gram-Schmidt; returns (Q, kept_norms).
-
-    Columns whose remaining norm falls below 1e-10 are dropped.  When
-    ``against`` is given its (orthonormal) columns are projected out first.
+    left and right are the eigensystems of A and K.  The sum is diagonal
+    in the product basis psi_m (x) chi_k with eigenvalue kappa_k - a_m, so
+    its singular values are exactly |kappa_k - a_m| (Horn & Johnson,
+    Topics in Matrix Analysis, sec. 4.4).  Returns (m, k, vector) for
+    every pair with |kappa_k - a_m| <= tol, ordered by m and then by k;
+    each vector is phase-fixed like an eigenvector column.
     """
-    block = np.array(block, dtype=np.complex128, copy=True)
-    kept = []
-    norms = []
-    basis = [] if against is None else [against[:, j]
-                                        for j in range(against.shape[1])]
-    for j in range(block.shape[1]):
-        v = block[:, j]
-        for _ in range(passes):
-            for u in basis:
-                v = v - u * (np.vdot(u, v))
-            for u in kept:
-                v = v - u * (np.vdot(u, v))
-        norm = np.linalg.norm(v)
-        norms.append(float(norm))
-        if norm > 1e-10:
-            kept.append(v / norm)
-    q = (np.stack(kept, axis=1) if kept
-         else np.zeros((block.shape[0], 0), dtype=np.complex128))
-    return q, norms
-
-
-def near_null_space_matvec(apply_op, dim, tol, *, block_size=16, degree=60,
-                           max_sweeps=80, seed=7):
-    """Near-null basis of a Hermitian operator known only through matvecs.
-
-    Runs blocked subspace iteration on A*A with a Chebyshev filter that
-    suppresses the spectrum above a moving cut, so only the directions
-    with ||A v|| <= tol survive.  Intended for composite operators too
-    large to materialize; certification is by directly measured residual.
-
-    apply_op maps a (dim, k) block X to A X.
-    """
-    rng = np.random.default_rng(seed)
-
-    def apply_sq(x):
-        return apply_op(apply_op(x))
-
-    # spectral radius estimate for A^2 via power iteration
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(40):
-        w = apply_sq(v[:, None])[:, 0]
-        lam = float(np.real(np.vdot(v, w)))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-    lam_max = max(lam * 1.1, 1e-30)
-
-    floor = max(tol * tol, lam_max * 1e-13)
-
-    def filtered(x, cut):
-        # Chebyshev polynomial of A^2 mapped so [cut, lam_max] -> [-1, 1];
-        # magnitudes below cut are amplified relative to the rest
-        center = 0.5 * (lam_max + cut)
-        half = 0.5 * (lam_max - cut)
-        prev = x
-        cur = (apply_sq(x) - center * x) / half
-        for _ in range(degree - 1):
-            nxt = 2.0 * (apply_sq(cur) - center * cur) / half - prev
-            prev, cur = cur, nxt
-            peak = maxnorm(cur)
-            if peak > 1e12:  # rescale to dodge overflow, direction is all we keep
-                cur = cur / peak
-                prev = prev / peak
-        return cur
-
-    k = block_size
-    x = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
-    x, _ = orthonormalize(x)
-    cut = lam_max * 1e-6
-    last_count = -1
-    stable = 0
-    for _ in range(max_sweeps):
-        x = filtered(x, cut)
-        x, _ = orthonormalize(x)
-        if x.shape[1] < k:  # refill dropped directions with fresh noise
-            extra = rng.standard_normal((dim, k - x.shape[1])) \
-                + 1j * rng.standard_normal((dim, k - x.shape[1]))
-            q, _ = orthonormalize(extra, against=x)
-            x = np.concatenate([x, q], axis=1)
-        # Rayleigh-Ritz on A^2 inside the block
-        ax = apply_sq(x)
-        h = x.conj().T @ ax
-        h = 0.5 * (h + h.conj().T)
-        theta, s = np.linalg.eigh(h)
-        x = x @ s
-        resid = np.linalg.norm(apply_op(x), axis=0)
-        null_mask = resid <= max(tol, np.sqrt(floor))
-        count = int(np.count_nonzero(null_mask))
-        if count == k:
-            # the whole block sits in the null cluster: widen it
-            k *= 2
-            extra = rng.standard_normal((dim, k - x.shape[1])) \
-                + 1j * rng.standard_normal((dim, k - x.shape[1]))
-            q, _ = orthonormalize(extra, against=x)
-            x = np.concatenate([x, q], axis=1)
-            stable = 0
-            continue
-        nonnull = theta[~null_mask]
-        cut = max(float(nonnull.min()) * 0.5, floor * 4.0) \
-            if nonnull.size else lam_max * 1e-6
-        cut = min(cut, lam_max * 0.5)
-        if count == last_count:
-            stable += 1
-            if stable >= 2:
-                keep = np.nonzero(null_mask)[0]
-                vecs = x[:, keep]
-                resid_kept = resid[keep]
-                order = np.argsort(resid_kept, kind="stable")
-                vecs = canonical_phase(vecs[:, order])
-                return [vecs[:, j].copy() for j in range(vecs.shape[1])]
-        else:
-            stable = 0
-        last_count = count
-    raise ConvergenceError(
-        "near-null iteration did not stabilize in %d sweeps" % max_sweeps)
+    gaps = np.abs(right.values[None, :] - left.values[:, None])
+    out = []
+    # np.nonzero walks the gap table row-major: system index m, then k
+    for m, k in zip(*np.nonzero(gaps <= tol)):
+        product = np.outer(left.vector(m), right.vector(k)).reshape(-1, 1)
+        out.append((int(m), int(k), canonical_phase(product)[:, 0]))
+    return out

@@ -18,6 +18,7 @@ from .axes import (
     energy_aligned_grids,
     time_aligned_grids,
 )
+from .constraints import DEFAULT_TOL
 from .dynamics import InitialState, Scenario, Step
 from .exceptions import ScenarioSyntaxError, ScenarioValidationError
 from .models import DEFAULT_RETAINED_LEVELS, KINDS
@@ -28,7 +29,6 @@ TOP_KEYS = ("constants", "preset", "model", "initial", "steps", "tolerances")
 CONSTANT_KEYS = ("hbar", "mass", "c", "omega")
 GRID_KEYS = ("n", "origin", "spacing")
 
-DEFAULT_CONSTRAINT_TOL = 1e-6
 DEFAULT_EIGEN_TOL = 1e-9
 
 
@@ -175,10 +175,10 @@ def _parse_steps(value):
 
 def _parse_tolerances(value):
     if value is None:
-        return DEFAULT_CONSTRAINT_TOL, DEFAULT_EIGEN_TOL
+        return DEFAULT_TOL, DEFAULT_EIGEN_TOL
     obj = _object(value, "tolerances")
     _reject_unknown(obj, ("constraint_tol", "eigen_tol"), "tolerances")
-    constraint_tol = DEFAULT_CONSTRAINT_TOL
+    constraint_tol = DEFAULT_TOL
     eigen_tol = DEFAULT_EIGEN_TOL
     if "constraint_tol" in obj:
         constraint_tol = _number(obj["constraint_tol"],

@@ -1,8 +1,10 @@
 """Shared fixtures.
 
-The subspace extractions at composite dimension 2048 cost several seconds
-each on one core, so the grids, models, and extracted bases are built once
-per session and handed to every module that needs them.
+The grids, models, constraint operators and extracted bases at composite
+dimension 2048 are built once per session and handed to every module that
+needs them.  The exact subspace extraction takes milliseconds; what stays
+costly is the dense oracle on the same operator, so each cached operator
+keeps its materialized composite for every test that compares against it.
 """
 
 import numpy as np

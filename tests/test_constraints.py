@@ -14,6 +14,9 @@ from chronos.axes import (
     energy_lattice,
     energy_operator,
     gaussian_state,
+    lift_system,
+    position_operator,
+    time_aligned_grids,
     time_operator,
 )
 from chronos.constraints import (
@@ -40,7 +43,7 @@ from chronos.exceptions import (
     OutOfRangeError,
     ZeroOverlapError,
 )
-from chronos.linalg import kron, maxnorm, operator
+from chronos.linalg import kron, maxnorm, near_null_space, operator
 from chronos.models import (
     FREE_PARTICLE,
     OSCILLATOR,
@@ -224,9 +227,42 @@ def test_generalized_solve_reduces_to_first(energy_bundle):
     assert gap < 1e-8
 
 
+def oscillator_32x16(kind):
+    k = PhysicalConstants()
+    if kind == "first":
+        q_grid = default_position_grid(k, n=32)
+        t_grid = AxisGrid(n=16, origin=0.0, spacing=4.0 * math.pi / 16,
+                          label="time")
+        model = ModelSpec(OSCILLATOR, k, q_grid)
+        return first_constraint_operator(hamiltonian(model), t_grid, k)
+    q_grid, t_grid = time_aligned_grids(k, n_q=32, n_t=16)
+    model = ModelSpec(OSCILLATOR, k, q_grid)
+    return second_constraint_operator(oscillator_clock_operator(model),
+                                      t_grid)
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("tol", [1e-6, 0.3, 0.6])
+def test_subspace_matches_dense_oracle_at_wide_tolerance(kind, tol):
+    # every pair (m, k) within tol is a kernel vector, not only the
+    # nearest axis eigenvalue per level
+    op = oscillator_32x16(kind)
+    basis = physical_subspace(op, tol)
+    dense = near_null_space(op.composite, tol)
+    assert basis.count == len(dense)
+    if kind == "first" and tol == 0.6:
+        assert basis.count == 13
+    block = np.column_stack(dense)
+    gap = maxnorm(basis.projector().matrix - block @ block.conj().T)
+    assert gap < 1e-10
+    assert set(basis.labels) <= set(op.system_eigensystem.values.tolist())
+    assert list(basis.labels) == sorted(basis.labels)
+    assert max(basis.residuals) <= tol
+
+
 def test_large_separable_route_matches_product_count():
-    # above the materialization cap the kernel comes from eigenpair matching;
-    # the product structure makes the exact singular values |E_m - s_l|
+    # above the materialization cap the count must still be the number of
+    # pairs with |E_m - s_l| <= tol, the exact singular values of the sum
     k = PhysicalConstants()
     q_grid = default_position_grid(k, n=96)
     t_grid = AxisGrid(n=48, origin=0.0, spacing=4.0 * math.pi / 48,
@@ -235,13 +271,72 @@ def test_large_separable_route_matches_product_count():
     ham = hamiltonian(model)
     op = first_constraint_operator(ham, t_grid, k)
     assert op.dim > MATERIALIZE_LIMIT
-    basis = physical_subspace(op)
     energies = np.linalg.eigvalsh(ham.matrix)
     lattice = energy_lattice(t_grid, k)
-    expected = int(np.count_nonzero(
-        np.min(np.abs(energies[:, None] - lattice[None, :]), axis=1) <= 1e-6))
-    assert basis.count == expected > 0
-    assert max(basis.residuals) < 1e-6
+    for tol in (1e-6, 0.6):
+        basis = physical_subspace(op, tol)
+        expected = int(np.count_nonzero(
+            np.abs(energies[:, None] - lattice[None, :]) <= tol))
+        assert basis.count == expected > 0
+        assert max(basis.residuals) <= tol
+
+
+def test_generalized_lifted_system_solved_above_cap():
+    # F = H (x) I above the cap is the first constraint in disguise
+    k = PhysicalConstants()
+    q_grid = default_position_grid(k, n=48)
+    t_grid = AxisGrid(n=96, origin=0.0, spacing=4.0 * math.pi / 96,
+                      label="time")
+    ham = hamiltonian(ModelSpec(OSCILLATOR, k, q_grid))
+    first = physical_subspace(first_constraint_operator(ham, t_grid, k))
+    op = generalized_constraint_operator(1.0, 0.0, lift_system(ham, t_grid.n),
+                                         t_grid, k)
+    assert op.dim > MATERIALIZE_LIMIT
+    basis = physical_subspace(op)
+    assert basis.count == first.count > 0
+    assert basis.labels == (None,) * basis.count
+    assert max(basis.residuals) <= basis.tol
+
+
+def coupled_extra(n_q, n_t, k, time_part="samples"):
+    # H (x) I plus a position-time coupling Q (x) B: Hermitian but not
+    # A (x) I.  B = t_op makes the diagonal time blocks differ; B = s_op
+    # without its diagonal keeps them equal and fills the others.
+    q_grid = default_position_grid(k, n=n_q)
+    t_grid = AxisGrid(n=n_t, origin=0.0, spacing=4.0 * math.pi / n_t,
+                      label="time")
+    ham = hamiltonian(ModelSpec(OSCILLATOR, k, q_grid))
+    if time_part == "samples":
+        b = time_operator(t_grid).matrix
+    else:
+        b = energy_operator(t_grid, k).matrix.copy()
+        np.fill_diagonal(b, 0.0)
+    coupling = np.kron(position_operator(q_grid).matrix, b)
+    extra = operator(lift_system(ham, n_t).matrix + 1e-3 * coupling,
+                     hermitian=True)
+    return extra, t_grid
+
+
+@pytest.mark.parametrize("time_part", ["samples", "hopping"])
+def test_generalized_non_kronecker_extra_uses_dense_route(time_part):
+    k = PhysicalConstants()
+    extra, t_grid = coupled_extra(16, 8, k, time_part)
+    op = generalized_constraint_operator(1.0, 0.0, extra, t_grid, k)
+    assert op.kronecker_factors is None
+    basis = physical_subspace(op, 0.1)
+    assert basis.count == oracles.small_singular_count(op.composite.matrix,
+                                                       0.1) > 0
+    assert max(basis.residuals) <= 0.1
+    assert basis.labels == (None,) * basis.count
+
+
+def test_generalized_non_kronecker_extra_refused_above_cap():
+    k = PhysicalConstants()
+    extra, t_grid = coupled_extra(66, 64, k)
+    op = generalized_constraint_operator(1.0, 0.0, extra, t_grid, k)
+    assert op.dim > MATERIALIZE_LIMIT
+    with pytest.raises(DimensionMismatchError):
+        physical_subspace(op)
 
 
 def test_measurement_on_basis_member(energy_bundle):

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from chronos.exceptions import (
-    ConvergenceError,
-    NotHermitianError,
-    NotUnitaryError,
-)
+from chronos.exceptions import NotHermitianError, NotUnitaryError
 from chronos.linalg import (
     canonical_phase,
     diagonal_operator,
@@ -15,11 +11,10 @@ from chronos.linalg import (
     hermitian_defect,
     identity,
     kron,
+    kronecker_null_space,
     maxnorm,
     near_null_space,
-    near_null_space_matvec,
     operator,
-    orthonormalize,
     unitary_defect,
     unitary_exp,
 )
@@ -207,69 +202,45 @@ def test_near_null_space_count_matches_gram_oracle(rng):
     assert len(near_null_space(m, tol)) == oracles.small_singular_count(m, tol)
 
 
-def test_orthonormalize_produces_frame(rng):
-    block = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
-    q, norms = orthonormalize(block)
-    assert q.shape == (10, 4)
-    assert len(norms) == 4
-    assert maxnorm(q.conj().T @ q - np.eye(4)) < 1e-12
+def hermitian_with_spectrum(rng, values):
+    u = random_unitary(rng, len(values))
+    m = (u * np.asarray(values, dtype=float)) @ u.conj().T
+    return 0.5 * (m + m.conj().T)
 
 
-def test_orthonormalize_against_external_frame(rng):
-    frame, _ = orthonormalize(
-        rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3)))
-    block = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
-    q, _ = orthonormalize(block, against=frame)
-    assert maxnorm(frame.conj().T @ q) < 1e-12
+def projector(vectors):
+    block = np.column_stack(vectors)
+    return block @ block.conj().T
 
 
-def test_orthonormalize_drops_dependent_columns(rng):
-    col = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    block = np.column_stack([col, 2.0 * col, col * (1.0 + 1e-15)])
-    q, _ = orthonormalize(block)
-    assert q.shape[1] == 1
+# spectra on a half-integer lattice keep every gap |kappa_k - a_m| at a
+# multiple of 1/2, far from both tolerances, so rounding cannot flip a pair
+@pytest.mark.parametrize("a_values, k_values", [
+    ((-1.0, -0.5, 0.5, 1.5, 2.0, 3.0), (-0.5, 0.0, 1.5, 2.5)),
+    ((0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 2.0, 2.0), (0.0, 0.5, 0.5, 2.0, 3.0, 3.5)),
+    ((1.0, 1.0, 1.0), (1.0, 1.0, 4.0, 4.0, -2.0)),
+    ((-3.0, -2.0, 4.0, 5.0), (0.0, 1.0)),
+])
+@pytest.mark.parametrize("tol", [1e-8, 0.6])
+def test_kronecker_null_space_matches_dense_svd(rng, a_values, k_values, tol):
+    a = hermitian_with_spectrum(rng, a_values)
+    kk = hermitian_with_spectrum(rng, k_values)
+    left = eig_hermitian(operator(a, hermitian=True))
+    right = eig_hermitian(operator(kk, hermitian=True))
+    found = kronecker_null_space(left, right, tol)
+    composite = (oracles.kron_by_index(np.eye(len(a_values)), kk)
+                 - oracles.kron_by_index(a, np.eye(len(k_values))))
+    dense = near_null_space(composite, tol)
+    assert len(found) == len(dense) \
+        == oracles.small_singular_count(composite, tol)
+    pairs = [(m, k) for m, k, _ in found]
+    assert pairs == sorted(pairs)
+    for m, k, vector in found:
+        assert abs(right.values[k] - left.values[m]) <= tol
+        assert np.linalg.norm(composite @ vector) <= tol
+    if dense:
+        block = np.column_stack([v for _, _, v in found])
+        assert maxnorm(block @ block.conj().T - projector(dense)) < 1e-10
+        assert maxnorm(block.conj().T @ block - np.eye(len(dense))) < 1e-12
+        assert np.array_equal(canonical_phase(block), block)
 
-
-def test_matvec_null_space_matches_dense(rng):
-    # iterative engine against the dense SVD on the same planted problem
-    n = 96
-    u = random_unitary(rng, n)
-    values = np.concatenate([np.zeros(5), rng.uniform(0.4, 2.0, n - 5)])
-    herm = (u * values) @ u.conj().T
-    herm = 0.5 * (herm + herm.conj().T)
-
-    def apply_op(block):
-        return herm @ block
-
-    found = near_null_space_matvec(apply_op, n, 1e-8)
-    dense = near_null_space(herm, 1e-8)
-    assert len(found) == len(dense) == 5
-    a = np.column_stack(found)
-    b = np.column_stack(dense)
-    # same subspace: projectors agree even if the bases differ
-    assert maxnorm(a @ a.conj().T - b @ b.conj().T) < 1e-8
-
-
-def test_matvec_null_space_empty_kernel(rng):
-    n = 40
-    u = random_unitary(rng, n)
-    values = rng.uniform(0.5, 2.0, n)
-    herm = (u * values) @ u.conj().T
-    herm = 0.5 * (herm + herm.conj().T)
-    found = near_null_space_matvec(lambda b: herm @ b, n, 1e-8)
-    assert found == []
-
-
-def test_matvec_null_space_noise_returns_empty():
-    # pure noise has no direction with a small image: empty result, no error
-    rng_local = np.random.default_rng(5)
-
-    def noisy(block):
-        return 1e-3 * rng_local.standard_normal(block.shape)
-
-    assert near_null_space_matvec(noisy, 16, 1e-10, max_sweeps=30) == []
-
-
-def test_matvec_null_space_flags_non_convergence():
-    with pytest.raises(ConvergenceError):
-        near_null_space_matvec(lambda b: b, 8, 1e-10, max_sweeps=0)

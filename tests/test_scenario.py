@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chronos.axes import energy_aligned_grids, time_aligned_grids
-from chronos.dynamics import InitialState, Scenario, Step
+from chronos.dynamics import InitialState, Scenario, Step, run_scenario
 from chronos.exceptions import ScenarioSyntaxError, ScenarioValidationError
 from chronos.scenario import parse_scenario, serialize_scenario
 
@@ -212,3 +214,16 @@ def test_bundled_scenario_parses():
     sc = parse_scenario(bundled.read_bytes())
     assert sc.model_kind == "oscillator"
     assert len(sc.steps) == 3
+
+
+def test_readme_json_examples_parse_and_run():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```json\n(.*?)^```", readme.read_text("utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        sc = parse_scenario(block)
+        records = run_scenario(sc)
+        assert len(records) == len(sc.steps) + 1
+    # the documented example ends one level up, at energy 3/2
+    assert records[-1].energy_mean == pytest.approx(1.5, abs=1e-9)
