@@ -106,7 +106,7 @@ class AxisGrid:
         return out
 
 
-def _require_label(grid, label, what):
+def require_label(grid, label, what):
     if grid.label != label:
         raise WrongAxisError("%s needs a %s grid, got %r"
                              % (what, label, grid.label))
@@ -122,20 +122,20 @@ def _spectral_operator(grid, symbol):
 
 def position_operator(grid):
     """Diagonal operator of the position samples."""
-    _require_label(grid, POSITION, "position operator")
+    require_label(grid, POSITION, "position operator")
     return operator(np.diag(grid.samples.astype(np.complex128)),
                     hermitian=True, diagonal=True)
 
 
 def momentum_operator(grid, constants):
     """Spectral derivative -i*hbar*d/dx on the position grid."""
-    _require_label(grid, POSITION, "momentum operator")
+    require_label(grid, POSITION, "momentum operator")
     return _spectral_operator(grid, constants.hbar * grid.frequencies)
 
 
 def time_operator(grid):
     """Diagonal operator of the time samples."""
-    _require_label(grid, TIME, "time operator")
+    require_label(grid, TIME, "time operator")
     return operator(np.diag(grid.samples.astype(np.complex128)),
                     hermitian=True, diagonal=True)
 
@@ -146,19 +146,19 @@ def energy_operator(grid, constants):
     Its eigenvector at lattice energy E samples e^{-i E t / hbar}, so the
     sign pairs with the time operator opposite to the position pair.
     """
-    _require_label(grid, TIME, "energy operator")
+    require_label(grid, TIME, "energy operator")
     return _spectral_operator(grid, -constants.hbar * grid.frequencies)
 
 
 def band_edge(grid, constants):
     """Largest |E| the time grid can represent: hbar*pi/spacing."""
-    _require_label(grid, TIME, "band edge")
+    require_label(grid, TIME, "band edge")
     return constants.hbar * np.pi / grid.spacing
 
 
 def energy_lattice(grid, constants):
     """Ascending array of energies exactly representable on the time grid."""
-    _require_label(grid, TIME, "energy lattice")
+    require_label(grid, TIME, "energy lattice")
     return np.sort(-constants.hbar * grid.frequencies)
 
 
@@ -176,7 +176,7 @@ def energy_eigenvector(grid, energy, constants):
     lattice; a warning is issued when it misses the lattice, and energies
     beyond the band edge are refused outright.
     """
-    _require_label(grid, TIME, "energy eigenvector")
+    require_label(grid, TIME, "energy eigenvector")
     energy = float(energy)
     edge = band_edge(grid, constants)
     if abs(energy) > edge:
@@ -238,6 +238,10 @@ class CompositeState:
     def expectation_left(self, op):
         """<A (x) I> without forming the composite matrix."""
         m = self.matrix
+        if isinstance(op, OperatorMatrix) and op.diagonal:
+            # a diagonal A weights each system row by its squared norm
+            rows = np.einsum("ij,ij->i", m.conj(), m).real
+            return float(np.diag(op.matrix).real @ rows) / self.norm ** 2
         am = (op.matrix if isinstance(op, OperatorMatrix) else op) @ m
         return float(np.real(np.vdot(m, am))) / self.norm ** 2
 

@@ -117,42 +117,42 @@ def _commutator_suite(k, tol):
     return rows
 
 
+def _lattice_pairs(es, tg, k, tol):
+    """(lattice energy, level vector) for every pair closer than tol."""
+    lattice = energy_lattice(tg, k)
+    gaps = np.abs(lattice[None, :] - es.values[:, None])
+    return [(float(lattice[j]), es.vector(m))
+            for m, j in zip(*np.nonzero(gaps <= tol))]
+
+
 def _constraint1_suite(k, tol):
     rows = []
     qg, tg = energy_aligned_grids(k)
-    model = ModelSpec(OSCILLATOR, k, qg)
-    h_op = harmonic_hamiltonian(model)
+    h_op = harmonic_hamiltonian(ModelSpec(OSCILLATOR, k, qg))
     cop = first_constraint_operator(h_op, tg, k)
     basis = physical_subspace(cop, tol)
-    # expected count from exact lattice matching of the grid eigenvalues
-    es = cop.system_eigensystem
-    lattice = energy_lattice(tg, k)
-    expected = sum(1 for value in es.values
-                   if np.min(np.abs(lattice - value)) <= tol)
-    rows.append(_le("level_count_gap", abs(basis.count - expected), 0.0))
-    matched = [(float(v), es.vector(i)) for i, v in enumerate(es.values)
-               if np.min(np.abs(lattice - v)) <= tol]
-    residuals = [first_constraint_residual(separable_first(pair, tg, k),
-                                           h_op, tg, k) for pair in matched]
+    # expected kernel from exact lattice matching of the grid eigenvalues,
+    # each pair solved separably at its lattice energy
+    states = [separable_first(pair, tg, k).amplitudes
+              for pair in _lattice_pairs(cop.system_eigensystem, tg, k, tol)]
+    rows.append(_le("level_count_gap", abs(basis.count - len(states)), 0.0))
     rows.append(_le("separable_residual_max",
-                    max(residuals) if residuals else 0.0, tol))
+                    max(map(cop.residual, states), default=0.0), tol))
     rows.append(_le("member_residual_max",
-                    max(basis.residuals) if basis.count else 0.0, 2.0 * tol))
+                    max(basis.residuals, default=0.0), 2.0 * tol))
     if basis.count:
         p = basis.projector().matrix
-        gaps = []
-        for pair in matched:
-            state = separable_first(pair, tg, k).amplitudes
-            gaps.append(np.linalg.norm(state - p @ state))
-        rows.append(_le("span_gap_max", max(gaps), tol))
-    # deliberately detuned time period: no eigenvalue meets the lattice
+        rows.append(_le("span_gap_max", max(
+            (np.linalg.norm(s - p @ s) for s in states), default=0.0), tol))
+    # detuned time period: no pair within a tight tol, exact pairs otherwise
     qg_s = AxisGrid(n=32, origin=-8.0, spacing=0.5, label="position")
     period = 4.0 * np.pi * 1.1 / k.omega
     tg_d = AxisGrid(n=16, origin=0.0, spacing=period / 16, label=TIME)
     h_small = harmonic_hamiltonian(ModelSpec(OSCILLATOR, k, qg_s))
-    detuned = physical_subspace(
-        first_constraint_operator(h_small, tg_d, k), tol)
-    rows.append(_le("detuned_count", detuned.count, 0.0))
+    cop_d = first_constraint_operator(h_small, tg_d, k)
+    expected = len(_lattice_pairs(cop_d.system_eigensystem, tg_d, k, tol))
+    rows.append(_le("detuned_count_gap",
+                    abs(physical_subspace(cop_d, tol).count - expected), 0.0))
     return rows
 
 

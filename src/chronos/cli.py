@@ -29,13 +29,13 @@ from .exceptions import (
     ScenarioValidationError,
     UnknownSuiteError,
 )
-from .linalg import eig_hermitian
 from .models import (
     OSCILLATOR,
     ModelSpec,
-    clock_operator,
+    clock_scale,
     free_particle_time_level,
     hamiltonian,
+    hamiltonian_eigensystem,
     predicted_time_level,
 )
 from .scenario import parse_scenario
@@ -121,11 +121,10 @@ def cmd_spectrum(args):
             raise ScenarioValidationError(
                 "levels %d exceed the grid dimension %d"
                 % (args.levels, sc.q_grid.n), field="--levels")
-        energies = eig_hermitian(hamiltonian(model)).values
-        clock_values = eig_hermitian(clock_operator(model)).values
+        energies = hamiltonian_eigensystem(model).values
         for n in range(args.levels):
             energy = float(energies[n])
-            clock = float(clock_values[n])
+            clock = clock_scale(model) * energy
             if sc.model_kind == OSCILLATOR:
                 predicted = predicted_time_level(n, sc.constants)
             else:

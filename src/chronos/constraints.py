@@ -33,6 +33,7 @@ from .axes import (
     PhysicalConstants,
     energy_eigenvector,
     energy_operator,
+    require_label,
     time_operator,
     tensor_state,
 )
@@ -41,7 +42,6 @@ from .exceptions import (
     EmptyBasisError,
     NotHermitianError,
     OutOfRangeError,
-    WrongAxisError,
     ZeroOverlapError,
 )
 from .linalg import (
@@ -65,12 +65,6 @@ ZERO_WEIGHT = 1e-14
 DEFAULT_TOL = 1e-6
 
 
-def _require_time(grid, what):
-    if grid.label != TIME:
-        raise WrongAxisError("%s needs a time grid, got %r"
-                             % (what, grid.label))
-
-
 @dataclass(frozen=True)
 class ConstraintOperator:
     """One of the three constraint operators, kept in factored form."""
@@ -91,12 +85,6 @@ class ConstraintOperator:
     @property
     def dim(self):
         return self.n_q * self.n_t
-
-    @property
-    def descriptor(self):
-        if self.kind == GENERALIZED:
-            return "generalized(c_s=%g, c_t=%g)" % (self.coeff_s, self.coeff_t)
-        return self.kind
 
     @cached_property
     def _s_op(self):
@@ -219,21 +207,21 @@ def _verified_hermitian(candidate, what):
 
 
 def first_constraint_operator(hamiltonian_op, tg, constants):
-    _require_time(tg, "first constraint")
+    require_label(tg, TIME, "first constraint")
     hamiltonian_op = _verified_hermitian(hamiltonian_op, "hamiltonian")
     return ConstraintOperator(FIRST, hamiltonian_op.dim, tg, constants,
                               hamiltonian_op, 1.0, 0.0, None)
 
 
 def second_constraint_operator(clock_op, tg):
-    _require_time(tg, "second constraint")
+    require_label(tg, TIME, "second constraint")
     clock_op = _verified_hermitian(clock_op, "clock operator")
     return ConstraintOperator(SECOND, clock_op.dim, tg, None,
                               clock_op, 0.0, 1.0, None)
 
 
 def generalized_constraint_operator(coeff_s, coeff_t, extra, tg, constants):
-    _require_time(tg, "generalized constraint")
+    require_label(tg, TIME, "generalized constraint")
     extra = _verified_hermitian(extra, "extra operator")
     n_q, rem = divmod(extra.dim, tg.n)
     if rem != 0 or n_q < 1:
@@ -281,7 +269,7 @@ def separable_second(pair, tg):
     result is psi_t (x) (grid delta there).  Returns (state, rounding
     distance); values outside the sampled range are refused.
     """
-    _require_time(tg, "separable second solution")
+    require_label(tg, TIME, "separable second solution")
     t_value, system_vector = pair
     t_value = float(t_value)
     samples = tg.samples
@@ -333,7 +321,8 @@ class SubspaceBasis:
             raise DimensionMismatchError(
                 "state length %d, basis lives in dimension %d"
                 % (state.shape[0], self._matrix.shape[0]))
-        return self._matrix.conj().T @ state
+        # conjugating the state, not the matrix, copies no member matrix
+        return (state.conj() @ self._matrix).conj()
 
     def projector(self):
         """Dense orthogonal projector onto the spanned subspace."""
@@ -402,7 +391,7 @@ def measurement_probabilities(state, basis):
 
 def uncertainty_product(phi, tg, constants):
     """(spread of t_op, spread of s_op, their product) on a time-space state."""
-    _require_time(tg, "uncertainty product")
+    require_label(tg, TIME, "uncertainty product")
     phi = np.asarray(phi, dtype=np.complex128).ravel()
     if phi.shape[0] != tg.n:
         raise DimensionMismatchError(

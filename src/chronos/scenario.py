@@ -19,7 +19,7 @@ from .axes import (
     time_aligned_grids,
 )
 from .constraints import DEFAULT_TOL
-from .dynamics import InitialState, Scenario, Step
+from .dynamics import EIGEN_TOL, InitialState, Scenario, Step
 from .exceptions import ScenarioSyntaxError, ScenarioValidationError
 from .models import DEFAULT_RETAINED_LEVELS, KINDS
 
@@ -28,8 +28,6 @@ PRESETS = ("energy-aligned", "time-aligned")
 TOP_KEYS = ("constants", "preset", "model", "initial", "steps", "tolerances")
 CONSTANT_KEYS = ("hbar", "mass", "c", "omega")
 GRID_KEYS = ("n", "origin", "spacing")
-
-DEFAULT_EIGEN_TOL = 1e-9
 
 
 def _fail(message, field):
@@ -174,19 +172,12 @@ def _parse_steps(value):
 
 
 def _parse_tolerances(value):
-    if value is None:
-        return DEFAULT_TOL, DEFAULT_EIGEN_TOL
-    obj = _object(value, "tolerances")
-    _reject_unknown(obj, ("constraint_tol", "eigen_tol"), "tolerances")
-    constraint_tol = DEFAULT_TOL
-    eigen_tol = DEFAULT_EIGEN_TOL
-    if "constraint_tol" in obj:
-        constraint_tol = _number(obj["constraint_tol"],
-                                 "tolerances.constraint_tol", positive=True)
-    if "eigen_tol" in obj:
-        eigen_tol = _number(obj["eigen_tol"], "tolerances.eigen_tol",
-                            positive=True)
-    return constraint_tol, eigen_tol
+    obj = _object({} if value is None else value, "tolerances")
+    defaults = {"constraint_tol": DEFAULT_TOL, "eigen_tol": EIGEN_TOL}
+    _reject_unknown(obj, defaults, "tolerances")
+    return tuple(_number(obj[key], "tolerances." + key, positive=True)
+                 if key in obj else default
+                 for key, default in defaults.items())
 
 
 def parse_scenario(text):

@@ -202,6 +202,12 @@ def test_factored_expectations_match_dense_kron(rng):
     want_b = np.real(np.vdot(amps, dense_b @ amps))
     assert state.expectation_left(a) == pytest.approx(want_a, abs=1e-13)
     assert state.expectation_right(b) == pytest.approx(want_b, abs=1e-13)
+    # a diagonal operator takes the row-norm weighting
+    d = operator(np.diag(rng.standard_normal(n_q)), hermitian=True,
+                 diagonal=True)
+    dense_d = oracles.kron_by_index(d.matrix, np.eye(n_t))
+    want_d = np.real(np.vdot(amps, dense_d @ amps))
+    assert state.expectation_left(d) == pytest.approx(want_d, abs=1e-13)
 
 
 def test_tensor_state_is_outer_product(rng):

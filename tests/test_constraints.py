@@ -355,6 +355,9 @@ def test_measurement_of_mixture(energy_bundle):
     from chronos.axes import composite_state
     state = composite_state(mix, basis.members[0].n_q, basis.members[0].n_t)
     pairs, weight = measurement_probabilities(state, basis)
+    phased = 1j * np.exp(0.3j) * mix
+    want = [np.vdot(m.amplitudes, phased) for m in basis.members]
+    assert np.max(np.abs(basis.coefficients(phased) - want)) < 1e-14
     probs = dict(pairs)
     assert probs[basis.labels[0]] == pytest.approx(0.25, abs=1e-9)
     assert probs[basis.labels[1]] == pytest.approx(0.75, abs=1e-9)

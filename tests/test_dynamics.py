@@ -11,6 +11,7 @@ from chronos.axes import (
     PhysicalConstants,
     composite_state,
     energy_aligned_grids,
+    energy_operator,
     tensor_state,
     time_aligned_grids,
 )
@@ -36,24 +37,46 @@ from chronos.exceptions import (
     ScenarioValidationError,
     TruncationTopError,
 )
-from chronos.linalg import maxnorm
+from chronos.linalg import maxnorm, spectral_exp, unitary_exp
 from chronos.models import (
+    FREE_PARTICLE,
     OSCILLATOR,
     ModelSpec,
     energy_eigensystem,
+    hamiltonian,
+    hamiltonian_eigensystem,
     oscillator_time_quantum,
 )
 
 import oracles
 
 
+TRANSLATION_GRIDS = (
+    (PhysicalConstants(), AxisGrid(n=16, origin=0.0, spacing=0.25,
+                                   label="time")),
+    (PhysicalConstants(hbar=2.0, mass=3.0, c=1.5, omega=0.7),
+     AxisGrid(n=24, origin=-1.3, spacing=0.37, label="time")),
+)
+
+
 def test_time_translation_integer_steps_are_cyclic(rng):
-    k = PhysicalConstants()
-    tg = AxisGrid(n=16, origin=0.0, spacing=0.25, label="time")
-    u = time_translation(tg, k, 3 * tg.spacing)
-    f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    shifted = u.matrix @ f
-    assert np.linalg.norm(shifted - oracles.rolled(f, 3)) < 1e-12
+    for k, tg in TRANSLATION_GRIDS:
+        f = rng.standard_normal(tg.n) + 1j * rng.standard_normal(tg.n)
+        for steps in (3, -5, 1):
+            u = time_translation(tg, k, steps * tg.spacing)
+            shifted = u.matrix @ f
+            assert np.linalg.norm(shifted - oracles.rolled(f, steps)) < 1e-12
+
+
+@pytest.mark.parametrize("k, tg", TRANSLATION_GRIDS)
+def test_time_translation_matches_energy_operator_exponential(k, tg):
+    # the closed form against the exponential of the conjugate operator
+    s_op = energy_operator(tg, k)
+    for dt in (0.4, -0.4, 1.7, -2.9, 3 * tg.spacing, 11.3):
+        closed = time_translation(tg, k, dt)
+        assert closed.unitary
+        want = unitary_exp(s_op, dt / k.hbar).matrix
+        assert maxnorm(closed.matrix - want) <= 1e-12
 
 
 def test_time_translation_group_property():
@@ -83,6 +106,49 @@ def test_energy_shift_retunes_plane_wave():
     target = energy_eigenvector(tg, lattice[9], k)
     overlap = abs(np.vdot(target, shifted))
     assert overlap == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", [OSCILLATOR, FREE_PARTICLE])
+def test_shared_eigensystem_evolution_matches_unitary_exp(kind):
+    k = PhysicalConstants(hbar=2.0, mass=3.0, c=1.5, omega=0.7)
+    grid = AxisGrid(n=48, origin=-6.0, spacing=0.25, label="position")
+    model = ModelSpec(kind, k, grid)
+    es = hamiltonian_eigensystem(model)
+    for theta in (0.3, -1.1, 4.0):
+        shared = spectral_exp(es.vectors, es.values, theta)
+        assert shared.unitary
+        want = unitary_exp(hamiltonian(model), theta).matrix
+        assert maxnorm(shared.matrix - want) <= 1e-12
+
+
+def test_run_scenario_eigensolves_do_not_grow_with_steps(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(solver):
+        def wrapper(*args, **kwargs):
+            calls.append(solver.__name__)
+            return solver(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted(eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(eigvalsh))
+
+    def count(repeats):
+        steps = (Step(kind="evolve", dt=0.3),
+                 Step(kind="jump", from_level=0, to_level=2, at_time=0.5),
+                 Step(kind="evolve", dt=1.1),
+                 Step(kind="jump", from_level=2, to_level=0, at_time=2.5))
+        hamiltonian_eigensystem.cache_clear()
+        del calls[:]
+        records = run_scenario(base_scenario(steps=steps * repeats))
+        assert len(records) == 4 * repeats + 1
+        return len(calls)
+
+    short, long = count(1), count(10)
+    assert short == long
+    assert long <= 4
 
 
 def test_eigen_swap_unitary_exchanges_levels():

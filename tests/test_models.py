@@ -13,11 +13,13 @@ from chronos.models import (
     OSCILLATOR,
     ModelSpec,
     clock_operator,
+    clock_scale,
     energy_eigensystem,
     free_particle_clock_operator,
     free_particle_hamiltonian,
     free_particle_time_level,
     hamiltonian,
+    hamiltonian_eigensystem,
     harmonic_hamiltonian,
     ladder_operators,
     oscillator_clock_operator,
@@ -102,6 +104,19 @@ def test_clock_operator_is_scaled_hamiltonian():
     values = eig_hermitian(oscillator_clock_operator(model)).values
     quantum = oscillator_time_quantum(k)
     assert np.max(np.abs(values[:8] - quantum * (np.arange(8) + 0.5))) < 1e-9
+
+
+@pytest.mark.parametrize("kind", [OSCILLATOR, FREE_PARTICLE])
+@pytest.mark.parametrize("k", [
+    PhysicalConstants(),
+    PhysicalConstants(hbar=2.0, mass=3.0, c=1.5, omega=0.7),
+])
+def test_clock_values_are_scaled_energies(kind, k):
+    grid = AxisGrid(n=48, origin=-6.0, spacing=0.25, label="position")
+    model = ModelSpec(kind, k, grid)
+    scaled = clock_scale(model) * hamiltonian_eigensystem(model).values
+    clock = eig_hermitian(clock_operator(model)).values
+    assert np.max(np.abs(scaled - clock)) <= 1e-12 * np.max(np.abs(clock))
 
 
 def test_time_level_formulas():
