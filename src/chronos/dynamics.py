@@ -77,8 +77,24 @@ def energy_shift(tg, d_energy, constants):
     Maps the sampled energy eigenvector at E to the one at E + dE exactly,
     lattice or not, since the phases multiply pointwise.
     """
-    phases = np.exp(-1j * float(d_energy) * tg.samples / constants.hbar)
-    return operator(np.diag(phases), unitary=True, diagonal=True)
+    return operator(np.diag(_shift_phases(tg, d_energy, constants)),
+                    unitary=True, diagonal=True)
+
+
+def _shift_phases(tg, d_energy, constants):
+    return np.exp(-1j * float(d_energy) * tg.samples / constants.hbar)
+
+
+def _swap_levels(i, j, es):
+    # the eigenvectors of two distinct retained levels
+    i, j = int(i), int(j)
+    if i == j:
+        raise ValueError("swap levels must differ, got %d" % i)
+    if not (0 <= i < es.count and 0 <= j < es.count):
+        raise IndexOutOfRangeError(
+            "levels (%d, %d) outside retained range 0..%d"
+            % (i, j, es.count - 1))
+    return es.vector(i), es.vector(j)
 
 
 def eigen_swap_unitary(i, j, es):
@@ -87,15 +103,7 @@ def eigen_swap_unitary(i, j, es):
     Hermitian involution; the minimal unitary rotating level i into level
     j with all phase freedom fixed to +1.
     """
-    i, j = int(i), int(j)
-    if i == j:
-        raise ValueError("swap levels must differ, got %d" % i)
-    if not (0 <= i < es.count and 0 <= j < es.count):
-        raise IndexOutOfRangeError(
-            "levels (%d, %d) outside retained range 0..%d"
-            % (i, j, es.count - 1))
-    vi = es.vector(i)
-    vj = es.vector(j)
+    vi, vj = _swap_levels(i, j, es)
     u = np.eye(es.dim, dtype=np.complex128)
     u -= np.outer(vi, vi.conj()) + np.outer(vj, vj.conj())
     u += np.outer(vj, vi.conj()) + np.outer(vi, vj.conj())
@@ -153,11 +161,13 @@ def energy_jump(state, i, j, model, grids, tol=DEFAULT_TOL):
     Applies (two-level swap) (x) (energy shift by E_j - E_i).  Both level
     energies must sit on the time grid's frequency lattice within tol, or
     the jump is refused; the result keeps the first-constraint residual of
-    a solution and the norm is preserved.
+    a solution and the norm is preserved.  The swap acts as the rank-2
+    update M + (v_j - v_i)(v_i^H M - v_j^H M) and the shift as a row of
+    phases, so neither unitary is formed.
     """
     qg, tg = grids
     es = energy_eigensystem(model)
-    swap = eigen_swap_unitary(i, j, es)
+    vi, vj = _swap_levels(i, j, es)
     e_from = float(es.values[i])
     e_to = float(es.values[j])
     edge = band_edge(tg, model.constants)
@@ -171,8 +181,9 @@ def energy_jump(state, i, j, model, grids, tol=DEFAULT_TOL):
             raise OffLatticeError(
                 "%s-level energy %.6g misses the frequency lattice by %.3g"
                 % (name, value, miss))
-    shift = energy_shift(tg, e_to - e_from, model.constants)
-    new = swap.matrix @ state.matrix @ shift.matrix.T
+    m = state.matrix
+    new = m + np.outer(vj - vi, vi.conj() @ m - vj.conj() @ m)
+    new *= _shift_phases(tg, e_to - e_from, model.constants)
     return CompositeState(new.ravel(), state.n_q, state.n_t)
 
 
@@ -343,7 +354,8 @@ def run_scenario(sc):
 
     def evolve(state, dt):
         new = state.matrix @ translation(dt).T
-        if cop.residual(state) <= sc.constraint_tol:
+        # observe has just measured the residual of this state
+        if records[-1].residual1 <= sc.constraint_tol:
             alt = evolution(dt) @ state.matrix
             gap = float(np.linalg.norm(alt - new))
             if gap > EQUIVALENCE_TOL:

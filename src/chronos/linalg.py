@@ -5,7 +5,8 @@ built from: Kronecker products, Hermitian eigendecomposition with a fixed
 phase and ordering convention, unitary exponentials, and near-null-space
 extraction, by dense SVD or exactly for a Kronecker sum I (x) K - A (x) I.
 Matrices are dense complex128; intended sizes are a few hundred rows per
-factor space and a few thousand for composites.
+factor space and a few thousand for composites.  A Hermitian matrix whose
+imaginary part is exactly zero is diagonalized in real arithmetic.
 """
 from __future__ import annotations
 
@@ -178,9 +179,11 @@ def canonical_phase(vectors):
 
     The pivot is the first component whose magnitude exceeds a small
     fraction of the column peak, which keeps the choice stable against
-    rounding in components that are essentially zero.
+    rounding in components that are essentially zero.  Real columns stay
+    real: their phase is an exact sign.
     """
-    vectors = np.array(vectors, dtype=np.complex128, copy=True)
+    dtype = np.float64 if np.isrealobj(vectors) else np.complex128
+    vectors = np.array(vectors, dtype=dtype, copy=True)
     for j in range(vectors.shape[1]):
         col = vectors[:, j]
         mags = np.abs(col)
@@ -227,7 +230,10 @@ def eig_hermitian(op):
     Values come back ascending; each eigenvector column has its first
     significant component rotated real positive, and exactly degenerate
     eigenvalues get their columns ordered lexicographically, so the result
-    is a deterministic function of the input matrix.
+    is a deterministic function of the input matrix.  Input whose imaginary
+    part is exactly zero is real symmetric: it is diagonalized by LAPACK's
+    real solver, its phases are exact signs and its checks are real
+    products; the eigenvectors are stored complex like any others.
     """
     if isinstance(op, OperatorMatrix):
         if not op.hermitian:
@@ -235,6 +241,8 @@ def eig_hermitian(op):
         m = op.matrix
     else:
         m = np.asarray(op, dtype=np.complex128)
+    if not np.any(m.imag):
+        m = np.ascontiguousarray(m.real)
     defect = hermitian_defect(m)
     if defect > HERMITIAN_RTOL * max(maxnorm(m), 1e-300):
         raise NotHermitianError(

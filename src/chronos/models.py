@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .axes import POSITION, AxisGrid, PhysicalConstants, momentum_operator
+from .axes import POSITION, AxisGrid, PhysicalConstants
 from .exceptions import WrongAxisError, WrongKindError
 from .linalg import eig_hermitian, operator
 
@@ -48,11 +48,18 @@ def _hamiltonian(model, kind, what, omega):
     # p^2/(2m) + m*omega^2*q^2/2, the one builder behind both models
     _require_kind(model, kind, what)
     k = model.constants
-    p = momentum_operator(model.grid, k).matrix
-    x = model.grid.samples
-    m = p @ p / (2.0 * k.mass) \
-        + np.diag(0.5 * k.mass * omega ** 2 * x ** 2).astype(np.complex128)
-    m = 0.5 * (m + m.conj().T)
+    n = model.grid.n
+    # p^2 = Phi diag((hbar w)^2) Phi^H is a circulant: entry (j, l) depends
+    # only on (j - l) mod n.  Its symbol is even in w (the unpaired Nyquist
+    # frequency -n/2 maps to itself), so the circulant is real, and its
+    # first column is irfft of the symbol's k = 0..n/2 half, with no complex
+    # n^3 product p @ p.
+    w = 2.0 * np.pi * np.arange(n // 2 + 1) / model.grid.period
+    column = np.fft.irfft((k.hbar * w) ** 2, n) / (2.0 * k.mass)
+    j = np.arange(n)
+    m = column[(j[:, None] - j[None, :]) % n]
+    m = 0.5 * (m + m.T)
+    m[j, j] += 0.5 * k.mass * omega ** 2 * model.grid.samples ** 2
     return operator(m, hermitian=True)
 
 

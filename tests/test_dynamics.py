@@ -121,6 +121,13 @@ def test_shared_eigensystem_evolution_matches_unitary_exp(kind):
         assert maxnorm(shared.matrix - want) <= 1e-12
 
 
+# evolve, jump 0 -> 2, evolve, jump back: repeated to lengthen a run
+ROUND_TRIP = (Step(kind="evolve", dt=0.3),
+              Step(kind="jump", from_level=0, to_level=2, at_time=0.5),
+              Step(kind="evolve", dt=1.1),
+              Step(kind="jump", from_level=2, to_level=0, at_time=2.5))
+
+
 def test_run_scenario_eigensolves_do_not_grow_with_steps(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
@@ -136,13 +143,9 @@ def test_run_scenario_eigensolves_do_not_grow_with_steps(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(eigvalsh))
 
     def count(repeats):
-        steps = (Step(kind="evolve", dt=0.3),
-                 Step(kind="jump", from_level=0, to_level=2, at_time=0.5),
-                 Step(kind="evolve", dt=1.1),
-                 Step(kind="jump", from_level=2, to_level=0, at_time=2.5))
         hamiltonian_eigensystem.cache_clear()
         del calls[:]
-        records = run_scenario(base_scenario(steps=steps * repeats))
+        records = run_scenario(base_scenario(steps=ROUND_TRIP * repeats))
         assert len(records) == 4 * repeats + 1
         return len(calls)
 
@@ -258,6 +261,43 @@ def test_energy_jump_lands_on_target(energy_bundle):
     assert bundle["constraint"].residual(jumped) < 1e-6
     back = energy_jump(jumped, 1, 0, model, grids)
     assert abs(back.overlap(start)) >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("i, j", [(1, 3), (3, 1)])
+def test_energy_jump_matches_dense_unitaries(energy_bundle, rng, i, j):
+    bundle = energy_bundle
+    k = bundle["constants"]
+    grids = (bundle["q_grid"], bundle["t_grid"])
+    es = bundle["eigensystem"]
+    n_q, n_t = grids[0].n, grids[1].n
+    raw = rng.standard_normal(n_q * n_t) + 1j * rng.standard_normal(n_q * n_t)
+    state = composite_state(raw / np.linalg.norm(raw), n_q, n_t)
+    jumped = energy_jump(state, i, j, bundle["model"], grids)
+    swap = eigen_swap_unitary(i, j, es).matrix
+    shift = energy_shift(grids[1], es.values[j] - es.values[i], k).matrix
+    want = swap @ state.matrix @ shift.T
+    assert maxnorm(jumped.matrix - want) <= 1e-12
+
+
+def test_run_scenario_measures_each_residual_once(monkeypatch):
+    from chronos.constraints import ConstraintOperator
+    calls = []
+    residual = ConstraintOperator.residual
+
+    def counted(self, state):
+        calls.append(1)
+        return residual(self, state)
+
+    monkeypatch.setattr(ConstraintOperator, "residual", counted)
+
+    def count(repeats):
+        del calls[:]
+        records = run_scenario(base_scenario(steps=ROUND_TRIP * repeats))
+        return len(records), len(calls)
+
+    (short_records, short), (long_records, long) = count(1), count(10)
+    # one residual per recorded state, none more for the evolve gates
+    assert long - short == long_records - short_records
 
 
 def test_energy_jump_refuses_off_lattice_levels():

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from chronos.exceptions import NotHermitianError, NotUnitaryError
+from chronos.exceptions import (
+    ConvergenceError,
+    NotHermitianError,
+    NotUnitaryError,
+)
 from chronos.linalg import (
     canonical_phase,
     diagonal_operator,
@@ -118,6 +122,76 @@ def test_eig_deterministic_on_degenerate_spectrum():
     second = eig_hermitian(operator(herm, hermitian=True))
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.vectors, second.vectors)
+
+
+def random_symmetric(rng, n):
+    raw = rng.standard_normal((n, n))
+    return 0.5 * (raw + raw.T)
+
+
+def test_eig_solves_real_input_in_real_arithmetic(rng, monkeypatch):
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    sym = random_symmetric(rng, 8)
+    eig_hermitian(operator(sym, hermitian=True))
+    eig_hermitian(sym)
+    eig_hermitian(sym.astype(np.complex128))
+    eig_hermitian(operator(random_hermitian(rng, 8), hermitian=True))
+    assert seen == [np.float64, np.float64, np.float64, np.complex128]
+
+
+def test_eig_real_path_vectors_are_real(rng):
+    system = eig_hermitian(operator(random_symmetric(rng, 10),
+                                    hermitian=True))
+    assert system.vectors.dtype == np.complex128
+    assert not np.any(system.vectors.imag)
+
+
+def test_eig_real_and_complex_paths_agree(rng):
+    # a diagonal phase similarity D S D^H keeps the spectrum of a real
+    # symmetric S, moves it onto the complex path and maps each
+    # eigenprojector P to D P D^H
+    sym = random_symmetric(rng, 12)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 12))
+    real = eig_hermitian(operator(sym, hermitian=True))
+    herm = (phases[:, None] * sym) * phases.conj()[None, :]
+    cplx = eig_hermitian(operator(herm, hermitian=True))
+    scale = np.max(np.abs(real.values))
+    assert np.max(np.abs(real.values - cplx.values)) <= 1e-12 * scale
+    assert np.min(np.diff(real.values)) > 1e-6 * scale
+    for i in range(real.count):
+        u = phases * real.vector(i)
+        v = cplx.vector(i)
+        assert maxnorm(np.outer(u, u.conj()) - np.outer(v, v.conj())) < 1e-10
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_eig_checks_run_on_both_paths(rng, monkeypatch, real):
+    m = random_symmetric(rng, 6) if real else random_hermitian(rng, 6)
+    eigh = np.linalg.eigh
+    with pytest.raises(NotHermitianError):
+        eig_hermitian(m + np.triu(np.full((6, 6), 1e-3), 1))
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: (eigh(a)[0], 2.0 * eigh(a)[1]))
+    with pytest.raises(ConvergenceError, match="orthonormality"):
+        eig_hermitian(m)
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: (eigh(a)[0] + 1.0, eigh(a)[1]))
+    with pytest.raises(ConvergenceError, match="reconstruct"):
+        eig_hermitian(m)
+
+
+def test_canonical_phase_keeps_real_columns_real(rng):
+    block = rng.standard_normal((6, 3))
+    fixed = canonical_phase(block)
+    assert fixed.dtype == np.float64
+    assert np.array_equal(np.abs(fixed), np.abs(block))
 
 
 def test_canonical_phase_idempotent(rng):

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from chronos.axes import AxisGrid, PhysicalConstants, default_position_grid
+from chronos.axes import (
+    AxisGrid,
+    PhysicalConstants,
+    default_position_grid,
+    momentum_operator,
+)
 from chronos.exceptions import WrongKindError
 from chronos.linalg import eig_hermitian, maxnorm
 from chronos.models import (
@@ -93,6 +98,23 @@ def test_hamiltonian_dispatch():
         harmonic_hamiltonian(free)
     with pytest.raises(WrongKindError):
         free_particle_hamiltonian(model)
+
+
+@pytest.mark.parametrize("kind", [OSCILLATOR, FREE_PARTICLE])
+@pytest.mark.parametrize("k, grid", [
+    (PhysicalConstants(), AxisGrid(n=64, origin=-8.0, spacing=0.25,
+                                   label="position")),
+    (PhysicalConstants(hbar=2.0, mass=3.0, c=1.5, omega=0.7),
+     AxisGrid(n=48, origin=-2.3, spacing=0.31, label="position")),
+])
+def test_hamiltonian_is_real_circulant_of_momentum_square(kind, k, grid):
+    ham = hamiltonian(ModelSpec(kind, k, grid)).matrix
+    assert not np.any(ham.imag)
+    p = momentum_operator(grid, k).matrix
+    omega = k.omega if kind == OSCILLATOR else 0.0
+    want = p @ p / (2.0 * k.mass) \
+        + np.diag(0.5 * k.mass * omega ** 2 * grid.samples ** 2)
+    assert maxnorm(ham - want) <= 1e-12 * maxnorm(want)
 
 
 def test_clock_operator_is_scaled_hamiltonian():
