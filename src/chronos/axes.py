@@ -56,6 +56,11 @@ class PhysicalConstants:
         """m^2 c^4 / hbar, the rate constant pairing energies with times."""
         return self.mass ** 2 * self.c ** 4 / self.hbar
 
+    @property
+    def time_quantum(self):
+        """hbar^2*omega/(m^2 c^4), the oscillator's clock-level spacing."""
+        return self.hbar ** 2 * self.omega / (self.mass ** 2 * self.c ** 4)
+
 
 @dataclass(frozen=True)
 class AxisGrid:
@@ -312,11 +317,10 @@ def energy_aligned_grids(constants, n_q=64, n_t=32):
 def time_aligned_grids(constants, n_q=64, n_t=32):
     """Grid pair whose time samples sit exactly on the oscillator time levels.
 
-    Sample j equals tau*(j + 1/2) with tau = hbar^2*omega/(m^2*c^4), the
+    Sample j equals tau*(j + 1/2) with tau = constants.time_quantum, the
     level spacing of the oscillator's clock operator.
     """
-    tau = constants.hbar ** 2 * constants.omega \
-        / (constants.mass ** 2 * constants.c ** 4)
+    tau = constants.time_quantum
     qg = default_position_grid(constants, n=n_q)
     tg = AxisGrid(n=n_t, origin=tau / 2.0, spacing=tau, label=TIME)
     return qg, tg

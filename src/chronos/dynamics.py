@@ -6,41 +6,41 @@ declarative driver that chains evolve/jump steps and records observables
 after each one.  All composite applications are Kronecker-factored.
 Each unitary is closed-form: translations from the time grid's Fourier
 map, evolution and level swaps from the model's one shared eigensystem.
+The driver holds its state in the Hamiltonian eigenbasis times the time
+grid's Fourier basis, where both sides of the first constraint are
+diagonal, so no step builds an operator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .axes import (
+    NORM_ATOL,
     TIME,
     AxisGrid,
     CompositeState,
     PhysicalConstants,
     band_edge,
+    energy_operator,
     momentum_operator,
     nearest_lattice_energy,
-    position_operator,
     require_label,
 )
-from .constraints import (
-    DEFAULT_TOL,
-    first_constraint_operator,
-    physical_subspace,
-    separable_first,
-)
+from .constraints import DEFAULT_TOL, ZERO_WEIGHT, separable_first
 from .exceptions import (
     ChronosError,
+    ConvergenceError,
     IndexOutOfRangeError,
+    NotUnitaryError,
     OffLatticeError,
     ScenarioStepError,
     ScenarioValidationError,
     TruncationTopError,
     WrongKindError,
 )
-from .linalg import operator, spectral_exp
+from .linalg import kronecker_null_pairs, operator, spectral_exp
 from .models import (
     OSCILLATOR,
     ModelSpec,
@@ -54,9 +54,6 @@ from .models import (
 
 EIGEN_TOL = 1e-9
 EQUIVALENCE_TOL = 1e-6
-# evolution operators kept per run, by duration; bounded because a run
-# of distinct durations would otherwise keep every one of them alive
-EVOLVE_CACHE = 8
 
 
 def time_translation(tg, constants, dt):
@@ -168,23 +165,30 @@ def energy_jump(state, i, j, model, grids, tol=DEFAULT_TOL):
     qg, tg = grids
     es = energy_eigensystem(model)
     vi, vj = _swap_levels(i, j, es)
-    e_from = float(es.values[i])
-    e_to = float(es.values[j])
-    edge = band_edge(tg, model.constants)
-    for name, value in (("from", e_from), ("to", e_to)):
-        if abs(value) > edge:
-            raise OffLatticeError(
-                "%s-level energy %.6g beyond the band edge %.6g"
-                % (name, value, edge))
-        _, miss = nearest_lattice_energy(tg, value, model.constants)
-        if miss > tol:
-            raise OffLatticeError(
-                "%s-level energy %.6g misses the frequency lattice by %.3g"
-                % (name, value, miss))
+    e_from, e_to = _jump_energies(i, j, es, tg, model.constants, tol)
     m = state.matrix
     new = m + np.outer(vj - vi, vi.conj() @ m - vj.conj() @ m)
     new *= _shift_phases(tg, e_to - e_from, model.constants)
     return CompositeState(new.ravel(), state.n_q, state.n_t)
+
+
+def _jump_energies(i, j, es, tg, constants, tol):
+    # (E_i, E_j) of two retained levels, both inside the band and on the
+    # time grid's frequency lattice within tol
+    _swap_levels(i, j, es)
+    energies = float(es.values[i]), float(es.values[j])
+    edge = band_edge(tg, constants)
+    for name, value in zip(("from", "to"), energies):
+        if abs(value) > edge:
+            raise OffLatticeError(
+                "%s-level energy %.6g beyond the band edge %.6g"
+                % (name, value, edge))
+        _, miss = nearest_lattice_energy(tg, value, constants)
+        if miss > tol:
+            raise OffLatticeError(
+                "%s-level energy %.6g misses the frequency lattice by %.3g"
+                % (name, value, miss))
+    return energies
 
 
 @dataclass(frozen=True)
@@ -310,73 +314,105 @@ def _initial_state(sc, es, tg):
 def run_scenario(sc):
     """Apply the scenario's steps in order, recording after each one.
 
-    Evolve steps act with the lifted time translation and are cross
-    checked against the lifted Hamiltonian exponential whenever the state
-    satisfies the first constraint; the two must agree within 1e-6.  Any
-    failing step raises with the partial trajectory attached.
+    The state M is held as C = V^H M conj(Phi): V is the Hamiltonian
+    eigenbasis (energies E), Phi the time grid's Fourier map, the energy
+    operator's eigenbasis (kappa = -hbar w).  Both are certified against
+    the grid-basis operators to eigen_tol, or ConvergenceError is raised.
+    An evolve multiplies column k by e^{i w_k dt}, the lifted time
+    translation, cross checked against the lifted Hamiltonian exponential
+    e^{-i E_m dt / hbar} whenever the state satisfies the first
+    constraint; the two must agree within 1e-6.  A jump swaps rows i and
+    j and kicks the phases in the time domain.  Any failing step, a norm
+    drift included, raises with the partial trajectory attached.
     """
     model, es = validate_scenario(sc)
     tg = sc.t_grid
-    h_op = hamiltonian(model)
+    k = sc.constants
     h_es = hamiltonian_eigensystem(model)
-    cop = first_constraint_operator(h_op, tg, sc.constants)
-    basis = physical_subspace(cop, sc.constraint_tol)
-    q_op = position_operator(sc.q_grid)
-    p_op = momentum_operator(sc.q_grid, sc.constants)
+    v, energies = h_es.vectors, h_es.values
+    phi = tg.fourier_map
+    kappa = -k.hbar * tg.frequencies
+    # for a unit state the residual taken in these bases is within twice
+    # this defect of the residual taken in the grid basis
+    defect = max(
+        np.linalg.norm(hamiltonian(model).matrix @ v - v * energies, 2),
+        np.linalg.norm(energy_operator(tg, k).matrix @ phi - phi * kappa, 2))
+    if defect > sc.eigen_tol:
+        raise ConvergenceError(
+            "eigenbasis defect %.3g exceeds eigen_tol %.3g"
+            % (defect, sc.eigen_tol))
+    gaps_sq = (kappa[None, :] - energies[:, None]) ** 2
+    # the physical subspace is spanned by the pairs with |kappa_k - E_m|
+    # <= tol, in physical_subspace's member order
+    rows, cols = np.array(
+        kronecker_null_pairs(energies, kappa, sc.constraint_tol),
+        dtype=np.intp).reshape(-1, 2).T
+    q_v = (v.conj().T * sc.q_grid.samples) @ v
+    p_v = v.conj().T @ momentum_operator(sc.q_grid, k).matrix @ v
 
     records = []
 
-    @lru_cache(maxsize=EVOLVE_CACHE)
-    def translation(dt):
-        return time_translation(tg, sc.constants, dt).matrix
+    def system_moments(c):
+        # <Q (x) I> and <P (x) I> times the squared norm, from the system
+        # density C C^H; an evolve only rephases the columns of C, which
+        # leaves that density unchanged, so only jumps call this again
+        rho = c @ c.conj().T
+        return float(np.vdot(rho, q_v).real), float(np.vdot(rho, p_v).real)
 
-    @lru_cache(maxsize=EVOLVE_CACHE)
-    def evolution(dt):
-        return spectral_exp(h_es.vectors, h_es.values,
-                            dt / sc.constants.hbar).matrix
-
-    def observe(index, kind, state):
-        coeffs = basis.coefficients(state) if basis.count else np.zeros(0)
-        weight = float(np.sum(np.abs(coeffs) ** 2))
-        if basis.count and weight >= 1e-14:
-            probabilities = tuple(float(p)
-                                  for p in np.abs(coeffs) ** 2 / weight)
+    def observe(index, kind, c, moments):
+        weights = np.abs(c) ** 2
+        norm_sq = float(np.sum(weights))
+        coeff_sq = weights[rows, cols]
+        weight = float(np.sum(coeff_sq))
+        if rows.size and weight >= ZERO_WEIGHT:
+            probabilities = tuple((coeff_sq / weight).tolist())
         else:
-            probabilities = (float("nan"),) * basis.count
+            probabilities = (float("nan"),) * rows.size
         records.append(TrajectoryRecord(
             index, kind,
-            state.expectation_left(q_op),
-            state.expectation_left(p_op),
-            state.expectation_left(h_op),
-            cop.residual(state),
+            moments[0] / norm_sq,
+            moments[1] / norm_sq,
+            float(weights.sum(axis=1) @ energies) / norm_sq,
+            float(np.sqrt(np.sum(weights * gaps_sq) / norm_sq)),
             weight,
             probabilities))
 
-    def evolve(state, dt):
-        new = state.matrix @ translation(dt).T
+    def evolve(c, dt):
+        new = c * np.exp(1j * dt * tg.frequencies)
         # observe has just measured the residual of this state
         if records[-1].residual1 <= sc.constraint_tol:
-            alt = evolution(dt) @ state.matrix
+            alt = np.exp(-1j * dt / k.hbar * energies)[:, None] * c
             gap = float(np.linalg.norm(alt - new))
             if gap > EQUIVALENCE_TOL:
                 raise ChronosError(
                     "evolution operators disagree by %.3e on a solution"
                     % gap)
-        return CompositeState(new.ravel(), state.n_q, state.n_t)
+        return new
 
-    state = _initial_state(sc, es, tg)
-    observe(0, "init", state)
+    def jump(c, i, j):
+        e_from, e_to = _jump_energies(i, j, es, tg, k, sc.constraint_tol)
+        samples = c @ phi.T  # system eigenbasis (x) time samples
+        samples[[i, j]] = samples[[j, i]]
+        samples *= _shift_phases(tg, e_to - e_from, k)
+        return samples @ phi.conj()
+
+    c = v.conj().T @ _initial_state(sc, es, tg).matrix @ phi.conj()
+    moments = system_moments(c)
+    observe(0, "init", c, moments)
     for index, step in enumerate(sc.steps, start=1):
         try:
             if step.kind == "evolve":
-                state = evolve(state, float(step.dt))
+                c = evolve(c, float(step.dt))
             else:
-                state = energy_jump(state, step.from_level, step.to_level,
-                                    model, (sc.q_grid, tg),
-                                    tol=sc.constraint_tol)
+                c = jump(c, step.from_level, step.to_level)
+                moments = system_moments(c)
+            norm = float(np.linalg.norm(c))
+            if abs(norm - 1.0) > NORM_ATOL:
+                raise NotUnitaryError("state norm %.12g is not 1 within %.1e"
+                                      % (norm, NORM_ATOL))
         except ChronosError as exc:
             raise ScenarioStepError(
                 "step %d (%s) failed: %s" % (index, step.kind, exc),
                 records) from exc
-        observe(index, step.kind, state)
+        observe(index, step.kind, c, moments)
     return records

@@ -333,10 +333,22 @@ def kronecker_null_space(left, right, tol):
     every pair with |kappa_k - a_m| <= tol, ordered by m and then by k;
     each vector is phase-fixed like an eigenvector column.
     """
-    gaps = np.abs(right.values[None, :] - left.values[:, None])
     out = []
-    # np.nonzero walks the gap table row-major: system index m, then k
-    for m, k in zip(*np.nonzero(gaps <= tol)):
+    for m, k in kronecker_null_pairs(left.values, right.values, tol):
         product = np.outer(left.vector(m), right.vector(k)).reshape(-1, 1)
-        out.append((int(m), int(k), canonical_phase(product)[:, 0]))
+        out.append((m, k, canonical_phase(product)[:, 0]))
     return out
+
+
+def kronecker_null_pairs(a_values, k_values, tol):
+    """Index pairs (m, k) with |k_values[k] - a_values[m]| <= tol.
+
+    Ordered by m and then by ascending k_values[k], the order in which
+    kronecker_null_space returns its vectors; k_values need not be sorted.
+    """
+    order = np.argsort(k_values, kind="stable")
+    gaps = np.abs(np.asarray(k_values)[order][None, :]
+                  - np.asarray(a_values)[:, None])
+    # np.nonzero walks the gap table row-major: m, then ascending k_values
+    m, j = np.nonzero(gaps <= tol)
+    return list(zip(m.tolist(), order[j].tolist()))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .axes import POSITION, AxisGrid, PhysicalConstants
 from .exceptions import WrongAxisError, WrongKindError
-from .linalg import eig_hermitian, operator
+from .linalg import OperatorMatrix, eig_hermitian, operator
 
 OSCILLATOR = "oscillator"
 FREE_PARTICLE = "free_particle"
@@ -60,7 +60,9 @@ def _hamiltonian(model, kind, what, omega):
     m = column[(j[:, None] - j[None, :]) % n]
     m = 0.5 * (m + m.T)
     m[j, j] += 0.5 * k.mass * omega ** 2 * model.grid.samples ** 2
-    return operator(m, hermitian=True)
+    # real and exactly symmetric by construction; eig_hermitian still
+    # measures the defect of whatever it is handed
+    return OperatorMatrix(m, hermitian=True)
 
 
 def harmonic_hamiltonian(model):
@@ -114,8 +116,7 @@ def clock_operator(model):
 
 def oscillator_time_quantum(constants):
     """Clock-level spacing of the oscillator: hbar^2*omega/(m^2 c^4)."""
-    return constants.hbar ** 2 * constants.omega \
-        / (constants.mass ** 2 * constants.c ** 4)
+    return constants.time_quantum
 
 
 def predicted_time_level(n, constants):

@@ -92,19 +92,27 @@ def gaussian_moment(samples, spacing, center, sigma, power):
 
 
 def small_singular_count(matrix, tol):
-    """Count singular values at or below tol via the Gram matrix spectrum.
+    """Count singular values at or below tol via a Hermitian eigensolve.
 
-    The cutoff is widened to the eigvalsh noise floor so a kernel value
-    jittering at rounding level is still counted.
+    The embedding [[0, M], [M^H, 0]] has eigenvalues +-sigma_i for each
+    singular value of M, plus |rows - cols| zeros, so each sigma is
+    resolved to about eps * ||M|| rather than the eps * ||M||^2 of the Gram
+    matrix M^H M.  An exactly Hermitian M needs no embedding: its singular
+    values are its |eigenvalues|, and the embedding is similar to
+    M (+) -M.  A sigma that rounding splits across tol is refused.
     """
     m = np.asarray(matrix, dtype=np.complex128)
-    gram = m.conj().T @ m
-    gram = 0.5 * (gram + gram.conj().T)
-    w = np.linalg.eigvalsh(gram)
-    lam_max = max(float(w[-1]), 0.0)
-    floor = 64.0 * m.shape[0] * np.finfo(np.float64).eps * lam_max
-    cut = max(tol * tol, floor)
-    return int(np.count_nonzero(w <= cut))
+    rows, cols = m.shape
+    if rows == cols and np.array_equal(m, m.conj().T):
+        return int(np.count_nonzero(np.abs(np.linalg.eigvalsh(m)) <= tol))
+    embedding = np.zeros((rows + cols, rows + cols), dtype=np.complex128)
+    embedding[:rows, rows:] = m
+    embedding[rows:, :rows] = m.conj().T
+    w = np.linalg.eigvalsh(embedding)
+    count = int(np.count_nonzero(np.abs(w) <= tol)) - abs(rows - cols)
+    if count % 2:
+        raise ValueError("a singular value sits at tol within rounding")
+    return count // 2
 
 
 def ladder_matrix_elements(level, direction):

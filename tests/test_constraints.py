@@ -249,7 +249,8 @@ def test_subspace_matches_dense_oracle_at_wide_tolerance(kind, tol):
     op = oscillator_32x16(kind)
     basis = physical_subspace(op, tol)
     dense = near_null_space(op.composite, tol)
-    assert basis.count == len(dense)
+    assert basis.count == len(dense) \
+        == oracles.small_singular_count(op.composite.matrix, tol)
     if kind == "first" and tol == 0.6:
         assert basis.count == 13
     block = np.column_stack(dense)

@@ -12,10 +12,17 @@ from chronos.axes import (
     composite_state,
     energy_aligned_grids,
     energy_operator,
+    momentum_operator,
+    position_operator,
     tensor_state,
     time_aligned_grids,
 )
-from chronos.constraints import separable_first
+from chronos.cli import main
+from chronos.constraints import (
+    first_constraint_operator,
+    physical_subspace,
+    separable_first,
+)
 from chronos.dynamics import (
     InitialState,
     Scenario,
@@ -29,19 +36,28 @@ from chronos.dynamics import (
     time_translation,
     validate_scenario,
 )
+from chronos.scenario import serialize_scenario
 from chronos.exceptions import (
+    ConvergenceError,
     IndexOutOfRangeError,
+    NotUnitaryError,
     OffLatticeError,
     OffLatticeWarning,
     ScenarioStepError,
     ScenarioValidationError,
     TruncationTopError,
 )
-from chronos.linalg import maxnorm, spectral_exp, unitary_exp
+from chronos.linalg import (
+    kronecker_null_pairs,
+    maxnorm,
+    spectral_exp,
+    unitary_exp,
+)
 from chronos.models import (
     FREE_PARTICLE,
     OSCILLATOR,
     ModelSpec,
+    clock_scale,
     energy_eigensystem,
     hamiltonian,
     hamiltonian_eigensystem,
@@ -149,9 +165,8 @@ def test_run_scenario_eigensolves_do_not_grow_with_steps(monkeypatch):
         assert len(records) == 4 * repeats + 1
         return len(calls)
 
-    short, long = count(1), count(10)
-    assert short == long
-    assert long <= 4
+    # the Hamiltonian's; the energy operator's eigenbasis is closed form
+    assert count(1) == count(10) == 1
 
 
 def test_eigen_swap_unitary_exchanges_levels():
@@ -277,27 +292,6 @@ def test_energy_jump_matches_dense_unitaries(energy_bundle, rng, i, j):
     shift = energy_shift(grids[1], es.values[j] - es.values[i], k).matrix
     want = swap @ state.matrix @ shift.T
     assert maxnorm(jumped.matrix - want) <= 1e-12
-
-
-def test_run_scenario_measures_each_residual_once(monkeypatch):
-    from chronos.constraints import ConstraintOperator
-    calls = []
-    residual = ConstraintOperator.residual
-
-    def counted(self, state):
-        calls.append(1)
-        return residual(self, state)
-
-    monkeypatch.setattr(ConstraintOperator, "residual", counted)
-
-    def count(repeats):
-        del calls[:]
-        records = run_scenario(base_scenario(steps=ROUND_TRIP * repeats))
-        return len(records), len(calls)
-
-    (short_records, short), (long_records, long) = count(1), count(10)
-    # one residual per recorded state, none more for the evolve gates
-    assert long - short == long_records - short_records
 
 
 def test_energy_jump_refuses_off_lattice_levels():
@@ -439,3 +433,156 @@ def test_run_scenario_equivalence_guard_keeps_partial_records():
         run_scenario(sc)
     assert len(info.value.records) == 1
     assert info.value.records[0].kind == "init"
+
+
+def free_particle_scenario(**overrides):
+    # q period 2*pi puts every level (hbar k)^2/2m on the time lattice
+    # hbar*2*pi/L_t = 2/3 of a 6*pi time period
+    k = PhysicalConstants(hbar=2.0, mass=3.0, c=1.5, omega=0.7)
+    fields = dict(
+        constants=k,
+        q_grid=AxisGrid(n=32, origin=-math.pi, spacing=math.pi / 16,
+                        label="position"),
+        t_grid=AxisGrid(n=16, origin=0.0, spacing=6.0 * math.pi / 16,
+                        label="time"),
+        model_kind=FREE_PARTICLE,
+        initial=InitialState(kind="level", level=1),
+        steps=(),
+    )
+    fields.update(overrides)
+    return Scenario(**fields)
+
+
+def oscillator_scenario(**overrides):
+    k = PhysicalConstants(hbar=2.0, mass=3.0, c=1.5, omega=0.7)
+    q_grid, t_grid = energy_aligned_grids(k, n_q=64, n_t=16)
+    return base_scenario(constants=k, q_grid=q_grid, t_grid=t_grid,
+                         **overrides)
+
+
+def jump_step(sc, i, j):
+    # stamped with the clock reading of its from-level
+    model, es = validate_scenario(sc)
+    return Step(kind="jump", from_level=i, to_level=j,
+                at_time=clock_scale(model) * float(es.values[i]))
+
+
+def random_amplitudes(sc, seed):
+    rng = np.random.default_rng(seed)
+    n = sc.q_grid.n * sc.t_grid.n
+    raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return InitialState(kind="amplitudes",
+                        amplitudes=tuple(raw / np.linalg.norm(raw)))
+
+
+def spectral_cases():
+    cases = []
+    for name, make in (("oscillator", oscillator_scenario),
+                       ("free", free_particle_scenario)):
+        # from the prepared level, then from an unoccupied one
+        sc = make()
+        steps = (Step(kind="evolve", dt=0.7), jump_step(sc, 1, 3),
+                 Step(kind="evolve", dt=-1.9), jump_step(sc, 0, 2),
+                 Step(kind="evolve", dt=0.25))
+        cases.append(pytest.param(make(steps=steps), id=name + "-level"))
+        cases.append(pytest.param(
+            make(steps=steps, initial=random_amplitudes(sc, 5)),
+            id=name + "-amplitudes"))
+    return cases
+
+
+def grid_basis_records(sc):
+    """The scenario replayed on grid-basis states, one dict per record."""
+    model, es = validate_scenario(sc)
+    k, qg, tg = sc.constants, sc.q_grid, sc.t_grid
+    h_op = hamiltonian(model)
+    cop = first_constraint_operator(h_op, tg, k)
+    basis = physical_subspace(cop, sc.constraint_tol)
+    q_op, p_op = position_operator(qg), momentum_operator(qg, k)
+    if sc.initial.kind == "amplitudes":
+        state = composite_state(np.asarray(sc.initial.amplitudes),
+                                qg.n, tg.n)
+    else:
+        n = sc.initial.level
+        state = separable_first((float(es.values[n]), es.vector(n)), tg, k)
+    out = []
+    for step in (None,) + sc.steps:
+        if step is not None and step.kind == "evolve":
+            u = time_translation(tg, k, step.dt).matrix
+            state = composite_state((state.matrix @ u.T).ravel(),
+                                    qg.n, tg.n)
+        elif step is not None:
+            state = energy_jump(state, step.from_level, step.to_level,
+                                model, (qg, tg), tol=sc.constraint_tol)
+        coeffs = np.abs(basis.coefficients(state)) ** 2
+        weight = float(np.sum(coeffs))
+        out.append({"q_mean": state.expectation_left(q_op),
+                    "p_mean": state.expectation_left(p_op),
+                    "energy_mean": state.expectation_left(h_op),
+                    "residual1": cop.residual(state),
+                    "subspace_weight": weight,
+                    # no distribution without weight in the subspace
+                    "probabilities": coeffs / weight if weight >= 1e-14
+                    else np.full(basis.count, np.nan)})
+    return out
+
+
+@pytest.mark.parametrize("sc", spectral_cases())
+def test_run_scenario_matches_grid_basis_oracle(sc):
+    records = run_scenario(sc)
+    want = grid_basis_records(sc)
+    assert len(records) == len(want) == len(sc.steps) + 1
+    for rec, expected in zip(records, want):
+        for name in ("q_mean", "p_mean", "energy_mean", "residual1",
+                     "subspace_weight"):
+            assert abs(getattr(rec, name) - expected[name]) <= 1e-10, name
+        assert len(rec.probabilities) == len(expected["probabilities"]) > 0
+        np.testing.assert_allclose(rec.probabilities,
+                                   expected["probabilities"], rtol=0,
+                                   atol=1e-10)
+
+
+@pytest.mark.parametrize("sc", [base_scenario(), oscillator_scenario(),
+                                free_particle_scenario()],
+                         ids=["unit", "oscillator", "free"])
+@pytest.mark.parametrize("tol", [1e-6, 0.6])
+def test_kernel_pairs_follow_physical_subspace_order(sc, tol):
+    # run_scenario gathers its kernel coefficients at these pairs
+    model, _ = validate_scenario(sc)
+    es = hamiltonian_eigensystem(model)
+    tg = sc.t_grid
+    kappa = -sc.constants.hbar * tg.frequencies
+    pairs = kronecker_null_pairs(es.values, kappa, tol)
+    basis = physical_subspace(first_constraint_operator(
+        hamiltonian(model), tg, sc.constants), tol)
+    assert len(pairs) == basis.count > 0
+    for (m, k), member, label in zip(pairs, basis.members, basis.labels):
+        assert label == es.values[m]
+        product = np.outer(es.vector(m), tg.fourier_map[:, k]).ravel()
+        assert abs(np.vdot(product, member.amplitudes)) \
+            == pytest.approx(1.0, abs=1e-10)
+
+
+def test_run_scenario_refuses_uncertified_bases(tmp_path, capsys):
+    sc = base_scenario(eigen_tol=1e-18)
+    with pytest.raises(ConvergenceError) as info:
+        run_scenario(sc)
+    assert "1e-18" in str(info.value)
+    config = tmp_path / "tight.json"
+    config.write_text(serialize_scenario(sc), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 3
+    assert "eigen_tol" in capsys.readouterr().err
+
+
+def test_run_scenario_checks_the_norm_of_every_step(monkeypatch):
+    # a phase kick that is not unimodular must abort the jump
+    import chronos.dynamics as dynamics
+    kick = dynamics._shift_phases
+    monkeypatch.setattr(dynamics, "_shift_phases",
+                        lambda *args: 1.5 * kick(*args))
+    sc = base_scenario(steps=(Step(kind="evolve", dt=0.3),) + ROUND_TRIP)
+    with pytest.raises(ScenarioStepError) as info:
+        run_scenario(sc)
+    assert isinstance(info.value.__cause__, NotUnitaryError)
+    assert [r.kind for r in info.value.records] == ["init", "evolve",
+                                                    "evolve"]
