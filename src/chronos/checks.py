@@ -32,7 +32,6 @@ from .axes import (
 from .constraints import (
     DEFAULT_TOL,
     first_constraint_operator,
-    first_constraint_residual,
     generalized_constraint_operator,
     generalized_residual,
     physical_subspace,
@@ -195,8 +194,12 @@ def _generalized_suite(k, tol):
     model = ModelSpec(OSCILLATOR, k, qg)
     h_op = harmonic_hamiltonian(model)
     g_op = oscillator_clock_operator(model)
-    h_lift = lift_system(h_op, tg.n)
-    g_lift = lift_system(g_op, tg.n)
+    gen_first = generalized_constraint_operator(
+        1.0, 0.0, lift_system(h_op, tg.n), tg, k)
+    gen_second = generalized_constraint_operator(
+        0.0, 1.0, lift_system(g_op, tg.n), tg, k)
+    first = first_constraint_operator(h_op, tg, k)
+    second = second_constraint_operator(g_op, tg)
     rng = np.random.default_rng(11)
     gap_first = 0.0
     gap_second = 0.0
@@ -204,19 +207,15 @@ def _generalized_suite(k, tol):
         raw = rng.standard_normal(qg.n * tg.n) \
             + 1j * rng.standard_normal(qg.n * tg.n)
         raw /= np.linalg.norm(raw)
-        gap_first = max(gap_first, abs(
-            generalized_residual(raw, 1.0, 0.0, h_lift, tg, k)
-            - first_constraint_residual(raw, h_op, tg, k)))
-        gap_second = max(gap_second, abs(
-            generalized_residual(raw, 0.0, 1.0, g_lift, tg, k)
-            - second_constraint_residual(raw, g_op, tg)))
+        gap_first = max(gap_first, abs(gen_first.residual(raw)
+                                       - first.residual(raw)))
+        gap_second = max(gap_second, abs(gen_second.residual(raw)
+                                         - second.residual(raw)))
     rows.append(_le("first_reduction_gap", gap_first, 1e-12))
     rows.append(_le("second_reduction_gap", gap_second, 1e-12))
     # kernel of the reduced form matches the dedicated solver's kernel
-    basis_gen = physical_subspace(
-        generalized_constraint_operator(1.0, 0.0, h_lift, tg, k), tol)
-    basis_first = physical_subspace(
-        first_constraint_operator(h_op, tg, k), tol)
+    basis_gen = physical_subspace(gen_first, tol)
+    basis_first = physical_subspace(first, tol)
     if basis_gen.count and basis_gen.count == basis_first.count:
         gap = maxnorm(basis_gen.projector().matrix
                       - basis_first.projector().matrix)
@@ -224,8 +223,7 @@ def _generalized_suite(k, tol):
     else:
         rows.append(_le("reduction_count_gap",
                         abs(basis_gen.count - basis_first.count), 0.0))
-    tighter = physical_subspace(
-        generalized_constraint_operator(1.0, 0.0, h_lift, tg, k), tol * 1e-3)
+    tighter = physical_subspace(gen_first, tol * 1e-3)
     if tighter.count and basis_gen.count:
         p = basis_gen.projector().matrix
         nesting = max(np.linalg.norm(m.amplitudes - p @ m.amplitudes)
@@ -237,8 +235,8 @@ def _generalized_suite(k, tol):
     es = energy_eigensystem(model)
     psi0 = separable_first((float(es.values[0]), es.vector(0)), tg, k)
     r_both = generalized_residual(psi0, 1.0, 1.0, f_both, tg, k)
-    r1 = first_constraint_residual(psi0, h_op, tg, k)
-    r2 = second_constraint_residual(psi0, g_op, tg)
+    r1 = first.residual(psi0)
+    r2 = second.residual(psi0)
     rows.append(_le("triangle_excess", r_both - (r1 + r2), 1e-12))
     # detuned composite keeps an empty kernel
     tg_d = AxisGrid(n=16, origin=0.0, spacing=period * 1.1 / 16, label=TIME)

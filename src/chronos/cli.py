@@ -182,9 +182,9 @@ def cmd_run(args):
 def cmd_subspace(args):
     sc = _scenario_from_args(args)
     tol = args.tol if args.tol is not None else sc.constraint_tol
-    if tol <= 0.0:
-        raise ScenarioValidationError("tolerance must be positive",
-                                      field="--tol")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ScenarioValidationError("tolerance must be positive and "
+                                      "finite, got %r" % tol, field="--tol")
     model = ModelSpec(sc.model_kind, sc.constants, sc.q_grid)
     cop = first_constraint_operator(hamiltonian(model), sc.t_grid,
                                     sc.constants)

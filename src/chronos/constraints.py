@@ -1,23 +1,23 @@
 """Constraint equations on the composite space and their solution subspaces.
 
-Three constraint operators are supported, each the difference of lifted
-Hermitian pieces on the (system (x) time) product:
+Every constraint operator is a Kronecker sum on the (system (x) time)
+product, a system operator A and a time-axis operator K lifted apart:
 
-  first:        (I (x) s_op)  -  (H (x) I)
-  second:       (I (x) t_op)  -  (G (x) I)
-  generalized:  c_s (I (x) s_op) + c_t (I (x) t_op)  -  F
+  first:        I (x) s_op                  -  H (x) I
+  second:       I (x) t_op                  -  G (x) I
+  generalized:  I (x) (c_s s_op + c_t t_op)  -  F,   F = A (x) I
 
 where s_op/t_op are the conjugate/sample operators of the time axis, H is
-a Hamiltonian, G a clock operator, and F an arbitrary Hermitian composite.
-States in the near-kernel of a constraint operator form the physical
-subspace; measurement statistics are renormalized inside it.
+a Hamiltonian and G a clock operator.  In the generalized equation the
+time and energy operators couple to the system only through F, so F must
+be a lifted system operator; its factor A is read off once, when the
+operator is built, and any other F is refused.  States in the near-kernel
+of a constraint operator form the physical subspace; measurement
+statistics are renormalized inside it.
 
-Each operator of the form I (x) K - A (x) I is a Kronecker sum: the first
-and second kinds always, the generalized kind whenever F = A (x) I.  Its
-near-kernel is solved exactly from one eigendecomposition of each factor.
-Applications are Kronecker-factored throughout; the composite matrix is
-materialized only for a generalized F that is not A (x) I, which is solved
-by dense SVD and only up to a size cap.
+The near-kernel is solved exactly from one eigendecomposition of each
+factor, and applications are Kronecker-factored throughout.  The
+materialized composite is kept, below a size cap, only as a dense oracle.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from .axes import (
     TIME,
     AxisGrid,
     CompositeState,
-    PhysicalConstants,
     energy_eigenvector,
     energy_operator,
     require_label,
@@ -50,7 +49,6 @@ from .linalg import (
     identity,
     kron,
     kronecker_null_space,
-    near_null_space,
     operator,
 )
 
@@ -67,16 +65,21 @@ DEFAULT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ConstraintOperator:
-    """One of the three constraint operators, kept in factored form."""
+    """The constraint operator I (x) K - A (x) I, kept in factored form.
+
+    system_op is A on the system factor; axis_op is K on the time axis:
+    the energy operator for the first kind, the time operator for the
+    second and c_s s_op + c_t t_op for the generalized kind.
+    """
 
     kind: str
-    n_q: int
     time_grid: AxisGrid
-    constants: PhysicalConstants | None
-    system_op: OperatorMatrix | None
-    coeff_s: float
-    coeff_t: float
-    extra: OperatorMatrix | None
+    system_op: OperatorMatrix
+    axis_op: OperatorMatrix
+
+    @property
+    def n_q(self):
+        return self.system_op.dim
 
     @property
     def n_t(self):
@@ -87,51 +90,13 @@ class ConstraintOperator:
         return self.n_q * self.n_t
 
     @cached_property
-    def _s_op(self):
-        return energy_operator(self.time_grid, self.constants)
-
-    @cached_property
-    def _t_samples(self):
-        return self.time_grid.samples
-
-    @cached_property
-    def kronecker_factors(self):
-        """(A, K) with this operator equal to I (x) K - A (x) I, or None.
-
-        The first and second kinds always factor; the generalized kind
-        factors when F = A (x) I exactly, with K = c_s s_op + c_t t_op.
-        """
-        if self.kind == FIRST:
-            return self.system_op, self._s_op
-        if self.kind == SECOND:
-            return self.system_op, time_operator(self.time_grid)
-        a = _system_factor(self.extra.matrix, self.n_q, self.n_t)
-        if a is None:
-            return None
-        k = np.zeros((self.n_t, self.n_t), dtype=np.complex128)
-        if self.coeff_s != 0.0:
-            k = k + self.coeff_s * self._s_op.matrix
-        if self.coeff_t != 0.0:
-            k = k + np.diag(self.coeff_t * self._t_samples)
-        return operator(a, hermitian=True), operator(k, hermitian=True)
-
-    @cached_property
     def system_eigensystem(self):
-        """Eigensystem of the system factor A of kronecker_factors."""
-        return eig_hermitian(self.kronecker_factors[0])
+        """Eigensystem of the system factor A."""
+        return eig_hermitian(self.system_op)
 
     def apply_matrix(self, m):
         """Constraint image of a state given as its (n_q, n_t) matrix."""
-        if self.kind == FIRST:
-            return m @ self._s_op.matrix.T - self.system_op.matrix @ m
-        if self.kind == SECOND:
-            return m * self._t_samples[None, :] - self.system_op.matrix @ m
-        out = np.zeros_like(m)
-        if self.coeff_s != 0.0:
-            out = out + self.coeff_s * (m @ self._s_op.matrix.T)
-        if self.coeff_t != 0.0:
-            out = out + self.coeff_t * (m * self._t_samples[None, :])
-        return out - (self.extra.matrix @ m.ravel()).reshape(m.shape)
+        return m @ self.axis_op.matrix.T - self.system_op.matrix @ m
 
     def residual(self, state):
         """||D s|| / ||s|| via factored application."""
@@ -142,25 +107,16 @@ class ConstraintOperator:
 
     @cached_property
     def composite(self):
-        """The materialized composite matrix; only below the size cap."""
+        """The materialized composite matrix, a dense oracle for tests.
+
+        Refused above MATERIALIZE_LIMIT; no solver route builds it.
+        """
         if self.dim > MATERIALIZE_LIMIT:
             raise DimensionMismatchError(
                 "composite dimension %d exceeds the materialization cap %d; "
                 "use the factored application" % (self.dim, MATERIALIZE_LIMIT))
-        i_q = identity(self.n_q)
-        if self.kind == FIRST:
-            m = kron(i_q, self._s_op).matrix - kron(self.system_op,
-                                                    identity(self.n_t)).matrix
-        elif self.kind == SECOND:
-            m = kron(i_q, time_operator(self.time_grid)).matrix \
-                - kron(self.system_op, identity(self.n_t)).matrix
-        else:
-            m = -self.extra.matrix
-            if self.coeff_s != 0.0:
-                m = m + self.coeff_s * kron(i_q, self._s_op).matrix
-            if self.coeff_t != 0.0:
-                m = m + self.coeff_t * kron(
-                    i_q, time_operator(self.time_grid)).matrix
+        m = kron(identity(self.n_q), self.axis_op).matrix \
+            - kron(self.system_op, identity(self.n_t)).matrix
         return operator(m, hermitian=True)
 
 
@@ -209,18 +165,26 @@ def _verified_hermitian(candidate, what):
 def first_constraint_operator(hamiltonian_op, tg, constants):
     require_label(tg, TIME, "first constraint")
     hamiltonian_op = _verified_hermitian(hamiltonian_op, "hamiltonian")
-    return ConstraintOperator(FIRST, hamiltonian_op.dim, tg, constants,
-                              hamiltonian_op, 1.0, 0.0, None)
+    return ConstraintOperator(FIRST, tg, hamiltonian_op,
+                              energy_operator(tg, constants))
 
 
 def second_constraint_operator(clock_op, tg):
     require_label(tg, TIME, "second constraint")
     clock_op = _verified_hermitian(clock_op, "clock operator")
-    return ConstraintOperator(SECOND, clock_op.dim, tg, None,
-                              clock_op, 0.0, 1.0, None)
+    return ConstraintOperator(SECOND, tg, clock_op, time_operator(tg))
 
 
 def generalized_constraint_operator(coeff_s, coeff_t, extra, tg, constants):
+    """The constraint c_s (I (x) s_op) + c_t (I (x) t_op) - F.
+
+    extra is the composite F, which must be a lifted system operator
+    F = A (x) I (see axes.lift_system): the paper's form, in which the time
+    and energy operators couple to the system only through A.  A is read
+    off F here, once; an F that is not A (x) I raises
+    DimensionMismatchError.  The result is I (x) K - A (x) I with
+    K = c_s s_op + c_t t_op.
+    """
     require_label(tg, TIME, "generalized constraint")
     extra = _verified_hermitian(extra, "extra operator")
     n_q, rem = divmod(extra.dim, tg.n)
@@ -228,8 +192,15 @@ def generalized_constraint_operator(coeff_s, coeff_t, extra, tg, constants):
         raise DimensionMismatchError(
             "composite dim %d is not a multiple of the time dim %d"
             % (extra.dim, tg.n))
-    return ConstraintOperator(GENERALIZED, n_q, tg, constants, None,
-                              float(coeff_s), float(coeff_t), extra)
+    a = _system_factor(extra.matrix, n_q, tg.n)
+    if a is None:
+        raise DimensionMismatchError(
+            "F must be a lifted system operator A (x) I; this %d-dim F "
+            "couples the system to the %d-point time axis" % (extra.dim, tg.n))
+    k = float(coeff_s) * energy_operator(tg, constants).matrix \
+        + np.diag(float(coeff_t) * tg.samples)
+    return ConstraintOperator(GENERALIZED, tg, operator(a, hermitian=True),
+                              operator(k, hermitian=True))
 
 
 def first_constraint_residual(state, hamiltonian_op, tg, constants):
@@ -335,38 +306,25 @@ class SubspaceBasis:
 def physical_subspace(op, tol=DEFAULT_TOL):
     """Near-kernel basis of a constraint operator with eigenvalue labels.
 
-    When the operator is a Kronecker sum I (x) K - A (x) I (see
-    kronecker_factors) the basis is exact: every product eigenvector
-    psi_m (x) chi_k with |kappa_k - a_m| <= tol, ordered by system level and
-    then by axis eigenvalue, labelled a_m.  A generalized F that is not
-    A (x) I falls back to a dense SVD of the composite, which refuses to
-    materialize above MATERIALIZE_LIMIT.  Generalized members carry no
-    label.  Every residual is measured against the full operator.
+    The operator is the Kronecker sum I (x) K - A (x) I, so the basis is
+    exact: every product eigenvector psi_m (x) chi_k with
+    |kappa_k - a_m| <= tol, ordered by system level and then by axis
+    eigenvalue, labelled a_m.  Generalized members carry no label.  Every
+    residual is measured against the full operator.  tol must be positive.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    factors = op.kronecker_factors
-    if factors is None:
-        vectors = near_null_space(op.composite, tol)
-    else:
-        system = op.system_eigensystem
-        found = kronecker_null_space(system, eig_hermitian(factors[1]), tol)
-        vectors = [v for _, _, v in found]
-        labels = [float(system.values[m]) for m, _, _ in found]
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive, got %r" % (tol,))
+    system = op.system_eigensystem
+    found = kronecker_null_space(system, eig_hermitian(op.axis_op), tol)
+    vectors = [v for _, _, v in found]
     if op.kind == GENERALIZED:
         labels = [None] * len(vectors)
+    else:
+        labels = [float(system.values[m]) for m, _, _ in found]
     members = tuple(CompositeState(v, op.n_q, op.n_t) for v in vectors)
     residuals = tuple(op.residual(m) for m in members)
     return SubspaceBasis(members, tuple(labels), residuals, op.kind,
                          float(tol))
-
-
-def generalized_solve(coeff_s, coeff_t, extra, tg, constants,
-                      tol=DEFAULT_TOL):
-    """Near-kernel basis of the generalized constraint; labels omitted."""
-    op = generalized_constraint_operator(coeff_s, coeff_t, extra, tg,
-                                         constants)
-    return physical_subspace(op, tol)
 
 
 def measurement_probabilities(state, basis):

@@ -1,12 +1,15 @@
 """Dense complex linear algebra kernels.
 
-Immutable operator values plus the four primitives everything else is
-built from: Kronecker products, Hermitian eigendecomposition with a fixed
-phase and ordering convention, unitary exponentials, and near-null-space
-extraction, by dense SVD or exactly for a Kronecker sum I (x) K - A (x) I.
-Matrices are dense complex128; intended sizes are a few hundred rows per
-factor space and a few thousand for composites.  A Hermitian matrix whose
-imaginary part is exactly zero is diagonalized in real arithmetic.
+Immutable operator values plus the primitives everything else is built
+from: Kronecker products, Hermitian eigendecomposition with a fixed phase
+and ordering convention, unitary exponentials, and the exact near-null
+space of a Kronecker sum I (x) K - A (x) I.  near_null_space, a dense SVD
+of a materialized matrix, is the oracle the exact solver is tested
+against; no solver route calls it.  Matrices are dense complex128;
+intended sizes are a few hundred rows per factor space and a few thousand
+for composites.  A Hermitian matrix whose imaginary part is exactly zero
+is diagonalized in real arithmetic.  Every flag and decomposition check is
+written so that a NaN defect fails it.
 """
 from __future__ import annotations
 
@@ -110,13 +113,13 @@ def operator(matrix, *, hermitian=False, unitary=False, diagonal=False):
     m = np.asarray(matrix, dtype=np.complex128)
     if hermitian:
         defect = hermitian_defect(m)
-        if defect > HERMITIAN_RTOL * max(maxnorm(m), 1e-300):
+        if not defect <= HERMITIAN_RTOL * max(maxnorm(m), 1e-300):
             raise NotHermitianError(
                 "hermitian defect %.3e exceeds %.1e of maxnorm %.3e"
                 % (defect, HERMITIAN_RTOL, maxnorm(m)))
     if unitary:
         defect = unitary_defect(m)
-        if defect > UNITARY_ATOL:
+        if not defect <= UNITARY_ATOL:
             raise NotUnitaryError(
                 "unitary defect %.3e exceeds %.1e" % (defect, UNITARY_ATOL))
     if diagonal and maxnorm(m - np.diag(np.diag(m))) != 0.0:
@@ -244,7 +247,7 @@ def eig_hermitian(op):
     if not np.any(m.imag):
         m = np.ascontiguousarray(m.real)
     defect = hermitian_defect(m)
-    if defect > HERMITIAN_RTOL * max(maxnorm(m), 1e-300):
+    if not defect <= HERMITIAN_RTOL * max(maxnorm(m), 1e-300):
         raise NotHermitianError(
             "hermitian defect %.3e exceeds %.1e of maxnorm"
             % (defect, HERMITIAN_RTOL))
@@ -256,10 +259,10 @@ def eig_hermitian(op):
     vectors = _order_degenerate(values, vectors)
 
     gram = vectors.conj().T @ vectors
-    if maxnorm(gram - np.eye(values.shape[0])) > ORTHONORMAL_ATOL:
+    if not maxnorm(gram - np.eye(values.shape[0])) <= ORTHONORMAL_ATOL:
         raise ConvergenceError("eigenvectors lost orthonormality")
     recon = (vectors * values) @ vectors.conj().T
-    if maxnorm(recon - m) > RECONSTRUCT_RTOL * max(maxnorm(m), 1e-300):
+    if not maxnorm(recon - m) <= RECONSTRUCT_RTOL * max(maxnorm(m), 1e-300):
         raise ConvergenceError("eigendecomposition does not reconstruct input")
     return EigenSystem(values, vectors)
 
@@ -301,9 +304,11 @@ def spectral_exp(vectors, values, theta):
 def near_null_space(op, tol):
     """Orthonormal basis of the singular directions with sigma <= tol.
 
-    Returns a list of vectors ordered by ascending singular value, each
-    phase-fixed like an eigenvector column.  Empty list when the smallest
-    singular value exceeds tol.
+    A dense SVD of the materialized matrix: the oracle that
+    kronecker_null_space is tested against.  Returns a list of vectors
+    ordered by ascending singular value, each phase-fixed like an
+    eigenvector column.  Empty list when the smallest singular value
+    exceeds tol.
     """
     if isinstance(op, OperatorMatrix):
         m = op.matrix

@@ -190,6 +190,17 @@ def test_subspace_tolerance_guard(capsys, small_config):
     assert "tol" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_subspace_rejects_non_finite_tolerance(capsys, small_config, tol):
+    # nan once slipped past the sign check and printed an empty table;
+    # inf listed every product pair
+    code, out, err = run_cli(capsys, "subspace", "--config", small_config,
+                             "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, )[0] == 2
     assert run_cli(capsys, "warp")[0] == 2

@@ -26,7 +26,6 @@ from chronos.constraints import (
     first_constraint_residual,
     generalized_constraint_operator,
     generalized_residual,
-    generalized_solve,
     measurement_probabilities,
     physical_subspace,
     second_constraint_operator,
@@ -220,11 +219,18 @@ def test_generalized_solve_reduces_to_first(energy_bundle):
     t_grid = bundle["t_grid"]
     eye_t = operator(np.eye(t_grid.n), hermitian=True, unitary=True)
     lifted = kron(ham, eye_t)
-    basis = generalized_solve(1.0, 0.0, lifted, t_grid, bundle["constants"])
+    basis = physical_subspace(generalized_constraint_operator(
+        1.0, 0.0, lifted, t_grid, bundle["constants"]))
     reference = bundle["basis"]
     assert basis.count == reference.count
     gap = maxnorm(basis.projector().matrix - reference.projector().matrix)
     assert gap < 1e-8
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+def test_physical_subspace_requires_positive_tolerance(energy_bundle, tol):
+    with pytest.raises(ValueError):
+        physical_subspace(energy_bundle["constraint"], tol)
 
 
 def oscillator_32x16(kind):
@@ -319,25 +325,13 @@ def coupled_extra(n_q, n_t, k, time_part="samples"):
 
 
 @pytest.mark.parametrize("time_part", ["samples", "hopping"])
-def test_generalized_non_kronecker_extra_uses_dense_route(time_part):
+def test_generalized_non_kronecker_extra_is_refused(time_part):
+    # the generalized F must be a lifted system operator A (x) I; a
+    # coupled F is refused when the operator is built, not when solved
     k = PhysicalConstants()
     extra, t_grid = coupled_extra(16, 8, k, time_part)
-    op = generalized_constraint_operator(1.0, 0.0, extra, t_grid, k)
-    assert op.kronecker_factors is None
-    basis = physical_subspace(op, 0.1)
-    assert basis.count == oracles.small_singular_count(op.composite.matrix,
-                                                       0.1) > 0
-    assert max(basis.residuals) <= 0.1
-    assert basis.labels == (None,) * basis.count
-
-
-def test_generalized_non_kronecker_extra_refused_above_cap():
-    k = PhysicalConstants()
-    extra, t_grid = coupled_extra(66, 64, k)
-    op = generalized_constraint_operator(1.0, 0.0, extra, t_grid, k)
-    assert op.dim > MATERIALIZE_LIMIT
-    with pytest.raises(DimensionMismatchError):
-        physical_subspace(op)
+    with pytest.raises(DimensionMismatchError, match="lifted system"):
+        generalized_constraint_operator(1.0, 0.0, extra, t_grid, k)
 
 
 def test_measurement_on_basis_member(energy_bundle):

@@ -58,6 +58,26 @@ def test_operator_flag_verification(rng):
         operator(2.0 * uni, unitary=True)
 
 
+def non_finite_matrices():
+    # a NaN matrix, and an inf off-diagonal pair that looks symmetric
+    pair = np.zeros((3, 3))
+    pair[0, 1] = pair[1, 0] = np.inf
+    return [np.full((3, 3), np.nan), pair]
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_flags_refuse_non_finite_matrices(index):
+    # every defect comparison must fail on NaN, not pass by default
+    m = non_finite_matrices()[index]
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NotHermitianError):
+            operator(m, hermitian=True, unitary=True)
+        with pytest.raises(NotUnitaryError):
+            operator(m, unitary=True)
+        with pytest.raises(NotHermitianError):
+            eig_hermitian(m)
+
+
 def test_operator_product_flags(rng):
     u = operator(random_unitary(rng, 5), unitary=True)
     v = operator(random_unitary(rng, 5), unitary=True)
@@ -185,6 +205,24 @@ def test_eig_checks_run_on_both_paths(rng, monkeypatch, real):
                         lambda a: (eigh(a)[0] + 1.0, eigh(a)[1]))
     with pytest.raises(ConvergenceError, match="reconstruct"):
         eig_hermitian(m)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_eig_checks_refuse_nan_output(rng, monkeypatch, real):
+    m = random_symmetric(rng, 6) if real else random_hermitian(rng, 6)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: (eigh(a)[0], np.full_like(eigh(a)[1],
+                                                            np.nan)))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="orthonormality"):
+            eig_hermitian(m)
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: (np.full_like(eigh(a)[0], np.nan),
+                                   eigh(a)[1]))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="reconstruct"):
+            eig_hermitian(m)
 
 
 def test_canonical_phase_keeps_real_columns_real(rng):
