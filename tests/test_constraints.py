@@ -334,6 +334,16 @@ def test_generalized_non_kronecker_extra_is_refused(time_part):
         generalized_constraint_operator(1.0, 0.0, extra, t_grid, k)
 
 
+def test_generalized_non_kronecker_extra_refused_above_cap():
+    # above the materialization cap the refusal is the same: the coupled F
+    # is rejected at construction, before any composite would be formed
+    k = PhysicalConstants()
+    extra, t_grid = coupled_extra(66, 64, k)
+    assert extra.dim > MATERIALIZE_LIMIT
+    with pytest.raises(DimensionMismatchError, match="lifted system"):
+        generalized_constraint_operator(1.0, 0.0, extra, t_grid, k)
+
+
 def test_measurement_on_basis_member(energy_bundle):
     basis = energy_bundle["basis"]
     pairs, weight = measurement_probabilities(basis.members[2], basis)
