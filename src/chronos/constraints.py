@@ -279,16 +279,16 @@ class SubspaceBasis:
 
     @cached_property
     def _matrix(self):
-        if not self.members:
-            return np.zeros((0, 0), dtype=np.complex128)
         return np.stack([m.amplitudes for m in self.members], axis=1)
 
     def coefficients(self, state):
         """Projection coefficients <member_i | state>."""
+        if not self.members:
+            raise EmptyBasisError("coefficients against an empty basis")
         if isinstance(state, CompositeState):
             state = state.amplitudes
         state = np.asarray(state, dtype=np.complex128).ravel()
-        if self.count and state.shape[0] != self._matrix.shape[0]:
+        if state.shape[0] != self._matrix.shape[0]:
             raise DimensionMismatchError(
                 "state length %d, basis lives in dimension %d"
                 % (state.shape[0], self._matrix.shape[0]))
@@ -356,7 +356,7 @@ def uncertainty_product(phi, tg, constants):
             "state length %d does not match grid size %d"
             % (phi.shape[0], tg.n))
     norm = np.linalg.norm(phi)
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:
         raise ValueError("state must be normalized, got norm %.12g" % norm)
     density = np.abs(phi) ** 2
     t = tg.samples

@@ -75,7 +75,7 @@ def energy_shift(tg, d_energy, constants):
     lattice or not, since the phases multiply pointwise.
     """
     return operator(np.diag(_shift_phases(tg, d_energy, constants)),
-                    unitary=True, diagonal=True)
+                    unitary=True)
 
 
 def _shift_phases(tg, d_energy, constants):
@@ -179,12 +179,12 @@ def _jump_energies(i, j, es, tg, constants, tol):
     energies = float(es.values[i]), float(es.values[j])
     edge = band_edge(tg, constants)
     for name, value in zip(("from", "to"), energies):
-        if abs(value) > edge:
+        if not abs(value) <= edge:
             raise OffLatticeError(
                 "%s-level energy %.6g beyond the band edge %.6g"
                 % (name, value, edge))
         _, miss = nearest_lattice_energy(tg, value, constants)
-        if miss > tol:
+        if not miss <= tol:
             raise OffLatticeError(
                 "%s-level energy %.6g misses the frequency lattice by %.3g"
                 % (name, value, miss))
@@ -407,7 +407,7 @@ def run_scenario(sc):
                 c = jump(c, step.from_level, step.to_level)
                 moments = system_moments(c)
             norm = float(np.linalg.norm(c))
-            if abs(norm - 1.0) > NORM_ATOL:
+            if not abs(norm - 1.0) <= NORM_ATOL:
                 raise NotUnitaryError("state norm %.12g is not 1 within %.1e"
                                       % (norm, NORM_ATOL))
         except ChronosError as exc:

@@ -1,15 +1,17 @@
 """Dense complex linear algebra kernels.
 
-Immutable operator values plus the primitives everything else is built
-from: Kronecker products, Hermitian eigendecomposition with a fixed phase
-and ordering convention, unitary exponentials, and the exact near-null
-space of a Kronecker sum I (x) K - A (x) I.  near_null_space, a dense SVD
-of a materialized matrix, is the oracle the exact solver is tested
-against; no solver route calls it.  Matrices are dense complex128;
-intended sizes are a few hundred rows per factor space and a few thousand
-for composites.  A Hermitian matrix whose imaginary part is exactly zero
-is diagonalized in real arithmetic.  Every flag and decomposition check is
-written so that a NaN defect fails it.
+Immutable operator values, each a matrix and one verified hermitian flag,
+plus the primitives everything else is built from: Kronecker products,
+Hermitian eigendecomposition with a fixed phase and ordering convention,
+unitary exponentials, and the exact near-null space of a Kronecker sum
+I (x) K - A (x) I.  Unitarity is checked where a unitary is built, not
+stored.  near_null_space, a dense SVD of a materialized matrix, is the
+oracle the exact solver is tested against; no solver route calls it.
+Matrices are dense complex128; intended sizes are a few hundred rows per
+factor space and a few thousand for composites.  A Hermitian matrix whose
+imaginary part is exactly zero is diagonalized in real arithmetic.  Every
+hermitian, unitary and decomposition check is written so that a NaN
+defect fails it.
 """
 from __future__ import annotations
 
@@ -61,18 +63,16 @@ def unitary_defect(matrix):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """A square operator with structural flags.
+    """A square operator and whether it is Hermitian.
 
-    Flags are trusted by downstream code, so they are only set by
-    constructors that either verify them numerically (`operator`) or
-    guarantee them by construction (spectral builders, `kron`,
-    `unitary_exp`).
+    The hermitian flag is trusted by downstream code, so it is only set by
+    constructors that either verify it numerically (`operator`) or
+    guarantee it by construction (spectral builders, `kron` of two
+    Hermitian factors, `identity`).
     """
 
     matrix: np.ndarray
     hermitian: bool = False
-    unitary: bool = False
-    diagonal: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -85,30 +85,13 @@ class OperatorMatrix:
     def dim(self):
         return self.matrix.shape[0]
 
-    @property
-    def adjoint(self):
-        return OperatorMatrix(self.matrix.conj().T, hermitian=self.hermitian,
-                              unitary=self.unitary, diagonal=self.diagonal)
 
-    def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            if other.dim != self.dim:
-                raise DimensionMismatchError(
-                    "cannot compose %d-dim with %d-dim operator"
-                    % (self.dim, other.dim))
-            return OperatorMatrix(
-                self.matrix @ other.matrix,
-                unitary=self.unitary and other.unitary,
-                diagonal=self.diagonal and other.diagonal)
-        return self.matrix @ np.asarray(other)
+def operator(matrix, *, hermitian=False, unitary=False):
+    """Wrap a square matrix, verifying every property that is claimed.
 
-
-def operator(matrix, *, hermitian=False, unitary=False, diagonal=False):
-    """Wrap a square matrix, verifying every flag that is claimed.
-
-    hermitian: max |A_ij - conj(A_ji)| <= 1e-12 * maxnorm(A)
-    unitary:   maxnorm(A^H A - I) <= 1e-10
-    diagonal:  off-diagonal part exactly zero
+    hermitian: max |A_ij - conj(A_ji)| <= 1e-12 * maxnorm(A); stored as
+               the operator's flag
+    unitary:   maxnorm(A^H A - I) <= 1e-10; verified, not stored
     """
     m = np.asarray(matrix, dtype=np.complex128)
     if hermitian:
@@ -122,25 +105,11 @@ def operator(matrix, *, hermitian=False, unitary=False, diagonal=False):
         if not defect <= UNITARY_ATOL:
             raise NotUnitaryError(
                 "unitary defect %.3e exceeds %.1e" % (defect, UNITARY_ATOL))
-    if diagonal and maxnorm(m - np.diag(np.diag(m))) != 0.0:
-        raise DimensionMismatchError("matrix has nonzero off-diagonal part")
-    return OperatorMatrix(m, hermitian=hermitian, unitary=unitary,
-                          diagonal=diagonal)
+    return OperatorMatrix(m, hermitian=hermitian)
 
 
 def identity(dim):
-    return OperatorMatrix(np.eye(dim), hermitian=True, unitary=True,
-                          diagonal=True)
-
-
-def diagonal_operator(values, *, hermitian=None):
-    """Operator with the given diagonal; hermitian iff values are real."""
-    values = np.asarray(values)
-    if hermitian is None:
-        hermitian = bool(np.isrealobj(values) or maxnorm(values.imag) == 0.0)
-    unitary = bool(maxnorm(np.abs(values) - 1.0) <= UNITARY_ATOL)
-    return OperatorMatrix(np.diag(values.astype(np.complex128)),
-                          hermitian=hermitian, unitary=unitary, diagonal=True)
+    return OperatorMatrix(np.eye(dim), hermitian=True)
 
 
 @dataclass(frozen=True)
@@ -268,15 +237,13 @@ def eig_hermitian(op):
 
 
 def kron(a, b):
-    """Kronecker product; structural flags survive by the mixed-product rule."""
+    """Kronecker product; Hermitian iff both factors are flagged Hermitian."""
     if not isinstance(a, OperatorMatrix):
         a = OperatorMatrix(a)
     if not isinstance(b, OperatorMatrix):
         b = OperatorMatrix(b)
     return OperatorMatrix(np.kron(a.matrix, b.matrix),
-                          hermitian=a.hermitian and b.hermitian,
-                          unitary=a.unitary and b.unitary,
-                          diagonal=a.diagonal and b.diagonal)
+                          hermitian=a.hermitian and b.hermitian)
 
 
 def unitary_exp(op, theta):
@@ -284,10 +251,6 @@ def unitary_exp(op, theta):
 
     The result is verified unitary to 1e-10 before it is returned.
     """
-    theta = float(theta)
-    if isinstance(op, OperatorMatrix) and op.diagonal and op.hermitian:
-        u = np.diag(np.exp(-1j * theta * np.diag(op.matrix).real))
-        return operator(u, unitary=True, diagonal=True)
     es = eig_hermitian(op)
     return spectral_exp(es.vectors, es.values, theta)
 

@@ -41,7 +41,7 @@ import oracles
 def test_constants_validation():
     k = PhysicalConstants(hbar=2.0, mass=3.0, c=1.5, omega=0.5)
     assert k.oscillator_length == pytest.approx(math.sqrt(2.0 / (3.0 * 0.5)))
-    assert k.rest_energy_scale == pytest.approx(9.0 * 1.5 ** 4 / 2.0)
+    assert k.time_quantum == pytest.approx(4.0 * 0.5 / (9.0 * 1.5 ** 4))
     with pytest.raises(ValueError):
         PhysicalConstants(hbar=0.0)
     with pytest.raises(ValueError):
@@ -72,7 +72,8 @@ def test_fourier_map_matches_entrywise_oracle():
 def test_position_operator_is_sample_diagonal():
     grid = AxisGrid(n=16, origin=-4.0, spacing=0.5, label="position")
     q = position_operator(grid)
-    assert q.hermitian and q.diagonal
+    assert q.hermitian
+    assert np.count_nonzero(q.matrix - np.diag(np.diag(q.matrix))) == 0
     assert np.allclose(np.diag(q.matrix), grid.samples)
     with pytest.raises(WrongAxisError):
         position_operator(AxisGrid(n=8, origin=0.0, spacing=0.5, label="time"))
@@ -114,7 +115,8 @@ def test_energy_operator_sign_convention():
 def test_time_operator_is_sample_diagonal():
     grid = AxisGrid(n=8, origin=0.5, spacing=1.0, label="time")
     t = time_operator(grid)
-    assert t.diagonal and t.hermitian
+    assert t.hermitian
+    assert np.count_nonzero(t.matrix - np.diag(np.diag(t.matrix))) == 0
     assert np.allclose(np.diag(t.matrix), grid.samples)
 
 
@@ -158,8 +160,9 @@ def test_energy_eigenvector_property():
 def test_energy_eigenvector_guards():
     k = PhysicalConstants()
     grid = AxisGrid(n=8, origin=0.0, spacing=0.5, label="time")
-    with pytest.raises(OutOfBandError):
-        energy_eigenvector(grid, band_edge(grid, k) * 1.5, k)
+    for energy in (band_edge(grid, k) * 1.5, math.nan):
+        with pytest.raises(OutOfBandError):
+            energy_eigenvector(grid, energy, k)
     with pytest.warns(OffLatticeWarning):
         energy_eigenvector(grid, energy_lattice(grid, k)[2] + 0.05, k)
     with warnings.catch_warnings():
@@ -182,9 +185,14 @@ def test_composite_state_normalization_guard(rng):
     with pytest.raises(ValueError):
         CompositeState(amplitudes=tuple(amps), n_q=3, n_t=4)
     state = composite_state(amps, 3, 4, normalized=False)
-    assert state.rescaled().norm == pytest.approx(1.0)
+    assert state.norm == pytest.approx(np.linalg.norm(amps))
+    unit = composite_state(amps / state.norm, 3, 4)
+    assert unit.norm == pytest.approx(1.0)
     with pytest.raises(DimensionMismatchError):
         composite_state(amps, 3, 5)
+    # a NaN norm must fail the unit-norm check, not pass it by default
+    with pytest.raises(ValueError):
+        CompositeState(np.full(4, np.nan), 2, 2)
 
 
 def test_factored_expectations_match_dense_kron(rng):
@@ -194,17 +202,10 @@ def test_factored_expectations_match_dense_kron(rng):
     state = composite_state(amps, n_q, n_t)
     a = rng.standard_normal((n_q, n_q)) + 1j * rng.standard_normal((n_q, n_q))
     a = operator(0.5 * (a + a.conj().T), hermitian=True)
-    b = rng.standard_normal((n_t, n_t)) + 1j * rng.standard_normal((n_t, n_t))
-    b = operator(0.5 * (b + b.conj().T), hermitian=True)
     dense_a = oracles.kron_by_index(a.matrix, np.eye(n_t))
-    dense_b = oracles.kron_by_index(np.eye(n_q), b.matrix)
     want_a = np.real(np.vdot(amps, dense_a @ amps))
-    want_b = np.real(np.vdot(amps, dense_b @ amps))
     assert state.expectation_left(a) == pytest.approx(want_a, abs=1e-13)
-    assert state.expectation_right(b) == pytest.approx(want_b, abs=1e-13)
-    # a diagonal operator takes the row-norm weighting
-    d = operator(np.diag(rng.standard_normal(n_q)), hermitian=True,
-                 diagonal=True)
+    d = operator(np.diag(rng.standard_normal(n_q)), hermitian=True)
     dense_d = oracles.kron_by_index(d.matrix, np.eye(n_t))
     want_d = np.real(np.vdot(amps, dense_d @ amps))
     assert state.expectation_left(d) == pytest.approx(want_d, abs=1e-13)
@@ -232,6 +233,13 @@ def test_gaussian_state_moments():
     want = oracles.gaussian_moment(grid.samples, grid.spacing, center, sigma, 2)
     assert var == pytest.approx(want, rel=1e-10)
     assert var == pytest.approx(sigma ** 2, rel=1e-8)
+
+
+@pytest.mark.parametrize("sigma", [0.0, math.nan])
+def test_gaussian_state_refuses_non_positive_sigma(sigma):
+    grid = AxisGrid(n=16, origin=-2.0, spacing=0.25, label="time")
+    with pytest.raises(ValueError):
+        gaussian_state(grid, 0.0, sigma)
 
 
 def test_default_position_grid_geometry():

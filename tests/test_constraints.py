@@ -374,6 +374,8 @@ def test_measurement_guards(energy_bundle, rng):
     empty = SubspaceBasis((), (), (), basis.kind, basis.tol)
     with pytest.raises(EmptyBasisError):
         measurement_probabilities(basis.members[0], empty)
+    with pytest.raises(EmptyBasisError):
+        empty.coefficients(basis.members[0])
     # build a state orthogonal to every member
     block = np.column_stack([np.asarray(m.amplitudes) for m in basis.members])
     vec = rng.standard_normal(block.shape[0]) \
@@ -420,5 +422,7 @@ def test_uncertainty_product_gaussian():
 def test_uncertainty_requires_normalized_state():
     k = PhysicalConstants()
     t_grid = AxisGrid(n=32, origin=0.0, spacing=0.25, label="time")
-    with pytest.raises(ValueError):
-        uncertainty_product(np.ones(32), t_grid, k)
+    # a NaN norm must fail the unit-norm check, not pass it by default
+    for phi in (np.ones(32), np.full(32, np.nan)):
+        with pytest.raises(ValueError):
+            uncertainty_product(phi, t_grid, k)

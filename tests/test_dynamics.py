@@ -48,9 +48,11 @@ from chronos.exceptions import (
     TruncationTopError,
 )
 from chronos.linalg import (
+    UNITARY_ATOL,
     kronecker_null_pairs,
     maxnorm,
     spectral_exp,
+    unitary_defect,
     unitary_exp,
 )
 from chronos.models import (
@@ -90,7 +92,7 @@ def test_time_translation_matches_energy_operator_exponential(k, tg):
     s_op = energy_operator(tg, k)
     for dt in (0.4, -0.4, 1.7, -2.9, 3 * tg.spacing, 11.3):
         closed = time_translation(tg, k, dt)
-        assert closed.unitary
+        assert unitary_defect(closed.matrix) <= UNITARY_ATOL
         want = unitary_exp(s_op, dt / k.hbar).matrix
         assert maxnorm(closed.matrix - want) <= 1e-12
 
@@ -100,7 +102,7 @@ def test_time_translation_group_property():
     tg = AxisGrid(n=16, origin=0.0, spacing=0.25, label="time")
     ab = time_translation(tg, k, 0.4).matrix @ time_translation(tg, k, 0.35).matrix
     assert maxnorm(ab - time_translation(tg, k, 0.75).matrix) < 1e-12
-    assert time_translation(tg, k, 0.4).unitary
+    assert unitary_defect(time_translation(tg, k, 0.4).matrix) <= UNITARY_ATOL
 
 
 def test_time_translation_full_period_is_identity():
@@ -132,7 +134,7 @@ def test_shared_eigensystem_evolution_matches_unitary_exp(kind):
     es = hamiltonian_eigensystem(model)
     for theta in (0.3, -1.1, 4.0):
         shared = spectral_exp(es.vectors, es.values, theta)
-        assert shared.unitary
+        assert unitary_defect(shared.matrix) <= UNITARY_ATOL
         want = unitary_exp(hamiltonian(model), theta).matrix
         assert maxnorm(shared.matrix - want) <= 1e-12
 
@@ -176,7 +178,8 @@ def test_eigen_swap_unitary_exchanges_levels():
     ).default_position_grid(k))
     es = energy_eigensystem(model, retained=6)
     swap = eigen_swap_unitary(1, 4, es)
-    assert swap.hermitian and swap.unitary
+    assert swap.hermitian
+    assert unitary_defect(swap.matrix) <= UNITARY_ATOL
     v1, v4 = es.vector(1), es.vector(4)
     assert np.linalg.norm(swap.matrix @ v1 - v4) < 1e-10
     assert np.linalg.norm(swap.matrix @ v4 - v1) < 1e-10
@@ -306,6 +309,17 @@ def test_energy_jump_refuses_off_lattice_levels():
     state = tensor_state(es.vector(0), np.ones(16) / 4.0)
     with pytest.raises(OffLatticeError):
         energy_jump(state, 0, 1, model, (q_grid, t_grid))
+
+
+def test_energy_jump_refuses_nan_tolerance(energy_bundle):
+    # a NaN tolerance must not accept every lattice miss
+    bundle = energy_bundle
+    grids = (bundle["q_grid"], bundle["t_grid"])
+    es = bundle["eigensystem"]
+    start = separable_first((float(es.values[0]), es.vector(0)),
+                            bundle["t_grid"], bundle["constants"])
+    with pytest.raises(OffLatticeError):
+        energy_jump(start, 0, 1, bundle["model"], grids, tol=math.nan)
 
 
 def test_step_validation():
@@ -575,14 +589,16 @@ def test_run_scenario_refuses_uncertified_bases(tmp_path, capsys):
 
 
 def test_run_scenario_checks_the_norm_of_every_step(monkeypatch):
-    # a phase kick that is not unimodular must abort the jump
+    # a phase kick that is not unimodular must abort the jump, and so must
+    # one that makes the norm NaN
     import chronos.dynamics as dynamics
     kick = dynamics._shift_phases
-    monkeypatch.setattr(dynamics, "_shift_phases",
-                        lambda *args: 1.5 * kick(*args))
     sc = base_scenario(steps=(Step(kind="evolve", dt=0.3),) + ROUND_TRIP)
-    with pytest.raises(ScenarioStepError) as info:
-        run_scenario(sc)
-    assert isinstance(info.value.__cause__, NotUnitaryError)
-    assert [r.kind for r in info.value.records] == ["init", "evolve",
-                                                    "evolve"]
+    for factor in (1.5, math.nan):
+        monkeypatch.setattr(dynamics, "_shift_phases",
+                            lambda *args: factor * kick(*args))
+        with pytest.raises(ScenarioStepError) as info:
+            run_scenario(sc)
+        assert isinstance(info.value.__cause__, NotUnitaryError)
+        assert [r.kind for r in info.value.records] == ["init", "evolve",
+                                                        "evolve"]

@@ -1,5 +1,7 @@
 """Dense linear-algebra kernel: flags, eigensolves, products, null spaces."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,9 @@ from chronos.exceptions import (
     NotUnitaryError,
 )
 from chronos.linalg import (
+    UNITARY_ATOL,
+    OperatorMatrix,
     canonical_phase,
-    diagonal_operator,
     eig_hermitian,
     hermitian_defect,
     identity,
@@ -49,11 +52,16 @@ def test_maxnorm_and_defects():
 def test_operator_flag_verification(rng):
     herm = random_hermitian(rng, 6)
     op = operator(herm, hermitian=True)
-    assert op.hermitian and not op.unitary
+    assert op.hermitian
     with pytest.raises(NotHermitianError):
         operator(herm + 1e-6 * 1j * np.eye(6), hermitian=True)
     uni = random_unitary(rng, 6)
-    assert operator(uni, unitary=True).unitary
+    # unitarity is verified but not stored: the only flag is hermitian
+    wrapped = operator(uni, unitary=True)
+    assert unitary_defect(wrapped.matrix) <= UNITARY_ATOL
+    assert not wrapped.hermitian
+    assert [f.name for f in dataclasses.fields(OperatorMatrix)] \
+        == ["matrix", "hermitian"]
     with pytest.raises(NotUnitaryError):
         operator(2.0 * uni, unitary=True)
 
@@ -76,25 +84,6 @@ def test_flags_refuse_non_finite_matrices(index):
             operator(m, unitary=True)
         with pytest.raises(NotHermitianError):
             eig_hermitian(m)
-
-
-def test_operator_product_flags(rng):
-    u = operator(random_unitary(rng, 5), unitary=True)
-    v = operator(random_unitary(rng, 5), unitary=True)
-    w = u @ v
-    assert w.unitary
-    assert not w.hermitian  # products do not inherit hermiticity
-    assert np.allclose(w.matrix, u.matrix @ v.matrix)
-    assert u.adjoint.unitary
-    assert np.allclose(u.adjoint.matrix, u.matrix.conj().T)
-
-
-def test_diagonal_operator_flags():
-    d = diagonal_operator(np.array([1.0, -2.0, 3.0]))
-    assert d.diagonal and d.hermitian
-    c = diagonal_operator(np.exp(1j * np.array([0.3, 1.1, -0.4])))
-    assert c.diagonal and c.unitary and not c.hermitian
-    assert identity(4).hermitian and identity(4).unitary
 
 
 def test_eig_matches_jacobi_oracle(rng):
@@ -252,33 +241,23 @@ def test_kron_matches_index_oracle(rng):
 
 
 def test_kron_flag_rules(rng):
+    # hermitian survives only when both factors carry it
     u = operator(random_unitary(rng, 2), unitary=True)
     h = operator(random_hermitian(rng, 3), hermitian=True)
-    assert kron(u, u).unitary
-    assert not kron(u, h).unitary
     assert not kron(u, h).hermitian
-    d = diagonal_operator(np.array([1.0, 2.0]))
-    assert kron(d, d).diagonal
+    assert kron(h, h).hermitian
+    assert identity(4).hermitian and kron(identity(2), h).hermitian
 
 
 def test_unitary_exp_against_eigis(rng):
-    herm = random_hermitian(rng, 7)
+    # a dense Hermitian input and a diagonal one take the same path
     theta = 0.83
-    u = unitary_exp(operator(herm, hermitian=True), theta)
-    assert u.unitary
-    w, v = np.linalg.eigh(herm)
-    expected = (v * np.exp(-1j * theta * w)) @ v.conj().T
-    assert maxnorm(u.matrix - expected) < 1e-12
-
-
-def test_unitary_exp_diagonal_fast_path():
-    values = np.array([0.5, -1.25, 2.0])
-    diag = diagonal_operator(values)
-    dense = operator(np.diag(values), hermitian=True)
-    fast = unitary_exp(diag, 1.7)
-    slow = unitary_exp(dense, 1.7)
-    assert fast.diagonal
-    assert maxnorm(fast.matrix - slow.matrix) < 1e-13
+    for herm in (random_hermitian(rng, 7), np.diag([0.5, -1.25, 2.0])):
+        u = unitary_exp(operator(herm, hermitian=True), theta)
+        assert unitary_defect(u.matrix) <= UNITARY_ATOL
+        w, v = np.linalg.eigh(herm)
+        expected = (v * np.exp(-1j * theta * w)) @ v.conj().T
+        assert maxnorm(u.matrix - expected) < 1e-12
 
 
 def test_unitary_exp_group_property(rng):
