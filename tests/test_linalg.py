@@ -250,14 +250,22 @@ def test_kron_flag_rules(rng):
 
 
 def test_unitary_exp_against_eigis(rng):
-    # a dense Hermitian input and a diagonal one take the same path
+    herm = random_hermitian(rng, 7)
     theta = 0.83
-    for herm in (random_hermitian(rng, 7), np.diag([0.5, -1.25, 2.0])):
-        u = unitary_exp(operator(herm, hermitian=True), theta)
-        assert unitary_defect(u.matrix) <= UNITARY_ATOL
-        w, v = np.linalg.eigh(herm)
-        expected = (v * np.exp(-1j * theta * w)) @ v.conj().T
-        assert maxnorm(u.matrix - expected) < 1e-12
+    u = unitary_exp(operator(herm, hermitian=True), theta)
+    assert unitary_defect(u.matrix) <= UNITARY_ATOL
+    w, v = np.linalg.eigh(herm)
+    expected = (v * np.exp(-1j * theta * w)) @ v.conj().T
+    assert maxnorm(u.matrix - expected) < 1e-12
+
+
+def test_unitary_exp_diagonal_fast_path():
+    # a diagonal input takes the general eigensolve path and still comes
+    # back as the entrywise exponential, with nothing off the diagonal
+    values = np.array([0.5, -1.25, 2.0])
+    u = unitary_exp(operator(np.diag(values), hermitian=True), 1.7)
+    assert unitary_defect(u.matrix) <= UNITARY_ATOL
+    assert maxnorm(u.matrix - np.diag(np.exp(-1.7j * values))) < 1e-13
 
 
 def test_unitary_exp_group_property(rng):
