@@ -123,8 +123,7 @@ def _spectral_operator(grid, symbol):
 def position_operator(grid):
     """Diagonal operator of the position samples."""
     require_label(grid, POSITION, "position operator")
-    return operator(np.diag(grid.samples.astype(np.complex128)),
-                    hermitian=True)
+    return operator(np.diag(grid.samples), hermitian=True)
 
 
 def momentum_operator(grid, constants):
@@ -136,8 +135,7 @@ def momentum_operator(grid, constants):
 def time_operator(grid):
     """Diagonal operator of the time samples."""
     require_label(grid, TIME, "time operator")
-    return operator(np.diag(grid.samples.astype(np.complex128)),
-                    hermitian=True)
+    return operator(np.diag(grid.samples), hermitian=True)
 
 
 def energy_operator(grid, constants):

@@ -42,15 +42,7 @@ from .scenario import parse_scenario
 
 
 def _format_value(value):
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return "%.17g" % value
-    return str(value)
+    return "%.17g" % value if isinstance(value, float) else str(value)
 
 
 class ResultTable:

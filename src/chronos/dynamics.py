@@ -259,9 +259,15 @@ class TrajectoryRecord:
 def validate_scenario(sc):
     """Numeric validation pass run before any step is applied.
 
-    Checks that referenced levels are retained and that every jump's
-    at-time lies within the constraint tolerance of a clock eigenvalue.
+    Checks that both tolerances are positive, that referenced levels are
+    retained and that every jump's at-time lies within the constraint
+    tolerance of a clock eigenvalue.  Every comparison fails on NaN.
     """
+    for key in ("constraint_tol", "eigen_tol"):
+        if not getattr(sc, key) > 0.0:
+            raise ScenarioValidationError(
+                "must be positive, got %r" % (getattr(sc, key),),
+                field="tolerances." + key)
     model = ModelSpec(sc.model_kind, sc.constants, sc.q_grid)
     es = energy_eigensystem(model)
     clock_values = clock_scale(model) * es.values
@@ -272,7 +278,7 @@ def validate_scenario(sc):
                 % (sc.initial.level, es.count - 1), field="initial.level")
     elif sc.initial.kind == "energy":
         gap = float(np.min(np.abs(es.values - sc.initial.energy)))
-        if gap > sc.constraint_tol:
+        if not gap <= sc.constraint_tol:
             raise ScenarioValidationError(
                 "no retained eigenvalue within %g of energy %.6g"
                 % (sc.constraint_tol, sc.initial.energy),
@@ -288,7 +294,7 @@ def validate_scenario(sc):
                     "%s-level %d outside retained range 0..%d"
                     % (name, level, es.count - 1), field=where)
         gap = float(np.min(np.abs(clock_values - step.at_time)))
-        if gap > sc.constraint_tol:
+        if not gap <= sc.constraint_tol:
             raise ScenarioValidationError(
                 "at-time %.6g not within %g of any clock eigenvalue"
                 % (step.at_time, sc.constraint_tol), field=where)
@@ -337,7 +343,7 @@ def run_scenario(sc):
     defect = max(
         np.linalg.norm(hamiltonian(model).matrix @ v - v * energies, 2),
         np.linalg.norm(energy_operator(tg, k).matrix @ phi - phi * kappa, 2))
-    if defect > sc.eigen_tol:
+    if not defect <= sc.eigen_tol:
         raise ConvergenceError(
             "eigenbasis defect %.3g exceeds eigen_tol %.3g"
             % (defect, sc.eigen_tol))

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra kernels.
+"""Dense linear algebra kernels.
 
 Immutable operator values, each a matrix and one verified hermitian flag,
 plus the primitives everything else is built from: Kronecker products,
@@ -7,11 +7,11 @@ unitary exponentials, and the exact near-null space of a Kronecker sum
 I (x) K - A (x) I.  Unitarity is checked where a unitary is built, not
 stored.  near_null_space, a dense SVD of a materialized matrix, is the
 oracle the exact solver is tested against; no solver route calls it.
-Matrices are dense complex128; intended sizes are a few hundred rows per
-factor space and a few thousand for composites.  A Hermitian matrix whose
-imaginary part is exactly zero is diagonalized in real arithmetic.  Every
-hermitian, unitary and decomposition check is written so that a NaN
-defect fails it.
+Matrices are dense, stored float64 when real and complex128 otherwise, so
+a real symmetric operator is diagonalized in real arithmetic; intended
+sizes are a few hundred rows per factor space and a few thousand for
+composites.  Every hermitian, unitary and decomposition check is written
+so that a NaN defect fails it.
 """
 from __future__ import annotations
 
@@ -42,8 +42,15 @@ def maxnorm(a):
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _frozen(a, dtype=np.complex128):
-    out = np.array(a, dtype=dtype, copy=True, order="C")
+def _stored(a):
+    # the one dtype rule: real input is float64, anything else complex128
+    a = np.asarray(a)
+    return a.astype(np.float64 if np.isrealobj(a) else np.complex128,
+                    copy=False)
+
+
+def _frozen(a):
+    out = np.array(_stored(a), copy=True, order="C")
     out.setflags(write=False)
     return out
 
@@ -52,6 +59,14 @@ def hermitian_defect(matrix):
     """max |A_ij - conj(A_ji)|, the distance from exact Hermitian symmetry."""
     matrix = np.asarray(matrix)
     return maxnorm(matrix - matrix.conj().T)
+
+
+def _require_hermitian(m):
+    defect, scale = hermitian_defect(m), maxnorm(m)
+    if not defect <= HERMITIAN_RTOL * max(scale, 1e-300):
+        raise NotHermitianError(
+            "hermitian defect %.3e exceeds %.1e of maxnorm %.3e"
+            % (defect, HERMITIAN_RTOL, scale))
 
 
 def unitary_defect(matrix):
@@ -93,13 +108,9 @@ def operator(matrix, *, hermitian=False, unitary=False):
                the operator's flag
     unitary:   maxnorm(A^H A - I) <= 1e-10; verified, not stored
     """
-    m = np.asarray(matrix, dtype=np.complex128)
+    m = _stored(matrix)
     if hermitian:
-        defect = hermitian_defect(m)
-        if not defect <= HERMITIAN_RTOL * max(maxnorm(m), 1e-300):
-            raise NotHermitianError(
-                "hermitian defect %.3e exceeds %.1e of maxnorm %.3e"
-                % (defect, HERMITIAN_RTOL, maxnorm(m)))
+        _require_hermitian(m)
     if unitary:
         defect = unitary_defect(m)
         if not defect <= UNITARY_ATOL:
@@ -120,7 +131,7 @@ class EigenSystem:
     vectors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, np.float64))
+        object.__setattr__(self, "values", _frozen(self.values))
         object.__setattr__(self, "vectors", _frozen(self.vectors))
         if self.values.shape[0] != self.vectors.shape[1]:
             raise DimensionMismatchError(
@@ -154,8 +165,7 @@ def canonical_phase(vectors):
     rounding in components that are essentially zero.  Real columns stay
     real: their phase is an exact sign.
     """
-    dtype = np.float64 if np.isrealobj(vectors) else np.complex128
-    vectors = np.array(vectors, dtype=dtype, copy=True)
+    vectors = np.array(_stored(vectors), copy=True)
     for j in range(vectors.shape[1]):
         col = vectors[:, j]
         mags = np.abs(col)
@@ -202,24 +212,16 @@ def eig_hermitian(op):
     Values come back ascending; each eigenvector column has its first
     significant component rotated real positive, and exactly degenerate
     eigenvalues get their columns ordered lexicographically, so the result
-    is a deterministic function of the input matrix.  Input whose imaginary
-    part is exactly zero is real symmetric: it is diagonalized by LAPACK's
-    real solver, its phases are exact signs and its checks are real
-    products; the eigenvectors are stored complex like any others.
+    is a deterministic function of the input matrix.  eigh gets the stored
+    dtype, so real input is solved in real arithmetic into real vectors.
     """
     if isinstance(op, OperatorMatrix):
         if not op.hermitian:
             raise NotHermitianError("operator is not flagged hermitian")
         m = op.matrix
     else:
-        m = np.asarray(op, dtype=np.complex128)
-    if not np.any(m.imag):
-        m = np.ascontiguousarray(m.real)
-    defect = hermitian_defect(m)
-    if not defect <= HERMITIAN_RTOL * max(maxnorm(m), 1e-300):
-        raise NotHermitianError(
-            "hermitian defect %.3e exceeds %.1e of maxnorm"
-            % (defect, HERMITIAN_RTOL))
+        m = _stored(op)
+    _require_hermitian(m)
     try:
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -273,10 +275,7 @@ def near_null_space(op, tol):
     eigenvector column.  Empty list when the smallest singular value
     exceeds tol.
     """
-    if isinstance(op, OperatorMatrix):
-        m = op.matrix
-    else:
-        m = np.asarray(op, dtype=np.complex128)
+    m = op.matrix if isinstance(op, OperatorMatrix) else _stored(op)
     try:
         _, sigma, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:

@@ -161,7 +161,6 @@ def ladder_operators(es):
     if k < 2:
         raise WrongKindError("need at least two retained levels, got %d" % k)
     steps = np.sqrt(np.arange(1.0, k))
-    lower_small = np.diag(steps, 1).astype(np.complex128)
     v = es.vectors
-    lower = v @ lower_small @ v.conj().T
+    lower = v @ np.diag(steps, 1) @ v.conj().T
     return operator(lower), operator(lower.conj().T)

@@ -1,7 +1,6 @@
 """Command-line surface: table formats, exit codes, reproducibility."""
 
 import json
-import math
 import os
 import shutil
 import subprocess
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 import chronos
-from chronos.cli import main
+from chronos.cli import ResultTable, main
 from chronos.models import free_particle_time_level
 from chronos.axes import PhysicalConstants
 
@@ -40,6 +39,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_result_table_formats_each_value_type():
+    table = ResultTable(["flag", "count", "missing", "value"])
+    table.add(True, 3, float("nan"), 0.1)
+    assert table.render() \
+        == "flag,count,missing,value\nTrue,3,nan,0.10000000000000001\n"
 
 
 def test_spectrum_table_shape(capsys, small_config):

@@ -1,7 +1,6 @@
 """Constraint operators, physical subspaces, measurements, uncertainty."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from chronos.axes import (
     AxisGrid,
     PhysicalConstants,
     default_position_grid,
-    energy_aligned_grids,
     energy_lattice,
     energy_operator,
     gaussian_state,
@@ -25,7 +23,6 @@ from chronos.constraints import (
     first_constraint_operator,
     first_constraint_residual,
     generalized_constraint_operator,
-    generalized_residual,
     measurement_probabilities,
     physical_subspace,
     second_constraint_operator,
@@ -44,10 +41,8 @@ from chronos.exceptions import (
 )
 from chronos.linalg import kron, maxnorm, near_null_space, operator
 from chronos.models import (
-    FREE_PARTICLE,
     OSCILLATOR,
     ModelSpec,
-    energy_eigensystem,
     hamiltonian,
     oscillator_clock_operator,
 )

@@ -1,6 +1,8 @@
 """Time translations, level swaps, ladder steps, jumps, scenario engine."""
 
+import dataclasses
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -36,7 +38,7 @@ from chronos.dynamics import (
     time_translation,
     validate_scenario,
 )
-from chronos.scenario import serialize_scenario
+from chronos.scenario import parse_scenario, serialize_scenario
 from chronos.exceptions import (
     ConvergenceError,
     IndexOutOfRangeError,
@@ -63,7 +65,6 @@ from chronos.models import (
     energy_eigensystem,
     hamiltonian,
     hamiltonian_eigensystem,
-    oscillator_time_quantum,
 )
 
 import oracles
@@ -373,6 +374,37 @@ def test_validate_scenario_rejects_bad_jump_time():
     with pytest.raises(ScenarioValidationError) as info:
         validate_scenario(sc)
     assert "steps[0].jump" in str(info.value)
+
+
+JUMP_SCENARIO = pathlib.Path(__file__).resolve().parents[1] \
+    / "scenarios" / "oscillator_jump.json"
+
+
+@pytest.mark.parametrize("key", ["constraint_tol", "eigen_tol"])
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1e-6])
+def test_validate_scenario_refuses_non_positive_tolerances(key, value):
+    # JSON cannot carry NaN, but a Scenario built in Python can
+    sc = dataclasses.replace(parse_scenario(JUMP_SCENARIO.read_bytes()),
+                             **{key: value})
+    with pytest.raises(ScenarioValidationError) as info:
+        run_scenario(sc)
+    assert info.value.field == "tolerances." + key
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"initial": InitialState(kind="energy", energy=math.nan)},
+     "initial.energy"),
+    ({"steps": (Step(kind="jump", from_level=0, to_level=1,
+                     at_time=math.nan),)}, "steps[0].jump"),
+], ids=["energy", "at_time"])
+def test_validate_scenario_refuses_nan_targets(change, field):
+    # a NaN gap must fail its tolerance, not pass it: argmin over NaN
+    # would otherwise start an energy scenario silently at level 0
+    sc = dataclasses.replace(parse_scenario(JUMP_SCENARIO.read_bytes()),
+                             **change)
+    with pytest.raises(ScenarioValidationError) as info:
+        run_scenario(sc)
+    assert info.value.field == field
 
 
 def test_run_scenario_trajectory():

@@ -1,18 +1,22 @@
 """Hamiltonians, clock operators, spectra, ladder construction."""
 
-import math
-
 import numpy as np
 import pytest
 
 from chronos.axes import (
+    TIME,
     AxisGrid,
     PhysicalConstants,
     default_position_grid,
+    energy_operator,
+    lift_system,
     momentum_operator,
+    position_operator,
+    time_operator,
 )
+from chronos.dynamics import time_translation
 from chronos.exceptions import WrongKindError
-from chronos.linalg import eig_hermitian, maxnorm
+from chronos.linalg import eig_hermitian, identity, kron, maxnorm
 from chronos.models import (
     FREE_PARTICLE,
     OSCILLATOR,
@@ -115,6 +119,44 @@ def test_hamiltonian_is_real_circulant_of_momentum_square(kind, k, grid):
     want = p @ p / (2.0 * k.mass) \
         + np.diag(0.5 * k.mass * omega ** 2 * grid.samples ** 2)
     assert maxnorm(ham - want) <= 1e-12 * maxnorm(want)
+
+
+def dtype_cases():
+    k = PhysicalConstants()
+    qg = AxisGrid(n=16, origin=-4.0, spacing=0.5, label="position")
+    tg = AxisGrid(n=8, origin=0.0, spacing=0.5, label=TIME)
+    osc = ModelSpec(OSCILLATOR, k, qg)
+    free = ModelSpec(FREE_PARTICLE, k, qg)
+    real = {
+        "position": lambda: position_operator(qg).matrix,
+        "time": lambda: time_operator(tg).matrix,
+        "harmonic": lambda: harmonic_hamiltonian(osc).matrix,
+        "free": lambda: free_particle_hamiltonian(free).matrix,
+        "oscillator_clock": lambda: oscillator_clock_operator(osc).matrix,
+        "free_clock": lambda: free_particle_clock_operator(free).matrix,
+        "identity": lambda: identity(4).matrix,
+        "kron": lambda: kron(time_operator(tg), identity(3)).matrix,
+        "lift_system": lambda: lift_system(hamiltonian(osc), 4).matrix,
+        "eig_vectors": lambda: hamiltonian_eigensystem(osc).vectors,
+    }
+    complex_ = {
+        "momentum": lambda: momentum_operator(qg, k).matrix,
+        "energy": lambda: energy_operator(tg, k).matrix,
+        "fourier_map": lambda: tg.fourier_map,
+        "time_translation": lambda: time_translation(tg, k, 0.3).matrix,
+        "eig_vectors_complex":
+            lambda: eig_hermitian(energy_operator(tg, k)).vectors,
+    }
+    return [pytest.param(build, dtype, id=name)
+            for cases, dtype in ((real, np.float64), (complex_, np.complex128))
+            for name, build in cases.items()]
+
+
+@pytest.mark.parametrize("build, dtype", dtype_cases())
+def test_storage_dtype_rule(build, dtype):
+    # real operators and their eigenvectors are stored float64; operators
+    # with a genuine imaginary part, and every unitary, stay complex128
+    assert build().dtype == dtype
 
 
 def test_clock_operator_is_scaled_hamiltonian():

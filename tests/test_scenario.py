@@ -5,11 +5,10 @@ import math
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from chronos.axes import energy_aligned_grids, time_aligned_grids
-from chronos.dynamics import InitialState, Scenario, Step, run_scenario
+from chronos.dynamics import InitialState, Step, run_scenario
 from chronos.exceptions import ScenarioSyntaxError, ScenarioValidationError
 from chronos.scenario import parse_scenario, serialize_scenario
 
