@@ -61,7 +61,10 @@ def _hamiltonian(model, kind, what, omega):
     m = 0.5 * (m + m.T)
     m[j, j] += 0.5 * k.mass * omega ** 2 * model.grid.samples ** 2
     # real and exactly symmetric by construction; eig_hermitian still
-    # measures the defect of whatever it is handed
+    # measures the defect of whatever it is handed.  On a grid with origin
+    # -L/2 whose samples mirror exactly, x_{n-j} == -x_j, it also commutes
+    # exactly with the reflection j -> (n - j) mod n, and eig_hermitian
+    # solves it as two half-size blocks
     return OperatorMatrix(m, hermitian=True)
 
 

@@ -85,6 +85,20 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture()
+def eigh_shapes(monkeypatch):
+    """Shape of every np.linalg.eigh call the test makes, in call order."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return shapes
+
+
 ACCEPTANCE_LABELS = {
     "test_c1_clock_spectrum_matches_half_integers": "clock spectrum",
     "test_c2_ladder_coefficients": "ladder coefficients",

@@ -54,6 +54,28 @@ def jacobi_spectrum(matrix, eps=1e-14, max_sweeps=60):
     return doubled.reshape(-1, 2).mean(axis=1)
 
 
+def eigenspace_projectors(values, vectors, count, rtol=1e-9):
+    """Projector onto each of the lowest `count` eigenspaces.
+
+    Ascending levels closer than rtol of the largest |value| share one
+    eigenspace, so a projector does not depend on the basis an eigensolver
+    picks inside a degenerate level.
+    """
+    values = np.asarray(values)
+    gaps = np.diff(values) > rtol * np.max(np.abs(values))
+    edges = np.concatenate(([0], np.flatnonzero(gaps) + 1, [values.size]))
+    return [vectors[:, a:b] @ vectors[:, a:b].conj().T
+            for a, b in zip(edges[:count], edges[1:count + 1])]
+
+
+def reflection_parities(vectors):
+    """+1 for each exactly even column, v[(n - j) % n] == v[j], -1 for each
+    exactly odd one, 0 for any other."""
+    mirrored = vectors[-np.arange(vectors.shape[0]) % vectors.shape[0]]
+    return [int(np.array_equal(w, v)) - int(np.array_equal(w, -v))
+            for w, v in zip(mirrored.T, vectors.T)]
+
+
 def kron_by_index(a, b):
     """Kronecker product assembled entry by entry from the index formula."""
     a = np.asarray(a, dtype=np.complex128)

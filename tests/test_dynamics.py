@@ -8,6 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+import chronos.constraints
+import chronos.linalg
+import chronos.models
+
 from chronos.axes import (
     AxisGrid,
     PhysicalConstants,
@@ -148,28 +152,34 @@ ROUND_TRIP = (Step(kind="evolve", dt=0.3),
 
 
 def test_run_scenario_eigensolves_do_not_grow_with_steps(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-    eigvalsh = np.linalg.eigvalsh
+    solves, lapack = [], []
 
-    def counted(solver):
+    def counted(solver, log):
         def wrapper(*args, **kwargs):
-            calls.append(solver.__name__)
+            log.append(solver.__name__)
             return solver(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigh", counted(eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(eigvalsh))
+    eig_hermitian = counted(chronos.linalg.eig_hermitian, solves)
+    for module in (chronos.linalg, chronos.models, chronos.constraints):
+        monkeypatch.setattr(module, "eig_hermitian", eig_hermitian)
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, lapack))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counted(np.linalg.eigvalsh, lapack))
 
     def count(repeats):
         hamiltonian_eigensystem.cache_clear()
-        del calls[:]
+        del solves[:], lapack[:]
         records = run_scenario(base_scenario(steps=ROUND_TRIP * repeats))
         assert len(records) == 4 * repeats + 1
-        return len(calls)
+        return len(solves), len(lapack)
 
-    # the Hamiltonian's; the energy operator's eigenbasis is closed form
-    assert count(1) == count(10) == 1
+    once, ten_times = count(1), count(10)
+    # one Hamiltonian eigensystem per run, however many LAPACK calls it
+    # takes (two half-size ones on a reflection-invariant grid); the energy
+    # operator's eigenbasis is closed form
+    assert once[0] == ten_times[0] == 1
+    assert once[1] == ten_times[1]
 
 
 def test_eigen_swap_unitary_exchanges_levels():

@@ -121,6 +121,58 @@ def test_hamiltonian_is_real_circulant_of_momentum_square(kind, k, grid):
     assert maxnorm(ham - want) <= 1e-12 * maxnorm(want)
 
 
+def centred_grid(n):
+    # origin -L/2 with exact binary samples, so x_{n-j} == -x_j exactly
+    return AxisGrid(n=n, origin=-20.0, spacing=40.0 / n, label="position")
+
+
+@pytest.mark.parametrize("kind", [OSCILLATOR, FREE_PARTICLE])
+@pytest.mark.parametrize("n", [128, 1024])
+def test_reflection_split_matches_full_eigh(kind, n, eigh_shapes):
+    ham = hamiltonian(ModelSpec(kind, PhysicalConstants(), centred_grid(n)))
+    system = eig_hermitian(ham)
+    assert eigh_shapes == [(n // 2 + 1,) * 2, (n // 2 - 1,) * 2]
+    again = eig_hermitian(ham)
+    assert system.values.tobytes() == again.values.tobytes()
+    assert system.vectors.tobytes() == again.vectors.tobytes()
+    values, vectors = np.linalg.eigh(ham.matrix)
+    scale = np.max(np.abs(values))
+    assert np.max(np.abs(system.values - values)) <= 1e-11 * scale
+    for mine, want in zip(
+            oracles.eigenspace_projectors(system.values, system.vectors, 16),
+            oracles.eigenspace_projectors(values, vectors, 16)):
+        assert maxnorm(mine - want) <= 1e-9
+
+
+@pytest.mark.parametrize("k, grid", [
+    pytest.param(PhysicalConstants(),
+                 AxisGrid(n=128, origin=-7.0, spacing=0.125,
+                          label="position"), id="off_centre"),
+    # centred on zero, but the samples do not mirror exactly in floating
+    # point, so neither does the potential
+    pytest.param(PhysicalConstants(omega=0.9),
+                 default_position_grid(PhysicalConstants(omega=0.9)),
+                 id="asymmetric_potential"),
+])
+def test_oscillator_without_exact_reflection_takes_full_eigh(k, grid,
+                                                             eigh_shapes):
+    eig_hermitian(hamiltonian(ModelSpec(OSCILLATOR, k, grid)))
+    assert eigh_shapes == [(grid.n, grid.n)]
+
+
+def test_degenerate_free_particle_levels_are_standing_waves():
+    n = 64
+    es = hamiltonian_eigensystem(
+        ModelSpec(FREE_PARTICLE, PhysicalConstants(), centred_grid(n)))
+    parity = oracles.reflection_parities(es.vectors)
+    # the constant and the Nyquist wave are even; every +-w pair between
+    # them is one exactly even and one exactly odd standing wave
+    assert parity[0] == parity[-1] == 1
+    for a in range(1, n - 1, 2):
+        assert es.values[a + 1] - es.values[a] <= 1e-12 * es.values[-1]
+        assert sorted(parity[a:a + 2]) == [-1, 1]
+
+
 def dtype_cases():
     k = PhysicalConstants()
     qg = AxisGrid(n=16, origin=-4.0, spacing=0.5, label="position")
