@@ -12,7 +12,11 @@ a real symmetric operator is diagonalized in real arithmetic, and one of
 even order that is exactly invariant under the grid reflection
 j -> (n - j) mod n as two half-size even and odd blocks; intended
 sizes are a few hundred rows per factor space and a few thousand for
-composites.  Every hermitian, unitary and decomposition check is written
+composites.  Every eigendecomposition is certified on every route by
+the input's hermitian defect, orthonormality and reconstruction against
+the caller's full matrix; orthonormality costs two half-size Gram
+products when every vector is exactly even or odd, the full one
+otherwise.  Every hermitian, unitary and decomposition check is written
 so that a NaN defect fails it.
 """
 from __future__ import annotations
@@ -39,9 +43,23 @@ PHASE_PIVOT_RTOL = 1e-8
 
 
 def maxnorm(a):
-    """Largest absolute entry of an array (0.0 for an empty one)."""
+    """Largest absolute entry of an array (0.0 for an empty one, NaN if
+    any entry is NaN)."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    if not a.size:
+        return 0.0
+    if a.dtype.kind == "f":
+        # no |a| temporary; np.maximum, unlike max(), propagates NaN
+        return abs(float(np.maximum(a.max(), -a.min())))
+    return float(np.max(np.abs(a)))
+
+
+def _owned_maxnorm(a):
+    # maxnorm of a temporary the caller drops: a complex one is overwritten
+    # by its |a| in place rather than given an n x n companion
+    if np.iscomplexobj(a):
+        a = np.abs(a, out=a).real
+    return maxnorm(a)
 
 
 def _stored(a):
@@ -52,7 +70,12 @@ def _stored(a):
 
 
 def _frozen(a):
-    out = np.array(_stored(a), copy=True, order="C")
+    a = _stored(a)
+    # an array that owns its memory and was made read-only by the builder
+    # that filled it is kept as it is; anything else is copied
+    if a.base is None and not a.flags.writeable and a.flags.c_contiguous:
+        return a
+    out = np.array(a, copy=True, order="C")
     out.setflags(write=False)
     return out
 
@@ -60,7 +83,7 @@ def _frozen(a):
 def hermitian_defect(matrix):
     """max |A_ij - conj(A_ji)|, the distance from exact Hermitian symmetry."""
     matrix = np.asarray(matrix)
-    return maxnorm(matrix - matrix.conj().T)
+    return _owned_maxnorm(matrix - matrix.conj().T)
 
 
 def _require_hermitian(m):
@@ -85,7 +108,9 @@ class OperatorMatrix:
     The hermitian flag is trusted by downstream code, so it is only set by
     constructors that either verify it numerically (`operator`) or
     guarantee it by construction (spectral builders, `kron` of two
-    Hermitian factors, `identity`).
+    Hermitian factors, `identity`).  The matrix is stored read-only: as a
+    copy, unless the array handed in owns its memory and is read-only
+    already.
     """
 
     matrix: np.ndarray
@@ -165,46 +190,55 @@ def canonical_phase(vectors):
     The pivot is the first component whose magnitude exceeds a small
     fraction of the column peak, which keeps the choice stable against
     rounding in components that are essentially zero.  Real columns stay
-    real: their phase is an exact sign.
+    real: their phase is an exact sign.  An all-zero column is left as it
+    is.
     """
-    vectors = np.array(_stored(vectors), copy=True)
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        mags = np.abs(col)
-        peak = mags.max()
-        if peak == 0.0:
-            continue
-        pivot = int(np.argmax(mags > PHASE_PIVOT_RTOL * peak))
-        phase = col[pivot] / mags[pivot]
-        col *= np.conj(phase)
-        col[pivot] = col[pivot].real  # exact by convention
-        vectors[:, j] = col
+    return _fix_phase(np.array(_stored(vectors), copy=True))
+
+
+def _fix_phase(vectors):
+    # canonical_phase in place on an array the caller owns: one pivot per
+    # column from the thresholded magnitudes, then one row of phases
+    if not vectors.size:
+        return vectors
+    mags = np.abs(vectors)
+    peak = mags.max(axis=0)
+    live = peak != 0.0
+    pivot = (np.argmax(mags > PHASE_PIVOT_RTOL * peak, axis=0),
+             np.arange(vectors.shape[1]))
+    phase = np.divide(vectors[pivot], mags[pivot], where=live,
+                      out=np.ones(vectors.shape[1], dtype=vectors.dtype))
+    del mags
+    np.multiply(vectors, phase.conj(), out=vectors, where=live)
+    pivot = pivot[0][live], pivot[1][live]
+    vectors[pivot] = vectors[pivot].real  # exact by convention
     return vectors
-
-
-def _lexicographic_key(column):
-    # interleave real and imaginary parts so comparison is componentwise
-    parts = np.empty(2 * column.shape[0])
-    parts[0::2] = column.real
-    parts[1::2] = column.imag
-    return tuple(parts)
 
 
 def _order_degenerate(values, vectors):
     # eigh gives ascending values; inside exact ties fix the column order
-    # lexicographically so equal inputs always produce equal outputs
-    n = values.shape[0]
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and values[stop] == values[start]:
-            stop += 1
-        if stop - start > 1:
-            block = vectors[:, start:stop]
-            order = sorted(range(stop - start),
-                           key=lambda j: _lexicographic_key(block[:, j]))
-            vectors[:, start:stop] = block[:, order]
-        start = stop
+    # lexicographically, real part before imaginary and row by row, so
+    # equal inputs always produce equal outputs.  All tied columns are
+    # sorted together, stably, one component at a time, with the tie
+    # group as the leading key, until no two columns are still tied.
+    rises = values[1:] != values[:-1]
+    if rises.all():
+        return vectors
+    group = np.concatenate(([0], np.cumsum(rises)))
+    tied = np.flatnonzero(np.bincount(group)[group] > 1)
+    order, group = tied, group[tied]
+    parts = (vectors.real, vectors.imag) if np.iscomplexobj(vectors) \
+        else (vectors,)
+    for component in (part[row] for row in range(vectors.shape[0])
+                      for part in parts):
+        key = component[order]
+        step = np.lexsort((key, group))
+        order, group, key = order[step], group[step], key[step]
+        split = (group[1:] != group[:-1]) | (key[1:] != key[:-1])
+        if split.all():
+            break
+        group = np.concatenate(([0], np.cumsum(split)))
+    vectors[:, tied] = vectors[:, order]
     return vectors
 
 
@@ -250,6 +284,38 @@ def _eigh(m):
     return values[order], vectors
 
 
+def _gram_defect(block):
+    # maxnorm(B^H B - I)
+    gram = block.conj().T @ block
+    gram.flat[::gram.shape[0] + 1] -= 1.0
+    return _owned_maxnorm(gram)
+
+
+def _orthonormality_defect(vectors):
+    # maxnorm(V^H V - I).  When n is even and every column is exactly even
+    # or odd under j -> (n - j) mod n (an odd one also zero on rows 0 and
+    # n/2), as the reflection split returns them, even and odd columns are
+    # orthogonal term by term and rows n/2 + 1 .. n - 1 repeat rows
+    # 1 .. n/2 - 1.  The defect is then that of two half-size products:
+    # rows 0 .. n/2 of the even columns and 1 .. n/2 - 1 of the odd ones,
+    # rows 1 .. n/2 - 1 weighted by sqrt(2).  The parity test is exact and
+    # O(n^2); anything else gets the full product.
+    n = vectors.shape[0]
+    h = n // 2
+    if np.iscomplexobj(vectors) or n % 2 or n == 0:
+        return _gram_defect(vectors)
+    inner, mirror = vectors[1:h], vectors[:h:-1]
+    even = (mirror == inner).all(axis=0)
+    odd = (mirror == -inner).all(axis=0) \
+        & (vectors[0] == 0.0) & (vectors[h] == 0.0) & ~even
+    if not (even | odd).all():
+        return _gram_defect(vectors)
+    even_rows, odd_rows = vectors[:h + 1, even], vectors[1:h, odd]
+    even_rows[1:h] *= np.sqrt(2.0)
+    odd_rows *= np.sqrt(2.0)
+    return np.maximum(_gram_defect(even_rows), _gram_defect(odd_rows))
+
+
 def eig_hermitian(op):
     """Full eigendecomposition of a verified Hermitian operator.
 
@@ -262,8 +328,17 @@ def eig_hermitian(op):
     reflection j -> (n - j) mod n, as a Hamiltonian on a grid with origin
     -L/2 is, is solved as two half-size blocks; every vector then comes
     back exactly even or odd, v[(n - j) % n] == +-v[j], degenerate
-    eigenspaces included.  Every check runs on the merged result against
-    the full input, so the checks certify the split too.
+    eigenspaces included.
+
+    Three checks run on every route, each written so that NaN fails it:
+    - the input's hermitian defect, O(n^2);
+    - orthonormality of the merged, phase-fixed and ordered vectors,
+      maxnorm(V^H V - I) <= 1e-10.  When every column is exactly even or
+      odd, tested entry by entry in O(n^2), this is two half-size products
+      at a quarter of the n^3 cost; otherwise the full product;
+    - reconstruction against the caller's full matrix, maxnorm(V diag(w)
+      V^H - A) <= 1e-9 maxnorm(A), one full n^3 product, so it certifies
+      the split too.
     """
     if isinstance(op, OperatorMatrix):
         if not op.hermitian:
@@ -276,20 +351,19 @@ def eig_hermitian(op):
         values, vectors = _eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("eigendecomposition failed: %s" % exc) from exc
-    vectors = canonical_phase(vectors)
-    vectors = _order_degenerate(values, vectors)
+    _fix_phase(vectors)
+    _order_degenerate(values, vectors)
 
-    # each n x n temporary is dropped before the next one is made
-    gram = vectors.conj().T @ vectors
-    gram.flat[::gram.shape[0] + 1] -= 1.0
-    if not maxnorm(gram) <= ORTHONORMAL_ATOL:
+    if not _orthonormality_defect(vectors) <= ORTHONORMAL_ATOL:
         raise ConvergenceError("eigenvectors lost orthonormality")
-    del gram
+    # each n x n temporary is dropped before the next one is made
     recon = (vectors * values) @ vectors.conj().T
     recon -= m
-    if not maxnorm(recon) <= RECONSTRUCT_RTOL * max(maxnorm(m), 1e-300):
+    if not _owned_maxnorm(recon) <= RECONSTRUCT_RTOL * max(maxnorm(m),
+                                                           1e-300):
         raise ConvergenceError("eigendecomposition does not reconstruct input")
     del recon
+    vectors.setflags(write=False)  # stored by EigenSystem without a copy
     return EigenSystem(values, vectors)
 
 

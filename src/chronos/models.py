@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .axes import POSITION, AxisGrid, PhysicalConstants
 from .exceptions import WrongAxisError, WrongKindError
@@ -53,18 +54,26 @@ def _hamiltonian(model, kind, what, omega):
     # only on (j - l) mod n.  Its symbol is even in w (the unpaired Nyquist
     # frequency -n/2 maps to itself), so the circulant is real, and its
     # first column is irfft of the symbol's k = 0..n/2 half, with no complex
-    # n^3 product p @ p.
+    # n^3 product p @ p.  Symmetrizing the column, c_d <- (c_d + c_-d)/2,
+    # gives every entry the bits (C + C^T)/2 of the circulant C would have.
+    # Row j is c_{(l - j) mod n} over l, the window of the doubled column
+    # that starts at n - j, so the matrix is one copy of a Toeplitz window
+    # view (rows one element apart, backwards), with O(n) scratch and no
+    # n x n index array
     w = 2.0 * np.pi * np.arange(n // 2 + 1) / model.grid.period
     column = np.fft.irfft((k.hbar * w) ** 2, n) / (2.0 * k.mass)
-    j = np.arange(n)
-    m = column[(j[:, None] - j[None, :]) % n]
-    m = 0.5 * (m + m.T)
-    m[j, j] += 0.5 * k.mass * omega ** 2 * model.grid.samples ** 2
+    column = 0.5 * (column + column[-np.arange(n) % n])
+    doubled = np.concatenate((column, column))
+    m = as_strided(doubled[n:], shape=(n, n),
+                   strides=(-doubled.itemsize, doubled.itemsize)).copy()
+    m.flat[::n + 1] += 0.5 * k.mass * omega ** 2 * model.grid.samples ** 2
+    m.setflags(write=False)
     # real and exactly symmetric by construction; eig_hermitian still
     # measures the defect of whatever it is handed.  On a grid with origin
     # -L/2 whose samples mirror exactly, x_{n-j} == -x_j, it also commutes
     # exactly with the reflection j -> (n - j) mod n, and eig_hermitian
-    # solves it as two half-size blocks
+    # solves it as two half-size blocks.  Frozen here, m is stored by
+    # OperatorMatrix without a second copy
     return OperatorMatrix(m, hermitian=True)
 
 

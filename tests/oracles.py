@@ -144,3 +144,61 @@ def ladder_matrix_elements(level, direction):
     if direction == "down":
         return math.sqrt(float(level))
     raise ValueError("direction must be 'up' or 'down'")
+
+
+def phase_fixed_by_loop(vectors):
+    """canonical_phase one column at a time: the first component above
+    1e-8 of the column peak is rotated real positive; a zero column is
+    skipped."""
+    vectors = np.array(vectors, copy=True)
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        mags = np.abs(col)
+        peak = mags.max()
+        if peak == 0.0:
+            continue
+        pivot = int(np.argmax(mags > 1e-8 * peak))
+        phase = col[pivot] / mags[pivot]
+        col *= np.conj(phase)
+        col[pivot] = col[pivot].real
+        vectors[:, j] = col
+    return vectors
+
+
+def _interleaved_key(column):
+    parts = np.empty(2 * column.shape[0])
+    parts[0::2] = column.real
+    parts[1::2] = column.imag
+    return tuple(parts)
+
+
+def ordered_by_tuples(values, vectors):
+    """Columns inside each run of exactly equal values sorted by a Python
+    tuple of their interleaved real and imaginary parts, stably."""
+    vectors = np.array(vectors, copy=True)
+    n = values.shape[0]
+    start = 0
+    while start < n:
+        stop = start + 1
+        while stop < n and values[stop] == values[start]:
+            stop += 1
+        block = vectors[:, start:stop]
+        order = sorted(range(stop - start),
+                       key=lambda j: _interleaved_key(block[:, j]))
+        vectors[:, start:stop] = block[:, order]
+        start = stop
+    return vectors
+
+
+def circulant_hamiltonian_by_index(model, omega):
+    """p^2/(2m) + m*omega^2*q^2/2 gathered through an n x n index array of
+    (j - l) mod n and symmetrized as (C + C^T)/2."""
+    k, grid = model.constants, model.grid
+    n = grid.n
+    w = 2.0 * np.pi * np.arange(n // 2 + 1) / grid.period
+    column = np.fft.irfft((k.hbar * w) ** 2, n) / (2.0 * k.mass)
+    j = np.arange(n)
+    m = column[(j[:, None] - j[None, :]) % n]
+    m = 0.5 * (m + m.T)
+    m[j, j] += 0.5 * k.mass * omega ** 2 * grid.samples ** 2
+    return m

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chronos import linalg
+from chronos.axes import AxisGrid, PhysicalConstants
 from chronos.exceptions import (
     ConvergenceError,
     NotHermitianError,
@@ -26,6 +28,7 @@ from chronos.linalg import (
     unitary_defect,
     unitary_exp,
 )
+from chronos.models import FREE_PARTICLE, ModelSpec, hamiltonian
 
 import oracles
 
@@ -50,6 +53,21 @@ def test_maxnorm_and_defects():
     assert hermitian_defect(skew) == 2.0
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_maxnorm_propagates_nan_from_any_entry(dtype):
+    # a real array is reduced by its max and min without an |a| temporary;
+    # NaN in any position must still come out as NaN, and so fail every
+    # check written `not defect <= tol`
+    for index in np.ndindex(3, 4):
+        a = np.arange(-6.0, 6.0).reshape(3, 4).astype(dtype)
+        a[index] = np.nan
+        assert np.isnan(maxnorm(a))
+    assert maxnorm(np.zeros((2, 2), dtype=dtype)) == 0.0
+    assert str(maxnorm(np.zeros((2, 2), dtype=dtype))) == "0.0"
+    assert maxnorm(np.array([-3.0, 2.0], dtype=dtype)) == 3.0
+    assert maxnorm(np.array([], dtype=dtype)) == 0.0
+
+
 def test_operator_flag_verification(rng):
     herm = random_hermitian(rng, 6)
     op = operator(herm, hermitian=True)
@@ -65,6 +83,21 @@ def test_operator_flag_verification(rng):
         == ["matrix", "hermitian"]
     with pytest.raises(NotUnitaryError):
         operator(2.0 * uni, unitary=True)
+
+
+def test_operator_matrix_copies_unless_handed_a_frozen_array(rng):
+    mutable = random_symmetric(rng, 4)
+    op = OperatorMatrix(mutable, hermitian=True)
+    mutable[0, 0] += 1.0
+    assert op.matrix[0, 0] == mutable[0, 0] - 1.0
+    assert not op.matrix.flags.writeable
+    frozen = random_symmetric(rng, 4)
+    frozen.setflags(write=False)
+    assert OperatorMatrix(frozen).matrix is frozen
+    # a read-only view of a writable array is still copied
+    view = mutable[:, :]
+    view.setflags(write=False)
+    assert OperatorMatrix(view).matrix is not view
 
 
 def non_finite_matrices():
@@ -255,8 +288,12 @@ def test_eig_full_route_outside_the_split(rng, eigh_shapes, build):
     assert eigh_shapes == [m.shape]
 
 
-@pytest.mark.parametrize("perturb, match", [("vector", "orthonormality"),
-                                             ("odd_value", "reconstruct")])
+@pytest.mark.parametrize("perturb, match", [
+    ("vector", "orthonormality"),
+    ("odd_value", "reconstruct"),
+    ("odd_vector", "orthonormality"),
+    ("duplicate", "orthonormality"),
+])
 def test_eig_checks_certify_the_split(rng, monkeypatch, perturb, match):
     m = reflected(random_symmetric(rng, 12))
     eigh = np.linalg.eigh
@@ -267,7 +304,12 @@ def test_eig_checks_certify_the_split(rng, monkeypatch, perturb, match):
         values, vectors = eigh(a)
         if perturb == "vector":
             vectors[0, 0] += 1e-6
-        elif a.shape == (5, 5):
+        elif perturb == "odd_vector" and a.shape == (5, 5):
+            vectors[2, 1] += 1e-6
+        elif perturb == "duplicate" and a.shape == (7, 7):
+            # two merged columns equal, each still exactly even
+            vectors[:, 3] = vectors[:, 2]
+        elif perturb == "odd_value" and a.shape == (5, 5):
             values[0] += 1e-3
         return values, vectors
 
@@ -275,6 +317,55 @@ def test_eig_checks_certify_the_split(rng, monkeypatch, perturb, match):
     with pytest.raises(ConvergenceError, match=match):
         eig_hermitian(m)
     assert shapes == [(7, 7), (5, 5)]
+
+
+@pytest.mark.parametrize("where", ["even_row_0", "even_row_h", "odd",
+                                   "value"])
+def test_eig_split_checks_refuse_one_nan(rng, monkeypatch, where):
+    # one NaN on rows 0 or n/2 of an even column passes the exact parity
+    # test, so the half-size Gram products must still refuse it
+    m = reflected(random_symmetric(rng, 12))
+    eigh = np.linalg.eigh
+
+    def poisoned(a):
+        values, vectors = eigh(a)
+        if where == "value" and a.shape == (7, 7):
+            values[2] = np.nan
+        elif where == "odd" and a.shape == (5, 5):
+            vectors[1, 3] = np.nan
+        elif where.startswith("even") and a.shape == (7, 7):
+            vectors[0 if where == "even_row_0" else 6, 4] = np.nan
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", poisoned)
+    match = "reconstruct" if where == "value" else "orthonormality"
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ConvergenceError, match=match):
+            eig_hermitian(m)
+        m[3, 5] = m[5, 3] = m[9, 7] = m[7, 9] = np.nan
+        with pytest.raises(NotHermitianError):
+            eig_hermitian(m)
+
+
+@pytest.mark.parametrize("parity, row", [(1, 8), (-1, 8), (-1, 0), (-1, 6)])
+def test_eig_parity_break_takes_the_full_gram(rng, monkeypatch, parity, row):
+    # the half-size Gram products read rows 0 .. n/2 of the even columns
+    # and rows 1 .. n/2 - 1 of the odd ones; a merged column that breaks
+    # exact parity on a row they skip must send the check to the full
+    # product, which sees that row
+    m = reflected(random_symmetric(rng, 12))
+    split = linalg._eigh
+
+    def broken(a):
+        values, vectors = split(a)
+        column = oracles.reflection_parities(vectors).index(parity)
+        vectors[row, column] += 1e-4
+        return values, vectors
+
+    monkeypatch.setattr(linalg, "_eigh", broken)
+    with pytest.raises(ConvergenceError, match="orthonormality"):
+        eig_hermitian(m)
+    assert 0 in oracles.reflection_parities(broken(m)[1])
 
 
 @pytest.mark.parametrize("split", [False, True])
@@ -288,9 +379,9 @@ def test_eig_allocation_peak(rng, split):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the vectors, their phase-fixed copy or one check temporary and its
-    # abs: three inputs' worth, where holding every check temporary at once
-    # took five
+    # the vectors, V diag(w) and its product with V^T in the reconstruction
+    # check: three inputs' worth, where holding every check temporary at
+    # once took five
     assert peak <= 3.5 * m.nbytes
 
 
@@ -310,6 +401,82 @@ def test_canonical_phase_idempotent(rng):
     overlaps = np.abs(np.sum(once.conj() * block, axis=0))
     norms = np.linalg.norm(block, axis=0) * np.linalg.norm(once, axis=0)
     assert np.allclose(overlaps, norms)
+
+
+def phase_cases(rng):
+    real = rng.standard_normal((40, 9))
+    real[:, 2] = 0.0
+    real[:, 3] = -0.0
+    # pivots that sit after entries below the 1e-8 threshold, of either sign
+    real[:4, 5] = [1e-12, -3e-11, 0.0, -2.0]
+    real[:3, 6] = [0.0, -0.0, 5e-10]
+    cplx = real + 1j * rng.standard_normal((40, 9))
+    cplx[:, 2] = 0.0
+    cplx[:, 3] = complex(-0.0, -0.0)
+    cplx[:4, 5] = [1e-12j, -3e-11 + 1e-12j, 0.0, -2.0 + 1.0j]
+    cplx[:3, 6] = [0.0, -0.0j, 5e-10 - 5e-10j]
+    return {"real": real, "complex": cplx}
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_canonical_phase_matches_loop_oracle(rng, kind):
+    block = phase_cases(rng)[kind]
+    before = block.copy()
+    fixed = canonical_phase(block)
+    want = oracles.phase_fixed_by_loop(block)
+    assert fixed.dtype == want.dtype
+    assert fixed.tobytes() == want.tobytes()
+    assert block.tobytes() == before.tobytes()  # the input is not touched
+
+
+def tie_shuffled(values, vectors, rng):
+    # each run of exactly equal values with its columns permuted
+    shuffled = np.array(vectors, copy=True)
+    runs = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
+    for run in np.unique(runs):
+        cols = np.flatnonzero(runs == run)
+        shuffled[:, cols] = shuffled[:, rng.permutation(cols)]
+    return shuffled
+
+
+def test_order_degenerate_matches_tuple_oracle_on_free_particle(rng):
+    n = 256
+    model = ModelSpec(FREE_PARTICLE, PhysicalConstants(),
+                      AxisGrid(n=n, origin=-20.0, spacing=40.0 / n,
+                               label="position"))
+    system = eig_hermitian(hamiltonian(model))
+    values = system.values
+    assert np.count_nonzero(values[1:] == values[:-1]) >= 10
+    shuffled = tie_shuffled(values, system.vectors, rng)
+    ordered = linalg._order_degenerate(values, shuffled.copy())
+    assert ordered.tobytes() \
+        == oracles.ordered_by_tuples(values, shuffled).tobytes()
+    assert ordered.tobytes() == system.vectors.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_order_degenerate_matches_tuple_oracle_on_blocks(rng, dtype):
+    # ties that break at the first component, deep inside the column, on
+    # the imaginary part only, across a -0.0 / 0.0 pair, and not at all
+    values = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0,
+                       4.0, 4.0])
+    vectors = rng.standard_normal((10, 12)).astype(dtype)
+    if dtype == np.complex128:
+        vectors += 1j * rng.standard_normal((10, 12))
+        vectors[:, 6] = vectors[:, 5]
+        vectors[4, 6] += 1j
+    else:
+        vectors[:6, 6] = vectors[:6, 5]
+    vectors[:, 2] = vectors[:, 4]
+    vectors[:8, 7] = vectors[:8, 8]
+    vectors[0, 0], vectors[0, 1] = -0.0, 0.0
+    vectors[1:, 1] = vectors[1:, 0]
+    vectors[:, 10:] = vectors[::-1, 10:]
+    for _ in range(4):
+        shuffled = tie_shuffled(values, vectors, rng)
+        ordered = linalg._order_degenerate(values, shuffled.copy())
+        assert ordered.tobytes() \
+            == oracles.ordered_by_tuples(values, shuffled).tobytes()
 
 
 def test_kron_matches_index_oracle(rng):

@@ -1,5 +1,7 @@
 """Hamiltonians, clock operators, spectra, ladder construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,43 @@ def test_hamiltonian_is_real_circulant_of_momentum_square(kind, k, grid):
     want = p @ p / (2.0 * k.mass) \
         + np.diag(0.5 * k.mass * omega ** 2 * grid.samples ** 2)
     assert maxnorm(ham - want) <= 1e-12 * maxnorm(want)
+
+
+@pytest.mark.parametrize("kind", [OSCILLATOR, FREE_PARTICLE])
+@pytest.mark.parametrize("k, grid", [
+    pytest.param(PhysicalConstants(),
+                 AxisGrid(n=256, origin=-20.0, spacing=40.0 / 256,
+                          label="position"), id="centred"),
+    pytest.param(PhysicalConstants(hbar=2.0, mass=3.0, c=1.5, omega=0.7),
+                 AxisGrid(n=48, origin=-2.3, spacing=0.31, label="position"),
+                 id="off_centre"),
+    pytest.param(PhysicalConstants(hbar=0.3, mass=0.45, omega=1.7),
+                 AxisGrid(n=130, origin=1.25, spacing=0.07,
+                          label="position"), id="positive_origin"),
+])
+def test_hamiltonian_matches_index_oracle(kind, k, grid):
+    # the Toeplitz-window build reproduces the index-array gather and its
+    # (C + C^T)/2 symmetrization bit for bit
+    ham = hamiltonian(ModelSpec(kind, k, grid)).matrix
+    omega = k.omega if kind == OSCILLATOR else 0.0
+    want = oracles.circulant_hamiltonian_by_index(ModelSpec(kind, k, grid),
+                                                  omega)
+    assert ham.dtype == want.dtype
+    assert ham.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", [OSCILLATOR, FREE_PARTICLE])
+def test_hamiltonian_allocation_peak(kind):
+    model = ModelSpec(kind, PhysicalConstants(), centred_grid(1024))
+    tracemalloc.start()
+    try:
+        ham = hamiltonian(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the matrix itself and O(n) scratch: no n x n index array, no
+    # symmetrizing temporary and no second copy when it is stored
+    assert peak <= 1.25 * ham.matrix.nbytes
 
 
 def centred_grid(n):
