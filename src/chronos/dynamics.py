@@ -8,11 +8,15 @@ Each unitary is closed-form: translations from the time grid's Fourier
 map, evolution and level swaps from the model's one shared eigensystem.
 The driver holds its state in the Hamiltonian eigenbasis times the time
 grid's Fourier basis, where both sides of the first constraint are
-diagonal, so no step builds an operator.
+diagonal, so no step builds an operator.  An evolve is a row of phases,
+O(n_q n_t), and its record repeats the previous observables, which a
+column phase leaves exactly unchanged.  A jump is a row swap and a
+time-domain phase kick reached by FFT, O(n_q n_t log n_t); it permutes the
+system density C C^H kept across the run, so its moments cost O(n_q^2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,6 +84,27 @@ def energy_shift(tg, d_energy, constants):
 
 def _shift_phases(tg, d_energy, constants):
     return np.exp(-1j * float(d_energy) * tg.samples / constants.hbar)
+
+
+def _translation_phases(tg, dt):
+    # e^{i w dt}: the translation by dt in the time grid's Fourier basis
+    return np.exp(1j * float(dt) * tg.frequencies)
+
+
+def _time_kick(c, tg, phases):
+    """C Phi^T diag(phases) conj(Phi): a pointwise product with phases in
+    the time domain, taken on the Fourier-basis columns of C.
+
+    Phi[j, k] = o_k (-1)^j e^{2 pi i jk/n} / sqrt(n) with o = e^{i t_0 w},
+    so the two dense products are an inverse and a forward FFT along the
+    time axis, in which the (-1)^j and sqrt(n) factors cancel.
+    """
+    o = np.exp(1j * tg.origin * tg.frequencies)
+    samples = np.fft.ifft(c * o, axis=1)
+    samples *= phases
+    out = np.fft.fft(samples, axis=1)
+    out *= o.conj()
+    return out
 
 
 def _swap_levels(i, j, es):
@@ -328,8 +353,17 @@ def run_scenario(sc):
     translation, cross checked against the lifted Hamiltonian exponential
     e^{-i E_m dt / hbar} whenever the state satisfies the first
     constraint; the two must agree within 1e-6.  A jump swaps rows i and
-    j and kicks the phases in the time domain.  Any failing step, a norm
-    drift included, raises with the partial trajectory attached.
+    j and kicks the phases in the time domain, reached by an FFT along
+    the time axis.  Any failing step, a norm drift included, raises with
+    the partial trajectory attached.
+
+    Every recorded observable depends only on |C|^2 and on the system
+    density rho = C C^H.  An evolve's column phases leave both exactly
+    unchanged, so its record repeats the one before it.  A jump maps C to
+    P C U with P the row swap and U unitary, so rho becomes P rho P, and
+    is permuted rather than formed again.  After the start-up (one
+    eigensolve, its certificate and the change of basis), an evolve costs
+    O(n_q n_t) and a jump O(n_q n_t log n_t + n_q^2).
     """
     model, es = validate_scenario(sc)
     tg = sc.t_grid
@@ -357,15 +391,9 @@ def run_scenario(sc):
     p_v = v.conj().T @ momentum_operator(sc.q_grid, k).matrix @ v
 
     records = []
+    kicks = {}  # the time-domain phase row of each (from, to) pair
 
-    def system_moments(c):
-        # <Q (x) I> and <P (x) I> times the squared norm, from the system
-        # density C C^H; an evolve only rephases the columns of C, which
-        # leaves that density unchanged, so only jumps call this again
-        rho = c @ c.conj().T
-        return float(np.vdot(rho, q_v).real), float(np.vdot(rho, p_v).real)
-
-    def observe(index, kind, c, moments):
+    def observe(index, kind, c):
         weights = np.abs(c) ** 2
         norm_sq = float(np.sum(weights))
         coeff_sq = weights[rows, cols]
@@ -376,43 +404,47 @@ def run_scenario(sc):
             probabilities = (float("nan"),) * rows.size
         records.append(TrajectoryRecord(
             index, kind,
-            moments[0] / norm_sq,
-            moments[1] / norm_sq,
+            float(np.vdot(rho, q_v).real) / norm_sq,
+            float(np.vdot(rho, p_v).real) / norm_sq,
             float(weights.sum(axis=1) @ energies) / norm_sq,
             float(np.sqrt(np.sum(weights * gaps_sq) / norm_sq)),
             weight,
             probabilities))
 
     def evolve(c, dt):
-        new = c * np.exp(1j * dt * tg.frequencies)
-        # observe has just measured the residual of this state
+        row = _translation_phases(tg, dt)
+        # the preceding record measured the residual of this state
         if records[-1].residual1 <= sc.constraint_tol:
-            alt = np.exp(-1j * dt / k.hbar * energies)[:, None] * c
-            gap = float(np.linalg.norm(alt - new))
+            diff = np.subtract.outer(np.exp(-1j * dt / k.hbar * energies),
+                                     row)
+            diff *= c
+            gap = float(np.sqrt(np.vdot(diff, diff).real))
             if gap > EQUIVALENCE_TOL:
                 raise ChronosError(
                     "evolution operators disagree by %.3e on a solution"
                     % gap)
-        return new
+        c *= row
 
     def jump(c, i, j):
-        e_from, e_to = _jump_energies(i, j, es, tg, k, sc.constraint_tol)
-        samples = c @ phi.T  # system eigenbasis (x) time samples
-        samples[[i, j]] = samples[[j, i]]
-        samples *= _shift_phases(tg, e_to - e_from, k)
-        return samples @ phi.conj()
+        if (i, j) not in kicks:
+            e_from, e_to = _jump_energies(i, j, es, tg, k,
+                                          sc.constraint_tol)
+            kicks[i, j] = _shift_phases(tg, e_to - e_from, k)
+        c[[i, j]] = c[[j, i]]
+        rho[[i, j]] = rho[[j, i]]
+        rho[:, [i, j]] = rho[:, [j, i]]
+        return _time_kick(c, tg, kicks[i, j])
 
     c = v.conj().T @ _initial_state(sc, es, tg).matrix @ phi.conj()
-    moments = system_moments(c)
-    observe(0, "init", c, moments)
+    rho = c @ c.conj().T
+    observe(0, "init", c)
     for index, step in enumerate(sc.steps, start=1):
         try:
             if step.kind == "evolve":
-                c = evolve(c, float(step.dt))
+                evolve(c, float(step.dt))
             else:
                 c = jump(c, step.from_level, step.to_level)
-                moments = system_moments(c)
-            norm = float(np.linalg.norm(c))
+            norm = float(np.sqrt(np.vdot(c, c).real))
             if not abs(norm - 1.0) <= NORM_ATOL:
                 raise NotUnitaryError("state norm %.12g is not 1 within %.1e"
                                       % (norm, NORM_ATOL))
@@ -420,5 +452,9 @@ def run_scenario(sc):
             raise ScenarioStepError(
                 "step %d (%s) failed: %s" % (index, step.kind, exc),
                 records) from exc
-        observe(index, step.kind, c, moments)
+        if step.kind == "evolve":
+            records.append(replace(records[-1], step_index=index,
+                                   kind="evolve"))
+        else:
+            observe(index, "jump", c)
     return records

@@ -182,6 +182,20 @@ def test_run_scenario_eigensolves_do_not_grow_with_steps(monkeypatch):
     assert once[1] == ten_times[1]
 
 
+@pytest.mark.parametrize("n_t", [16, 24, 64])
+@pytest.mark.parametrize("origin", [0.0, 0.37, -5.1])
+def test_time_kick_matches_dense_products(n_t, origin):
+    # the FFT route against the two dense Fourier-map products it replaces
+    rng = np.random.default_rng(n_t)
+    tg = AxisGrid(n=n_t, origin=origin, spacing=0.31, label="time")
+    phi = tg.fourier_map
+    c = rng.standard_normal((5, n_t)) + 1j * rng.standard_normal((5, n_t))
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, n_t))
+    want = (c @ phi.T * phases) @ phi.conj()
+    assert maxnorm(chronos.dynamics._time_kick(c, tg, phases) - want) \
+        <= 1e-12
+
+
 def test_eigen_swap_unitary_exchanges_levels():
     k = PhysicalConstants()
     model = ModelSpec(OSCILLATOR, k, __import__(
@@ -544,6 +558,19 @@ def spectral_cases():
         cases.append(pytest.param(
             make(steps=steps, initial=random_amplitudes(sc, 5)),
             id=name + "-amplitudes"))
+    # an off-origin time grid of 24 points, the same 6*pi period, and
+    # jumps back to back
+    sc = free_particle_scenario(t_grid=AxisGrid(
+        n=24, origin=2.2, spacing=6.0 * math.pi / 24, label="time"))
+    steps = (Step(kind="evolve", dt=0.7), jump_step(sc, 1, 3),
+             jump_step(sc, 3, 0), jump_step(sc, 0, 4),
+             Step(kind="evolve", dt=-1.3), jump_step(sc, 4, 1))
+    cases.append(pytest.param(dataclasses.replace(sc, steps=steps),
+                              id="free-offset-level"))
+    cases.append(pytest.param(
+        dataclasses.replace(sc, steps=steps,
+                            initial=random_amplitudes(sc, 7)),
+        id="free-offset-amplitudes"))
     return cases
 
 
@@ -644,3 +671,70 @@ def test_run_scenario_checks_the_norm_of_every_step(monkeypatch):
         assert isinstance(info.value.__cause__, NotUnitaryError)
         assert [r.kind for r in info.value.records] == ["init", "evolve",
                                                         "evolve"]
+
+
+@pytest.mark.parametrize("sc", [parse_scenario(JUMP_SCENARIO.read_bytes()),
+                                base_scenario(steps=ROUND_TRIP * 2)]
+                         + [case.values[0] for case in spectral_cases()])
+def test_run_scenario_evolve_repeats_the_observables(sc):
+    # a column phase leaves |C|^2 and C C^H unchanged, so an evolve record
+    # is the one before it, bit for bit, with its own index and kind
+    def bits(rec):
+        return np.array([rec.q_mean, rec.p_mean, rec.energy_mean,
+                         rec.residual1, rec.subspace_weight]
+                        + list(rec.probabilities)).tobytes()
+
+    records = run_scenario(sc)
+    evolves = [n for n, rec in enumerate(records) if rec.kind == "evolve"]
+    assert evolves
+    for n in evolves:
+        assert records[n].step_index == n
+        assert bits(records[n]) == bits(records[n - 1])
+
+
+def test_run_scenario_checks_the_norm_of_every_evolve(monkeypatch):
+    # a NaN phase row passes the equivalence guard's comparison (NaN is not
+    # above the bound) and must then fail the norm check; off a solution
+    # the guard is skipped and the norm check alone catches a bad row
+    import chronos.dynamics as dynamics
+    row = dynamics._translation_phases
+    off = random_amplitudes(base_scenario(), 3)
+    for initial, factor in ((InitialState(kind="level", level=0), math.nan),
+                            (off, math.nan), (off, 1.5)):
+        monkeypatch.setattr(dynamics, "_translation_phases",
+                            lambda *args: factor * row(*args))
+        with pytest.raises(ScenarioStepError) as info:
+            run_scenario(base_scenario(initial=initial))
+        assert isinstance(info.value.__cause__, NotUnitaryError)
+        assert [r.kind for r in info.value.records] == ["init"]
+
+
+def test_run_scenario_checks_jump_energies_once_per_pair(monkeypatch):
+    import chronos.dynamics as dynamics
+    checked = []
+    energies = dynamics._jump_energies
+
+    def counted(i, j, *args):
+        checked.append((i, j))
+        return energies(i, j, *args)
+
+    monkeypatch.setattr(dynamics, "_jump_energies", counted)
+    assert len(run_scenario(base_scenario(steps=ROUND_TRIP * 5))) == 21
+    assert checked == [(0, 2), (2, 0)]
+    # level 5 lies beyond the band edge of the 16-point time grid: the
+    # first jump to it fails as energy_jump would, after the good pairs
+    sc = base_scenario(steps=ROUND_TRIP + (
+        Step(kind="jump", from_level=0, to_level=5, at_time=0.5),
+        Step(kind="evolve", dt=0.2)))
+    model, es = validate_scenario(sc)
+    start = separable_first((float(es.values[0]), es.vector(0)),
+                            sc.t_grid, sc.constants)
+    with pytest.raises(OffLatticeError) as want:
+        energy_jump(start, 0, 5, model, (sc.q_grid, sc.t_grid))
+    with pytest.raises(ScenarioStepError) as info:
+        run_scenario(sc)
+    assert isinstance(info.value.__cause__, OffLatticeError)
+    assert str(info.value.__cause__) == str(want.value)
+    assert str(info.value) == "step 5 (jump) failed: %s" % want.value
+    assert [r.kind for r in info.value.records] == [
+        "init", "evolve", "jump", "evolve", "jump"]
