@@ -2,35 +2,9 @@
 
 Builds discretized conjugate pairs on a (system (x) time) product space,
 solves the associated constraint equations, and simulates evolution and
-energy-jump sequences.  Submodules load lazily so the command-line entry
-point can pin threading before numpy comes in.
+energy-jump sequences.  Importing the package imports no submodule, and
+so not numpy, which lets the command-line entry point pin threading
+before numpy comes in.
 """
-from importlib import import_module
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "axes",
-    "checks",
-    "cli",
-    "constraints",
-    "dynamics",
-    "exceptions",
-    "linalg",
-    "models",
-    "scenario",
-)
-
-__all__ = list(_SUBMODULES) + ["__version__"]
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        module = import_module("." + name, __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SUBMODULES))

@@ -27,7 +27,6 @@ from .axes import (
     position_operator,
     time_aligned_grids,
     time_operator,
-    tensor_state,
 )
 from .constraints import (
     DEFAULT_TOL,
@@ -43,7 +42,7 @@ from .constraints import (
 )
 from .dynamics import ladder_step_down, ladder_step_up
 from .exceptions import TruncationTopError, UnknownSuiteError
-from .linalg import hermitian_defect, maxnorm, operator
+from .linalg import hermitian_defect, kronecker_null_pairs, maxnorm, operator
 from .models import (
     FREE_PARTICLE,
     OSCILLATOR,
@@ -116,14 +115,6 @@ def _commutator_suite(k, tol):
     return rows
 
 
-def _lattice_pairs(es, tg, k, tol):
-    """(lattice energy, level vector) for every pair closer than tol."""
-    lattice = energy_lattice(tg, k)
-    gaps = np.abs(lattice[None, :] - es.values[:, None])
-    return [(float(lattice[j]), es.vector(m))
-            for m, j in zip(*np.nonzero(gaps <= tol))]
-
-
 def _constraint1_suite(k, tol):
     rows = []
     qg, tg = energy_aligned_grids(k)
@@ -132,8 +123,10 @@ def _constraint1_suite(k, tol):
     basis = physical_subspace(cop, tol)
     # expected kernel from exact lattice matching of the grid eigenvalues,
     # each pair solved separably at its lattice energy
-    states = [separable_first(pair, tg, k).amplitudes
-              for pair in _lattice_pairs(cop.system_eigensystem, tg, k, tol)]
+    es, lattice = cop.system_eigensystem, energy_lattice(tg, k)
+    states = [separable_first((float(lattice[j]), es.vector(m)), tg, k)
+              .amplitudes
+              for m, j in kronecker_null_pairs(es.values, lattice, tol)]
     rows.append(_le("level_count_gap", abs(basis.count - len(states)), 0.0))
     rows.append(_le("separable_residual_max",
                     max(map(cop.residual, states), default=0.0), tol))
@@ -149,7 +142,8 @@ def _constraint1_suite(k, tol):
     tg_d = AxisGrid(n=16, origin=0.0, spacing=period / 16, label=TIME)
     h_small = harmonic_hamiltonian(ModelSpec(OSCILLATOR, k, qg_s))
     cop_d = first_constraint_operator(h_small, tg_d, k)
-    expected = len(_lattice_pairs(cop_d.system_eigensystem, tg_d, k, tol))
+    expected = len(kronecker_null_pairs(cop_d.system_eigensystem.values,
+                                        energy_lattice(tg_d, k), tol))
     rows.append(_le("detuned_count_gap",
                     abs(physical_subspace(cop_d, tol).count - expected), 0.0))
     return rows
@@ -279,9 +273,7 @@ def _ladder_suite(k, tol):
     grids = (qg, tg)
 
     def solution(n):
-        delta = np.zeros(tg.n, dtype=np.complex128)
-        delta[n] = 1.0
-        return tensor_state(es.vector(n), delta)
+        return separable_second((tg.samples[n], es.vector(n)), tg)[0]
 
     up_gap = 0.0
     down_gap = 0.0

@@ -128,11 +128,9 @@ def cmd_spectrum(args):
 
 
 def cmd_check(args):
-    sc = _load_scenario(args.config) if args.config is not None else None
-    constants = sc.constants if sc is not None else None
-    tol = sc.constraint_tol if sc is not None else None
-    rows, all_passed = run_suite(args.suite, constants=constants,
-                                 constraint_tol=tol)
+    sc = _scenario_from_args(args)
+    rows, all_passed = run_suite(args.suite, constants=sc.constants,
+                                 constraint_tol=sc.constraint_tol)
     table = ResultTable(["name", "measured", "bound", "status"])
     for row in rows:
         table.add(row.name, row.measured, row.bound,

@@ -387,7 +387,8 @@ def run_scenario(sc):
     rows, cols = np.array(
         kronecker_null_pairs(energies, kappa, sc.constraint_tol),
         dtype=np.intp).reshape(-1, 2).T
-    q_v = (v.conj().T * sc.q_grid.samples) @ v
+    # complex here, once, rather than cast by every np.vdot(rho, q_v)
+    q_v = ((v.conj().T * sc.q_grid.samples) @ v).astype(np.complex128)
     p_v = v.conj().T @ momentum_operator(sc.q_grid, k).matrix @ v
 
     records = []

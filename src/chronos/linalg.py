@@ -95,10 +95,11 @@ def _require_hermitian(m):
 
 
 def unitary_defect(matrix):
-    """max-norm of A^H A - I."""
-    matrix = np.asarray(matrix)
-    eye = np.eye(matrix.shape[0])
-    return maxnorm(matrix.conj().T @ matrix - eye)
+    """max-norm of A^H A - I; A may be tall, its columns are what is tested."""
+    matrix = _stored(matrix)
+    gram = matrix.conj().T @ matrix
+    gram.flat[::gram.shape[0] + 1] -= 1.0
+    return _owned_maxnorm(gram)
 
 
 @dataclass(frozen=True)
@@ -284,13 +285,6 @@ def _eigh(m):
     return values[order], vectors
 
 
-def _gram_defect(block):
-    # maxnorm(B^H B - I)
-    gram = block.conj().T @ block
-    gram.flat[::gram.shape[0] + 1] -= 1.0
-    return _owned_maxnorm(gram)
-
-
 def _orthonormality_defect(vectors):
     # maxnorm(V^H V - I).  When n is even and every column is exactly even
     # or odd under j -> (n - j) mod n (an odd one also zero on rows 0 and
@@ -303,17 +297,17 @@ def _orthonormality_defect(vectors):
     n = vectors.shape[0]
     h = n // 2
     if np.iscomplexobj(vectors) or n % 2 or n == 0:
-        return _gram_defect(vectors)
+        return unitary_defect(vectors)
     inner, mirror = vectors[1:h], vectors[:h:-1]
     even = (mirror == inner).all(axis=0)
     odd = (mirror == -inner).all(axis=0) \
         & (vectors[0] == 0.0) & (vectors[h] == 0.0) & ~even
     if not (even | odd).all():
-        return _gram_defect(vectors)
+        return unitary_defect(vectors)
     even_rows, odd_rows = vectors[:h + 1, even], vectors[1:h, odd]
     even_rows[1:h] *= np.sqrt(2.0)
     odd_rows *= np.sqrt(2.0)
-    return np.maximum(_gram_defect(even_rows), _gram_defect(odd_rows))
+    return np.maximum(unitary_defect(even_rows), unitary_defect(odd_rows))
 
 
 def eig_hermitian(op):

@@ -34,16 +34,20 @@ def _fail(message, field):
     raise ScenarioValidationError(message, field=field)
 
 
-def _object(value, field):
+def _fields(value, field, allowed, required=(), one_of=False):
+    # value as an object whose keys are all allowed, that holds every
+    # required key, and, with one_of, exactly one key
     if not isinstance(value, dict):
         _fail("expected an object", field)
-    return value
-
-
-def _reject_unknown(obj, allowed, field):
-    for key in obj:
+    for key in value:
         if key not in allowed:
             _fail("unknown key %r" % (key,), field)
+    for key in required:
+        if key not in value:
+            _fail("missing key %r" % (key,), field)
+    if one_of and len(value) != 1:
+        _fail("exactly one of %s is required" % ", ".join(allowed), field)
+    return value
 
 
 def _number(value, field, *, positive=False):
@@ -68,22 +72,14 @@ def _integer(value, field, *, low=None, high=None):
 
 
 def _parse_constants(value):
-    obj = _object(value, "constants")
-    _reject_unknown(obj, CONSTANT_KEYS, "constants")
-    fields = {}
-    for key in CONSTANT_KEYS:
-        if key not in obj:
-            _fail("missing key %r" % (key,), "constants")
-        fields[key] = _number(obj[key], "constants.%s" % key, positive=True)
-    return PhysicalConstants(**fields)
+    obj = _fields(value, "constants", CONSTANT_KEYS, CONSTANT_KEYS)
+    return PhysicalConstants(**{
+        key: _number(obj[key], "constants.%s" % key, positive=True)
+        for key in CONSTANT_KEYS})
 
 
 def _parse_grid(value, field, label):
-    obj = _object(value, field)
-    _reject_unknown(obj, GRID_KEYS, field)
-    for key in GRID_KEYS:
-        if key not in obj:
-            _fail("missing key %r" % (key,), field)
+    obj = _fields(value, field, GRID_KEYS, GRID_KEYS)
     n = _integer(obj["n"], field + ".n", low=2)
     if n % 2 != 0:
         _fail("grid size must be even", field + ".n")
@@ -102,22 +98,15 @@ def _parse_preset(value, constants):
             _fail("unknown preset %r (expected one of %s or explicit grids)"
                   % (value, ", ".join(PRESETS)), "preset")
         return qg, tg, value
-    obj = _object(value, "preset")
-    _reject_unknown(obj, ("q", "t"), "preset")
-    for key in ("q", "t"):
-        if key not in obj:
-            _fail("missing key %r" % (key,), "preset")
+    obj = _fields(value, "preset", ("q", "t"), ("q", "t"))
     qg = _parse_grid(obj["q"], "preset.q", POSITION)
     tg = _parse_grid(obj["t"], "preset.t", TIME)
     return qg, tg, None
 
 
 def _parse_initial(value, n_q, n_t):
-    obj = _object(value, "initial")
-    _reject_unknown(obj, ("level", "energy", "amplitudes"), "initial")
-    if len(obj) != 1:
-        _fail("exactly one of level, energy, amplitudes is required",
-              "initial")
+    obj = _fields(value, "initial", ("level", "energy", "amplitudes"),
+                  one_of=True)
     if "level" in obj:
         level = _integer(obj["level"], "initial.level", low=0,
                          high=DEFAULT_RETAINED_LEVELS)
@@ -147,19 +136,13 @@ def _parse_steps(value):
     steps = []
     for i, raw in enumerate(value):
         where = "steps[%d]" % i
-        obj = _object(raw, where)
-        _reject_unknown(obj, ("evolve", "jump"), where)
-        if len(obj) != 1:
-            _fail("exactly one of evolve, jump is required", where)
+        obj = _fields(raw, where, ("evolve", "jump"), one_of=True)
         if "evolve" in obj:
             steps.append(Step("evolve",
                               dt=_number(obj["evolve"], where + ".evolve")))
             continue
-        jump = _object(obj["jump"], where + ".jump")
-        _reject_unknown(jump, ("from", "to", "at"), where + ".jump")
-        for key in ("from", "to", "at"):
-            if key not in jump:
-                _fail("missing key %r" % (key,), where + ".jump")
+        jump = _fields(obj["jump"], where + ".jump", ("from", "to", "at"),
+                       ("from", "to", "at"))
         from_level = _integer(jump["from"], where + ".jump.from", low=0,
                               high=DEFAULT_RETAINED_LEVELS)
         to_level = _integer(jump["to"], where + ".jump.to", low=0,
@@ -172,9 +155,8 @@ def _parse_steps(value):
 
 
 def _parse_tolerances(value):
-    obj = _object({} if value is None else value, "tolerances")
     defaults = {"constraint_tol": DEFAULT_TOL, "eigen_tol": EIGEN_TOL}
-    _reject_unknown(obj, defaults, "tolerances")
+    obj = _fields({} if value is None else value, "tolerances", defaults)
     return tuple(_number(obj[key], "tolerances." + key, positive=True)
                  if key in obj else default
                  for key, default in defaults.items())
@@ -201,11 +183,7 @@ def parse_scenario(text):
     except json.JSONDecodeError as exc:
         raise ScenarioSyntaxError(exc.msg, line=exc.lineno,
                                   column=exc.colno) from exc
-    doc = _object(doc, "<document>")
-    _reject_unknown(doc, TOP_KEYS, "<document>")
-    for key in ("constants", "preset", "model", "initial", "steps"):
-        if key not in doc:
-            _fail("missing key %r" % (key,), "<document>")
+    _fields(doc, "<document>", TOP_KEYS, TOP_KEYS[:-1])  # all but tolerances
     try:
         constants = _parse_constants(doc["constants"])
     except ValueError as exc:

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import chronos
 from chronos.cli import ResultTable, main
 from chronos.models import free_particle_time_level
 from chronos.axes import PhysicalConstants
+from chronos.constraints import DEFAULT_TOL
 
 
 SMALL_DOC = {
@@ -290,6 +292,35 @@ def test_console_script_and_module_entry_agree(small_config):
         assert child.stdout == module.stdout, (
             f"{label} and python -m chronos disagree; stderr: "
             f"{child.stderr!r} / {module.stderr!r}")
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    # the entry point pins BLAS threads only while numpy is not yet loaded
+    probe = ("import sys, chronos; print(sorted(m for m in sys.modules "
+             "if m.startswith('chronos.') or m == 'numpy'))")
+    child = subprocess.run([sys.executable, "-c", probe],
+                           capture_output=True, text=True, env=_child_env())
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
+
+
+def test_importing_entry_module_runs_nothing():
+    child = subprocess.run([sys.executable, "-c", "import chronos.__main__"],
+                           capture_output=True, text=True, env=_child_env())
+    assert (child.returncode, child.stdout, child.stderr) == (0, "", "")
+
+
+@pytest.mark.parametrize("suite", ["constraint1", "ladder"])
+def test_check_defaults_match_default_config(capsys, tmp_path, suite):
+    doc = dict(SMALL_DOC, constants=asdict(PhysicalConstants()),
+               tolerances={"constraint_tol": DEFAULT_TOL})
+    path = tmp_path / "defaults.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    bare = run_cli(capsys, "check", "--suite", suite)
+    configured = run_cli(capsys, "check", "--suite", suite,
+                         "--config", str(path))
+    assert bare[0] == 0
+    assert configured == bare
 
 
 def test_no_color_env_strips_nothing_when_piped(capsys, monkeypatch):

@@ -1,4 +1,5 @@
-"""Every imported name is used: a stdlib `ast` scan, no linter needed."""
+"""Every imported name and every private module-level name in the
+package is used: stdlib `ast` scans, no linter needed."""
 
 import ast
 import pathlib
@@ -39,3 +40,40 @@ def test_scan_finds_unused_names():
 def test_no_unused_imports(path):
     source = (REPO / path).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+def unread_private_names(sources):
+    """Module-level private names that sources define and none reads.
+
+    A name is read when it is loaded as an identifier or as an attribute
+    anywhere in any of the sources; dunder names are exempt.
+    """
+    trees = [ast.parse(source) for source in sources]
+    read = set()
+    defined = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, ast.Assign):
+                defined += [t.id for t in node.targets
+                            if isinstance(t, ast.Name)]
+    return [name for name in defined if name.startswith("_")
+            and not name.endswith("__") and name not in read]
+
+
+def test_scan_finds_unread_private_names():
+    sources = ["_a = 1\n_b = 2\n__all__ = []\ndef _f():\n    return _a\n",
+               "class _C:\n    pass\nx = y._C\n"]
+    assert unread_private_names(sources) == ["_b", "_f"]
+
+
+def test_no_unread_private_names():
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted((REPO / "src" / "chronos").glob("*.py"))]
+    assert unread_private_names(sources) == []

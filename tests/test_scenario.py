@@ -89,6 +89,75 @@ def test_parse_rejects_unknown_keys():
     assert "constants" in str(info.value)
 
 
+DELETE = object()
+JUMP = {"from": 0, "to": 1, "at": 0.5}
+OBJECT = "expected an object"
+INITIAL_ONE = "exactly one of level, energy, amplitudes is required"
+STEP_ONE = "exactly one of evolve, jump is required"
+
+# (path into base_doc, new value or DELETE, field, message): a non-object,
+# an unknown key and a missing key at every object the parser checks, and
+# zero and two keys where exactly one is required
+FIELD_CASES = [
+    ((), [], "<document>", OBJECT),
+    (("extra",), 1, "<document>", "unknown key 'extra'"),
+    (("steps",), DELETE, "<document>", "missing key 'steps'"),
+    (("constants",), [1.0], "constants", OBJECT),
+    (("constants", "planck"), 1.0, "constants", "unknown key 'planck'"),
+    (("constants", "omega"), DELETE, "constants", "missing key 'omega'"),
+    (("preset",), [], "preset", OBJECT),
+    (("preset", "r"), {}, "preset", "unknown key 'r'"),
+    (("preset", "t"), DELETE, "preset", "missing key 't'"),
+    (("preset", "q"), 3, "preset.q", OBJECT),
+    (("preset", "q", "step"), 1, "preset.q", "unknown key 'step'"),
+    (("preset", "q", "spacing"), DELETE, "preset.q", "missing key 'spacing'"),
+    (("preset", "t"), "t", "preset.t", OBJECT),
+    (("preset", "t", "step"), 1, "preset.t", "unknown key 'step'"),
+    (("preset", "t", "n"), DELETE, "preset.t", "missing key 'n'"),
+    (("initial",), "level", "initial", OBJECT),
+    (("initial",), {"spin": 1}, "initial", "unknown key 'spin'"),
+    (("initial",), {}, "initial", INITIAL_ONE),
+    (("initial",), {"level": 0, "energy": 0.5}, "initial", INITIAL_ONE),
+    (("steps", 1), 2.0, "steps[1]", OBJECT),
+    (("steps", 1), {"pause": 1.0}, "steps[1]", "unknown key 'pause'"),
+    (("steps", 1), {}, "steps[1]", STEP_ONE),
+    (("steps", 1), {"evolve": 1.0, "jump": JUMP}, "steps[1]", STEP_ONE),
+    (("steps", 1), {"jump": [0, 1]}, "steps[1].jump", OBJECT),
+    (("steps", 1), {"jump": dict(JUMP, by=2)}, "steps[1].jump",
+     "unknown key 'by'"),
+    (("steps", 1), {"jump": {"from": 0, "to": 1}}, "steps[1].jump",
+     "missing key 'at'"),
+    (("tolerances",), 1e-6, "tolerances", OBJECT),
+    (("tolerances",), {"slack": 1.0}, "tolerances", "unknown key 'slack'"),
+]
+
+
+def edited_doc(path, value):
+    """base_doc, with two steps, after one edit at a key path."""
+    doc = base_doc(steps=[{"evolve": 1.0}, {"jump": dict(JUMP)}])
+    if not path:
+        return value
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("path,value,field,message", FIELD_CASES,
+                         ids=["%s-%d" % (c[2].strip("<>"), i)
+                              for i, c in enumerate(FIELD_CASES)])
+def test_parse_reports_field_and_message(path, value, field, message):
+    with pytest.raises(ScenarioValidationError) as info:
+        parse_scenario(json.dumps(edited_doc(path, value)))
+    assert info.value.field == field
+    assert str(info.value) == "%s: %s" % (field, message)
+
+
 def test_parse_rejects_missing_top_key():
     doc = base_doc()
     del doc["model"]
