@@ -14,10 +14,13 @@ j -> (n - j) mod n as two half-size even and odd blocks; intended
 sizes are a few hundred rows per factor space and a few thousand for
 composites.  Every eigendecomposition is certified on every route by
 the input's hermitian defect, orthonormality and reconstruction against
-the caller's full matrix; orthonormality costs two half-size Gram
-products when every vector is exactly even or odd, the full one
-otherwise.  Every hermitian, unitary and decomposition check is written
-so that a NaN defect fails it.
+the caller's full matrix.  When every vector is exactly even or odd, and
+for reconstruction the input is also exactly reflection-invariant, each
+of the two costs two half-size products, a quarter of the n^3 of the
+full one that any other input gets.  The hermitian defect is compared
+tile by tile, so no n x n transposed read is made.  Every hermitian,
+unitary and decomposition check is written so that a NaN defect fails
+it.
 """
 from __future__ import annotations
 
@@ -40,6 +43,9 @@ RECONSTRUCT_RTOL = 1e-9
 # components below this fraction of the column peak are ignored when
 # picking the phase-fixing pivot
 PHASE_PIVOT_RTOL = 1e-8
+
+# side of the square tiles hermitian_defect compares with their mirrors
+_TILE = 128
 
 
 def maxnorm(a):
@@ -69,6 +75,14 @@ def _stored(a):
                     copy=False)
 
 
+def _square(a):
+    # the one shape rule of every operator entry point
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(
+            "operator matrix must be square, got shape %r" % (a.shape,))
+    return a
+
+
 def _frozen(a):
     a = _stored(a)
     # an array that owns its memory and was made read-only by the builder
@@ -81,17 +95,33 @@ def _frozen(a):
 
 
 def hermitian_defect(matrix):
-    """max |A_ij - conj(A_ji)|, the distance from exact Hermitian symmetry."""
-    matrix = np.asarray(matrix)
-    return _owned_maxnorm(matrix - matrix.conj().T)
+    """max |A_ij - conj(A_ji)|, the distance from exact Hermitian symmetry.
+
+    Each tile on or above the diagonal is compared with the conjugate
+    transpose of its mirror tile, which covers every pair (i, j) once and
+    is bit-identical to the dense difference; np.maximum carries a NaN in
+    any tile to the result.
+    """
+    matrix = _square(np.asarray(matrix))
+    n = matrix.shape[0]
+    defect = 0.0
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper = matrix[i:i + _TILE, j:j + _TILE]
+            lower = matrix[j:j + _TILE, i:i + _TILE]
+            defect = np.maximum(defect,
+                                _owned_maxnorm(upper - lower.conj().T))
+    return float(defect)
 
 
 def _require_hermitian(m):
+    # returns maxnorm(m), the scale of every relative check on m
     defect, scale = hermitian_defect(m), maxnorm(m)
     if not defect <= HERMITIAN_RTOL * max(scale, 1e-300):
         raise NotHermitianError(
             "hermitian defect %.3e exceeds %.1e of maxnorm %.3e"
             % (defect, HERMITIAN_RTOL, scale))
+    return scale
 
 
 def unitary_defect(matrix):
@@ -118,11 +148,8 @@ class OperatorMatrix:
     hermitian: bool = False
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(
-                "operator matrix must be square, got shape %r" % (m.shape,))
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix",
+                           _frozen(_square(np.asarray(self.matrix))))
 
     @property
     def dim(self):
@@ -136,7 +163,7 @@ def operator(matrix, *, hermitian=False, unitary=False):
                the operator's flag
     unitary:   maxnorm(A^H A - I) <= 1e-10; verified, not stored
     """
-    m = _stored(matrix)
+    m = _square(_stored(matrix))
     if hermitian:
         _require_hermitian(m)
     if unitary:
@@ -243,6 +270,17 @@ def _order_degenerate(values, vectors):
     return vectors
 
 
+def _reflection_invariant(m):
+    # m[(n - i) % n, (n - j) % n] == m[i, j] for every entry, tested
+    # exactly on views.  Row 0 is its own mirror; rows 1 .. h, h = n // 2,
+    # are compared with their mirrors n - 1 .. n - h, which covers every
+    # other equation once and reads every entry.
+    h = m.shape[0] // 2
+    return np.array_equal(m[0, 1:], m[0, :0:-1]) \
+        and np.array_equal(m[1:h + 1, 0], m[:-h - 1:-1, 0]) \
+        and np.array_equal(m[1:h + 1, 1:], m[:-h - 1:-1, :0:-1])
+
+
 def _eigh(m):
     # np.linalg.eigh of m, except that a real matrix of even order n that
     # is exactly invariant under the reflection j -> (n - j) mod n is
@@ -254,8 +292,7 @@ def _eigh(m):
     # n = 4 the split saves nothing.
     n = m.shape[0]
     if m.dtype != np.float64 or n % 2 or n < 4 \
-            or not np.array_equal(m[1:, 1:], m[1:, 1:][::-1, ::-1]) \
-            or not np.array_equal(m[0, 1:], m[0, :0:-1]):
+            or not _reflection_invariant(m):
         return np.linalg.eigh(m)
     h = n // 2
     r = np.sqrt(0.5)
@@ -270,44 +307,94 @@ def _eigh(m):
     del even
     odd_values, odd_vectors = np.linalg.eigh(
         np.subtract(m[1:h, 1:h], m[1:h, :h:-1]))
-    values = np.concatenate((even_values, odd_values))
-    order = np.argsort(values, kind="stable")
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)
-    even_column, odd_column = column[:h + 1], column[h + 1:]
     even_vectors[1:h] *= r
     odd_vectors *= r
-    vectors = np.zeros((n, n))
-    vectors[:h + 1, even_column] = even_vectors
-    vectors[:h:-1, even_column] = even_vectors[1:h]
-    vectors[1:h, odd_column] = odd_vectors
-    vectors[:h:-1, odd_column] = -odd_vectors
+    # rows 0 .. h in block order, [even | odd], gathered into ascending
+    # order by one take; rows h + 1 .. n - 1 then mirror rows h - 1 .. 1,
+    # times +1 in an even column and -1 in an odd one, both exact
+    top = np.empty((h + 1, n))
+    top[:, :h + 1] = even_vectors
+    top[::h, h + 1:] = 0.0
+    top[1:h, h + 1:] = odd_vectors
+    del even_vectors, odd_vectors
+    values = np.concatenate((even_values, odd_values))
+    order = np.argsort(values, kind="stable")
+    sign = np.ones(n)
+    sign[h + 1:] = -1.0
+    vectors = np.empty((n, n))
+    # order is a permutation, so "clip" never clips; it lets take write
+    # into the view unbuffered
+    np.take(top, order, axis=1, out=vectors[:h + 1], mode="clip")
+    np.multiply(vectors[h - 1:0:-1], sign[order], out=vectors[h + 1:])
     return values[order], vectors
 
 
-def _orthonormality_defect(vectors):
-    # maxnorm(V^H V - I).  When n is even and every column is exactly even
-    # or odd under j -> (n - j) mod n (an odd one also zero on rows 0 and
-    # n/2), as the reflection split returns them, even and odd columns are
-    # orthogonal term by term and rows n/2 + 1 .. n - 1 repeat rows
-    # 1 .. n/2 - 1.  The defect is then that of two half-size products:
-    # rows 0 .. n/2 of the even columns and 1 .. n/2 - 1 of the odd ones,
-    # rows 1 .. n/2 - 1 weighted by sqrt(2).  The parity test is exact and
-    # O(n^2); anything else gets the full product.
+def _parity_columns(vectors):
+    # (even, odd) column indices when n is even and every column of the
+    # real n x n vectors is exactly even or odd under j -> (n - j) mod n,
+    # an odd one also zero on rows 0 and n/2, as the reflection split
+    # returns them; None otherwise.  Exact and O(n^2).
     n = vectors.shape[0]
     h = n // 2
     if np.iscomplexobj(vectors) or n % 2 or n == 0:
-        return unitary_defect(vectors)
+        return None
     inner, mirror = vectors[1:h], vectors[:h:-1]
     even = (mirror == inner).all(axis=0)
     odd = (mirror == -inner).all(axis=0) \
         & (vectors[0] == 0.0) & (vectors[h] == 0.0) & ~even
     if not (even | odd).all():
+        return None
+    return np.flatnonzero(even), np.flatnonzero(odd)
+
+
+def _orthonormality_defect(vectors, parity):
+    # maxnorm(V^H V - I).  With parity (_parity_columns), even and odd
+    # columns are orthogonal term by term and rows n/2 + 1 .. n - 1 repeat
+    # rows 1 .. n/2 - 1.  The defect is then that of two half-size
+    # products: rows 0 .. n/2 of the even columns and 1 .. n/2 - 1 of the
+    # odd ones, rows 1 .. n/2 - 1 weighted by sqrt(2).  Anything else gets
+    # the full product.
+    if parity is None:
         return unitary_defect(vectors)
-    even_rows, odd_rows = vectors[:h + 1, even], vectors[1:h, odd]
+    h = vectors.shape[0] // 2
+    even_rows = np.take(vectors[:h + 1], parity[0], axis=1)
+    odd_rows = np.take(vectors[1:h], parity[1], axis=1)
     even_rows[1:h] *= np.sqrt(2.0)
     odd_rows *= np.sqrt(2.0)
     return np.maximum(unitary_defect(even_rows), unitary_defect(odd_rows))
+
+
+def _reconstruction_defect(values, vectors, m, parity):
+    # maxnorm(V diag(w) V^H - m).  With parity and a real m that is exactly
+    # reflection-invariant, P V = V S for the reflection P and a diagonal
+    # S of signs, so V diag(w) V^T - m is exactly invariant too and its
+    # rows 0 .. n/2 hold a representative of every entry.  Only those rows
+    # are formed, from two half-size products: the even columns' rows
+    # 0 .. n/2 and the odd columns' rows 1 .. n/2 - 1 (their rows 0 and
+    # n/2 are zero).  Columns n/2 + 1 .. n - 1 are the reflected columns
+    # 1 .. n/2 - 1, the even part with a plus sign and the odd part with a
+    # minus.  Anything else gets the full product.  Each temporary is
+    # dropped before the next one is made.
+    if parity is None or m.dtype != np.float64 \
+            or not _reflection_invariant(m):
+        recon = (vectors * values) @ vectors.conj().T
+        recon -= m
+        return _owned_maxnorm(recon)
+    n = m.shape[0]
+    h = n // 2
+    even, odd = parity
+    rows = np.take(vectors[:h + 1], even, axis=1)
+    top = np.empty((h + 1, n))
+    top[:, :h + 1] = (rows * values[even]) @ rows.T
+    top[:, h + 1:] = top[:, h - 1:0:-1]
+    rows = np.take(vectors[1:h], odd, axis=1)
+    block = (rows * values[odd]) @ rows.T
+    del rows
+    top[1:h, 1:h] += block
+    top[1:h, h + 1:] -= block[:, ::-1]
+    del block
+    top -= m[:h + 1]
+    return _owned_maxnorm(top)
 
 
 def eig_hermitian(op):
@@ -325,22 +412,27 @@ def eig_hermitian(op):
     eigenspaces included.
 
     Three checks run on every route, each written so that NaN fails it:
-    - the input's hermitian defect, O(n^2);
+    - the input's hermitian defect, O(n^2), tile by tile;
     - orthonormality of the merged, phase-fixed and ordered vectors,
       maxnorm(V^H V - I) <= 1e-10.  When every column is exactly even or
       odd, tested entry by entry in O(n^2), this is two half-size products
       at a quarter of the n^3 cost; otherwise the full product;
     - reconstruction against the caller's full matrix, maxnorm(V diag(w)
-      V^H - A) <= 1e-9 maxnorm(A), one full n^3 product, so it certifies
-      the split too.
+      V^H - A) <= 1e-9 maxnorm(A), so it certifies the split too.  When
+      every column is exactly even or odd and A is real and exactly
+      reflection-invariant, tested entry by entry in O(n^2), every entry
+      of the difference equals one in its rows 0 .. n/2, and those rows
+      come from two half-size products at a quarter of the n^3 cost;
+      otherwise the full product.
+    A matrix that is not square raises DimensionMismatchError.
     """
     if isinstance(op, OperatorMatrix):
         if not op.hermitian:
             raise NotHermitianError("operator is not flagged hermitian")
         m = op.matrix
     else:
-        m = _stored(op)
-    _require_hermitian(m)
+        m = _square(_stored(op))
+    scale = _require_hermitian(m)
     try:
         values, vectors = _eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -348,15 +440,12 @@ def eig_hermitian(op):
     _fix_phase(vectors)
     _order_degenerate(values, vectors)
 
-    if not _orthonormality_defect(vectors) <= ORTHONORMAL_ATOL:
+    parity = _parity_columns(vectors)
+    if not _orthonormality_defect(vectors, parity) <= ORTHONORMAL_ATOL:
         raise ConvergenceError("eigenvectors lost orthonormality")
-    # each n x n temporary is dropped before the next one is made
-    recon = (vectors * values) @ vectors.conj().T
-    recon -= m
-    if not _owned_maxnorm(recon) <= RECONSTRUCT_RTOL * max(maxnorm(m),
-                                                           1e-300):
+    if not _reconstruction_defect(values, vectors, m, parity) \
+            <= RECONSTRUCT_RTOL * max(scale, 1e-300):
         raise ConvergenceError("eigendecomposition does not reconstruct input")
-    del recon
     vectors.setflags(write=False)  # stored by EigenSystem without a copy
     return EigenSystem(values, vectors)
 
@@ -367,8 +456,15 @@ def kron(a, b):
         a = OperatorMatrix(a)
     if not isinstance(b, OperatorMatrix):
         b = OperatorMatrix(b)
-    return OperatorMatrix(np.kron(a.matrix, b.matrix),
-                          hermitian=a.hermitian and b.hermitian)
+    na, nb = a.dim, b.dim
+    # np.kron's own broadcast product, written into one array this call
+    # owns and freezes, so OperatorMatrix keeps it without a copy
+    out = np.empty((na * nb, na * nb),
+                   dtype=np.result_type(a.matrix, b.matrix))
+    np.multiply(a.matrix[:, None, :, None], b.matrix[None, :, None, :],
+                out=out.reshape(na, nb, na, nb))
+    out.setflags(write=False)
+    return OperatorMatrix(out, hermitian=a.hermitian and b.hermitian)
 
 
 def unitary_exp(op, theta):

@@ -202,3 +202,43 @@ def circulant_hamiltonian_by_index(model, omega):
     m = 0.5 * (m + m.T)
     m[j, j] += 0.5 * k.mass * omega ** 2 * grid.samples ** 2
     return m
+
+
+def dense_hermitian_defect(matrix):
+    """max |A_ij - conj(A_ji)| from one dense difference with the
+    transpose: 0.0 for an empty matrix, NaN when any entry is NaN."""
+    difference = np.abs(matrix - matrix.conj().T)
+    return float(difference.max()) if difference.size else 0.0
+
+
+def scatter_merge(even, odd):
+    """Values and full-length vectors of the reflection split, from the
+    (values, vectors) that eigh returned for the even block of order
+    n/2 + 1 and the odd block of order n/2 - 1.  Each block column is
+    scattered into its ascending-order column of a zero n x n matrix, an
+    even one onto rows 0 .. n/2 and mirrored onto n/2 + 1 .. n - 1, an
+    odd one onto rows 1 .. n/2 - 1 and mirrored negated."""
+    (even_values, even_vectors), (odd_values, odd_vectors) = even, odd
+    h = even_vectors.shape[0] - 1
+    n = 2 * h
+    r = np.sqrt(0.5)
+    even_vectors = np.array(even_vectors, copy=True)
+    even_vectors[1:h] *= r
+    odd_vectors = odd_vectors * r
+    values = np.concatenate((even_values, odd_values))
+    order = np.argsort(values, kind="stable")
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    even_column, odd_column = column[:h + 1], column[h + 1:]
+    vectors = np.zeros((n, n))
+    vectors[:h + 1, even_column] = even_vectors
+    vectors[:h:-1, even_column] = even_vectors[1:h]
+    vectors[1:h, odd_column] = odd_vectors
+    vectors[:h:-1, odd_column] = -odd_vectors
+    return values[order], vectors
+
+
+def dense_reconstruction_defect(values, vectors, matrix):
+    """max |V diag(values) V^H - A| from one full product."""
+    return float(np.abs((vectors * values) @ vectors.conj().T
+                        - matrix).max())

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from chronos import linalg
-from chronos.axes import AxisGrid, PhysicalConstants
+from chronos.axes import AxisGrid, PhysicalConstants, lift_system
 from chronos.exceptions import (
     ConvergenceError,
+    DimensionMismatchError,
     NotHermitianError,
     NotUnitaryError,
 )
@@ -118,6 +119,50 @@ def test_flags_refuse_non_finite_matrices(index):
             operator(m, unitary=True)
         with pytest.raises(NotHermitianError):
             eig_hermitian(m)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+def test_raw_matrix_that_is_not_square_is_refused(shape):
+    # the shape is checked before any hermitian check reads the matrix
+    with pytest.raises(DimensionMismatchError, match="must be square"):
+        operator(np.ones(shape), hermitian=True)
+    with pytest.raises(DimensionMismatchError, match="must be square"):
+        eig_hermitian(np.ones(shape))
+
+
+def defect_inputs(rng, n, dtype):
+    # a far-from-Hermitian matrix, an exactly Hermitian one, and one off
+    # by a single entry in the last row
+    raw = 100.0 * rng.standard_normal((n, n))
+    if dtype == np.complex128:
+        raw = raw + 100j * rng.standard_normal((n, n))
+    raw = raw.astype(dtype)
+    herm = raw + raw.conj().T
+    near = herm.copy()
+    if n:
+        near[n - 1, 0] += 1
+    return raw, herm, near
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.int64])
+@pytest.mark.parametrize("n", [0, 1, 2, 127, 128, 129, 300])
+def test_hermitian_defect_matches_dense_oracle(rng, dtype, n):
+    for m in defect_inputs(rng, n, dtype):
+        got = hermitian_defect(m)
+        assert type(got) is float
+        assert np.float64(got).tobytes() \
+            == np.float64(oracles.dense_hermitian_defect(m)).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("index", [(5, 7), (5, 200), (200, 5), (290, 150)],
+                         ids=["diagonal", "upper", "lower", "lower_edge"])
+def test_hermitian_defect_propagates_nan_from_any_tile(rng, dtype, index):
+    m = random_symmetric(rng, 300).astype(dtype)
+    m[index] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(hermitian_defect(m))
+        assert np.isnan(oracles.dense_hermitian_defect(m))
 
 
 def test_eig_matches_jacobi_oracle(rng):
@@ -368,6 +413,126 @@ def test_eig_parity_break_takes_the_full_gram(rng, monkeypatch, parity, row):
     assert 0 in oracles.reflection_parities(broken(m)[1])
 
 
+@pytest.mark.parametrize("n", [1, 2, 6, 7, 12])
+def test_reflection_test_reads_every_entry(rng, n):
+    # the quarter reconstruction compares rows 0 .. n/2 only, so the
+    # reflection test must see a one-ulp change in any entry that is not
+    # its own mirror
+    flip = -np.arange(n) % n
+    m = reflected(random_symmetric(rng, n))
+    assert linalg._reflection_invariant(m)
+    for index in np.ndindex(n, n):
+        changed = m.copy()
+        changed[index] = np.nextafter(changed[index], np.inf)
+        assert linalg._reflection_invariant(changed) \
+            == (index == (flip[index[0]], flip[index[1]]))
+
+
+def split_result(m):
+    # the split's values, vectors and parity as eig_hermitian checks them
+    values, vectors = linalg._eigh(m)
+    linalg._fix_phase(vectors)
+    linalg._order_degenerate(values, vectors)
+    return values, vectors, linalg._parity_columns(vectors)
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, 512])
+def test_quarter_reconstruction_matches_full_product(rng, n):
+    m = reflected(random_symmetric(rng, n))
+    values, vectors, parity = split_result(m)
+    assert parity is not None and linalg._reflection_invariant(m)
+    shifted = values.copy()
+    shifted[n // 3] += 1e-6
+    for w in (values, shifted):
+        quarter = linalg._reconstruction_defect(w, vectors, m, parity)
+        full = oracles.dense_reconstruction_defect(w, vectors, m)
+        assert abs(quarter - full) <= 1e-13 * maxnorm(m)
+
+
+def test_eig_quarter_reconstruction_refuses_a_wrong_value(rng, monkeypatch):
+    m = reflected(random_symmetric(rng, 12))
+    split = linalg._eigh
+    seen = []
+    invariant = linalg._reflection_invariant
+
+    def spy(a):
+        seen.append(invariant(a))
+        return seen[-1]
+
+    def shifted(a):
+        values, vectors = split(a)
+        values[3] += 1e-3
+        return values, vectors
+
+    monkeypatch.setattr(linalg, "_reflection_invariant", spy)
+    monkeypatch.setattr(linalg, "_eigh", shifted)
+    with pytest.raises(ConvergenceError, match="reconstruct"):
+        eig_hermitian(m)
+    # one test routes the solve, one the reconstruction: both split
+    assert seen == [True, True]
+
+
+def test_eig_reconstruction_reads_rows_below_the_quarter(rng, monkeypatch):
+    # an input changed only in rows n/2 + 1 .. n - 1, still Hermitian but
+    # no longer reflection-invariant, handed the unchanged split result:
+    # rows 0 .. n/2 agree, so only the full product can refuse it
+    m = reflected(random_symmetric(rng, 12))
+    changed = m.copy()
+    changed[8, 10] += 1e-3
+    changed[10, 8] += 1e-3
+    assert np.array_equal(changed[:7], m[:7])
+    values, vectors = linalg._eigh(m)
+    monkeypatch.setattr(linalg, "_eigh",
+                        lambda a: (values.copy(), vectors.copy()))
+    eig_hermitian(m)
+    with pytest.raises(ConvergenceError, match="reconstruct"):
+        eig_hermitian(changed)
+
+
+def test_eig_nan_below_the_quarter_is_refused(rng):
+    m = reflected(random_symmetric(rng, 12))
+    values, vectors, parity = split_result(m)
+    m[9, 10] = m[10, 9] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(
+            linalg._reconstruction_defect(values, vectors, m, parity))
+        with pytest.raises(NotHermitianError):
+            eig_hermitian(m)
+
+
+def free_particle_matrix(n):
+    return hamiltonian(ModelSpec(
+        FREE_PARTICLE, PhysicalConstants(),
+        AxisGrid(n=n, origin=-20.0, spacing=40.0 / n,
+                 label="position"))).matrix
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda rng: reflected(random_symmetric(rng, 4)), id="n4"),
+    pytest.param(lambda rng: reflected(random_symmetric(rng, 12)), id="n12"),
+    pytest.param(lambda rng: reflected(random_symmetric(rng, 64)), id="n64"),
+    pytest.param(lambda rng: free_particle_matrix(256), id="free_particle"),
+])
+def test_eigh_merge_matches_scatter_oracle(rng, monkeypatch, build):
+    m = build(rng)
+    blocks = []
+    eigh = np.linalg.eigh
+
+    def spy(a):
+        values, vectors = eigh(a)
+        blocks.append((values.copy(), vectors.copy()))
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    values, vectors = linalg._eigh(m)
+    assert len(blocks) == 2
+    want_values, want_vectors = oracles.scatter_merge(*blocks)
+    assert values.tobytes() == want_values.tobytes()
+    assert vectors.tobytes() == want_vectors.tobytes()
+    if m.shape[0] == 256:
+        assert np.count_nonzero(values[1:] == values[:-1]) >= 10
+
+
 @pytest.mark.parametrize("split", [False, True])
 def test_eig_allocation_peak(rng, split):
     m = random_symmetric(rng, 512)
@@ -379,10 +544,11 @@ def test_eig_allocation_peak(rng, split):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the vectors, V diag(w) and its product with V^T in the reconstruction
-    # check: three inputs' worth, where holding every check temporary at
-    # once took five
-    assert peak <= 3.5 * m.nbytes
+    # the full route holds the vectors, V diag(w) and its product with V^T
+    # in the reconstruction check: three inputs' worth, where holding
+    # every check temporary at once took five.  The split route holds the
+    # vectors, rows 0 .. n/2 of the merge and the phase magnitudes at most
+    assert peak <= (2.75 if split else 3.5) * m.nbytes
 
 
 def test_canonical_phase_keeps_real_columns_real(rng):
@@ -485,6 +651,29 @@ def test_kron_matches_index_oracle(rng):
     built = kron(operator(a, hermitian=True), operator(b, hermitian=True))
     assert built.hermitian
     assert maxnorm(built.matrix - oracles.kron_by_index(a, b)) < 1e-14
+
+
+@pytest.mark.parametrize("kinds", [("real", "real"), ("complex", "complex"),
+                                   ("real", "complex"), ("complex", "real")])
+def test_kron_matches_numpy_bit_for_bit(rng, kinds):
+    a, b = (random_symmetric(rng, n) if kind == "real"
+            else random_hermitian(rng, n) for kind, n in zip(kinds, (3, 4)))
+    built = kron(a, b).matrix
+    want = np.kron(a, b)
+    assert built.dtype == want.dtype
+    assert built.tobytes() == want.tobytes()
+    assert built.base is None and not built.flags.writeable
+
+
+def test_lift_system_allocates_only_its_result(rng):
+    op = operator(random_symmetric(rng, 64), hermitian=True)
+    tracemalloc.start()
+    try:
+        lifted = lift_system(op, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * lifted.matrix.nbytes
 
 
 def test_kron_flag_rules(rng):
