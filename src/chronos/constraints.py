@@ -18,6 +18,8 @@ statistics are renormalized inside it.
 The near-kernel is solved exactly from one eigendecomposition of each
 factor, and applications are Kronecker-factored throughout.  The
 materialized composite is kept, below a size cap, only as a dense oracle.
+Projection onto a physical subspace is factored too: it goes through the
+basis members, and no dense projector is formed.
 """
 from __future__ import annotations
 
@@ -44,12 +46,14 @@ from .exceptions import (
     ZeroOverlapError,
 )
 from .linalg import (
+    TILE,
     OperatorMatrix,
     eig_hermitian,
     identity,
     kron,
     kronecker_null_space,
     operator,
+    tiled_maxnorm,
 )
 
 FIRST = "first"
@@ -261,7 +265,11 @@ class SubspaceBasis:
 
     labels holds one entry per member: the system eigenvalue a_m of its
     product factor, repeated across a degenerate level, or None for every
-    member of a generalized-constraint basis.
+    member of a generalized-constraint basis.  Projection is done in
+    factored form, through the dim x count member matrix B: a state is
+    projected as B (B^H s), and two subspaces are compared by the largest
+    entry of B B^H - B' B'^H, formed a few rows at a time.  No dim x dim
+    projector is built.
     """
 
     members: tuple
@@ -295,12 +303,34 @@ class SubspaceBasis:
         # conjugating the state, not the matrix, copies no member matrix
         return (state.conj() @ self._matrix).conj()
 
-    def projector(self):
-        """Dense orthogonal projector onto the spanned subspace."""
-        if not self.members:
-            raise EmptyBasisError("projector of an empty basis")
-        b = self._matrix
-        return operator(b @ b.conj().T, hermitian=True)
+    def project(self, state):
+        """Orthogonal projection B (B^H s) of a state onto the span."""
+        # coefficients first: they refuse an empty basis, which has no B
+        coefficients = self.coefficients(state)
+        return self._matrix @ coefficients
+
+    def projector_gap(self, other):
+        """max |B B^H - B' B'^H|, the distance between the two projectors.
+
+        The difference is formed linalg.TILE rows at a time, so no dim x dim
+        projector is built; a NaN in either basis carries to the result.
+        """
+        if not self.members or not other.members:
+            raise EmptyBasisError("projector gap against an empty basis")
+        a, b = self._matrix, other._matrix
+        if a.shape[0] != b.shape[0]:
+            raise DimensionMismatchError(
+                "bases live in dimensions %d and %d"
+                % (a.shape[0], b.shape[0]))
+        a_h, b_h = a.conj().T, b.conj().T
+
+        def rows():
+            for i in range(0, a.shape[0], TILE):
+                tile = a[i:i + TILE] @ a_h
+                tile -= b[i:i + TILE] @ b_h
+                yield tile
+
+        return tiled_maxnorm(rows())
 
 
 def physical_subspace(op, tol=DEFAULT_TOL):

@@ -44,8 +44,9 @@ RECONSTRUCT_RTOL = 1e-9
 # picking the phase-fixing pivot
 PHASE_PIVOT_RTOL = 1e-8
 
-# side of the square tiles hermitian_defect compares with their mirrors
-_TILE = 128
+# rows (and columns) of the tiles in which a defect too large to hold at
+# once is formed: hermitian_defect's square tiles, projector_gap's row blocks
+TILE = 128
 
 
 def maxnorm(a):
@@ -66,6 +67,16 @@ def _owned_maxnorm(a):
     if np.iscomplexobj(a):
         a = np.abs(a, out=a).real
     return maxnorm(a)
+
+
+def tiled_maxnorm(tiles):
+    """Largest maxnorm over an iterable of temporary tiles, each one
+    overwritten in place; np.maximum, unlike max(), carries a NaN in any
+    tile to the result (0.0 for no tiles)."""
+    norm = 0.0
+    for tile in tiles:
+        norm = np.maximum(norm, _owned_maxnorm(tile))
+    return float(norm)
 
 
 def _stored(a):
@@ -99,19 +110,15 @@ def hermitian_defect(matrix):
 
     Each tile on or above the diagonal is compared with the conjugate
     transpose of its mirror tile, which covers every pair (i, j) once and
-    is bit-identical to the dense difference; np.maximum carries a NaN in
-    any tile to the result.
+    is bit-identical to the dense difference; a NaN in any tile carries
+    to the result.
     """
     matrix = _square(np.asarray(matrix))
     n = matrix.shape[0]
-    defect = 0.0
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            upper = matrix[i:i + _TILE, j:j + _TILE]
-            lower = matrix[j:j + _TILE, i:i + _TILE]
-            defect = np.maximum(defect,
-                                _owned_maxnorm(upper - lower.conj().T))
-    return float(defect)
+    return tiled_maxnorm(matrix[i:i + TILE, j:j + TILE]
+                         - matrix[j:j + TILE, i:i + TILE].conj().T
+                         for i in range(0, n, TILE)
+                         for j in range(i, n, TILE))
 
 
 def _require_hermitian(m):

@@ -1,12 +1,36 @@
 """The bundled verification suites must all pass on their own grids."""
 
+import dataclasses
 import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from chronos import checks
+from chronos.axes import (
+    TIME,
+    AxisGrid,
+    CompositeState,
+    PhysicalConstants,
+    lift_system,
+)
 from chronos.checks import SUITES, run_suite
 from chronos.cli import main
+from chronos.constraints import (
+    FIRST,
+    GENERALIZED,
+    generalized_constraint_operator,
+)
 from chronos.exceptions import UnknownSuiteError
+from chronos.models import OSCILLATOR, ModelSpec, harmonic_hamiltonian
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_suite_registry_names():
@@ -55,3 +79,72 @@ def test_constraint1_passes_at_wide_tolerance(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert ",fail" not in out
+
+
+@pytest.mark.parametrize("name, limit_mb", [("constraint1", 4.0),
+                                            ("generalized", 6.0)])
+def test_suite_allocation_peak(name, limit_mb):
+    # subspaces are compared through their member matrices: two dense
+    # 2048 x 2048 projectors took 129 MB in constraint1, and two 512 x 512
+    # ones with their difference 12.9 MB in generalized
+    tracemalloc.start()
+    try:
+        run_suite(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 2 ** 20
+
+
+def test_probes_see_a_relative_change_in_coeff_s():
+    # the reduction rows compare residuals on the fixed probes against a
+    # 1e-12 bound; a 1e-9 relative change of c_s must show on every probe
+    k = PhysicalConstants()
+    qg = AxisGrid(n=32, origin=-8.0, spacing=0.5, label="position")
+    period = 4.0 * np.pi / k.omega
+    tg = AxisGrid(n=16, origin=0.0, spacing=period / 16, label=TIME)
+    f = lift_system(harmonic_hamiltonian(ModelSpec(OSCILLATOR, k, qg)), tg.n)
+    a = generalized_constraint_operator(1.0, 0.0, f, tg, k)
+    b = generalized_constraint_operator(1.0 + 1e-9, 0.0, f, tg, k)
+    probes = list(checks._probe_states(qg.n * tg.n))
+    assert len(probes) == 20
+    for probe in probes:
+        assert np.linalg.norm(probe) == pytest.approx(1.0, abs=1e-15)
+        assert abs(a.residual(probe) - b.residual(probe)) > 1e-12
+
+
+def test_generalized_suite_loads_no_random_module():
+    code = ("import sys\n"
+            "from chronos.checks import run_suite\n"
+            "assert run_suite('generalized')[1]\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("suite, kind, rows", [
+    ("constraint1", FIRST, {"span_gap_max"}),
+    ("generalized", GENERALIZED,
+     {"reduction_projector_gap", "tolerance_nesting_gap"}),
+])
+def test_nan_in_a_basis_fails_the_rows_that_read_it(monkeypatch, suite, kind,
+                                                    rows):
+    solve = checks.physical_subspace
+
+    def poisoned(op, tol):
+        basis = solve(op, tol)
+        if op.kind != kind or not basis.count:
+            return basis
+        first = np.array(basis.members[0].amplitudes)
+        first[len(first) // 2] = np.nan
+        member = CompositeState(first, op.n_q, op.n_t, normalized=False)
+        return dataclasses.replace(
+            basis, members=(member,) + basis.members[1:])
+
+    monkeypatch.setattr(checks, "physical_subspace", poisoned)
+    measured, all_passed = run_suite(suite)
+    failing = {r.name for r in measured if not r.passed}
+    assert not all_passed and rows <= failing
+    assert all(math.isnan(r.measured) for r in measured if r.name in rows)
