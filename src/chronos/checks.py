@@ -3,7 +3,8 @@
 Each suite measures a handful of quantities against fixed bounds and
 reports one row per check.  Bounds are directional: a row passes when
 measured <= bound or measured >= bound depending on the check, which the
-row records explicitly.
+row records explicitly.  A row folds its measurements itself (np.max for
+<=, np.min for >=, 0.0 for none), so a NaN anywhere in them fails it.
 """
 from __future__ import annotations
 
@@ -69,12 +70,17 @@ class CheckRow:
         return self.measured >= self.bound
 
 
+def _fold(measured, reduce):
+    values = np.asarray(measured, dtype=float)
+    return float(reduce(values)) if values.size else 0.0
+
+
 def _le(name, measured, bound):
-    return CheckRow(name, float(measured), float(bound), "<=")
+    return CheckRow(name, _fold(measured, np.max), float(bound), "<=")
 
 
 def _ge(name, measured, bound):
-    return CheckRow(name, float(measured), float(bound), ">=")
+    return CheckRow(name, _fold(measured, np.min), float(bound), ">=")
 
 
 def _commutator_suite(k, tol):
@@ -90,7 +96,8 @@ def _commutator_suite(k, tol):
     s_op = energy_operator(tg, k)
     for name, op in (("position", q_op), ("momentum", p_op),
                      ("time", t_op), ("energy", s_op)):
-        defect = hermitian_defect(op.matrix) / max(maxnorm(op.matrix), 1e-300)
+        defect = hermitian_defect(op.matrix) / np.maximum(
+            maxnorm(op.matrix), 1e-300)
         rows.append(_le("hermitian_defect_%s" % name, defect, 1e-12))
     comm_qp = q_op.matrix @ p_op.matrix - p_op.matrix @ q_op.matrix \
         - 1j * k.hbar * np.eye(qg.n)
@@ -129,14 +136,11 @@ def _constraint1_suite(k, tol):
               for m, j in kronecker_null_pairs(es.values, lattice, tol)]
     rows.append(_le("level_count_gap", abs(basis.count - len(states)), 0.0))
     rows.append(_le("separable_residual_max",
-                    max(map(cop.residual, states), default=0.0), tol))
-    rows.append(_le("member_residual_max",
-                    max(basis.residuals, default=0.0), 2.0 * tol))
+                    [cop.residual(s) for s in states], tol))
+    rows.append(_le("member_residual_max", basis.residuals, 2.0 * tol))
     if basis.count:
-        # np.max, unlike max(), carries a NaN gap to the row
-        rows.append(_le("span_gap_max", np.max(
-            [np.linalg.norm(s - basis.project(s)) for s in states],
-            initial=0.0), tol))
+        rows.append(_le("span_gap_max", [np.linalg.norm(s - basis.project(s))
+                                         for s in states], tol))
     # detuned time period: no pair within a tight tol, exact pairs otherwise
     qg_s = AxisGrid(n=32, origin=-8.0, spacing=0.5, label="position")
     period = 4.0 * np.pi * 1.1 / k.omega
@@ -167,8 +171,7 @@ def _constraint2_suite(k, tol):
     rows.append(_le("ground_residual",
                     second_constraint_residual(ground, g_op, tg), 1e-8))
     rows.append(_le("ground_rounding", rounding, 1e-8))
-    rows.append(_le("member_residual_max",
-                    max(basis.residuals) if basis.count else 0.0, 2.0 * tol))
+    rows.append(_le("member_residual_max", basis.residuals, 2.0 * tol))
     # free-particle mode whose clock value falls between samples: the
     # residual must equal the rounding distance up to rounding noise
     free = ModelSpec(FREE_PARTICLE, k, qg)
@@ -213,9 +216,8 @@ def _generalized_suite(k, tol):
     gaps = np.array([(abs(gen_first.residual(p) - first.residual(p)),
                       abs(gen_second.residual(p) - second.residual(p)))
                      for p in _probe_states(qg.n * tg.n)])
-    gap_first, gap_second = gaps.max(axis=0)
-    rows.append(_le("first_reduction_gap", gap_first, 1e-12))
-    rows.append(_le("second_reduction_gap", gap_second, 1e-12))
+    rows.append(_le("first_reduction_gap", gaps[:, 0], 1e-12))
+    rows.append(_le("second_reduction_gap", gaps[:, 1], 1e-12))
     # kernel of the reduced form matches the dedicated solver's kernel
     basis_gen = physical_subspace(gen_first, tol)
     basis_first = physical_subspace(first, tol)
@@ -227,9 +229,9 @@ def _generalized_suite(k, tol):
                         abs(basis_gen.count - basis_first.count), 0.0))
     tighter = physical_subspace(gen_first, tol * 1e-3)
     if tighter.count and basis_gen.count:
-        nesting = np.max([np.linalg.norm(m.amplitudes - basis_gen.project(m))
-                          for m in tighter.members])
-        rows.append(_le("tolerance_nesting_gap", nesting, 1e-8))
+        rows.append(_le("tolerance_nesting_gap",
+                        [np.linalg.norm(m.amplitudes - basis_gen.project(m))
+                         for m in tighter.members], 1e-8))
     # triangle bound for the doubly-constrained form
     f_both = lift_system(operator(h_op.matrix + g_op.matrix, hermitian=True),
                          tg.n)
@@ -282,21 +284,18 @@ def _ladder_suite(k, tol):
     def solution(n):
         return separable_second((tg.samples[n], es.vector(n)), tg)[0]
 
-    up_gap = 0.0
-    down_gap = 0.0
-    overlap_min = 1.0
+    up_gaps, down_gaps, overlaps = [], [], []
     for n in range(15):
         out, coeff = ladder_step_up(solution(n), model, grids)
-        up_gap = max(up_gap, abs(coeff - np.sqrt(n + 1.0)) / np.sqrt(n + 1.0))
-        overlap = abs(np.vdot(solution(n + 1).amplitudes,
-                              out.amplitudes / coeff))
-        overlap_min = min(overlap_min, overlap)
+        up_gaps.append(abs(coeff - np.sqrt(n + 1.0)) / np.sqrt(n + 1.0))
+        overlaps.append(abs(np.vdot(solution(n + 1).amplitudes,
+                                    out.amplitudes / coeff)))
         if n >= 1:
             out, coeff = ladder_step_down(solution(n), model, grids)
-            down_gap = max(down_gap, abs(coeff - np.sqrt(n)) / np.sqrt(n))
-    rows.append(_le("up_coefficient_gap", up_gap, 1e-6))
-    rows.append(_le("down_coefficient_gap", down_gap, 1e-6))
-    rows.append(_ge("up_overlap_min", overlap_min, 1.0 - 1e-8))
+            down_gaps.append(abs(coeff - np.sqrt(n)) / np.sqrt(n))
+    rows.append(_le("up_coefficient_gap", up_gaps, 1e-6))
+    rows.append(_le("down_coefficient_gap", down_gaps, 1e-6))
+    rows.append(_ge("up_overlap_min", overlaps, 1.0 - 1e-8))
     zero_state, zero_coeff = ladder_step_down(solution(0), model, grids)
     rows.append(_le("ground_annihilation",
                     zero_coeff + float(np.linalg.norm(zero_state.amplitudes)),
@@ -309,9 +308,9 @@ def _ladder_suite(k, tol):
     rows.append(_ge("top_truncation_guard", top_guard, 1.0))
     a, a_dag = ladder_operators(es)
     comm = a.matrix @ a_dag.matrix - a_dag.matrix @ a.matrix
-    alg_gap = max(np.linalg.norm(comm @ es.vector(n) - es.vector(n))
-                  for n in range(es.count - 1))
-    rows.append(_le("commutator_identity_gap", alg_gap, 1e-9))
+    rows.append(_le("commutator_identity_gap",
+                    [np.linalg.norm(comm @ es.vector(n) - es.vector(n))
+                     for n in range(es.count - 1)], 1e-9))
     return rows
 
 

@@ -282,9 +282,6 @@ class SubspaceBasis:
     def count(self):
         return len(self.members)
 
-    def __len__(self):
-        return len(self.members)
-
     @cached_property
     def _matrix(self):
         return np.stack([m.amplitudes for m in self.members], axis=1)
@@ -368,7 +365,7 @@ def measurement_probabilities(state, basis):
         raise EmptyBasisError("measurement against an empty basis")
     coeffs = basis.coefficients(state)
     weight = float(np.sum(np.abs(coeffs) ** 2))
-    if weight < ZERO_WEIGHT:
+    if not weight >= ZERO_WEIGHT:
         raise ZeroOverlapError(
             "subspace weight %.3e below %.1e" % (weight, ZERO_WEIGHT))
     probabilities = np.abs(coeffs) ** 2 / weight

@@ -374,9 +374,13 @@ def run_scenario(sc):
     kappa = -k.hbar * tg.frequencies
     # for a unit state the residual taken in these bases is within twice
     # this defect of the residual taken in the grid basis
-    defect = max(
-        np.linalg.norm(hamiltonian(model).matrix @ v - v * energies, 2),
-        np.linalg.norm(energy_operator(tg, k).matrix @ phi - phi * kappa, 2))
+    try:
+        defect = np.maximum(
+            np.linalg.norm(hamiltonian(model).matrix @ v - v * energies, 2),
+            np.linalg.norm(energy_operator(tg, k).matrix @ phi - phi * kappa,
+                           2))
+    except np.linalg.LinAlgError as exc:  # a NaN stops the 2-norm's SVD
+        raise ConvergenceError("eigenbasis defect: %s" % exc) from exc
     if not defect <= sc.eigen_tol:
         raise ConvergenceError(
             "eigenbasis defect %.3g exceeds eigen_tol %.3g"

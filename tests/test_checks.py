@@ -1,6 +1,8 @@
 """The bundled verification suites must all pass on their own grids."""
 
+import ast
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -28,6 +30,7 @@ from chronos.constraints import (
     generalized_constraint_operator,
 )
 from chronos.exceptions import UnknownSuiteError
+from chronos.linalg import EigenSystem
 from chronos.models import OSCILLATOR, ModelSpec, harmonic_hamiltonian
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -148,3 +151,111 @@ def test_nan_in_a_basis_fails_the_rows_that_read_it(monkeypatch, suite, kind,
     failing = {r.name for r in measured if not r.passed}
     assert not all_passed and rows <= failing
     assert all(math.isnan(r.measured) for r in measured if r.name in rows)
+
+
+def _nan_state(state):
+    amplitudes = np.array(state.amplitudes)
+    amplitudes[len(amplitudes) // 2] = np.nan
+    return CompositeState(amplitudes, state.n_q, state.n_t, normalized=False)
+
+
+def _nan_second_residual(basis):
+    residuals = basis.residuals[:1] + (math.nan,) + basis.residuals[2:]
+    return dataclasses.replace(basis, residuals=residuals)
+
+
+def _nan_second_member(basis):
+    members = basis.members[:1] + (_nan_state(basis.members[1]),) \
+        + basis.members[2:]
+    return dataclasses.replace(basis, members=members)
+
+
+def _nan_fourth_probe(probes):
+    for i, probe in enumerate(probes):
+        if i == 3:
+            probe = np.array(probe)
+            probe[len(probe) // 2] = np.nan
+        yield probe
+
+
+# (suite, row, name in checks, call that is poisoned, poison): each NaN
+# enters one measurement that is not the first one the row folds
+NAN_SOURCES = [
+    ("constraint1", "separable_residual_max", "separable_first", 2,
+     _nan_state),
+    ("constraint1", "member_residual_max", "physical_subspace", 1,
+     _nan_second_residual),
+    ("constraint1", "span_gap_max", "separable_first", 2, _nan_state),
+    ("constraint2", "member_residual_max", "physical_subspace", 1,
+     _nan_second_residual),
+    ("generalized", "first_reduction_gap", "_probe_states", 1,
+     _nan_fourth_probe),
+    ("generalized", "second_reduction_gap", "_probe_states", 1,
+     _nan_fourth_probe),
+    # the third subspace solve is the one at the tighter tolerance
+    ("generalized", "tolerance_nesting_gap", "physical_subspace", 3,
+     _nan_second_member),
+    ("ladder", "up_coefficient_gap", "ladder_step_up", 4,
+     lambda step: (step[0], math.nan)),
+    ("ladder", "down_coefficient_gap", "ladder_step_down", 4,
+     lambda step: (step[0], math.nan)),
+    ("ladder", "up_overlap_min", "ladder_step_up", 4,
+     lambda step: (_nan_state(step[0]), step[1])),
+]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("suite, row, name, call, poison", NAN_SOURCES,
+                         ids=["%s-%s" % case[:2] for case in NAN_SOURCES])
+def test_nan_in_a_later_measurement_fails_its_row(monkeypatch, suite, row,
+                                                  name, call, poison):
+    real = getattr(checks, name)
+    calls = itertools.count(1)
+
+    def poisoned(*args):
+        out = real(*args)
+        return poison(out) if next(calls) == call else out
+
+    monkeypatch.setattr(checks, name, poisoned)
+    rows, all_passed = run_suite(suite)
+    measured = {r.name: r for r in rows}[row]
+    assert math.isnan(measured.measured)
+    assert not measured.passed and not all_passed
+
+
+def test_nan_in_a_later_level_fails_the_commutator_identity(monkeypatch):
+    # every level also feeds the ladder steps, so the fourth level turns NaN
+    # only once the suite builds the operators for [a, a^dagger] = 1
+    armed = []
+    eigensystem, ladder_operators = (checks.energy_eigensystem,
+                                     checks.ladder_operators)
+
+    class LateNaN(EigenSystem):
+        def vector(self, i):
+            v = super().vector(i)
+            return v * np.nan if armed and i == 3 else v
+
+    def arm(es):
+        armed.append(True)
+        return ladder_operators(es)
+
+    monkeypatch.setattr(checks, "energy_eigensystem",
+                        lambda model: LateNaN(*dataclasses.astuple(
+                            eigensystem(model))))
+    monkeypatch.setattr(checks, "ladder_operators", arm)
+    rows, all_passed = run_suite("ladder")
+    failing = [r for r in rows if not r.passed]
+    assert [r.name for r in failing] == ["commutator_identity_gap"]
+    assert math.isnan(failing[0].measured) and not all_passed
+
+
+def test_checks_and_dynamics_call_no_builtin_max_or_min():
+    # builtin max/min drop a NaN that is not the first value; np.max,
+    # np.min and np.maximum carry it
+    for module in ("checks.py", "dynamics.py"):
+        tree = ast.parse((SRC / "chronos" / module).read_text())
+        calls = [(module, node.lineno) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id in ("max", "min")]
+        assert not calls, calls

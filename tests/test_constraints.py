@@ -387,6 +387,18 @@ def test_measurement_guards(energy_bundle, rng):
         measurement_probabilities(state, basis)
 
 
+def test_measurement_refuses_a_nan_weight(energy_bundle):
+    # a NaN amplitude makes the subspace weight NaN, which is no weight
+    basis = energy_bundle["basis"]
+    member = basis.members[1]
+    amplitudes = np.array(member.amplitudes)
+    amplitudes[len(amplitudes) // 2] = np.nan
+    state = CompositeState(amplitudes, member.n_q, member.n_t,
+                           normalized=False)
+    with pytest.raises(ZeroOverlapError, match="nan"):
+        measurement_probabilities(state, basis)
+
+
 def random_basis(rng, n_q, n_t, count, near=None):
     # count orthonormal members from a QR factorization; near=B gives a
     # span about 1e-6 away from B's

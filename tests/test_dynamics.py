@@ -57,6 +57,7 @@ from chronos.linalg import (
     UNITARY_ATOL,
     kronecker_null_pairs,
     maxnorm,
+    operator,
     spectral_exp,
     unitary_defect,
     unitary_exp,
@@ -655,6 +656,28 @@ def test_run_scenario_refuses_uncertified_bases(tmp_path, capsys):
     config.write_text(serialize_scenario(sc), encoding="utf-8")
     assert main(["run", "--config", str(config)]) == 3
     assert "eigen_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["hamiltonian", "energy_operator"])
+def test_run_refuses_a_nan_in_either_certificate_term(tmp_path, capsys,
+                                                      monkeypatch, name):
+    # a NaN in ||H V - V E||_2 or ||S Phi - Phi kappa||_2 stops the SVD
+    # behind the 2-norm; run must exit 3 with a diagnostic, not a traceback
+    import chronos.dynamics as dynamics
+    build = getattr(dynamics, name)
+
+    def poisoned(*args):
+        m = np.array(build(*args).matrix)
+        m[1, 2] = np.nan
+        return operator(m)
+
+    monkeypatch.setattr(dynamics, name, poisoned)
+    config = tmp_path / "nan.json"
+    config.write_text(serialize_scenario(base_scenario()), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "eigenbasis defect" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_run_scenario_checks_the_norm_of_every_step(monkeypatch):
