@@ -207,10 +207,8 @@ def _generalized_suite(k, tol):
     model = ModelSpec(OSCILLATOR, k, qg)
     h_op = harmonic_hamiltonian(model)
     g_op = oscillator_clock_operator(model)
-    gen_first = generalized_constraint_operator(
-        1.0, 0.0, lift_system(h_op, tg.n), tg, k)
-    gen_second = generalized_constraint_operator(
-        0.0, 1.0, lift_system(g_op, tg.n), tg, k)
+    gen_first = generalized_constraint_operator(1.0, 0.0, h_op, tg, k)
+    gen_second = generalized_constraint_operator(0.0, 1.0, g_op, tg, k)
     first = first_constraint_operator(h_op, tg, k)
     second = second_constraint_operator(g_op, tg)
     gaps = np.array([(abs(gen_first.residual(p) - first.residual(p)),
@@ -233,19 +231,17 @@ def _generalized_suite(k, tol):
                         [np.linalg.norm(m.amplitudes - basis_gen.project(m))
                          for m in tighter.members], 1e-8))
     # triangle bound for the doubly-constrained form
-    f_both = lift_system(operator(h_op.matrix + g_op.matrix, hermitian=True),
-                         tg.n)
+    a_both = operator(h_op.matrix + g_op.matrix, hermitian=True)
     es = energy_eigensystem(model)
     psi0 = separable_first((float(es.values[0]), es.vector(0)), tg, k)
-    r_both = generalized_residual(psi0, 1.0, 1.0, f_both, tg, k)
+    r_both = generalized_residual(psi0, 1.0, 1.0, a_both, tg, k)
     r1 = first.residual(psi0)
     r2 = second.residual(psi0)
     rows.append(_le("triangle_excess", r_both - (r1 + r2), 1e-12))
     # detuned composite keeps an empty kernel
     tg_d = AxisGrid(n=16, origin=0.0, spacing=period * 1.1 / 16, label=TIME)
     detuned = physical_subspace(
-        generalized_constraint_operator(
-            1.0, 0.0, lift_system(h_op, tg_d.n), tg_d, k), tol)
+        generalized_constraint_operator(1.0, 0.0, h_op, tg_d, k), tol)
     rows.append(_le("detuned_count", detuned.count, 0.0))
     return rows
 

@@ -9,11 +9,11 @@ product, a system operator A and a time-axis operator K lifted apart:
 
 where s_op/t_op are the conjugate/sample operators of the time axis, H is
 a Hamiltonian and G a clock operator.  In the generalized equation the
-time and energy operators couple to the system only through F, so F must
-be a lifted system operator; its factor A is read off once, when the
-operator is built, and any other F is refused.  States in the near-kernel
-of a constraint operator form the physical subspace; measurement
-statistics are renormalized inside it.
+time and energy operators act on the time factor alone and reach the
+system only through F = A (x) I, so every builder takes the system factor
+A itself, never a composite.  States in the near-kernel of a constraint
+operator form the physical subspace; measurement statistics are
+renormalized inside it.
 
 The near-kernel is solved exactly from one eigendecomposition of each
 factor, and applications are Kronecker-factored throughout.  The
@@ -139,23 +139,6 @@ def _state_matrix(state, n_q, n_t):
     return a.reshape(n_q, n_t), float(np.linalg.norm(a))
 
 
-def _system_factor(f, n_q, n_t):
-    """A when the composite matrix f equals A (x) I_{n_t} exactly, else None.
-
-    The time blocks of f are compared in place, so no composite-sized
-    temporary is built.
-    """
-    blocks = f.reshape(n_q, n_t, n_q, n_t)
-    a = blocks[:, 0, :, 0]
-    for k in range(1, n_t):
-        if not np.array_equal(blocks[:, k, :, k], a):
-            return None
-    # with equal diagonal blocks, every other entry of f must be zero
-    if np.count_nonzero(f) != n_t * np.count_nonzero(a):
-        return None
-    return a
-
-
 def _verified_hermitian(candidate, what):
     # raw matrices are accepted but the symmetry claim is verified here
     if isinstance(candidate, OperatorMatrix):
@@ -179,31 +162,19 @@ def second_constraint_operator(clock_op, tg):
     return ConstraintOperator(SECOND, tg, clock_op, time_operator(tg))
 
 
-def generalized_constraint_operator(coeff_s, coeff_t, extra, tg, constants):
-    """The constraint c_s (I (x) s_op) + c_t (I (x) t_op) - F.
+def generalized_constraint_operator(coeff_s, coeff_t, system_op, tg,
+                                    constants):
+    """The constraint c_s (I (x) s_op) + c_t (I (x) t_op) - A (x) I.
 
-    extra is the composite F, which must be a lifted system operator
-    F = A (x) I (see axes.lift_system): the paper's form, in which the time
-    and energy operators couple to the system only through A.  A is read
-    off F here, once; an F that is not A (x) I raises
-    DimensionMismatchError.  The result is I (x) K - A (x) I with
-    K = c_s s_op + c_t t_op.
+    system_op is the system factor A of the paper's F = A (x) I: the time
+    and energy operators couple to the system only through it.  The
+    result is I (x) K - A (x) I with K = c_s s_op + c_t t_op.
     """
     require_label(tg, TIME, "generalized constraint")
-    extra = _verified_hermitian(extra, "extra operator")
-    n_q, rem = divmod(extra.dim, tg.n)
-    if rem != 0 or n_q < 1:
-        raise DimensionMismatchError(
-            "composite dim %d is not a multiple of the time dim %d"
-            % (extra.dim, tg.n))
-    a = _system_factor(extra.matrix, n_q, tg.n)
-    if a is None:
-        raise DimensionMismatchError(
-            "F must be a lifted system operator A (x) I; this %d-dim F "
-            "couples the system to the %d-point time axis" % (extra.dim, tg.n))
+    system_op = _verified_hermitian(system_op, "system operator")
     k = float(coeff_s) * energy_operator(tg, constants).matrix \
         + np.diag(float(coeff_t) * tg.samples)
-    return ConstraintOperator(GENERALIZED, tg, operator(a, hermitian=True),
+    return ConstraintOperator(GENERALIZED, tg, system_op,
                               operator(k, hermitian=True))
 
 
@@ -218,9 +189,10 @@ def second_constraint_residual(state, clock_op, tg):
     return second_constraint_operator(clock_op, tg).residual(state)
 
 
-def generalized_residual(state, coeff_s, coeff_t, extra, tg, constants):
-    """Residual of the two-coefficient constraint c_s*s_op + c_t*t_op = F."""
-    op = generalized_constraint_operator(coeff_s, coeff_t, extra, tg,
+def generalized_residual(state, coeff_s, coeff_t, system_op, tg, constants):
+    """||(I(x)(c_s s_op + c_t t_op) - A(x)I) state|| / ||state||; A is
+    system_op, and nothing is materialized."""
+    op = generalized_constraint_operator(coeff_s, coeff_t, system_op, tg,
                                          constants)
     return op.residual(state)
 

@@ -36,6 +36,7 @@ from .constraints import DEFAULT_TOL, ZERO_WEIGHT, separable_first
 from .exceptions import (
     ChronosError,
     ConvergenceError,
+    DimensionMismatchError,
     IndexOutOfRangeError,
     NotUnitaryError,
     OffLatticeError,
@@ -132,12 +133,20 @@ def eigen_swap_unitary(i, j, es):
     return operator(u, hermitian=True, unitary=True)
 
 
+def _on_grids(state, grids):
+    # the (q_grid, t_grid) pair, once the state is known to live on it
+    qg, tg = grids
+    if (state.n_q, state.n_t) != (qg.n, tg.n):
+        raise DimensionMismatchError(
+            "state is %d x %d, grids are %d x %d"
+            % (state.n_q, state.n_t, qg.n, tg.n))
+    return qg, tg
+
+
 def _ladder_step(state, model, grids, up):
     if model.kind != OSCILLATOR:
         raise WrongKindError("ladder steps are defined for the oscillator")
-    qg, tg = grids
-    if state.n_q != qg.n or state.n_t != tg.n:
-        raise ValueError("state does not live on the given grids")
+    _, tg = _on_grids(state, grids)
     es = energy_eigensystem(model)
     # the dominant retained level of the system factor
     n = int(np.argmax(np.sum(np.abs(es.vectors.conj().T @ state.matrix) ** 2,
@@ -187,7 +196,7 @@ def energy_jump(state, i, j, model, grids, tol=DEFAULT_TOL):
     update M + (v_j - v_i)(v_i^H M - v_j^H M) and the shift as a row of
     phases, so neither unitary is formed.
     """
-    qg, tg = grids
+    _, tg = _on_grids(state, grids)
     es = energy_eigensystem(model)
     vi, vj = _swap_levels(i, j, es)
     e_from, e_to = _jump_energies(i, j, es, tg, model.constants, tol)

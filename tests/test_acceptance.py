@@ -120,27 +120,26 @@ def test_c3_stationary_subspace_complete():
 
 
 def test_c4_generalized_reductions():
-    # coefficient choices (1,0,H(x)I) and (0,1,G(x)I) must reproduce the
-    # dedicated first/second residuals on random states to 1e-12
+    # coefficient choices (1,0,F=H(x)I) and (0,1,F=G(x)I), given by their
+    # system factors H and G, must reproduce the dedicated first/second
+    # residuals on random states to 1e-12
     k = PhysicalConstants()
     q_grid, t_grid = energy_aligned_grids(k)
     model = ModelSpec(OSCILLATOR, k, q_grid)
     ham = hamiltonian(model)
     clock = oscillator_clock_operator(model)
-    lifted_h = lift_system(ham, t_grid.n)
-    lifted_g = lift_system(clock, t_grid.n)
     rng = np.random.default_rng(42)
     for _ in range(100):
         state = rng.standard_normal(q_grid.n * t_grid.n) \
             + 1j * rng.standard_normal(q_grid.n * t_grid.n)
         state /= np.linalg.norm(state)
         first_direct = first_constraint_residual(state, ham, t_grid, k)
-        first_reduced = generalized_residual(state, 1.0, 0.0, lifted_h,
-                                             t_grid, k)
+        first_reduced = generalized_residual(state, 1.0, 0.0, ham, t_grid,
+                                             k)
         assert abs(first_direct - first_reduced) <= 1e-12
         second_direct = second_constraint_residual(state, clock, t_grid)
-        second_reduced = generalized_residual(state, 0.0, 1.0, lifted_g,
-                                              t_grid, k)
+        second_reduced = generalized_residual(state, 0.0, 1.0, clock, t_grid,
+                                              k)
         assert abs(second_direct - second_reduced) <= 1e-12
 
 

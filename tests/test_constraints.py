@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from chronos.axes import (
     energy_lattice,
     energy_operator,
     gaussian_state,
-    lift_system,
-    position_operator,
     time_aligned_grids,
     time_operator,
 )
@@ -41,7 +40,7 @@ from chronos.exceptions import (
     OutOfRangeError,
     ZeroOverlapError,
 )
-from chronos.linalg import kron, maxnorm, near_null_space, operator
+from chronos.linalg import maxnorm, near_null_space, operator
 from chronos.models import (
     OSCILLATOR,
     ModelSpec,
@@ -97,14 +96,13 @@ def test_second_constraint_matches_dense_kron(rng):
 def test_generalized_constraint_matches_dense_kron(rng):
     k, q_grid, t_grid, model = small_setup()
     ham = hamiltonian(model)
-    extra = kron(ham, operator(np.eye(t_grid.n), hermitian=True, unitary=True))
-    op = generalized_constraint_operator(0.7, -0.3, extra, t_grid, k)
+    op = generalized_constraint_operator(0.7, -0.3, ham, t_grid, k)
     s_mat = energy_operator(t_grid, k).matrix
     t_mat = time_operator(t_grid).matrix
     eye_q = np.eye(ham.dim)
     dense = (0.7 * oracles.kron_by_index(eye_q, s_mat)
              - 0.3 * oracles.kron_by_index(eye_q, t_mat)
-             - extra.matrix)
+             - oracles.kron_by_index(ham.matrix, np.eye(t_grid.n)))
     assert maxnorm(op.composite.matrix - dense) < 1e-12
     state = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
     factored = op.apply_matrix(state.reshape(op.n_q, op.n_t)).ravel()
@@ -118,6 +116,13 @@ def test_builders_reject_unverified_hermitian():
         first_constraint_operator(lopsided, t_grid, k)
     with pytest.raises(NotHermitianError):
         second_constraint_operator(lopsided, t_grid)
+    with pytest.raises(NotHermitianError):
+        generalized_constraint_operator(1.0, 0.0, lopsided, t_grid, k)
+    # a wrapped matrix must carry the verified flag, not merely be symmetric
+    unflagged = operator(hamiltonian(model).matrix)
+    assert not unflagged.hermitian
+    with pytest.raises(NotHermitianError):
+        generalized_constraint_operator(1.0, 0.0, unflagged, t_grid, k)
 
 
 def test_composite_refuses_to_materialize_above_cap():
@@ -212,12 +217,9 @@ def test_detuned_grid_has_empty_subspace():
 
 def test_generalized_solve_reduces_to_first(energy_bundle):
     bundle = energy_bundle
-    ham = bundle["hamiltonian"]
-    t_grid = bundle["t_grid"]
-    eye_t = operator(np.eye(t_grid.n), hermitian=True, unitary=True)
-    lifted = kron(ham, eye_t)
     basis = physical_subspace(generalized_constraint_operator(
-        1.0, 0.0, lifted, t_grid, bundle["constants"]))
+        1.0, 0.0, bundle["hamiltonian"], bundle["t_grid"],
+        bundle["constants"]))
     reference = bundle["basis"]
     assert basis.count == reference.count
     gap = maxnorm(oracles.dense_projector(basis)
@@ -287,59 +289,27 @@ def test_large_separable_route_matches_product_count():
 
 
 def test_generalized_lifted_system_solved_above_cap():
-    # F = H (x) I above the cap is the first constraint in disguise
+    # F = H (x) I above the cap is the first constraint in disguise; the
+    # builder takes H itself, so neither the build nor the solve forms a
+    # composite-sized matrix (the 4608 x 4608 lift of H is 162 MB)
     k = PhysicalConstants()
     q_grid = default_position_grid(k, n=48)
     t_grid = AxisGrid(n=96, origin=0.0, spacing=4.0 * math.pi / 96,
                       label="time")
     ham = hamiltonian(ModelSpec(OSCILLATOR, k, q_grid))
     first = physical_subspace(first_constraint_operator(ham, t_grid, k))
-    op = generalized_constraint_operator(1.0, 0.0, lift_system(ham, t_grid.n),
-                                         t_grid, k)
+    tracemalloc.start()
+    try:
+        op = generalized_constraint_operator(1.0, 0.0, ham, t_grid, k)
+        basis = physical_subspace(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
     assert op.dim > MATERIALIZE_LIMIT
-    basis = physical_subspace(op)
     assert basis.count == first.count > 0
     assert basis.labels == (None,) * basis.count
     assert max(basis.residuals) <= basis.tol
-
-
-def coupled_extra(n_q, n_t, k, time_part="samples"):
-    # H (x) I plus a position-time coupling Q (x) B: Hermitian but not
-    # A (x) I.  B = t_op makes the diagonal time blocks differ; B = s_op
-    # without its diagonal keeps them equal and fills the others.
-    q_grid = default_position_grid(k, n=n_q)
-    t_grid = AxisGrid(n=n_t, origin=0.0, spacing=4.0 * math.pi / n_t,
-                      label="time")
-    ham = hamiltonian(ModelSpec(OSCILLATOR, k, q_grid))
-    if time_part == "samples":
-        b = time_operator(t_grid).matrix
-    else:
-        b = energy_operator(t_grid, k).matrix.copy()
-        np.fill_diagonal(b, 0.0)
-    coupling = np.kron(position_operator(q_grid).matrix, b)
-    extra = operator(lift_system(ham, n_t).matrix + 1e-3 * coupling,
-                     hermitian=True)
-    return extra, t_grid
-
-
-@pytest.mark.parametrize("time_part", ["samples", "hopping"])
-def test_generalized_non_kronecker_extra_is_refused(time_part):
-    # the generalized F must be a lifted system operator A (x) I; a
-    # coupled F is refused when the operator is built, not when solved
-    k = PhysicalConstants()
-    extra, t_grid = coupled_extra(16, 8, k, time_part)
-    with pytest.raises(DimensionMismatchError, match="lifted system"):
-        generalized_constraint_operator(1.0, 0.0, extra, t_grid, k)
-
-
-def test_generalized_non_kronecker_extra_refused_above_cap():
-    # above the materialization cap the refusal is the same: the coupled F
-    # is rejected at construction, before any composite would be formed
-    k = PhysicalConstants()
-    extra, t_grid = coupled_extra(66, 64, k)
-    assert extra.dim > MATERIALIZE_LIMIT
-    with pytest.raises(DimensionMismatchError, match="lifted system"):
-        generalized_constraint_operator(1.0, 0.0, extra, t_grid, k)
 
 
 def test_measurement_on_basis_member(energy_bundle):

@@ -15,6 +15,7 @@ import chronos.models
 from chronos.axes import (
     AxisGrid,
     PhysicalConstants,
+    CompositeState,
     composite_state,
     energy_aligned_grids,
     energy_operator,
@@ -45,6 +46,7 @@ from chronos.dynamics import (
 from chronos.scenario import parse_scenario, serialize_scenario
 from chronos.exceptions import (
     ConvergenceError,
+    DimensionMismatchError,
     IndexOutOfRangeError,
     NotUnitaryError,
     OffLatticeError,
@@ -346,6 +348,23 @@ def test_energy_jump_refuses_nan_tolerance(energy_bundle):
                             bundle["t_grid"], bundle["constants"])
     with pytest.raises(OffLatticeError):
         energy_jump(start, 0, 1, bundle["model"], grids, tol=math.nan)
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (64, 16)], ids=["n_q", "n_t"])
+@pytest.mark.parametrize("step", [
+    ladder_step_up,
+    ladder_step_down,
+    lambda state, model, grids: energy_jump(state, 0, 1, model, grids),
+], ids=["up", "down", "jump"])
+def test_steps_refuse_a_state_off_the_grids(energy_bundle, step, shape):
+    # the 64 x 32 grids take a 64 x 32 state; any other is refused, typed,
+    # before numpy meets the mismatch
+    bundle = energy_bundle
+    grids = (bundle["q_grid"], bundle["t_grid"])
+    n_q, n_t = shape
+    state = CompositeState(np.ones(n_q * n_t), n_q, n_t, normalized=False)
+    with pytest.raises(DimensionMismatchError, match="grids are 64 x 32"):
+        step(state, bundle["model"], grids)
 
 
 def test_step_validation():
