@@ -9,9 +9,7 @@ by the lowering map.
 
 import math
 
-import numpy as np
-
-from chronos.axes import PhysicalConstants, composite_state, time_aligned_grids
+from chronos.axes import CompositeState, PhysicalConstants, time_aligned_grids
 from chronos.constraints import separable_second
 from chronos.dynamics import ladder_step_down, ladder_step_up
 from chronos.models import OSCILLATOR, ModelSpec, energy_eigensystem
@@ -49,10 +47,9 @@ def main():
     print()
 
     up1, c_up = ladder_step_up(solution(3), model, grids)
-    up1 = composite_state(np.asarray(up1.amplitudes) / c_up, up1.n_q, up1.n_t)
+    up1 = CompositeState(up1.amplitudes / c_up, up1.n_q, up1.n_t)
     down, c_down = ladder_step_down(up1, model, grids)
-    down = composite_state(np.asarray(down.amplitudes) / c_down,
-                           down.n_q, down.n_t)
+    down = CompositeState(down.amplitudes / c_down, down.n_q, down.n_t)
     print("round trip from level 3: up then down")
     print("  coefficient product %.12f (expect n+1 = 4)" % (c_up * c_down))
     print("  overlap with start  %.12f" % abs(down.overlap(solution(3))))

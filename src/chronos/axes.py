@@ -20,7 +20,7 @@ from .exceptions import (
     OutOfBandError,
     WrongAxisError,
 )
-from .linalg import OperatorMatrix, kron, identity, operator
+from .linalg import kron, identity, operator
 
 POSITION = "position"
 TIME = "time"
@@ -232,17 +232,6 @@ class CompositeState:
 
     def overlap(self, other):
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def expectation_left(self, op):
-        """<A (x) I> without forming the composite matrix."""
-        m = self.matrix
-        am = (op.matrix if isinstance(op, OperatorMatrix) else op) @ m
-        return float(np.real(np.vdot(m, am))) / self.norm ** 2
-
-
-def composite_state(amplitudes, n_q, n_t, normalized=True):
-    return CompositeState(np.asarray(amplitudes), n_q, n_t,
-                          normalized=normalized)
 
 
 def tensor_state(system_part, time_part):

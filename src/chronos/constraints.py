@@ -43,7 +43,6 @@ from .exceptions import (
     EmptyBasisError,
     NotHermitianError,
     OutOfRangeError,
-    ZeroOverlapError,
 )
 from .linalg import (
     TILE,
@@ -324,26 +323,6 @@ def physical_subspace(op, tol=DEFAULT_TOL):
     residuals = tuple(op.residual(m) for m in members)
     return SubspaceBasis(members, tuple(labels), residuals, op.kind,
                          float(tol))
-
-
-def measurement_probabilities(state, basis):
-    """Outcome distribution of the level measurement inside the subspace.
-
-    Probabilities are |<member_i|state>|^2 renormalized over the basis;
-    the pre-normalization subspace weight is returned alongside, so the
-    caller can judge how much of the state was physical to begin with.
-    """
-    if basis.count == 0:
-        raise EmptyBasisError("measurement against an empty basis")
-    coeffs = basis.coefficients(state)
-    weight = float(np.sum(np.abs(coeffs) ** 2))
-    if not weight >= ZERO_WEIGHT:
-        raise ZeroOverlapError(
-            "subspace weight %.3e below %.1e" % (weight, ZERO_WEIGHT))
-    probabilities = np.abs(coeffs) ** 2 / weight
-    pairs = [(basis.labels[i], float(probabilities[i]))
-             for i in range(basis.count)]
-    return pairs, weight
 
 
 def uncertainty_product(phi, tg, constants):

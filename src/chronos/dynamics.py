@@ -1,11 +1,12 @@
 """Unitary dynamics and the scenario engine.
 
-Covers the four unitaries of the formalism (time translation, energy
-shift, ladder-with-translation steps, eigenvector swap) plus a small
-declarative driver that chains evolve/jump steps and records observables
-after each one.  All composite applications are Kronecker-factored.
-Each unitary is closed-form: translations from the time grid's Fourier
-map, evolution and level swaps from the model's one shared eigensystem.
+Covers the maps of the formalism (time translation, ladder-with-
+translation steps, energy jumps) plus a small declarative driver that
+chains evolve/jump steps and records observables after each one.  All
+composite applications are Kronecker-factored.  Each map is closed-form:
+translations from the time grid's Fourier map, evolution and level swaps
+from the model's one shared eigensystem.  A jump's swap and phase kick
+act on the state directly, so neither unitary is formed.
 The driver holds its state in the Hamiltonian eigenbasis times the time
 grid's Fourier basis, where both sides of the first constraint are
 diagonal, so no step builds an operator.  An evolve is a row of phases,
@@ -45,7 +46,7 @@ from .exceptions import (
     TruncationTopError,
     WrongKindError,
 )
-from .linalg import kronecker_null_pairs, operator, spectral_exp
+from .linalg import kronecker_null_pairs, spectral_exp
 from .models import (
     OSCILLATOR,
     ModelSpec,
@@ -73,17 +74,9 @@ def time_translation(tg, constants, dt):
     return spectral_exp(tg.fourier_map, tg.frequencies, -float(dt))
 
 
-def energy_shift(tg, d_energy, constants):
-    """Diagonal unitary of phases e^{-i dE t_j / hbar}.
-
-    Maps the sampled energy eigenvector at E to the one at E + dE exactly,
-    lattice or not, since the phases multiply pointwise.
-    """
-    return operator(np.diag(_shift_phases(tg, d_energy, constants)),
-                    unitary=True)
-
-
 def _shift_phases(tg, d_energy, constants):
+    # e^{-i dE t_j / hbar}: moves the sampled energy eigenvector at E to the
+    # one at E + dE exactly, lattice or not
     return np.exp(-1j * float(d_energy) * tg.samples / constants.hbar)
 
 
@@ -120,33 +113,26 @@ def _swap_levels(i, j, es):
     return es.vector(i), es.vector(j)
 
 
-def eigen_swap_unitary(i, j, es):
-    """Two-level swap of eigenvectors i and j, identity elsewhere.
-
-    Hermitian involution; the minimal unitary rotating level i into level
-    j with all phase freedom fixed to +1.
-    """
-    vi, vj = _swap_levels(i, j, es)
-    u = np.eye(es.dim, dtype=np.complex128)
-    u -= np.outer(vi, vi.conj()) + np.outer(vj, vj.conj())
-    u += np.outer(vj, vi.conj()) + np.outer(vi, vj.conj())
-    return operator(u, hermitian=True, unitary=True)
-
-
-def _on_grids(state, grids):
-    # the (q_grid, t_grid) pair, once the state is known to live on it
+def _on_grids(state, model, grids):
+    # the time grid of the (q_grid, t_grid) pair, once the state is known
+    # to live on model.grid x t_grid and q_grid is model.grid, whose
+    # eigenvectors act on the state
     qg, tg = grids
-    if (state.n_q, state.n_t) != (qg.n, tg.n):
+    if (state.n_q, state.n_t) != (model.grid.n, tg.n):
         raise DimensionMismatchError(
-            "state is %d x %d, grids are %d x %d"
-            % (state.n_q, state.n_t, qg.n, tg.n))
-    return qg, tg
+            "state is %d x %d, model and time grids are %d x %d"
+            % (state.n_q, state.n_t, model.grid.n, tg.n))
+    if qg != model.grid:
+        raise DimensionMismatchError(
+            "position grid %r is not the model's grid %r"
+            % (qg, model.grid))
+    return tg
 
 
 def _ladder_step(state, model, grids, up):
     if model.kind != OSCILLATOR:
         raise WrongKindError("ladder steps are defined for the oscillator")
-    _, tg = _on_grids(state, grids)
+    tg = _on_grids(state, model, grids)
     es = energy_eigensystem(model)
     # the dominant retained level of the system factor
     n = int(np.argmax(np.sum(np.abs(es.vectors.conj().T @ state.matrix) ** 2,
@@ -196,7 +182,7 @@ def energy_jump(state, i, j, model, grids, tol=DEFAULT_TOL):
     update M + (v_j - v_i)(v_i^H M - v_j^H M) and the shift as a row of
     phases, so neither unitary is formed.
     """
-    _, tg = _on_grids(state, grids)
+    tg = _on_grids(state, model, grids)
     es = energy_eigensystem(model)
     vi, vj = _swap_levels(i, j, es)
     e_from, e_to = _jump_energies(i, j, es, tg, model.constants, tol)

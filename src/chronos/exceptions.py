@@ -50,11 +50,7 @@ class TruncationTopError(ChronosError):
 
 
 class EmptyBasisError(ChronosError):
-    """A measurement was requested against an empty subspace basis."""
-
-
-class ZeroOverlapError(ChronosError):
-    """A state has numerically no component inside the physical subspace."""
+    """Coefficients or a projector gap were requested of an empty basis."""
 
 
 class UnknownSuiteError(ChronosError):

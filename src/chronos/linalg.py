@@ -4,9 +4,10 @@ Immutable operator values, each a matrix and one verified hermitian flag,
 plus the primitives everything else is built from: Kronecker products,
 Hermitian eigendecomposition with a fixed phase and ordering convention,
 unitary exponentials, and the exact near-null space of a Kronecker sum
-I (x) K - A (x) I.  Unitarity is checked where a unitary is built, not
-stored.  near_null_space, a dense SVD of a materialized matrix, is the
-oracle the exact solver is tested against; no solver route calls it.
+I (x) K - A (x) I.  Unitarity is checked by spectral_exp, which builds
+every unitary, and is not stored.  near_null_space, a dense SVD of a
+materialized matrix, is the oracle the exact solver is tested against;
+no solver route calls it.
 Matrices are dense, stored float64 when real and complex128 otherwise, so
 a real symmetric operator is diagonalized in real arithmetic, and one of
 even order that is exactly invariant under the grid reflection
@@ -163,21 +164,15 @@ class OperatorMatrix:
         return self.matrix.shape[0]
 
 
-def operator(matrix, *, hermitian=False, unitary=False):
-    """Wrap a square matrix, verifying every property that is claimed.
+def operator(matrix, *, hermitian=False):
+    """Wrap a square matrix, verifying the hermitian flag if it is claimed.
 
     hermitian: max |A_ij - conj(A_ji)| <= 1e-12 * maxnorm(A); stored as
                the operator's flag
-    unitary:   maxnorm(A^H A - I) <= 1e-10; verified, not stored
     """
     m = _square(_stored(matrix))
     if hermitian:
         _require_hermitian(m)
-    if unitary:
-        defect = unitary_defect(m)
-        if not defect <= UNITARY_ATOL:
-            raise NotUnitaryError(
-                "unitary defect %.3e exceeds %.1e" % (defect, UNITARY_ATOL))
     return OperatorMatrix(m, hermitian=hermitian)
 
 
@@ -486,10 +481,16 @@ def unitary_exp(op, theta):
 def spectral_exp(vectors, values, theta):
     """exp(-i * theta * A) for A = V diag(values) V^H with V unitary.
 
-    The result is verified unitary to 1e-10 before it is returned.
+    The result is verified unitary, maxnorm(U^H U - I) <= 1e-10, before it
+    is returned.
     """
     phases = np.exp(-1j * float(theta) * np.asarray(values))
-    return operator((vectors * phases) @ vectors.conj().T, unitary=True)
+    u = (vectors * phases) @ vectors.conj().T
+    defect = unitary_defect(u)
+    if not defect <= UNITARY_ATOL:
+        raise NotUnitaryError(
+            "unitary defect %.3e exceeds %.1e" % (defect, UNITARY_ATOL))
+    return operator(u)
 
 
 def near_null_space(op, tol):

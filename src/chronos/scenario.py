@@ -1,9 +1,8 @@
-"""Scenario file format: strict JSON parsing and canonical serialization.
+"""Scenario file format: strict JSON parsing into a validated Scenario.
 
 A scenario document has exactly the top-level keys constants, preset,
 model, initial, steps, and optionally tolerances.  Unknown keys anywhere
-are rejected by name, every number must be finite, and parse/serialize
-round-trips reproduce the same Scenario value.
+are rejected by name, and every number must be finite.
 """
 from __future__ import annotations
 
@@ -204,41 +203,3 @@ def parse_scenario(text):
                     constraint_tol=constraint_tol, eigen_tol=eigen_tol,
                     preset=preset)
 
-
-def _grid_document(grid):
-    return {"n": grid.n, "origin": grid.origin, "spacing": grid.spacing}
-
-
-def serialize_scenario(sc):
-    """Canonical JSON for a Scenario; parse(serialize(sc)) equals sc."""
-    if sc.preset is not None:
-        preset = sc.preset
-    else:
-        preset = {"q": _grid_document(sc.q_grid),
-                  "t": _grid_document(sc.t_grid)}
-    if sc.initial.kind == "level":
-        initial = {"level": sc.initial.level}
-    elif sc.initial.kind == "energy":
-        initial = {"energy": sc.initial.energy}
-    else:
-        initial = {"amplitudes": [[a.real, a.imag]
-                                  for a in sc.initial.amplitudes]}
-    steps = []
-    for step in sc.steps:
-        if step.kind == "evolve":
-            steps.append({"evolve": step.dt})
-        else:
-            steps.append({"jump": {"from": step.from_level,
-                                   "to": step.to_level,
-                                   "at": step.at_time}})
-    doc = {
-        "constants": {"hbar": sc.constants.hbar, "mass": sc.constants.mass,
-                      "c": sc.constants.c, "omega": sc.constants.omega},
-        "preset": preset,
-        "model": sc.model_kind,
-        "initial": initial,
-        "steps": steps,
-        "tolerances": {"constraint_tol": sc.constraint_tol,
-                       "eigen_tol": sc.eigen_tol},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

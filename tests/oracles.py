@@ -2,10 +2,13 @@
 
 Everything here deliberately avoids the code paths under test: the Jacobi
 solver touches no LAPACK eigenroutine, the Kronecker builder indexes entry
-by entry, and the shift oracle is a plain np.roll.  Slow is fine, these run
-on small inputs only.
+by entry, the shift oracle is a plain np.roll, the jump is formed as the
+two dense unitaries that energy_jump applies without forming, and
+scenarios are written back to the JSON that parse_scenario reads.  Slow
+is fine, these run on small inputs only.
 """
 
+import json
 import math
 
 import numpy as np
@@ -253,3 +256,74 @@ def dense_reconstruction_defect(values, vectors, matrix):
     """max |V diag(values) V^H - A| from one full product."""
     return float(np.abs((vectors * values) @ vectors.conj().T
                         - matrix).max())
+
+
+def _unitary(u):
+    # a dense unitary, checked to the library's 1e-10 bound on U^H U - I
+    defect = np.abs(u.conj().T @ u - np.eye(u.shape[1])).max()
+    assert defect <= 1e-10, "unitary defect %.3e" % defect
+    return u
+
+
+def energy_shift(tg, d_energy, constants):
+    """Diagonal unitary of phases e^{-i dE t_j / hbar}, which maps the
+    sampled energy eigenvector at E to the one at E + dE."""
+    phases = np.exp(-1j * float(d_energy) * tg.samples / constants.hbar)
+    return _unitary(np.diag(phases))
+
+
+def eigen_swap_unitary(i, j, es):
+    """Two-level swap of eigenvectors i and j, identity elsewhere: the
+    Hermitian involution I - v_i v_i^H - v_j v_j^H + v_j v_i^H + v_i v_j^H."""
+    vi, vj = es.vector(i), es.vector(j)
+    u = np.eye(es.dim, dtype=np.complex128)
+    u -= np.outer(vi, vi.conj()) + np.outer(vj, vj.conj())
+    u += np.outer(vj, vi.conj()) + np.outer(vi, vj.conj())
+    return _unitary(u)
+
+
+def expectation_left(state, op):
+    """<A (x) I> of a composite state, from its (n_q, n_t) matrix."""
+    m = state.matrix
+    am = getattr(op, "matrix", op) @ m
+    return float(np.real(np.vdot(m, am))) / state.norm ** 2
+
+
+def _grid_document(grid):
+    return {"n": grid.n, "origin": grid.origin, "spacing": grid.spacing}
+
+
+def serialize_scenario(sc):
+    """Canonical JSON for a Scenario: sorted keys, every tolerance
+    written out, and parse_scenario of it equal to sc."""
+    if sc.preset is not None:
+        preset = sc.preset
+    else:
+        preset = {"q": _grid_document(sc.q_grid),
+                  "t": _grid_document(sc.t_grid)}
+    if sc.initial.kind == "level":
+        initial = {"level": sc.initial.level}
+    elif sc.initial.kind == "energy":
+        initial = {"energy": sc.initial.energy}
+    else:
+        initial = {"amplitudes": [[a.real, a.imag]
+                                  for a in sc.initial.amplitudes]}
+    steps = []
+    for step in sc.steps:
+        if step.kind == "evolve":
+            steps.append({"evolve": step.dt})
+        else:
+            steps.append({"jump": {"from": step.from_level,
+                                   "to": step.to_level,
+                                   "at": step.at_time}})
+    doc = {
+        "constants": {"hbar": sc.constants.hbar, "mass": sc.constants.mass,
+                      "c": sc.constants.c, "omega": sc.constants.omega},
+        "preset": preset,
+        "model": sc.model_kind,
+        "initial": initial,
+        "steps": steps,
+        "tolerances": {"constraint_tol": sc.constraint_tol,
+                       "eigen_tol": sc.eigen_tol},
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

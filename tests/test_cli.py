@@ -17,6 +17,8 @@ from chronos.models import free_particle_time_level
 from chronos.axes import PhysicalConstants
 from chronos.constraints import DEFAULT_TOL
 
+import oracles
+
 
 SMALL_DOC = {
     "constants": {"hbar": 1.0, "mass": 1.0, "c": 1.0, "omega": 1.0},
@@ -156,7 +158,6 @@ def test_run_aborts_with_partial_csv(capsys, tmp_path):
     from chronos.constraints import separable_first
     from chronos.dynamics import InitialState, Scenario, Step
     from chronos.models import OSCILLATOR, ModelSpec, energy_eigensystem
-    from chronos.scenario import serialize_scenario
 
     k = PhysicalConstants()
     q_grid, t_grid = energy_aligned_grids(k, n_q=32, n_t=16)
@@ -169,7 +170,7 @@ def test_run_aborts_with_partial_csv(capsys, tmp_path):
         initial=InitialState(kind="amplitudes", amplitudes=tuple(amps)),
         steps=(Step(kind="evolve", dt=2.0),))
     path = tmp_path / "doomed.json"
-    path.write_text(serialize_scenario(sc), encoding="utf-8")
+    path.write_text(oracles.serialize_scenario(sc), encoding="utf-8")
     code, out, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 1
     lines = out.splitlines()

@@ -20,11 +20,11 @@ from chronos.axes import (
 )
 from chronos.constraints import (
     MATERIALIZE_LIMIT,
+    ZERO_WEIGHT,
     SubspaceBasis,
     first_constraint_operator,
     first_constraint_residual,
     generalized_constraint_operator,
-    measurement_probabilities,
     physical_subspace,
     second_constraint_operator,
     second_constraint_residual,
@@ -38,7 +38,6 @@ from chronos.exceptions import (
     NotHermitianError,
     OffLatticeWarning,
     OutOfRangeError,
-    ZeroOverlapError,
 )
 from chronos.linalg import maxnorm, near_null_space, operator
 from chronos.models import (
@@ -313,11 +312,11 @@ def test_generalized_lifted_system_solved_above_cap():
 
 
 def test_measurement_on_basis_member(energy_bundle):
+    # a member's coefficients pick out that member alone
     basis = energy_bundle["basis"]
-    pairs, weight = measurement_probabilities(basis.members[2], basis)
-    assert weight == pytest.approx(1.0, abs=1e-10)
-    probs = dict((label, p) for label, p in pairs)
-    assert probs[basis.labels[2]] == pytest.approx(1.0, abs=1e-10)
+    weights = np.abs(basis.coefficients(basis.members[2])) ** 2
+    assert np.sum(weights) == pytest.approx(1.0, abs=1e-10)
+    assert weights[2] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_measurement_of_mixture(energy_bundle):
@@ -325,23 +324,19 @@ def test_measurement_of_mixture(energy_bundle):
     a = np.asarray(basis.members[0].amplitudes)
     b = np.asarray(basis.members[1].amplitudes)
     mix = (math.sqrt(0.25) * a + math.sqrt(0.75) * b)
-    from chronos.axes import composite_state
-    state = composite_state(mix, basis.members[0].n_q, basis.members[0].n_t)
-    pairs, weight = measurement_probabilities(state, basis)
+    state = CompositeState(mix, basis.members[0].n_q, basis.members[0].n_t)
+    weights = np.abs(basis.coefficients(state)) ** 2
     phased = 1j * np.exp(0.3j) * mix
     want = [np.vdot(m.amplitudes, phased) for m in basis.members]
     assert np.max(np.abs(basis.coefficients(phased) - want)) < 1e-14
-    probs = dict(pairs)
-    assert probs[basis.labels[0]] == pytest.approx(0.25, abs=1e-9)
-    assert probs[basis.labels[1]] == pytest.approx(0.75, abs=1e-9)
-    assert weight == pytest.approx(1.0, abs=1e-9)
+    assert weights[0] == pytest.approx(0.25, abs=1e-9)
+    assert weights[1] == pytest.approx(0.75, abs=1e-9)
+    assert np.sum(weights) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_measurement_guards(energy_bundle, rng):
     basis = energy_bundle["basis"]
     empty = SubspaceBasis((), (), (), basis.kind, basis.tol)
-    with pytest.raises(EmptyBasisError):
-        measurement_probabilities(basis.members[0], empty)
     with pytest.raises(EmptyBasisError):
         empty.coefficients(basis.members[0])
     # build a state orthogonal to every member
@@ -351,22 +346,11 @@ def test_measurement_guards(energy_bundle, rng):
     vec -= block @ (block.conj().T @ vec)
     vec -= block @ (block.conj().T @ vec)
     vec /= np.linalg.norm(vec)
-    from chronos.axes import composite_state
-    state = composite_state(vec, basis.members[0].n_q, basis.members[0].n_t)
-    with pytest.raises(ZeroOverlapError):
-        measurement_probabilities(state, basis)
-
-
-def test_measurement_refuses_a_nan_weight(energy_bundle):
-    # a NaN amplitude makes the subspace weight NaN, which is no weight
-    basis = energy_bundle["basis"]
-    member = basis.members[1]
-    amplitudes = np.array(member.amplitudes)
-    amplitudes[len(amplitudes) // 2] = np.nan
-    state = CompositeState(amplitudes, member.n_q, member.n_t,
-                           normalized=False)
-    with pytest.raises(ZeroOverlapError, match="nan"):
-        measurement_probabilities(state, basis)
+    state = CompositeState(vec, basis.members[0].n_q, basis.members[0].n_t)
+    # no weight in the subspace, below the cut under which run reports no
+    # distribution
+    weight = np.sum(np.abs(basis.coefficients(state)) ** 2)
+    assert weight < ZERO_WEIGHT
 
 
 def random_basis(rng, n_q, n_t, count, near=None):

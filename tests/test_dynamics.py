@@ -16,7 +16,6 @@ from chronos.axes import (
     AxisGrid,
     PhysicalConstants,
     CompositeState,
-    composite_state,
     energy_aligned_grids,
     energy_operator,
     momentum_operator,
@@ -34,16 +33,14 @@ from chronos.dynamics import (
     InitialState,
     Scenario,
     Step,
-    eigen_swap_unitary,
     energy_jump,
-    energy_shift,
     ladder_step_down,
     ladder_step_up,
     run_scenario,
     time_translation,
     validate_scenario,
 )
-from chronos.scenario import parse_scenario, serialize_scenario
+from chronos.scenario import parse_scenario
 from chronos.exceptions import (
     ConvergenceError,
     DimensionMismatchError,
@@ -128,7 +125,7 @@ def test_energy_shift_retunes_plane_wave():
     lattice = energy_lattice(tg, k)
     chi = energy_eigenvector(tg, lattice[5], k)
     step = lattice[9] - lattice[5]
-    shifted = energy_shift(tg, step, k).matrix @ chi
+    shifted = oracles.energy_shift(tg, step, k) @ chi
     target = energy_eigenvector(tg, lattice[9], k)
     overlap = abs(np.vdot(target, shifted))
     assert overlap == pytest.approx(1.0, abs=1e-12)
@@ -205,18 +202,14 @@ def test_eigen_swap_unitary_exchanges_levels():
         "chronos.axes", fromlist=["default_position_grid"]
     ).default_position_grid(k))
     es = energy_eigensystem(model, retained=6)
-    swap = eigen_swap_unitary(1, 4, es)
-    assert swap.hermitian
-    assert unitary_defect(swap.matrix) <= UNITARY_ATOL
+    swap = oracles.eigen_swap_unitary(1, 4, es)
+    assert oracles.dense_hermitian_defect(swap) == 0.0
+    assert unitary_defect(swap) <= UNITARY_ATOL
     v1, v4 = es.vector(1), es.vector(4)
-    assert np.linalg.norm(swap.matrix @ v1 - v4) < 1e-10
-    assert np.linalg.norm(swap.matrix @ v4 - v1) < 1e-10
+    assert np.linalg.norm(swap @ v1 - v4) < 1e-10
+    assert np.linalg.norm(swap @ v4 - v1) < 1e-10
     v2 = es.vector(2)
-    assert np.linalg.norm(swap.matrix @ v2 - v2) < 1e-10
-    with pytest.raises(ValueError):
-        eigen_swap_unitary(2, 2, es)
-    with pytest.raises(IndexOutOfRangeError):
-        eigen_swap_unitary(0, 6, es)
+    assert np.linalg.norm(swap @ v2 - v2) < 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -267,8 +260,7 @@ def test_ladder_round_trip_recovers_state(aligned):
     k, grids, model, es = aligned
     state = solution_at(3, k, grids, es)
     up, c_up = ladder_step_up(state, model, grids)
-    up_n = composite_state(np.asarray(up.amplitudes) / c_up,
-                           up.n_q, up.n_t)
+    up_n = CompositeState(up.amplitudes / c_up, up.n_q, up.n_t)
     back, c_down = ladder_step_down(up_n, model, grids)
     overlap = abs(np.vdot(np.asarray(back.amplitudes) / c_down,
                           np.asarray(state.amplitudes)))
@@ -317,10 +309,10 @@ def test_energy_jump_matches_dense_unitaries(energy_bundle, rng, i, j):
     es = bundle["eigensystem"]
     n_q, n_t = grids[0].n, grids[1].n
     raw = rng.standard_normal(n_q * n_t) + 1j * rng.standard_normal(n_q * n_t)
-    state = composite_state(raw / np.linalg.norm(raw), n_q, n_t)
+    state = CompositeState(raw / np.linalg.norm(raw), n_q, n_t)
     jumped = energy_jump(state, i, j, bundle["model"], grids)
-    swap = eigen_swap_unitary(i, j, es).matrix
-    shift = energy_shift(grids[1], es.values[j] - es.values[i], k).matrix
+    swap = oracles.eigen_swap_unitary(i, j, es)
+    shift = oracles.energy_shift(grids[1], es.values[j] - es.values[i], k)
     want = swap @ state.matrix @ shift.T
     assert maxnorm(jumped.matrix - want) <= 1e-12
 
@@ -350,12 +342,16 @@ def test_energy_jump_refuses_nan_tolerance(energy_bundle):
         energy_jump(start, 0, 1, bundle["model"], grids, tol=math.nan)
 
 
-@pytest.mark.parametrize("shape", [(32, 32), (64, 16)], ids=["n_q", "n_t"])
-@pytest.mark.parametrize("step", [
+# the three maps that act on a state and its grid pair
+STEPS = [
     ladder_step_up,
     ladder_step_down,
     lambda state, model, grids: energy_jump(state, 0, 1, model, grids),
-], ids=["up", "down", "jump"])
+]
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (64, 16)], ids=["n_q", "n_t"])
+@pytest.mark.parametrize("step", STEPS, ids=["up", "down", "jump"])
 def test_steps_refuse_a_state_off_the_grids(energy_bundle, step, shape):
     # the 64 x 32 grids take a 64 x 32 state; any other is refused, typed,
     # before numpy meets the mismatch
@@ -365,6 +361,41 @@ def test_steps_refuse_a_state_off_the_grids(energy_bundle, step, shape):
     state = CompositeState(np.ones(n_q * n_t), n_q, n_t, normalized=False)
     with pytest.raises(DimensionMismatchError, match="grids are 64 x 32"):
         step(state, bundle["model"], grids)
+
+
+@pytest.mark.parametrize("step", STEPS, ids=["up", "down", "jump"])
+def test_steps_refuse_grids_other_than_the_models(energy_bundle, step):
+    # the system eigenvectors come from the model's 64-point grid, so a
+    # 32 x 32 state on matching 32 x 32 grids is refused, typed, before
+    # numpy meets the mismatch; so is a 64-point grid that is not the
+    # model's
+    bundle = energy_bundle
+    k, model, es = bundle["constants"], bundle["model"], bundle["eigensystem"]
+    q_grid, t_grid = bundle["q_grid"], bundle["t_grid"]
+    small = energy_aligned_grids(k, n_q=32, n_t=32)
+    state = CompositeState(np.ones(32 * 32), 32, 32, normalized=False)
+    with pytest.raises(DimensionMismatchError,
+                       match="state is 32 x 32, model and time grids are "
+                             "64 x 32"):
+        step(state, model, small)
+    moved = dataclasses.replace(q_grid, origin=q_grid.origin + 0.5)
+    state = separable_first((float(es.values[1]), es.vector(1)), t_grid, k)
+    with pytest.raises(DimensionMismatchError, match="not the model's grid"):
+        step(state, model, (moved, t_grid))
+
+
+def test_energy_jump_refuses_levels_it_cannot_swap(energy_bundle):
+    # equal levels are no swap, and a level at the retained count is not
+    # retained
+    bundle = energy_bundle
+    grids = (bundle["q_grid"], bundle["t_grid"])
+    es = bundle["eigensystem"]
+    start = separable_first((float(es.values[0]), es.vector(0)),
+                            bundle["t_grid"], bundle["constants"])
+    with pytest.raises(ValueError, match="must differ"):
+        energy_jump(start, 2, 2, bundle["model"], grids)
+    with pytest.raises(IndexOutOfRangeError):
+        energy_jump(start, 0, es.count, bundle["model"], grids)
 
 
 def test_step_validation():
@@ -603,8 +634,7 @@ def grid_basis_records(sc):
     basis = physical_subspace(cop, sc.constraint_tol)
     q_op, p_op = position_operator(qg), momentum_operator(qg, k)
     if sc.initial.kind == "amplitudes":
-        state = composite_state(np.asarray(sc.initial.amplitudes),
-                                qg.n, tg.n)
+        state = CompositeState(sc.initial.amplitudes, qg.n, tg.n)
     else:
         n = sc.initial.level
         state = separable_first((float(es.values[n]), es.vector(n)), tg, k)
@@ -612,16 +642,15 @@ def grid_basis_records(sc):
     for step in (None,) + sc.steps:
         if step is not None and step.kind == "evolve":
             u = time_translation(tg, k, step.dt).matrix
-            state = composite_state((state.matrix @ u.T).ravel(),
-                                    qg.n, tg.n)
+            state = CompositeState(state.matrix @ u.T, qg.n, tg.n)
         elif step is not None:
             state = energy_jump(state, step.from_level, step.to_level,
                                 model, (qg, tg), tol=sc.constraint_tol)
         coeffs = np.abs(basis.coefficients(state)) ** 2
         weight = float(np.sum(coeffs))
-        out.append({"q_mean": state.expectation_left(q_op),
-                    "p_mean": state.expectation_left(p_op),
-                    "energy_mean": state.expectation_left(h_op),
+        out.append({"q_mean": oracles.expectation_left(state, q_op),
+                    "p_mean": oracles.expectation_left(state, p_op),
+                    "energy_mean": oracles.expectation_left(state, h_op),
                     "residual1": cop.residual(state),
                     "subspace_weight": weight,
                     # no distribution without weight in the subspace
@@ -672,7 +701,7 @@ def test_run_scenario_refuses_uncertified_bases(tmp_path, capsys):
         run_scenario(sc)
     assert "1e-18" in str(info.value)
     config = tmp_path / "tight.json"
-    config.write_text(serialize_scenario(sc), encoding="utf-8")
+    config.write_text(oracles.serialize_scenario(sc), encoding="utf-8")
     assert main(["run", "--config", str(config)]) == 3
     assert "eigen_tol" in capsys.readouterr().err
 
@@ -692,7 +721,8 @@ def test_run_refuses_a_nan_in_either_certificate_term(tmp_path, capsys,
 
     monkeypatch.setattr(dynamics, name, poisoned)
     config = tmp_path / "nan.json"
-    config.write_text(serialize_scenario(base_scenario()), encoding="utf-8")
+    config.write_text(oracles.serialize_scenario(base_scenario()),
+                      encoding="utf-8")
     assert main(["run", "--config", str(config)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "eigenbasis defect" in captured.err

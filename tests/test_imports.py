@@ -77,3 +77,66 @@ def test_no_unread_private_names():
     sources = [path.read_text(encoding="utf-8")
                for path in sorted((REPO / "src" / "chronos").glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+# public names that only the acceptance tests call
+UNREAD_ALLOWED = ("first_constraint_residual",)
+
+
+def traced_names(source):
+    """The dotted names in a tracer's TARGETS table, split at the dots."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS"
+                for t in node.targets):
+            for entry in node.value.elts:
+                names.update(entry.elts[2].value.split("."))
+    return names
+
+
+def unread_public_names(defining, reading, also_read=()):
+    """Public functions, classes and methods that the defining sources
+    define and that no reading source loads as a name or an attribute.
+    """
+    read = set(also_read)
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = []
+    for source in defining:
+        for node in ast.parse(source).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            defined += [n.name for n in [node] + members
+                        if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    return [name for name in defined
+            if not name.startswith("_") and name not in read]
+
+
+def test_scan_finds_unread_public_names():
+    defining = ["class A:\n    def m(self):\n        pass\n"
+                "    def _p(self):\n        pass\n"
+                "def f():\n    return g()\ndef g():\n    pass\n"]
+    reading = defining + ["x.A\n"]
+    assert unread_public_names(defining, reading) == ["m", "f"]
+    assert unread_public_names(defining, reading, {"m"}) == ["f"]
+    tracer = ("TARGETS = (\n    ('a.b', 'a', 'C.d', None),\n"
+              "    ('a.e', 'a', 'e', _dim),\n)\n")
+    assert traced_names(tracer) == {"C", "d", "e"}
+
+
+def test_no_unread_public_names():
+    # every public name in the package is reached from the package, the
+    # demos or the benchmark, which also wraps its TARGETS by name
+    package = [p.read_text(encoding="utf-8")
+               for p in sorted((REPO / "src" / "chronos").glob("*.py"))]
+    users = package + [p.read_text(encoding="utf-8")
+                       for top in ("demos", "bench")
+                       for p in sorted((REPO / top).rglob("*.py"))]
+    tracer = (REPO / "bench" / "tracer.py").read_text(encoding="utf-8")
+    assert unread_public_names(
+        package, users,
+        traced_names(tracer) | set(UNREAD_ALLOWED)) == []

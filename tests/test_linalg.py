@@ -1,6 +1,7 @@
 """Dense linear-algebra kernel: flags, eigensolves, products, null spaces."""
 
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from chronos.linalg import (
     maxnorm,
     near_null_space,
     operator,
+    spectral_exp,
     unitary_defect,
     unitary_exp,
 )
@@ -75,15 +77,19 @@ def test_operator_flag_verification(rng):
     assert op.hermitian
     with pytest.raises(NotHermitianError):
         operator(herm + 1e-6 * 1j * np.eye(6), hermitian=True)
-    uni = random_unitary(rng, 6)
-    # unitarity is verified but not stored: the only flag is hermitian
-    wrapped = operator(uni, unitary=True)
+    v, values = random_unitary(rng, 6), rng.standard_normal(6)
+    # unitarity is verified where a unitary is built, by spectral_exp, but
+    # not stored: the only flag is hermitian, the only keyword too
+    wrapped = spectral_exp(v, values, 0.7)
     assert unitary_defect(wrapped.matrix) <= UNITARY_ATOL
     assert not wrapped.hermitian
     assert [f.name for f in dataclasses.fields(OperatorMatrix)] \
         == ["matrix", "hermitian"]
+    assert list(inspect.signature(operator).parameters) \
+        == ["matrix", "hermitian"]
+    # sqrt(2) V diag(phases) sqrt(2) V^H is twice a unitary
     with pytest.raises(NotUnitaryError):
-        operator(2.0 * uni, unitary=True)
+        spectral_exp(np.sqrt(2.0) * v, values, 0.7)
 
 
 def test_operator_matrix_copies_unless_handed_a_frozen_array(rng):
@@ -114,9 +120,10 @@ def test_flags_refuse_non_finite_matrices(index):
     m = non_finite_matrices()[index]
     with np.errstate(invalid="ignore"):
         with pytest.raises(NotHermitianError):
-            operator(m, hermitian=True, unitary=True)
+            operator(m, hermitian=True)
+        # m m^H, whose defect is NaN
         with pytest.raises(NotUnitaryError):
-            operator(m, unitary=True)
+            spectral_exp(m, np.zeros(3), 0.0)
         with pytest.raises(NotHermitianError):
             eig_hermitian(m)
 
@@ -678,7 +685,7 @@ def test_lift_system_allocates_only_its_result(rng):
 
 def test_kron_flag_rules(rng):
     # hermitian survives only when both factors carry it
-    u = operator(random_unitary(rng, 2), unitary=True)
+    u = spectral_exp(random_unitary(rng, 2), rng.standard_normal(2), 0.9)
     h = operator(random_hermitian(rng, 3), hermitian=True)
     assert not kron(u, h).hermitian
     assert kron(h, h).hermitian

