@@ -13,7 +13,6 @@ from chronos.models import (
     OSCILLATOR,
     ModelSpec,
     oscillator_clock_operator,
-    oscillator_time_quantum,
     predicted_time_level,
 )
 
@@ -23,7 +22,7 @@ def main():
     grid = default_position_grid(k)
     model = ModelSpec(OSCILLATOR, k, grid)
     print("oscillator on %d-point grid, spacing %.4f" % (grid.n, grid.spacing))
-    print("time quantum: %.17g" % oscillator_time_quantum(k))
+    print("time quantum: %.17g" % k.time_quantum)
     print()
 
     clock = oscillator_clock_operator(model)

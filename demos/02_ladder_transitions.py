@@ -17,8 +17,7 @@ from chronos.models import OSCILLATOR, ModelSpec, energy_eigensystem
 
 def main():
     k = PhysicalConstants()
-    grids = time_aligned_grids(k)
-    q_grid, t_grid = grids
+    q_grid, t_grid = time_aligned_grids(k)
     model = ModelSpec(OSCILLATOR, k, q_grid)
     es = energy_eigensystem(model)
     print("grids: %d x %d, clock samples aligned with level readings"
@@ -33,22 +32,22 @@ def main():
 
     print("raising:  %3s  %18s  %18s" % ("n", "coefficient", "sqrt(n+1)"))
     for n in range(8):
-        _, coeff = ladder_step_up(solution(n), model, grids)
+        _, coeff = ladder_step_up(solution(n), model, t_grid)
         print("          %3d  %18.12f  %18.12f" % (n, coeff,
                                                    math.sqrt(n + 1)))
     print()
     print("lowering: %3s  %18s  %18s" % ("n", "coefficient", "sqrt(n)"))
     for n in range(8):
-        image, coeff = ladder_step_down(solution(n), model, grids)
+        image, coeff = ladder_step_down(solution(n), model, t_grid)
         print("          %3d  %18.12f  %18.12f" % (n, coeff, math.sqrt(n)))
         if n == 0:
             print("          (ground image norm: %.1e)"
                   % float(abs(image.overlap(image))) ** 0.5)
     print()
 
-    up1, c_up = ladder_step_up(solution(3), model, grids)
+    up1, c_up = ladder_step_up(solution(3), model, t_grid)
     up1 = CompositeState(up1.amplitudes / c_up, up1.n_q, up1.n_t)
-    down, c_down = ladder_step_down(up1, model, grids)
+    down, c_down = ladder_step_down(up1, model, t_grid)
     down = CompositeState(down.amplitudes / c_down, down.n_q, down.n_t)
     print("round trip from level 3: up then down")
     print("  coefficient product %.12f (expect n+1 = 4)" % (c_up * c_down))

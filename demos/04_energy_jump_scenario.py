@@ -20,7 +20,7 @@ def main():
     sc = parse_scenario(text)
     validate_scenario(sc)
     print("model %s, grids %d x %d, %d steps"
-          % (sc.model_kind, sc.q_grid.n, sc.t_grid.n, len(sc.steps)))
+          % (sc.model.kind, sc.model.grid.n, sc.t_grid.n, len(sc.steps)))
     print()
 
     records = run_scenario(sc)

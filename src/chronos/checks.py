@@ -33,10 +33,8 @@ from .constraints import (
     DEFAULT_TOL,
     first_constraint_operator,
     generalized_constraint_operator,
-    generalized_residual,
     physical_subspace,
     second_constraint_operator,
-    second_constraint_residual,
     separable_first,
     separable_second,
     uncertainty_product,
@@ -168,8 +166,7 @@ def _constraint2_suite(k, tol):
     rows.append(_le("level_count_gap", abs(basis.count - expected), 0.0))
     ground, rounding = separable_second(
         (float(es.values[0]), es.vector(0)), tg)
-    rows.append(_le("ground_residual",
-                    second_constraint_residual(ground, g_op, tg), 1e-8))
+    rows.append(_le("ground_residual", cop.residual(ground), 1e-8))
     rows.append(_le("ground_rounding", rounding, 1e-8))
     rows.append(_le("member_residual_max", basis.residuals, 2.0 * tol))
     # free-particle mode whose clock value falls between samples: the
@@ -179,7 +176,7 @@ def _constraint2_suite(k, tol):
     mode = qg.fourier_map[:, qg.n // 2 + 1]
     t_value = float(np.real(np.vdot(mode, g_free.matrix @ mode)))
     state, distance = separable_second((t_value, mode), tg)
-    residual = second_constraint_residual(state, g_free, tg)
+    residual = second_constraint_operator(g_free, tg).residual(state)
     rows.append(_le("off_grid_residual_gap", abs(residual - distance), 1e-8))
     return rows
 
@@ -234,7 +231,8 @@ def _generalized_suite(k, tol):
     a_both = operator(h_op.matrix + g_op.matrix, hermitian=True)
     es = energy_eigensystem(model)
     psi0 = separable_first((float(es.values[0]), es.vector(0)), tg, k)
-    r_both = generalized_residual(psi0, 1.0, 1.0, a_both, tg, k)
+    r_both = generalized_constraint_operator(1.0, 1.0, a_both, tg,
+                                             k).residual(psi0)
     r1 = first.residual(psi0)
     r2 = second.residual(psi0)
     rows.append(_le("triangle_excess", r_both - (r1 + r2), 1e-12))
@@ -275,29 +273,28 @@ def _ladder_suite(k, tol):
     qg, tg = time_aligned_grids(k)
     model = ModelSpec(OSCILLATOR, k, qg)
     es = energy_eigensystem(model)
-    grids = (qg, tg)
 
     def solution(n):
         return separable_second((tg.samples[n], es.vector(n)), tg)[0]
 
     up_gaps, down_gaps, overlaps = [], [], []
     for n in range(15):
-        out, coeff = ladder_step_up(solution(n), model, grids)
+        out, coeff = ladder_step_up(solution(n), model, tg)
         up_gaps.append(abs(coeff - np.sqrt(n + 1.0)) / np.sqrt(n + 1.0))
         overlaps.append(abs(np.vdot(solution(n + 1).amplitudes,
                                     out.amplitudes / coeff)))
         if n >= 1:
-            out, coeff = ladder_step_down(solution(n), model, grids)
+            out, coeff = ladder_step_down(solution(n), model, tg)
             down_gaps.append(abs(coeff - np.sqrt(n)) / np.sqrt(n))
     rows.append(_le("up_coefficient_gap", up_gaps, 1e-6))
     rows.append(_le("down_coefficient_gap", down_gaps, 1e-6))
     rows.append(_ge("up_overlap_min", overlaps, 1.0 - 1e-8))
-    zero_state, zero_coeff = ladder_step_down(solution(0), model, grids)
+    zero_state, zero_coeff = ladder_step_down(solution(0), model, tg)
     rows.append(_le("ground_annihilation",
                     zero_coeff + float(np.linalg.norm(zero_state.amplitudes)),
                     0.0))
     try:
-        ladder_step_up(solution(es.count - 1), model, grids)
+        ladder_step_up(solution(es.count - 1), model, tg)
         top_guard = 0.0
     except TruncationTopError:
         top_guard = 1.0

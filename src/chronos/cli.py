@@ -89,10 +89,8 @@ def _load_scenario(path):
 def _default_scenario():
     constants = PhysicalConstants()
     qg, tg = energy_aligned_grids(constants)
-    return Scenario(constants=constants, q_grid=qg, t_grid=tg,
-                    model_kind=OSCILLATOR,
-                    initial=InitialState("level", level=0), steps=(),
-                    preset="energy-aligned")
+    return Scenario(model=ModelSpec(OSCILLATOR, constants, qg), t_grid=tg,
+                    initial=InitialState("level", level=0), steps=())
 
 
 def _scenario_from_args(args):
@@ -106,22 +104,22 @@ def cmd_spectrum(args):
     if args.levels < 0:
         raise ScenarioValidationError("levels must be nonnegative",
                                       field="--levels")
-    model = ModelSpec(sc.model_kind, sc.constants, sc.q_grid)
+    model = sc.model
     table = ResultTable(["n", "E_n", "t_n", "t_n_predicted", "abs_error"])
     if args.levels > 0:
-        if args.levels > sc.q_grid.n:
+        if args.levels > model.grid.n:
             raise ScenarioValidationError(
                 "levels %d exceed the grid dimension %d"
-                % (args.levels, sc.q_grid.n), field="--levels")
+                % (args.levels, model.grid.n), field="--levels")
         energies = hamiltonian_eigensystem(model).values
         for n in range(args.levels):
             energy = float(energies[n])
             clock = clock_scale(model) * energy
-            if sc.model_kind == OSCILLATOR:
-                predicted = predicted_time_level(n, sc.constants)
+            if model.kind == OSCILLATOR:
+                predicted = predicted_time_level(n, model.constants)
             else:
                 predicted = free_particle_time_level(max(energy, 0.0),
-                                                     sc.constants)
+                                                     model.constants)
             table.add(n, energy, clock, predicted, abs(clock - predicted))
     _emit(table.render(), args.out)
     return 0
@@ -129,7 +127,7 @@ def cmd_spectrum(args):
 
 def cmd_check(args):
     sc = _scenario_from_args(args)
-    rows, all_passed = run_suite(args.suite, constants=sc.constants,
+    rows, all_passed = run_suite(args.suite, constants=sc.model.constants,
                                  constraint_tol=sc.constraint_tol)
     table = ResultTable(["name", "measured", "bound", "status"])
     for row in rows:
@@ -175,9 +173,8 @@ def cmd_subspace(args):
     if not (math.isfinite(tol) and tol > 0.0):
         raise ScenarioValidationError("tolerance must be positive and "
                                       "finite, got %r" % tol, field="--tol")
-    model = ModelSpec(sc.model_kind, sc.constants, sc.q_grid)
-    cop = first_constraint_operator(hamiltonian(model), sc.t_grid,
-                                    sc.constants)
+    cop = first_constraint_operator(hamiltonian(sc.model), sc.t_grid,
+                                    sc.model.constants)
     basis = physical_subspace(cop, tol)
     table = ResultTable(["index", "label", "residual"])
     for i in range(basis.count):

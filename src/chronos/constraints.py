@@ -30,7 +30,6 @@ import numpy as np
 
 from .axes import (
     TIME,
-    AxisGrid,
     CompositeState,
     energy_eigenvector,
     energy_operator,
@@ -76,7 +75,6 @@ class ConstraintOperator:
     """
 
     kind: str
-    time_grid: AxisGrid
     system_op: OperatorMatrix
     axis_op: OperatorMatrix
 
@@ -86,7 +84,7 @@ class ConstraintOperator:
 
     @property
     def n_t(self):
-        return self.time_grid.n
+        return self.axis_op.dim
 
     @property
     def dim(self):
@@ -151,14 +149,14 @@ def _verified_hermitian(candidate, what):
 def first_constraint_operator(hamiltonian_op, tg, constants):
     require_label(tg, TIME, "first constraint")
     hamiltonian_op = _verified_hermitian(hamiltonian_op, "hamiltonian")
-    return ConstraintOperator(FIRST, tg, hamiltonian_op,
+    return ConstraintOperator(FIRST, hamiltonian_op,
                               energy_operator(tg, constants))
 
 
 def second_constraint_operator(clock_op, tg):
     require_label(tg, TIME, "second constraint")
     clock_op = _verified_hermitian(clock_op, "clock operator")
-    return ConstraintOperator(SECOND, tg, clock_op, time_operator(tg))
+    return ConstraintOperator(SECOND, clock_op, time_operator(tg))
 
 
 def generalized_constraint_operator(coeff_s, coeff_t, system_op, tg,
@@ -173,27 +171,8 @@ def generalized_constraint_operator(coeff_s, coeff_t, system_op, tg,
     system_op = _verified_hermitian(system_op, "system operator")
     k = float(coeff_s) * energy_operator(tg, constants).matrix \
         + np.diag(float(coeff_t) * tg.samples)
-    return ConstraintOperator(GENERALIZED, tg, system_op,
+    return ConstraintOperator(GENERALIZED, system_op,
                               operator(k, hermitian=True))
-
-
-def first_constraint_residual(state, hamiltonian_op, tg, constants):
-    """||(I(x)s_op - H(x)I) state|| / ||state||, never materialized."""
-    return first_constraint_operator(hamiltonian_op, tg,
-                                     constants).residual(state)
-
-
-def second_constraint_residual(state, clock_op, tg):
-    """||(I(x)t_op - G(x)I) state|| / ||state||, never materialized."""
-    return second_constraint_operator(clock_op, tg).residual(state)
-
-
-def generalized_residual(state, coeff_s, coeff_t, system_op, tg, constants):
-    """||(I(x)(c_s s_op + c_t t_op) - A(x)I) state|| / ||state||; A is
-    system_op, and nothing is materialized."""
-    op = generalized_constraint_operator(coeff_s, coeff_t, system_op, tg,
-                                         constants)
-    return op.residual(state)
 
 
 def separable_first(pair, tg, constants):
@@ -246,8 +225,6 @@ class SubspaceBasis:
     members: tuple
     labels: tuple
     residuals: tuple
-    kind: str
-    tol: float
 
     @property
     def count(self):
@@ -321,8 +298,7 @@ def physical_subspace(op, tol=DEFAULT_TOL):
         labels = [float(system.values[m]) for m, _, _ in found]
     members = tuple(CompositeState(v, op.n_q, op.n_t) for v in vectors)
     residuals = tuple(op.residual(m) for m in members)
-    return SubspaceBasis(members, tuple(labels), residuals, op.kind,
-                         float(tol))
+    return SubspaceBasis(members, tuple(labels), residuals)
 
 
 def uncertainty_product(phi, tg, constants):

@@ -17,7 +17,7 @@ system density C C^H kept across the run, so its moments cost O(n_q^2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .axes import (
     TIME,
     AxisGrid,
     CompositeState,
-    PhysicalConstants,
     band_edge,
     energy_operator,
     momentum_operator,
@@ -55,7 +54,6 @@ from .models import (
     hamiltonian,
     hamiltonian_eigensystem,
     ladder_operators,
-    oscillator_time_quantum,
 )
 
 EIGEN_TOL = 1e-9
@@ -101,38 +99,19 @@ def _time_kick(c, tg, phases):
     return out
 
 
-def _swap_levels(i, j, es):
-    # the eigenvectors of two distinct retained levels
-    i, j = int(i), int(j)
-    if i == j:
-        raise ValueError("swap levels must differ, got %d" % i)
-    if not (0 <= i < es.count and 0 <= j < es.count):
-        raise IndexOutOfRangeError(
-            "levels (%d, %d) outside retained range 0..%d"
-            % (i, j, es.count - 1))
-    return es.vector(i), es.vector(j)
-
-
-def _on_grids(state, model, grids):
-    # the time grid of the (q_grid, t_grid) pair, once the state is known
-    # to live on model.grid x t_grid and q_grid is model.grid, whose
-    # eigenvectors act on the state
-    qg, tg = grids
+def _on_grids(state, model, tg):
+    # the model's eigenvectors act on the state, so it must live on
+    # model.grid x tg
     if (state.n_q, state.n_t) != (model.grid.n, tg.n):
         raise DimensionMismatchError(
             "state is %d x %d, model and time grids are %d x %d"
             % (state.n_q, state.n_t, model.grid.n, tg.n))
-    if qg != model.grid:
-        raise DimensionMismatchError(
-            "position grid %r is not the model's grid %r"
-            % (qg, model.grid))
-    return tg
 
 
-def _ladder_step(state, model, grids, up):
+def _ladder_step(state, model, tg, up):
     if model.kind != OSCILLATOR:
         raise WrongKindError("ladder steps are defined for the oscillator")
-    tg = _on_grids(state, model, grids)
+    _on_grids(state, model, tg)
     es = energy_eigensystem(model)
     # the dominant retained level of the system factor
     n = int(np.argmax(np.sum(np.abs(es.vectors.conj().T @ state.matrix) ** 2,
@@ -145,7 +124,7 @@ def _ladder_step(state, model, grids, up):
         return CompositeState(zero, state.n_q, state.n_t,
                               normalized=False), 0.0
     a, a_dag = ladder_operators(es)
-    tau = oscillator_time_quantum(model.constants)
+    tau = model.constants.time_quantum
     t_u = time_translation(tg, model.constants, -tau if up else tau)
     new = (a_dag if up else a).matrix @ state.matrix @ t_u.matrix.T
     coefficient = float(np.linalg.norm(new))
@@ -153,26 +132,26 @@ def _ladder_step(state, model, grids, up):
     return out, coefficient
 
 
-def ladder_step_up(state, model, grids):
+def ladder_step_up(state, model, tg):
     """One rung up: raising operator joint with a backward time translation.
 
     Returns the unnormalized image and its norm; on the clock-aligned
     solution at level n the norm is sqrt(n+1) and the normalized image is
     the solution at level n+1.
     """
-    return _ladder_step(state, model, grids, up=True)
+    return _ladder_step(state, model, tg, up=True)
 
 
-def ladder_step_down(state, model, grids):
+def ladder_step_down(state, model, tg):
     """One rung down: lowering operator joint with a forward time translation.
 
     Norm of the image is sqrt(n); the ground level is annihilated to the
     exact zero vector with coefficient 0.
     """
-    return _ladder_step(state, model, grids, up=False)
+    return _ladder_step(state, model, tg, up=False)
 
 
-def energy_jump(state, i, j, model, grids, tol=DEFAULT_TOL):
+def energy_jump(state, i, j, model, tg, tol=DEFAULT_TOL):
     """Swap the system between levels i and j with the matching phase kick.
 
     Applies (two-level swap) (x) (energy shift by E_j - E_i).  Both level
@@ -182,10 +161,10 @@ def energy_jump(state, i, j, model, grids, tol=DEFAULT_TOL):
     update M + (v_j - v_i)(v_i^H M - v_j^H M) and the shift as a row of
     phases, so neither unitary is formed.
     """
-    tg = _on_grids(state, model, grids)
+    _on_grids(state, model, tg)
     es = energy_eigensystem(model)
-    vi, vj = _swap_levels(i, j, es)
     e_from, e_to = _jump_energies(i, j, es, tg, model.constants, tol)
+    vi, vj = es.vector(i), es.vector(j)
     m = state.matrix
     new = m + np.outer(vj - vi, vi.conj() @ m - vj.conj() @ m)
     new *= _shift_phases(tg, e_to - e_from, model.constants)
@@ -193,9 +172,15 @@ def energy_jump(state, i, j, model, grids, tol=DEFAULT_TOL):
 
 
 def _jump_energies(i, j, es, tg, constants, tol):
-    # (E_i, E_j) of two retained levels, both inside the band and on the
-    # time grid's frequency lattice within tol
-    _swap_levels(i, j, es)
+    # (E_i, E_j) of two distinct retained levels, both inside the band and
+    # on the time grid's frequency lattice within tol
+    i, j = int(i), int(j)
+    if i == j:
+        raise ValueError("swap levels must differ, got %d" % i)
+    if not (0 <= i < es.count and 0 <= j < es.count):
+        raise IndexOutOfRangeError(
+            "levels (%d, %d) outside retained range 0..%d"
+            % (i, j, es.count - 1))
     energies = float(es.values[i]), float(es.values[j])
     edge = band_edge(tg, constants)
     for name, value in zip(("from", "to"), energies):
@@ -247,19 +232,21 @@ class InitialState:
     def __post_init__(self):
         if self.kind not in ("level", "energy", "amplitudes"):
             raise ValueError("unknown initial kind %r" % (self.kind,))
+        if getattr(self, self.kind) is None:
+            raise ValueError("%s initial state needs %s"
+                             % (self.kind, self.kind))
 
 
 @dataclass(frozen=True)
 class Scenario:
-    constants: PhysicalConstants
-    q_grid: AxisGrid
+    """A model, the time grid it runs on, a start and the steps to take."""
+
+    model: ModelSpec
     t_grid: AxisGrid
-    model_kind: str
     initial: InitialState
     steps: tuple
     constraint_tol: float = DEFAULT_TOL
     eigen_tol: float = EIGEN_TOL
-    preset: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -282,15 +269,15 @@ def validate_scenario(sc):
     Checks that both tolerances are positive, that referenced levels are
     retained and that every jump's at-time lies within the constraint
     tolerance of a clock eigenvalue.  Every comparison fails on NaN.
+    Returns the model's retained eigensystem.
     """
     for key in ("constraint_tol", "eigen_tol"):
         if not getattr(sc, key) > 0.0:
             raise ScenarioValidationError(
                 "must be positive, got %r" % (getattr(sc, key),),
                 field="tolerances." + key)
-    model = ModelSpec(sc.model_kind, sc.constants, sc.q_grid)
-    es = energy_eigensystem(model)
-    clock_values = clock_scale(model) * es.values
+    es = energy_eigensystem(sc.model)
+    clock_values = clock_scale(sc.model) * es.values
     if sc.initial.kind == "level":
         if not 0 <= sc.initial.level < es.count:
             raise ScenarioValidationError(
@@ -318,23 +305,23 @@ def validate_scenario(sc):
             raise ScenarioValidationError(
                 "at-time %.6g not within %g of any clock eigenvalue"
                 % (step.at_time, sc.constraint_tol), field=where)
-    return model, es
+    return es
 
 
-def _initial_state(sc, es, tg):
+def _initial_state(sc, es):
     if sc.initial.kind == "amplitudes":
         amp = np.asarray(sc.initial.amplitudes, dtype=np.complex128)
         norm = np.linalg.norm(amp)
         if norm == 0.0:
             raise ScenarioValidationError("amplitudes are all zero",
                                           field="initial.amplitudes")
-        return CompositeState(amp / norm, sc.q_grid.n, tg.n)
+        return CompositeState(amp / norm, sc.model.grid.n, sc.t_grid.n)
     if sc.initial.kind == "level":
         n = sc.initial.level
     else:
         n = int(np.argmin(np.abs(es.values - sc.initial.energy)))
-    return separable_first((float(es.values[n]), es.vector(n)), tg,
-                           sc.constants)
+    return separable_first((float(es.values[n]), es.vector(n)), sc.t_grid,
+                           sc.model.constants)
 
 
 def run_scenario(sc):
@@ -360,9 +347,9 @@ def run_scenario(sc):
     eigensolve, its certificate and the change of basis), an evolve costs
     O(n_q n_t) and a jump O(n_q n_t log n_t + n_q^2).
     """
-    model, es = validate_scenario(sc)
-    tg = sc.t_grid
-    k = sc.constants
+    es = validate_scenario(sc)
+    model, tg = sc.model, sc.t_grid
+    k = model.constants
     h_es = hamiltonian_eigensystem(model)
     v, energies = h_es.vectors, h_es.values
     phi = tg.fourier_map
@@ -387,8 +374,8 @@ def run_scenario(sc):
         kronecker_null_pairs(energies, kappa, sc.constraint_tol),
         dtype=np.intp).reshape(-1, 2).T
     # complex here, once, rather than cast by every np.vdot(rho, q_v)
-    q_v = ((v.conj().T * sc.q_grid.samples) @ v).astype(np.complex128)
-    p_v = v.conj().T @ momentum_operator(sc.q_grid, k).matrix @ v
+    q_v = ((v.conj().T * model.grid.samples) @ v).astype(np.complex128)
+    p_v = v.conj().T @ momentum_operator(model.grid, k).matrix @ v
 
     records = []
     kicks = {}  # the time-domain phase row of each (from, to) pair
@@ -435,7 +422,7 @@ def run_scenario(sc):
         rho[:, [i, j]] = rho[:, [j, i]]
         return _time_kick(c, tg, kicks[i, j])
 
-    c = v.conj().T @ _initial_state(sc, es, tg).matrix @ phi.conj()
+    c = v.conj().T @ _initial_state(sc, es).matrix @ phi.conj()
     rho = c @ c.conj().T
     observe(0, "init", c)
     for index, step in enumerate(sc.steps, start=1):

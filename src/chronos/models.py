@@ -126,16 +126,11 @@ def clock_operator(model):
                     hermitian=True)
 
 
-def oscillator_time_quantum(constants):
-    """Clock-level spacing of the oscillator: hbar^2*omega/(m^2 c^4)."""
-    return constants.time_quantum
-
-
 def predicted_time_level(n, constants):
     """Closed-form oscillator clock reading for level n: quantum * (n + 1/2)."""
     if n < 0:
         raise ValueError("level must be nonnegative, got %d" % n)
-    return oscillator_time_quantum(constants) * (n + 0.5)
+    return constants.time_quantum * (n + 0.5)
 
 
 def free_particle_time_level(energy, constants):

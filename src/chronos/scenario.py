@@ -20,7 +20,7 @@ from .axes import (
 from .constraints import DEFAULT_TOL
 from .dynamics import EIGEN_TOL, InitialState, Scenario, Step
 from .exceptions import ScenarioSyntaxError, ScenarioValidationError
-from .models import DEFAULT_RETAINED_LEVELS, KINDS
+from .models import DEFAULT_RETAINED_LEVELS, KINDS, ModelSpec
 
 PRESETS = ("energy-aligned", "time-aligned")
 
@@ -96,11 +96,10 @@ def _parse_preset(value, constants):
         else:
             _fail("unknown preset %r (expected one of %s or explicit grids)"
                   % (value, ", ".join(PRESETS)), "preset")
-        return qg, tg, value
+        return qg, tg
     obj = _fields(value, "preset", ("q", "t"), ("q", "t"))
-    qg = _parse_grid(obj["q"], "preset.q", POSITION)
-    tg = _parse_grid(obj["t"], "preset.t", TIME)
-    return qg, tg, None
+    return (_parse_grid(obj["q"], "preset.q", POSITION),
+            _parse_grid(obj["t"], "preset.t", TIME))
 
 
 def _parse_initial(value, n_q, n_t):
@@ -188,7 +187,7 @@ def parse_scenario(text):
     except ValueError as exc:
         raise ScenarioValidationError(str(exc), field="constants") from None
     try:
-        q_grid, t_grid, preset = _parse_preset(doc["preset"], constants)
+        q_grid, t_grid = _parse_preset(doc["preset"], constants)
     except ValueError as exc:
         raise ScenarioValidationError(str(exc), field="preset") from None
     model_kind = doc["model"]
@@ -198,8 +197,7 @@ def parse_scenario(text):
     initial = _parse_initial(doc["initial"], q_grid.n, t_grid.n)
     steps = _parse_steps(doc["steps"])
     constraint_tol, eigen_tol = _parse_tolerances(doc.get("tolerances"))
-    return Scenario(constants=constants, q_grid=q_grid, t_grid=t_grid,
-                    model_kind=model_kind, initial=initial, steps=steps,
-                    constraint_tol=constraint_tol, eigen_tol=eigen_tol,
-                    preset=preset)
+    return Scenario(model=ModelSpec(model_kind, constants, q_grid),
+                    t_grid=t_grid, initial=initial, steps=steps,
+                    constraint_tol=constraint_tol, eigen_tol=eigen_tol)
 

@@ -296,11 +296,6 @@ def _grid_document(grid):
 def serialize_scenario(sc):
     """Canonical JSON for a Scenario: sorted keys, every tolerance
     written out, and parse_scenario of it equal to sc."""
-    if sc.preset is not None:
-        preset = sc.preset
-    else:
-        preset = {"q": _grid_document(sc.q_grid),
-                  "t": _grid_document(sc.t_grid)}
     if sc.initial.kind == "level":
         initial = {"level": sc.initial.level}
     elif sc.initial.kind == "energy":
@@ -316,11 +311,13 @@ def serialize_scenario(sc):
             steps.append({"jump": {"from": step.from_level,
                                    "to": step.to_level,
                                    "at": step.at_time}})
+    k = sc.model.constants
     doc = {
-        "constants": {"hbar": sc.constants.hbar, "mass": sc.constants.mass,
-                      "c": sc.constants.c, "omega": sc.constants.omega},
-        "preset": preset,
-        "model": sc.model_kind,
+        "constants": {"hbar": k.hbar, "mass": k.mass, "c": k.c,
+                      "omega": k.omega},
+        "preset": {"q": _grid_document(sc.model.grid),
+                   "t": _grid_document(sc.t_grid)},
+        "model": sc.model.kind,
         "initial": initial,
         "steps": steps,
         "tolerances": {"constraint_tol": sc.constraint_tol,

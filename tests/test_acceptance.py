@@ -30,10 +30,9 @@ from chronos.axes import (
 )
 from chronos.constraints import (
     first_constraint_operator,
-    first_constraint_residual,
-    generalized_residual,
+    generalized_constraint_operator,
     physical_subspace,
-    second_constraint_residual,
+    second_constraint_operator,
     separable_first,
     separable_second,
     uncertainty_product,
@@ -74,26 +73,26 @@ def test_c2_ladder_coefficients():
     # sqrt(n+1) up and sqrt(n) down, 1e-6 relative, levels through 14
     started = time.monotonic()
     k = PhysicalConstants()
-    grids = time_aligned_grids(k)
-    model = ModelSpec(OSCILLATOR, k, grids[0])
+    q_grid, t_grid = time_aligned_grids(k)
+    model = ModelSpec(OSCILLATOR, k, q_grid)
     es = energy_eigensystem(model)
 
     def aligned_solution(n):
-        state, miss = separable_second((grids[1].samples[n], es.vector(n)),
-                                       grids[1])
+        state, miss = separable_second((t_grid.samples[n], es.vector(n)),
+                                       t_grid)
         assert miss == 0.0
         return state
 
     for n in range(15):
-        _, coeff = ladder_step_up(aligned_solution(n), model, grids)
+        _, coeff = ladder_step_up(aligned_solution(n), model, t_grid)
         want = oracles.ladder_matrix_elements(n, "up")
         assert abs(coeff - want) <= 1e-6 * want
     for n in range(1, 15):
-        _, coeff = ladder_step_down(aligned_solution(n), model, grids)
+        _, coeff = ladder_step_down(aligned_solution(n), model, t_grid)
         want = oracles.ladder_matrix_elements(n, "down")
         assert abs(coeff - want) <= 1e-6 * want
     zero_image, zero_coeff = ladder_step_down(aligned_solution(0), model,
-                                              grids)
+                                              t_grid)
     assert zero_coeff == 0.0
     assert np.linalg.norm(zero_image.amplitudes) == 0.0
     assert time.monotonic() - started < 10.0
@@ -128,19 +127,20 @@ def test_c4_generalized_reductions():
     model = ModelSpec(OSCILLATOR, k, q_grid)
     ham = hamiltonian(model)
     clock = oscillator_clock_operator(model)
+    first = first_constraint_operator(ham, t_grid, k)
+    first_reduced = generalized_constraint_operator(1.0, 0.0, ham, t_grid, k)
+    second = second_constraint_operator(clock, t_grid)
+    second_reduced = generalized_constraint_operator(0.0, 1.0, clock, t_grid,
+                                                     k)
     rng = np.random.default_rng(42)
     for _ in range(100):
         state = rng.standard_normal(q_grid.n * t_grid.n) \
             + 1j * rng.standard_normal(q_grid.n * t_grid.n)
         state /= np.linalg.norm(state)
-        first_direct = first_constraint_residual(state, ham, t_grid, k)
-        first_reduced = generalized_residual(state, 1.0, 0.0, ham, t_grid,
-                                             k)
-        assert abs(first_direct - first_reduced) <= 1e-12
-        second_direct = second_constraint_residual(state, clock, t_grid)
-        second_reduced = generalized_residual(state, 0.0, 1.0, clock, t_grid,
-                                              k)
-        assert abs(second_direct - second_reduced) <= 1e-12
+        assert abs(first.residual(state)
+                   - first_reduced.residual(state)) <= 1e-12
+        assert abs(second.residual(state)
+                   - second_reduced.residual(state)) <= 1e-12
 
 
 def test_c5_evolution_equivalence(energy_bundle):
@@ -171,15 +171,14 @@ def test_c5_evolution_equivalence(energy_bundle):
 
 def test_c6_energy_jump(energy_bundle):
     bundle = energy_bundle
-    k = bundle["constants"]
-    grids = (bundle["q_grid"], bundle["t_grid"])
+    k, t_grid = bundle["constants"], bundle["t_grid"]
     es = bundle["eigensystem"]
-    start = separable_first((0.5, es.vector(0)), bundle["t_grid"], k)
-    jumped = energy_jump(start, 0, 1, bundle["model"], grids)
-    target = separable_first((1.5, es.vector(1)), bundle["t_grid"], k)
+    start = separable_first((0.5, es.vector(0)), t_grid, k)
+    jumped = energy_jump(start, 0, 1, bundle["model"], t_grid)
+    target = separable_first((1.5, es.vector(1)), t_grid, k)
     assert abs(jumped.overlap(target)) >= 1.0 - 1e-8
     assert bundle["constraint"].residual(jumped) <= 1e-6
-    returned = energy_jump(jumped, 1, 0, bundle["model"], grids)
+    returned = energy_jump(jumped, 1, 0, bundle["model"], t_grid)
     assert abs(returned.overlap(start)) >= 1.0 - 1e-9
 
 

@@ -161,12 +161,13 @@ def test_run_aborts_with_partial_csv(capsys, tmp_path):
 
     k = PhysicalConstants()
     q_grid, t_grid = energy_aligned_grids(k, n_q=32, n_t=16)
-    es = energy_eigensystem(ModelSpec(OSCILLATOR, k, q_grid))
+    model = ModelSpec(OSCILLATOR, k, q_grid)
+    es = energy_eigensystem(model)
     solution = separable_first((float(es.values[0]), es.vector(0)), t_grid, k)
     stray = np.outer(es.vector(0), energy_eigenvector(t_grid, 1.0, k))
     amps = np.asarray(solution.amplitudes) + 1.6e-6 * stray.ravel()
     sc = Scenario(
-        constants=k, q_grid=q_grid, t_grid=t_grid, model_kind=OSCILLATOR,
+        model=model, t_grid=t_grid,
         initial=InitialState(kind="amplitudes", amplitudes=tuple(amps)),
         steps=(Step(kind="evolve", dt=2.0),))
     path = tmp_path / "doomed.json"

@@ -215,28 +215,28 @@ def test_eigen_swap_unitary_exchanges_levels():
 @pytest.fixture(scope="module")
 def aligned():
     k = PhysicalConstants()
-    grids = time_aligned_grids(k)
-    model = ModelSpec(OSCILLATOR, k, grids[0])
+    q_grid, t_grid = time_aligned_grids(k)
+    model = ModelSpec(OSCILLATOR, k, q_grid)
     es = energy_eigensystem(model)
-    return k, grids, model, es
+    return k, t_grid, model, es
 
 
-def solution_at(level, k, grids, es):
+def solution_at(level, k, tg, es):
     # clock-aligned product: level eigenvector next to the matching reading
     from chronos.constraints import separable_second
-    state, miss = separable_second((grids[1].samples[level],
-                                    es.vector(level)), grids[1])
+    state, miss = separable_second((tg.samples[level],
+                                    es.vector(level)), tg)
     assert miss == 0.0
     return state
 
 
 def test_ladder_up_coefficient(aligned):
-    k, grids, model, es = aligned
+    k, tg, model, es = aligned
     for n in (0, 2, 5):
-        state = solution_at(n, k, grids, es)
-        image, coeff = ladder_step_up(state, model, grids)
+        state = solution_at(n, k, tg, es)
+        image, coeff = ladder_step_up(state, model, tg)
         assert abs(coeff - oracles.ladder_matrix_elements(n, "up")) < 1e-6
-        target = solution_at(n + 1, k, grids, es)
+        target = solution_at(n + 1, k, tg, es)
         overlap = abs(np.vdot(
             np.asarray(image.amplitudes) / coeff,
             np.asarray(target.amplitudes)))
@@ -244,12 +244,12 @@ def test_ladder_up_coefficient(aligned):
 
 
 def test_ladder_down_coefficient(aligned):
-    k, grids, model, es = aligned
+    k, tg, model, es = aligned
     for n in (1, 4, 7):
-        state = solution_at(n, k, grids, es)
-        image, coeff = ladder_step_down(state, model, grids)
+        state = solution_at(n, k, tg, es)
+        image, coeff = ladder_step_down(state, model, tg)
         assert abs(coeff - oracles.ladder_matrix_elements(n, "down")) < 1e-6
-        target = solution_at(n - 1, k, grids, es)
+        target = solution_at(n - 1, k, tg, es)
         overlap = abs(np.vdot(
             np.asarray(image.amplitudes) / coeff,
             np.asarray(target.amplitudes)))
@@ -257,11 +257,11 @@ def test_ladder_down_coefficient(aligned):
 
 
 def test_ladder_round_trip_recovers_state(aligned):
-    k, grids, model, es = aligned
-    state = solution_at(3, k, grids, es)
-    up, c_up = ladder_step_up(state, model, grids)
+    k, tg, model, es = aligned
+    state = solution_at(3, k, tg, es)
+    up, c_up = ladder_step_up(state, model, tg)
     up_n = CompositeState(up.amplitudes / c_up, up.n_q, up.n_t)
-    back, c_down = ladder_step_down(up_n, model, grids)
+    back, c_down = ladder_step_down(up_n, model, tg)
     overlap = abs(np.vdot(np.asarray(back.amplitudes) / c_down,
                           np.asarray(state.amplitudes)))
     assert overlap == pytest.approx(1.0, abs=1e-9)
@@ -269,35 +269,33 @@ def test_ladder_round_trip_recovers_state(aligned):
 
 
 def test_ladder_annihilates_ground(aligned):
-    k, grids, model, es = aligned
-    state = solution_at(0, k, grids, es)
-    image, coeff = ladder_step_down(state, model, grids)
+    k, tg, model, es = aligned
+    state = solution_at(0, k, tg, es)
+    image, coeff = ladder_step_down(state, model, tg)
     assert coeff == 0.0
     assert np.linalg.norm(image.amplitudes) == 0.0
 
 
 def test_ladder_truncation_guard(aligned):
-    k, grids, model, es = aligned
-    top = solution_at(es.count - 1, k, grids, es)
+    k, tg, model, es = aligned
+    top = solution_at(es.count - 1, k, tg, es)
     with pytest.raises(TruncationTopError):
-        ladder_step_up(top, model, grids)
+        ladder_step_up(top, model, tg)
 
 
 def test_energy_jump_lands_on_target(energy_bundle):
     bundle = energy_bundle
     k = bundle["constants"]
-    grids = (bundle["q_grid"], bundle["t_grid"])
+    tg = bundle["t_grid"]
     model = bundle["model"]
     es = bundle["eigensystem"]
-    start = separable_first((float(es.values[0]), es.vector(0)),
-                            bundle["t_grid"], k)
-    jumped = energy_jump(start, 0, 1, model, grids)
-    target = separable_first((float(es.values[1]), es.vector(1)),
-                             bundle["t_grid"], k)
+    start = separable_first((float(es.values[0]), es.vector(0)), tg, k)
+    jumped = energy_jump(start, 0, 1, model, tg)
+    target = separable_first((float(es.values[1]), es.vector(1)), tg, k)
     overlap = abs(jumped.overlap(target))
     assert overlap >= 1.0 - 1e-8
     assert bundle["constraint"].residual(jumped) < 1e-6
-    back = energy_jump(jumped, 1, 0, model, grids)
+    back = energy_jump(jumped, 1, 0, model, tg)
     assert abs(back.overlap(start)) >= 1.0 - 1e-9
 
 
@@ -305,14 +303,14 @@ def test_energy_jump_lands_on_target(energy_bundle):
 def test_energy_jump_matches_dense_unitaries(energy_bundle, rng, i, j):
     bundle = energy_bundle
     k = bundle["constants"]
-    grids = (bundle["q_grid"], bundle["t_grid"])
+    tg = bundle["t_grid"]
     es = bundle["eigensystem"]
-    n_q, n_t = grids[0].n, grids[1].n
+    n_q, n_t = bundle["q_grid"].n, tg.n
     raw = rng.standard_normal(n_q * n_t) + 1j * rng.standard_normal(n_q * n_t)
     state = CompositeState(raw / np.linalg.norm(raw), n_q, n_t)
-    jumped = energy_jump(state, i, j, bundle["model"], grids)
+    jumped = energy_jump(state, i, j, bundle["model"], tg)
     swap = oracles.eigen_swap_unitary(i, j, es)
-    shift = oracles.energy_shift(grids[1], es.values[j] - es.values[i], k)
+    shift = oracles.energy_shift(tg, es.values[j] - es.values[i], k)
     want = swap @ state.matrix @ shift.T
     assert maxnorm(jumped.matrix - want) <= 1e-12
 
@@ -328,25 +326,25 @@ def test_energy_jump_refuses_off_lattice_levels():
     es = energy_eigensystem(model)
     state = tensor_state(es.vector(0), np.ones(16) / 4.0)
     with pytest.raises(OffLatticeError):
-        energy_jump(state, 0, 1, model, (q_grid, t_grid))
+        energy_jump(state, 0, 1, model, t_grid)
 
 
 def test_energy_jump_refuses_nan_tolerance(energy_bundle):
     # a NaN tolerance must not accept every lattice miss
     bundle = energy_bundle
-    grids = (bundle["q_grid"], bundle["t_grid"])
     es = bundle["eigensystem"]
     start = separable_first((float(es.values[0]), es.vector(0)),
                             bundle["t_grid"], bundle["constants"])
     with pytest.raises(OffLatticeError):
-        energy_jump(start, 0, 1, bundle["model"], grids, tol=math.nan)
+        energy_jump(start, 0, 1, bundle["model"], bundle["t_grid"],
+                    tol=math.nan)
 
 
-# the three maps that act on a state and its grid pair
+# the three maps that act on a state, its model and its time grid
 STEPS = [
     ladder_step_up,
     ladder_step_down,
-    lambda state, model, grids: energy_jump(state, 0, 1, model, grids),
+    lambda state, model, tg: energy_jump(state, 0, 1, model, tg),
 ]
 
 
@@ -356,46 +354,38 @@ def test_steps_refuse_a_state_off_the_grids(energy_bundle, step, shape):
     # the 64 x 32 grids take a 64 x 32 state; any other is refused, typed,
     # before numpy meets the mismatch
     bundle = energy_bundle
-    grids = (bundle["q_grid"], bundle["t_grid"])
     n_q, n_t = shape
     state = CompositeState(np.ones(n_q * n_t), n_q, n_t, normalized=False)
     with pytest.raises(DimensionMismatchError, match="grids are 64 x 32"):
-        step(state, bundle["model"], grids)
+        step(state, bundle["model"], bundle["t_grid"])
 
 
 @pytest.mark.parametrize("step", STEPS, ids=["up", "down", "jump"])
 def test_steps_refuse_grids_other_than_the_models(energy_bundle, step):
     # the system eigenvectors come from the model's 64-point grid, so a
-    # 32 x 32 state on matching 32 x 32 grids is refused, typed, before
-    # numpy meets the mismatch; so is a 64-point grid that is not the
-    # model's
+    # 32 x 32 state on a matching 32-point time grid is refused, typed,
+    # before numpy meets the mismatch
     bundle = energy_bundle
-    k, model, es = bundle["constants"], bundle["model"], bundle["eigensystem"]
-    q_grid, t_grid = bundle["q_grid"], bundle["t_grid"]
-    small = energy_aligned_grids(k, n_q=32, n_t=32)
+    _, small_t = energy_aligned_grids(bundle["constants"], n_q=32, n_t=32)
     state = CompositeState(np.ones(32 * 32), 32, 32, normalized=False)
     with pytest.raises(DimensionMismatchError,
                        match="state is 32 x 32, model and time grids are "
                              "64 x 32"):
-        step(state, model, small)
-    moved = dataclasses.replace(q_grid, origin=q_grid.origin + 0.5)
-    state = separable_first((float(es.values[1]), es.vector(1)), t_grid, k)
-    with pytest.raises(DimensionMismatchError, match="not the model's grid"):
-        step(state, model, (moved, t_grid))
+        step(state, bundle["model"], small_t)
 
 
 def test_energy_jump_refuses_levels_it_cannot_swap(energy_bundle):
     # equal levels are no swap, and a level at the retained count is not
     # retained
     bundle = energy_bundle
-    grids = (bundle["q_grid"], bundle["t_grid"])
+    tg = bundle["t_grid"]
     es = bundle["eigensystem"]
-    start = separable_first((float(es.values[0]), es.vector(0)),
-                            bundle["t_grid"], bundle["constants"])
+    start = separable_first((float(es.values[0]), es.vector(0)), tg,
+                            bundle["constants"])
     with pytest.raises(ValueError, match="must differ"):
-        energy_jump(start, 2, 2, bundle["model"], grids)
+        energy_jump(start, 2, 2, bundle["model"], tg)
     with pytest.raises(IndexOutOfRangeError):
-        energy_jump(start, 0, es.count, bundle["model"], grids)
+        energy_jump(start, 0, es.count, bundle["model"], tg)
 
 
 def test_step_validation():
@@ -410,14 +400,19 @@ def test_step_validation():
         Step(kind="wiggle", dt=1.0)
 
 
+@pytest.mark.parametrize("kind", ["level", "energy", "amplitudes"])
+def test_initial_state_needs_the_value_its_kind_names(kind):
+    # refused when built, not as a TypeError or a divide warning in a run
+    with pytest.raises(ValueError, match="needs %s" % kind):
+        InitialState(kind)
+
+
 def base_scenario(**overrides):
     k = PhysicalConstants()
     q_grid, t_grid = energy_aligned_grids(k, n_q=32, n_t=16)
     fields = dict(
-        constants=k,
-        q_grid=q_grid,
+        model=ModelSpec(OSCILLATOR, k, q_grid),
         t_grid=t_grid,
-        model_kind=OSCILLATOR,
         initial=InitialState(kind="level", level=0),
         steps=(Step(kind="evolve", dt=1.0),),
     )
@@ -426,8 +421,7 @@ def base_scenario(**overrides):
 
 
 def test_validate_scenario_accepts_good_input():
-    model, es = validate_scenario(base_scenario())
-    assert es.count >= 8
+    assert validate_scenario(base_scenario()).count >= 8
 
 
 def test_validate_scenario_rejects_bad_level():
@@ -488,7 +482,7 @@ def test_run_scenario_trajectory():
         Step(kind="jump", from_level=0, to_level=2, at_time=0.5),
         Step(kind="evolve", dt=0.25),
     ))
-    model, es = validate_scenario(sc)
+    es = validate_scenario(sc)
     records = run_scenario(sc)
     assert [r.kind for r in records] == ["init", "evolve", "jump", "evolve"]
     assert [r.step_index for r in records] == [0, 1, 2, 3]
@@ -513,12 +507,12 @@ def test_run_scenario_energy_initial_matches_level():
 
 def test_run_scenario_amplitudes_initial(rng):
     sc0 = base_scenario()
-    model, es = validate_scenario(sc0)
+    es = validate_scenario(sc0)
     with warnings.catch_warnings():
         # the discrete eigenvalue misses the lattice by a few 1e-9; fine here
         warnings.simplefilter("ignore", OffLatticeWarning)
         state = separable_first((float(es.values[1]), es.vector(1)),
-                                sc0.t_grid, sc0.constants)
+                                sc0.t_grid, sc0.model.constants)
     sc = base_scenario(initial=InitialState(
         kind="amplitudes", amplitudes=tuple(np.asarray(state.amplitudes))))
     records = run_scenario(sc)
@@ -540,12 +534,12 @@ def test_run_scenario_equivalence_guard_keeps_partial_records():
     # a state just inside the constraint tolerance drifts apart under the
     # two evolution routes; the guard must abort and hand back the prefix
     sc0 = base_scenario()
-    model, es = validate_scenario(sc0)
+    es = validate_scenario(sc0)
+    k = sc0.model.constants
     solution = separable_first((float(es.values[0]), es.vector(0)),
-                               sc0.t_grid, sc0.constants)
+                               sc0.t_grid, k)
     from chronos.axes import energy_eigenvector
-    stray = np.outer(es.vector(0),
-                     energy_eigenvector(sc0.t_grid, 1.0, sc0.constants))
+    stray = np.outer(es.vector(0), energy_eigenvector(sc0.t_grid, 1.0, k))
     amps = np.asarray(solution.amplitudes) + 1.6e-6 * stray.ravel()
     sc = base_scenario(
         initial=InitialState(kind="amplitudes", amplitudes=tuple(amps)),
@@ -560,13 +554,12 @@ def free_particle_scenario(**overrides):
     # q period 2*pi puts every level (hbar k)^2/2m on the time lattice
     # hbar*2*pi/L_t = 2/3 of a 6*pi time period
     k = PhysicalConstants(hbar=2.0, mass=3.0, c=1.5, omega=0.7)
+    q_grid = AxisGrid(n=32, origin=-math.pi, spacing=math.pi / 16,
+                      label="position")
     fields = dict(
-        constants=k,
-        q_grid=AxisGrid(n=32, origin=-math.pi, spacing=math.pi / 16,
-                        label="position"),
+        model=ModelSpec(FREE_PARTICLE, k, q_grid),
         t_grid=AxisGrid(n=16, origin=0.0, spacing=6.0 * math.pi / 16,
                         label="time"),
-        model_kind=FREE_PARTICLE,
         initial=InitialState(kind="level", level=1),
         steps=(),
     )
@@ -577,20 +570,20 @@ def free_particle_scenario(**overrides):
 def oscillator_scenario(**overrides):
     k = PhysicalConstants(hbar=2.0, mass=3.0, c=1.5, omega=0.7)
     q_grid, t_grid = energy_aligned_grids(k, n_q=64, n_t=16)
-    return base_scenario(constants=k, q_grid=q_grid, t_grid=t_grid,
-                         **overrides)
+    return base_scenario(model=ModelSpec(OSCILLATOR, k, q_grid),
+                         t_grid=t_grid, **overrides)
 
 
 def jump_step(sc, i, j):
     # stamped with the clock reading of its from-level
-    model, es = validate_scenario(sc)
+    es = validate_scenario(sc)
     return Step(kind="jump", from_level=i, to_level=j,
-                at_time=clock_scale(model) * float(es.values[i]))
+                at_time=clock_scale(sc.model) * float(es.values[i]))
 
 
 def random_amplitudes(sc, seed):
     rng = np.random.default_rng(seed)
-    n = sc.q_grid.n * sc.t_grid.n
+    n = sc.model.grid.n * sc.t_grid.n
     raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return InitialState(kind="amplitudes",
                         amplitudes=tuple(raw / np.linalg.norm(raw)))
@@ -627,8 +620,9 @@ def spectral_cases():
 
 def grid_basis_records(sc):
     """The scenario replayed on grid-basis states, one dict per record."""
-    model, es = validate_scenario(sc)
-    k, qg, tg = sc.constants, sc.q_grid, sc.t_grid
+    es = validate_scenario(sc)
+    model, tg = sc.model, sc.t_grid
+    k, qg = model.constants, model.grid
     h_op = hamiltonian(model)
     cop = first_constraint_operator(h_op, tg, k)
     basis = physical_subspace(cop, sc.constraint_tol)
@@ -645,7 +639,7 @@ def grid_basis_records(sc):
             state = CompositeState(state.matrix @ u.T, qg.n, tg.n)
         elif step is not None:
             state = energy_jump(state, step.from_level, step.to_level,
-                                model, (qg, tg), tol=sc.constraint_tol)
+                                model, tg, tol=sc.constraint_tol)
         coeffs = np.abs(basis.coefficients(state)) ** 2
         weight = float(np.sum(coeffs))
         out.append({"q_mean": oracles.expectation_left(state, q_op),
@@ -680,13 +674,13 @@ def test_run_scenario_matches_grid_basis_oracle(sc):
 @pytest.mark.parametrize("tol", [1e-6, 0.6])
 def test_kernel_pairs_follow_physical_subspace_order(sc, tol):
     # run_scenario gathers its kernel coefficients at these pairs
-    model, _ = validate_scenario(sc)
+    validate_scenario(sc)
+    model, tg = sc.model, sc.t_grid
     es = hamiltonian_eigensystem(model)
-    tg = sc.t_grid
-    kappa = -sc.constants.hbar * tg.frequencies
+    kappa = -model.constants.hbar * tg.frequencies
     pairs = kronecker_null_pairs(es.values, kappa, tol)
     basis = physical_subspace(first_constraint_operator(
-        hamiltonian(model), tg, sc.constants), tol)
+        hamiltonian(model), tg, model.constants), tol)
     assert len(pairs) == basis.count > 0
     for (m, k), member, label in zip(pairs, basis.members, basis.labels):
         assert label == es.values[m]
@@ -798,11 +792,11 @@ def test_run_scenario_checks_jump_energies_once_per_pair(monkeypatch):
     sc = base_scenario(steps=ROUND_TRIP + (
         Step(kind="jump", from_level=0, to_level=5, at_time=0.5),
         Step(kind="evolve", dt=0.2)))
-    model, es = validate_scenario(sc)
+    es = validate_scenario(sc)
     start = separable_first((float(es.values[0]), es.vector(0)),
-                            sc.t_grid, sc.constants)
+                            sc.t_grid, sc.model.constants)
     with pytest.raises(OffLatticeError) as want:
-        energy_jump(start, 0, 5, model, (sc.q_grid, sc.t_grid))
+        energy_jump(start, 0, 5, sc.model, sc.t_grid)
     with pytest.raises(ScenarioStepError) as info:
         run_scenario(sc)
     assert isinstance(info.value.__cause__, OffLatticeError)

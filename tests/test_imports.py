@@ -79,10 +79,6 @@ def test_no_unread_private_names():
     assert unread_private_names(sources) == []
 
 
-# public names that only the acceptance tests call
-UNREAD_ALLOWED = ("first_constraint_residual",)
-
-
 def traced_names(source):
     """The dotted names in a tracer's TARGETS table, split at the dots."""
     names = set()
@@ -137,6 +133,4 @@ def test_no_unread_public_names():
                        for top in ("demos", "bench")
                        for p in sorted((REPO / top).rglob("*.py"))]
     tracer = (REPO / "bench" / "tracer.py").read_text(encoding="utf-8")
-    assert unread_public_names(
-        package, users,
-        traced_names(tracer) | set(UNREAD_ALLOWED)) == []
+    assert unread_public_names(package, users, traced_names(tracer)) == []

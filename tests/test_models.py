@@ -34,7 +34,6 @@ from chronos.models import (
     harmonic_hamiltonian,
     ladder_operators,
     oscillator_clock_operator,
-    oscillator_time_quantum,
     predicted_time_level,
 )
 
@@ -257,7 +256,7 @@ def test_clock_operator_is_scaled_hamiltonian():
     gap = clock_operator(model).matrix - scale * hamiltonian(model).matrix
     assert maxnorm(gap) < 1e-15
     values = eig_hermitian(oscillator_clock_operator(model)).values
-    quantum = oscillator_time_quantum(k)
+    quantum = k.time_quantum
     assert np.max(np.abs(values[:8] - quantum * (np.arange(8) + 0.5))) < 1e-9
 
 
@@ -276,7 +275,7 @@ def test_clock_values_are_scaled_energies(kind, k):
 
 def test_time_level_formulas():
     k = PhysicalConstants(hbar=2.0, mass=3.0, c=1.5, omega=0.7)
-    quantum = oscillator_time_quantum(k)
+    quantum = k.time_quantum
     assert quantum == pytest.approx(2.0 ** 2 * 0.7 / (3.0 ** 2 * 1.5 ** 4))
     assert predicted_time_level(4, k) == pytest.approx(quantum * 4.5)
     assert free_particle_time_level(5.0, k) == pytest.approx(
