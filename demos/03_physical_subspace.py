@@ -32,18 +32,19 @@ def main():
     print("solution space dimension: %d" % basis.count)
     print()
     print("%18s  %12s" % ("level label", "residual"))
-    for label, member in zip(basis.labels, basis.members):
-        print("%18s  %12.2e" % (label, op.residual(member)))
+    for label, residual in zip(basis.labels, basis.residuals):
+        print("%18s  %12.2e" % (label, residual))
     print()
 
     dt = math.pi / 3.0
-    translator = time_translation(t_grid, k, dt)
+    translator = time_translation(t_grid, dt)
     evolver = unitary_exp(ham, dt / k.hbar)
     print("evolution vs clock shift, dt = pi/3:")
     worst = 0.0
-    for member in basis.members:
-        shifted = member.matrix @ translator.matrix.T
-        evolved = evolver.matrix @ member.matrix
+    # each member as its contiguous (n_q, n_t) state matrix
+    for member in basis.vectors.transpose(2, 0, 1).copy():
+        shifted = member @ translator.matrix.T
+        evolved = evolver.matrix @ member
         worst = max(worst, float(np.linalg.norm(evolved - shifted)))
     print("  worst member difference %.2e" % worst)
 

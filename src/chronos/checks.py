@@ -131,7 +131,7 @@ def _constraint1_suite(k, tol):
     es, lattice = cop.system_eigensystem, energy_lattice(tg, k)
     states = [separable_first((float(lattice[j]), es.vector(m)), tg, k)
               .amplitudes
-              for m, j in kronecker_null_pairs(es.values, lattice, tol)]
+              for m, j in zip(*kronecker_null_pairs(es.values, lattice, tol))]
     rows.append(_le("level_count_gap", abs(basis.count - len(states)), 0.0))
     rows.append(_le("separable_residual_max",
                     [cop.residual(s) for s in states], tol))
@@ -145,8 +145,8 @@ def _constraint1_suite(k, tol):
     tg_d = AxisGrid(n=16, origin=0.0, spacing=period / 16, label=TIME)
     h_small = harmonic_hamiltonian(ModelSpec(OSCILLATOR, k, qg_s))
     cop_d = first_constraint_operator(h_small, tg_d, k)
-    expected = len(kronecker_null_pairs(cop_d.system_eigensystem.values,
-                                        energy_lattice(tg_d, k), tol))
+    expected = kronecker_null_pairs(cop_d.system_eigensystem.values,
+                                    energy_lattice(tg_d, k), tol)[0].size
     rows.append(_le("detuned_count_gap",
                     abs(physical_subspace(cop_d, tol).count - expected), 0.0))
     return rows
@@ -224,9 +224,10 @@ def _generalized_suite(k, tol):
                         abs(basis_gen.count - basis_first.count), 0.0))
     tighter = physical_subspace(gen_first, tol * 1e-3)
     if tighter.count and basis_gen.count:
+        members = tighter.vectors.reshape(-1, tighter.count).T
         rows.append(_le("tolerance_nesting_gap",
-                        [np.linalg.norm(m.amplitudes - basis_gen.project(m))
-                         for m in tighter.members], 1e-8))
+                        [np.linalg.norm(m - basis_gen.project(m))
+                         for m in members], 1e-8))
     # triangle bound for the doubly-constrained form
     a_both = operator(h_op.matrix + g_op.matrix, hermitian=True)
     es = energy_eigensystem(model)

@@ -177,9 +177,8 @@ def cmd_subspace(args):
                                     sc.model.constants)
     basis = physical_subspace(cop, tol)
     table = ResultTable(["index", "label", "residual"])
-    for i in range(basis.count):
-        label = basis.labels[i]
-        table.add(i, "" if label is None else label, basis.residuals[i])
+    for i, (label, residual) in enumerate(zip(basis.labels, basis.residuals)):
+        table.add(i, "" if label is None else label, residual)
     _emit(table.render(), args.out)
     return 0
 

@@ -19,7 +19,7 @@ The near-kernel is solved exactly from one eigendecomposition of each
 factor, and applications are Kronecker-factored throughout.  The
 materialized composite is kept, below a size cap, only as a dense oracle.
 Projection onto a physical subspace is factored too: it goes through the
-basis members, and no dense projector is formed.
+basis's one member array, and no dense projector is formed.
 """
 from __future__ import annotations
 
@@ -213,46 +213,42 @@ def separable_second(pair, tg):
 class SubspaceBasis:
     """Orthonormal near-kernel basis with system eigenvalue labels.
 
-    labels holds one entry per member: the system eigenvalue a_m of its
-    product factor, repeated across a degenerate level, or None for every
-    member of a generalized-constraint basis.  Projection is done in
-    factored form, through the dim x count member matrix B: a state is
-    projected as B (B^H s), and two subspaces are compared by the largest
-    entry of B B^H - B' B'^H, formed a few rows at a time.  No dim x dim
-    projector is built.
+    vectors holds the members once, as one (n_q, n_t, count) array whose
+    reshape to (dim, count) is the member matrix B.  labels holds one
+    entry per member: the system eigenvalue a_m of its product factor,
+    repeated across a degenerate level, or None for every member of a
+    generalized-constraint basis.  Projection is done in factored form,
+    through B: a state is projected as B (B^H s), and two subspaces are
+    compared by the largest entry of B B^H - B' B'^H, formed a few rows at
+    a time.  No dim x dim projector is built.
     """
 
-    members: tuple
+    vectors: np.ndarray
     labels: tuple
     residuals: tuple
 
     @property
     def count(self):
-        return len(self.members)
+        return self.vectors.shape[2]
 
-    @cached_property
-    def _matrix(self):
-        return np.stack([m.amplitudes for m in self.members], axis=1)
+    @property
+    def _columns(self):
+        # B, a view of a C-ordered vectors; only read when count > 0
+        return self.vectors.reshape(-1, self.count)
 
     def coefficients(self, state):
-        """Projection coefficients <member_i | state>."""
-        if not self.members:
+        """Coefficients <member_i | state> of a state of the basis's shape."""
+        if not self.count:
             raise EmptyBasisError("coefficients against an empty basis")
-        if isinstance(state, CompositeState):
-            state = state.amplitudes
-        state = np.asarray(state, dtype=np.complex128).ravel()
-        if state.shape[0] != self._matrix.shape[0]:
-            raise DimensionMismatchError(
-                "state length %d, basis lives in dimension %d"
-                % (state.shape[0], self._matrix.shape[0]))
+        m, _ = _state_matrix(state, *self.vectors.shape[:2])
         # conjugating the state, not the matrix, copies no member matrix
-        return (state.conj() @ self._matrix).conj()
+        return (m.ravel().conj() @ self._columns).conj()
 
     def project(self, state):
         """Orthogonal projection B (B^H s) of a state onto the span."""
         # coefficients first: they refuse an empty basis, which has no B
         coefficients = self.coefficients(state)
-        return self._matrix @ coefficients
+        return self._columns @ coefficients
 
     def projector_gap(self, other):
         """max |B B^H - B' B'^H|, the distance between the two projectors.
@@ -260,9 +256,9 @@ class SubspaceBasis:
         The difference is formed linalg.TILE rows at a time, so no dim x dim
         projector is built; a NaN in either basis carries to the result.
         """
-        if not self.members or not other.members:
+        if not self.count or not other.count:
             raise EmptyBasisError("projector gap against an empty basis")
-        a, b = self._matrix, other._matrix
+        a, b = self._columns, other._columns
         if a.shape[0] != b.shape[0]:
             raise DimensionMismatchError(
                 "bases live in dimensions %d and %d"
@@ -285,20 +281,21 @@ def physical_subspace(op, tol=DEFAULT_TOL):
     exact: every product eigenvector psi_m (x) chi_k with
     |kappa_k - a_m| <= tol, ordered by system level and then by axis
     eigenvalue, labelled a_m.  Generalized members carry no label.  Every
-    residual is measured against the full operator.  tol must be positive.
+    residual is measured against the full operator on a contiguous member
+    matrix; the members are then stored once, as the read-only C-ordered
+    SubspaceBasis.vectors.  tol must be positive.
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive, got %r" % (tol,))
     system = op.system_eigensystem
-    found = kronecker_null_space(system, eig_hermitian(op.axis_op), tol)
-    vectors = [v for _, _, v in found]
-    if op.kind == GENERALIZED:
-        labels = [None] * len(vectors)
-    else:
-        labels = [float(system.values[m]) for m, _, _ in found]
-    members = tuple(CompositeState(v, op.n_q, op.n_t) for v in vectors)
-    residuals = tuple(op.residual(m) for m in members)
-    return SubspaceBasis(members, tuple(labels), residuals)
+    m, _, members = kronecker_null_space(system, eig_hermitian(op.axis_op),
+                                         tol)
+    labels = (None,) * m.size if op.kind == GENERALIZED \
+        else tuple(system.values[m].tolist())
+    residuals = tuple(op.residual(member) for member in members)
+    vectors = np.ascontiguousarray(members.transpose(1, 2, 0))
+    vectors.setflags(write=False)
+    return SubspaceBasis(vectors, labels, residuals)
 
 
 def uncertainty_product(phi, tg, constants):

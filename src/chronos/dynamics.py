@@ -60,7 +60,7 @@ EIGEN_TOL = 1e-9
 EQUIVALENCE_TOL = 1e-6
 
 
-def time_translation(tg, constants, dt):
+def time_translation(tg, dt):
     """Unitary shifting sampled functions f(t) -> f(t + dt).
 
     exp(-i dt s_op / hbar) for the energy operator s_op = Phi diag(-hbar w)
@@ -125,7 +125,7 @@ def _ladder_step(state, model, tg, up):
                               normalized=False), 0.0
     a, a_dag = ladder_operators(es)
     tau = model.constants.time_quantum
-    t_u = time_translation(tg, model.constants, -tau if up else tau)
+    t_u = time_translation(tg, -tau if up else tau)
     new = (a_dag if up else a).matrix @ state.matrix @ t_u.matrix.T
     coefficient = float(np.linalg.norm(new))
     out = CompositeState(new.ravel(), state.n_q, state.n_t, normalized=False)
@@ -370,9 +370,7 @@ def run_scenario(sc):
     gaps_sq = (kappa[None, :] - energies[:, None]) ** 2
     # the physical subspace is spanned by the pairs with |kappa_k - E_m|
     # <= tol, in physical_subspace's member order
-    rows, cols = np.array(
-        kronecker_null_pairs(energies, kappa, sc.constraint_tol),
-        dtype=np.intp).reshape(-1, 2).T
+    rows, cols = kronecker_null_pairs(energies, kappa, sc.constraint_tol)
     # complex here, once, rather than cast by every np.vdot(rho, q_v)
     q_v = ((v.conj().T * model.grid.samples) @ v).astype(np.complex128)
     p_v = v.conj().T @ momentum_operator(model.grid, k).matrix @ v

@@ -4,10 +4,10 @@ Immutable operator values, each a matrix and one verified hermitian flag,
 plus the primitives everything else is built from: Kronecker products,
 Hermitian eigendecomposition with a fixed phase and ordering convention,
 unitary exponentials, and the exact near-null space of a Kronecker sum
-I (x) K - A (x) I.  Unitarity is checked by spectral_exp, which builds
-every unitary, and is not stored.  near_null_space, a dense SVD of a
-materialized matrix, is the oracle the exact solver is tested against;
-no solver route calls it.
+I (x) K - A (x) I, as two pair index arrays and one array of its product
+members.  Unitarity is checked by spectral_exp, which builds every unitary,
+and is not stored.  near_null_space, a dense SVD of a materialized matrix,
+is the oracle the exact solver is tested against; no solver route calls it.
 Matrices are dense, stored float64 when real and complex128 otherwise, so
 a real symmetric operator is diagonalized in real arithmetic, and one of
 even order that is exactly invariant under the grid reflection
@@ -523,26 +523,30 @@ def kronecker_null_space(left, right, tol):
     left and right are the eigensystems of A and K.  The sum is diagonal
     in the product basis psi_m (x) chi_k with eigenvalue kappa_k - a_m, so
     its singular values are exactly |kappa_k - a_m| (Horn & Johnson,
-    Topics in Matrix Analysis, sec. 4.4).  Returns (m, k, vector) for
-    every pair with |kappa_k - a_m| <= tol, ordered by m and then by k;
-    each vector is phase-fixed like an eigenvector column.
+    Topics in Matrix Analysis, sec. 4.4).  Returns (m, k, members): the
+    pairs of kronecker_null_pairs and a C-ordered complex128 array whose
+    entry i is outer(psi_m[i], chi_k[i]), phase-fixed like an eigenvector.
     """
-    out = []
-    for m, k in kronecker_null_pairs(left.values, right.values, tol):
-        product = np.outer(left.vector(m), right.vector(k)).reshape(-1, 1)
-        out.append((m, k, canonical_phase(product)[:, 0]))
-    return out
+    m, k = kronecker_null_pairs(left.values, right.values, tol)
+    members = np.zeros((m.size, left.dim, right.dim), dtype=np.complex128)
+    # real factors are multiplied and phase-fixed in the real part: exact signs
+    real = np.isrealobj(left.vectors) and np.isrealobj(right.vectors)
+    fill = members.real if real else members
+    np.multiply(left.vectors.T[m][:, :, None], right.vectors.T[k][:, None, :],
+                out=fill)
+    _fix_phase(fill.reshape(m.size, left.dim * right.dim).T)
+    return m, k, members
 
 
 def kronecker_null_pairs(a_values, k_values, tol):
-    """Index pairs (m, k) with |k_values[k] - a_values[m]| <= tol.
+    """Index arrays (m, k) of the pairs |k_values[k] - a_values[m]| <= tol.
 
     Ordered by m and then by ascending k_values[k], the order in which
-    kronecker_null_space returns its vectors; k_values need not be sorted.
+    kronecker_null_space returns its members; k_values need not be sorted.
     """
     order = np.argsort(k_values, kind="stable")
     gaps = np.abs(np.asarray(k_values)[order][None, :]
                   - np.asarray(a_values)[:, None])
     # np.nonzero walks the gap table row-major: m, then ascending k_values
     m, j = np.nonzero(gaps <= tol)
-    return list(zip(m.tolist(), order[j].tolist()))
+    return m, order[j]

@@ -168,14 +168,9 @@ def phase_fixed_by_loop(vectors):
     return vectors
 
 
-def member_matrix(basis):
-    """A basis's member amplitudes stacked as the columns of B."""
-    return np.stack([m.amplitudes for m in basis.members], axis=1)
-
-
 def dense_projector(basis):
     """The dim x dim orthogonal projector B B^H onto a basis's span."""
-    b = member_matrix(basis)
+    b = basis.vectors.reshape(-1, basis.count)
     return b @ b.conj().T
 
 

@@ -153,11 +153,11 @@ def test_c5_evolution_equivalence(energy_bundle):
     basis = bundle["basis"]
     assert basis.count > 0
     for dt in (0.1, 1.0, math.pi):
-        translator = time_translation(t_grid, k, dt)
+        translator = time_translation(t_grid, dt)
         evolver = unitary_exp(ham, dt / k.hbar)
-        for member in basis.members:
-            shifted = member.matrix @ translator.matrix.T
-            evolved = evolver.matrix @ member.matrix
+        for member in basis.vectors.transpose(2, 0, 1).copy():
+            shifted = member @ translator.matrix.T
+            evolved = evolver.matrix @ member
             assert float(np.linalg.norm(evolved - shifted)) <= 1e-6
         rng = np.random.default_rng(7)
         stray = rng.standard_normal(bundle["constraint"].dim) \

@@ -140,11 +140,7 @@ def test_nan_in_a_basis_fails_the_rows_that_read_it(monkeypatch, suite, kind,
         basis = solve(op, tol)
         if op.kind != kind or not basis.count:
             return basis
-        first = np.array(basis.members[0].amplitudes)
-        first[len(first) // 2] = np.nan
-        member = CompositeState(first, op.n_q, op.n_t, normalized=False)
-        return dataclasses.replace(
-            basis, members=(member,) + basis.members[1:])
+        return _nan_member(basis, 0)
 
     monkeypatch.setattr(checks, "physical_subspace", poisoned)
     measured, all_passed = run_suite(suite)
@@ -164,10 +160,16 @@ def _nan_second_residual(basis):
     return dataclasses.replace(basis, residuals=residuals)
 
 
+def _nan_member(basis, i):
+    # the same basis with the middle amplitude of member i set to NaN
+    vectors = np.array(basis.vectors)
+    member = vectors.reshape(-1, basis.count)[:, i]
+    member[member.size // 2] = np.nan
+    return dataclasses.replace(basis, vectors=vectors)
+
+
 def _nan_second_member(basis):
-    members = basis.members[:1] + (_nan_state(basis.members[1]),) \
-        + basis.members[2:]
-    return dataclasses.replace(basis, members=members)
+    return _nan_member(basis, 1)
 
 
 def _nan_fourth_probe(probes):

@@ -12,6 +12,7 @@ from chronos.axes import (
     CompositeState,
     PhysicalConstants,
     default_position_grid,
+    energy_aligned_grids,
     energy_lattice,
     energy_operator,
     gaussian_state,
@@ -183,7 +184,7 @@ def test_first_subspace_count_matches_dense_oracle(energy_bundle):
 
 def test_first_subspace_members_orthonormal(energy_bundle):
     basis = energy_bundle["basis"]
-    block = np.column_stack([np.asarray(m.amplitudes) for m in basis.members])
+    block = basis.vectors.reshape(-1, basis.count)
     gram = block.conj().T @ block
     assert maxnorm(gram - np.eye(basis.count)) < 1e-10
 
@@ -315,20 +316,20 @@ def test_generalized_lifted_system_solved_above_cap():
 def test_measurement_on_basis_member(energy_bundle):
     # a member's coefficients pick out that member alone
     basis = energy_bundle["basis"]
-    weights = np.abs(basis.coefficients(basis.members[2])) ** 2
+    weights = np.abs(basis.coefficients(basis.vectors[:, :, 2])) ** 2
     assert np.sum(weights) == pytest.approx(1.0, abs=1e-10)
     assert weights[2] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_measurement_of_mixture(energy_bundle):
     basis = energy_bundle["basis"]
-    a = np.asarray(basis.members[0].amplitudes)
-    b = np.asarray(basis.members[1].amplitudes)
-    mix = (math.sqrt(0.25) * a + math.sqrt(0.75) * b)
-    state = CompositeState(mix, basis.members[0].n_q, basis.members[0].n_t)
+    n_q, n_t, count = basis.vectors.shape
+    block = basis.vectors.reshape(-1, count)
+    mix = (math.sqrt(0.25) * block[:, 0] + math.sqrt(0.75) * block[:, 1])
+    state = CompositeState(mix, n_q, n_t)
     weights = np.abs(basis.coefficients(state)) ** 2
     phased = 1j * np.exp(0.3j) * mix
-    want = [np.vdot(m.amplitudes, phased) for m in basis.members]
+    want = [np.vdot(m, phased) for m in block.T]
     assert np.max(np.abs(basis.coefficients(phased) - want)) < 1e-14
     assert weights[0] == pytest.approx(0.25, abs=1e-9)
     assert weights[1] == pytest.approx(0.75, abs=1e-9)
@@ -337,17 +338,18 @@ def test_measurement_of_mixture(energy_bundle):
 
 def test_measurement_guards(energy_bundle, rng):
     basis = energy_bundle["basis"]
-    empty = SubspaceBasis((), (), ())
+    n_q, n_t, count = basis.vectors.shape
+    block = basis.vectors.reshape(-1, count)
+    empty = SubspaceBasis(np.zeros((n_q, n_t, 0), complex), (), ())
     with pytest.raises(EmptyBasisError):
-        empty.coefficients(basis.members[0])
+        empty.coefficients(block[:, 0])
     # build a state orthogonal to every member
-    block = np.column_stack([np.asarray(m.amplitudes) for m in basis.members])
     vec = rng.standard_normal(block.shape[0]) \
         + 1j * rng.standard_normal(block.shape[0])
     vec -= block @ (block.conj().T @ vec)
     vec -= block @ (block.conj().T @ vec)
     vec /= np.linalg.norm(vec)
-    state = CompositeState(vec, basis.members[0].n_q, basis.members[0].n_t)
+    state = CompositeState(vec, n_q, n_t)
     # no weight in the subspace, below the cut under which run reports no
     # distribution
     weight = np.sum(np.abs(basis.coefficients(state)) ** 2)
@@ -360,19 +362,17 @@ def random_basis(rng, n_q, n_t, count, near=None):
     shape = (n_q * n_t, count)
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if near is not None:
-        raw = oracles.member_matrix(near) + 1e-6 * raw
+        raw = near.vectors.reshape(shape) + 1e-6 * raw
     q, _ = np.linalg.qr(raw)
-    return SubspaceBasis(tuple(CompositeState(v, n_q, n_t) for v in q.T),
+    return SubspaceBasis(np.ascontiguousarray(q).reshape(n_q, n_t, count),
                          (None,) * count, (0.0,) * count)
 
 
 def with_nan(basis, row):
     # the same basis with its first member's amplitude at row set to NaN
-    first = np.array(basis.members[0].amplitudes)
-    first[row] = np.nan
-    members = (CompositeState(first, basis.members[0].n_q,
-                              basis.members[0].n_t, normalized=False),)
-    return dataclasses.replace(basis, members=members + basis.members[1:])
+    vectors = np.array(basis.vectors)
+    vectors.reshape(-1, basis.count)[row, 0] = np.nan
+    return dataclasses.replace(basis, vectors=vectors)
 
 
 # two dims are not multiples of the 128-row tile.  The comparison is bit
@@ -410,22 +410,56 @@ def test_project_matches_dense_projector(rng, energy_bundle):
             assert gap <= 1e-15 * np.linalg.norm(state)
         # a member projects onto itself, and a CompositeState is projected
         # like its amplitudes
-        member = basis.members[-1]
-        assert np.linalg.norm(basis.project(member)
-                              - member.amplitudes) <= 1e-14
-        assert np.array_equal(basis.project(member),
-                              basis.project(member.amplitudes))
+        n_q, n_t, count = basis.vectors.shape
+        member = basis.vectors.reshape(-1, count)[:, -1]
+        assert np.linalg.norm(basis.project(member) - member) <= 1e-14
+        assert np.array_equal(basis.project(CompositeState(member, n_q, n_t)),
+                              basis.project(member))
 
 
 def test_empty_basis_has_no_projection(energy_bundle):
     basis = energy_bundle["basis"]
-    empty = SubspaceBasis((), (), ())
+    n_q, n_t, _ = basis.vectors.shape
+    empty = SubspaceBasis(np.zeros((n_q, n_t, 0), complex), (), ())
     with pytest.raises(EmptyBasisError):
-        empty.project(basis.members[0])
+        empty.project(basis.vectors[:, :, 0])
     with pytest.raises(EmptyBasisError):
         empty.projector_gap(basis)
     with pytest.raises(EmptyBasisError):
         basis.projector_gap(empty)
+
+
+@pytest.mark.parametrize("method", ["coefficients", "project"])
+def test_state_of_another_shape_is_refused(energy_bundle, method):
+    # a state whose length matches but whose shape does not is refused,
+    # by the one shape rule the constraint operator applies too
+    basis = energy_bundle["basis"]
+    n_q, n_t, _ = basis.vectors.shape
+    swapped = CompositeState(basis.vectors[:, :, 0], n_t, n_q)
+    with pytest.raises(DimensionMismatchError):
+        energy_bundle["constraint"].residual(swapped)
+    with pytest.raises(DimensionMismatchError):
+        getattr(basis, method)(swapped)
+
+
+def test_physical_subspace_holds_its_members_once(unit_constants):
+    # the basis holds count * dim complex amplitudes once, and projecting
+    # a state copies none of them
+    q_grid, t_grid = energy_aligned_grids(unit_constants, n_q=128, n_t=64)
+    ham = hamiltonian(ModelSpec(OSCILLATOR, unit_constants, q_grid))
+    op = first_constraint_operator(ham, t_grid, unit_constants)
+    op.system_eigensystem  # cached on the operator, not part of the basis
+    state = np.ones(op.dim, dtype=complex)
+    tracemalloc.start()
+    try:
+        basis = physical_subspace(op)
+        projected = basis.project(state)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert projected.shape == (op.dim,)
+    assert basis.count == 16
+    assert held <= 1.25 * basis.count * op.dim * 16
 
 
 def test_projector_gap_refuses_other_dimensions(rng):

@@ -1,5 +1,6 @@
 """Every imported name and every private module-level name in the
-package is used: stdlib `ast` scans, no linter needed."""
+package is used, and a private name stays in the module that defines it:
+stdlib `ast` scans, no linter needed."""
 
 import ast
 import pathlib
@@ -40,6 +41,51 @@ def test_scan_finds_unused_names():
 def test_no_unused_imports(path):
     source = (REPO / path).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+def private_imports(source, package="chronos"):
+    """Private names a module imports from a module of the package.
+
+    Relative imports and absolute ones under the package count; a dunder
+    name such as __version__ is exempt.
+    """
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == package):
+            module = (node.module or "").split(".")
+            found += [part for part in module if private(part)]
+            found += [a.name for a in node.names if private(a.name)]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] == package
+                      and any(private(p) for p in a.name.split("."))]
+    return found
+
+
+def test_scan_finds_private_imports():
+    source = ("from __future__ import annotations\n"
+              "from .linalg import _fix_phase, kron\n"
+              "from chronos.axes import _grid as g\n"
+              "from numpy import _core\n"
+              "from . import _x, __version__\n"
+              "from ._hidden import y\n"
+              "import chronos._y, os._z\n")
+    assert private_imports(source) == ["_fix_phase", "_grid", "_x",
+                                       "_hidden", "chronos._y"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.relative_to(REPO).as_posix()
+    for p in (REPO / "src" / "chronos").glob("*.py")))
+def test_private_names_stay_with_their_owner(path):
+    # e.g. linalg._fix_phase and constraints._state_matrix are used only
+    # where they are defined
+    source = (REPO / path).read_text(encoding="utf-8")
+    assert private_imports(source) == []
 
 
 def unread_private_names(sources):

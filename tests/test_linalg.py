@@ -23,6 +23,7 @@ from chronos.linalg import (
     hermitian_defect,
     identity,
     kron,
+    kronecker_null_pairs,
     kronecker_null_space,
     maxnorm,
     near_null_space,
@@ -769,20 +770,58 @@ def test_kronecker_null_space_matches_dense_svd(rng, a_values, k_values, tol):
     kk = hermitian_with_spectrum(rng, k_values)
     left = eig_hermitian(operator(a, hermitian=True))
     right = eig_hermitian(operator(kk, hermitian=True))
-    found = kronecker_null_space(left, right, tol)
+    m, k, members = kronecker_null_space(left, right, tol)
     composite = (oracles.kron_by_index(np.eye(len(a_values)), kk)
                  - oracles.kron_by_index(a, np.eye(len(k_values))))
     dense = near_null_space(composite, tol)
-    assert len(found) == len(dense) \
+    assert m.size == k.size == len(members) == len(dense) \
         == oracles.small_singular_count(composite, tol)
-    pairs = [(m, k) for m, k, _ in found]
+    assert members.shape == (m.size, len(a_values), len(k_values))
+    assert members.dtype == np.complex128 and members.flags.c_contiguous
+    pairs = list(zip(m.tolist(), k.tolist()))
     assert pairs == sorted(pairs)
-    for m, k, vector in found:
-        assert abs(right.values[k] - left.values[m]) <= tol
-        assert np.linalg.norm(composite @ vector) <= tol
+    block = members.reshape(m.size, composite.shape[0]).T
+    for i, (mi, ki) in enumerate(pairs):
+        assert abs(right.values[ki] - left.values[mi]) <= tol
+        assert np.linalg.norm(composite @ block[:, i]) <= tol
+        # the batched build gives the bits of the pair's own product
+        product = np.outer(left.vector(mi), right.vector(ki)).reshape(-1, 1)
+        assert np.array_equal(block[:, i], canonical_phase(product)[:, 0])
     if dense:
-        block = np.column_stack([v for _, _, v in found])
         assert maxnorm(block @ block.conj().T - projector(dense)) < 1e-10
         assert maxnorm(block.conj().T @ block - np.eye(len(dense))) < 1e-12
         assert np.array_equal(canonical_phase(block), block)
+
+
+def test_kronecker_null_space_real_factors_stay_real(rng):
+    # real eigenvectors are multiplied and phase-fixed in real arithmetic:
+    # the imaginary parts are exactly zero and each sign is exact
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    a = (q * [0.0, 1.0, 1.0, 2.0]) @ q.T
+    kk = np.diag([2.0, 1.0, 0.0])
+    left = eig_hermitian(operator(0.5 * (a + a.T), hermitian=True))
+    right = eig_hermitian(operator(kk, hermitian=True))
+    m, k, members = kronecker_null_space(left, right, 1e-8)
+    assert m.size == 4
+    assert not np.any(members.imag)
+    for i in range(m.size):
+        product = np.outer(left.vector(m[i]), right.vector(k[i]))
+        want = canonical_phase(product.reshape(-1, 1)).reshape(product.shape)
+        assert want.dtype == np.float64
+        assert np.array_equal(members[i].real, want)
+
+
+def test_kronecker_null_pairs_follow_ascending_k_values():
+    # k_values unsorted: each m's pairs come by ascending value, ties in
+    # index order
+    m, k = kronecker_null_pairs((0.0, 1.0, 2.0), (2.0, 0.0, 1.0, 0.0), 0.1)
+    assert m.dtype == k.dtype == np.intp
+    assert m.tolist() == [0, 0, 1, 2]
+    assert k.tolist() == [1, 3, 2, 0]
+
+
+def test_kronecker_null_pairs_empty_are_two_empty_index_arrays():
+    m, k = kronecker_null_pairs((0.0, 1.0), (5.0, 7.0), 0.1)
+    assert m.dtype == k.dtype == np.intp
+    assert m.shape == k.shape == (0,)
 

@@ -233,7 +233,7 @@ def dtype_cases():
         "momentum": lambda: momentum_operator(qg, k).matrix,
         "energy": lambda: energy_operator(tg, k).matrix,
         "fourier_map": lambda: tg.fourier_map,
-        "time_translation": lambda: time_translation(tg, k, 0.3).matrix,
+        "time_translation": lambda: time_translation(tg, 0.3).matrix,
         "eig_vectors_complex":
             lambda: eig_hermitian(energy_operator(tg, k)).vectors,
     }
