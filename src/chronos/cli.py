@@ -59,9 +59,16 @@ class ResultTable:
         self.rows.append(tuple(values))
 
     def render(self):
+        # a cell holding the very object above it (an evolve record shares
+        # its fields with the one before) reuses that cell's text
         lines = [",".join(self.columns)]
+        above = (object(),) * len(self.columns)
+        texts = [None] * len(self.columns)
         for row in self.rows:
-            lines.append(",".join(_format_value(v) for v in row))
+            texts = [text if value is old else _format_value(value)
+                     for value, old, text in zip(row, above, texts)]
+            above = row
+            lines.append(",".join(texts))
         return "\n".join(lines) + "\n"
 
 

@@ -280,20 +280,21 @@ def physical_subspace(op, tol=DEFAULT_TOL):
     The operator is the Kronecker sum I (x) K - A (x) I, so the basis is
     exact: every product eigenvector psi_m (x) chi_k with
     |kappa_k - a_m| <= tol, ordered by system level and then by axis
-    eigenvalue, labelled a_m.  Generalized members carry no label.  Every
-    residual is measured against the full operator on a contiguous member
-    matrix; the members are then stored once, as the read-only C-ordered
-    SubspaceBasis.vectors.  tol must be positive.
+    eigenvalue, labelled a_m.  Generalized members carry no label.  The
+    members are stored once, in the read-only C-ordered
+    SubspaceBasis.vectors that kronecker_null_space fills in place; every
+    residual is measured against the full operator on a contiguous copy
+    of one member matrix at a time.  tol must be positive.
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive, got %r" % (tol,))
     system = op.system_eigensystem
-    m, _, members = kronecker_null_space(system, eig_hermitian(op.axis_op),
+    m, _, vectors = kronecker_null_space(system, eig_hermitian(op.axis_op),
                                          tol)
     labels = (None,) * m.size if op.kind == GENERALIZED \
         else tuple(system.values[m].tolist())
-    residuals = tuple(op.residual(member) for member in members)
-    vectors = np.ascontiguousarray(members.transpose(1, 2, 0))
+    residuals = tuple(op.residual(np.ascontiguousarray(vectors[:, :, i]))
+                      for i in range(m.size))
     vectors.setflags(write=False)
     return SubspaceBasis(vectors, labels, residuals)
 

@@ -11,9 +11,12 @@ The driver holds its state in the Hamiltonian eigenbasis times the time
 grid's Fourier basis, where both sides of the first constraint are
 diagonal, so no step builds an operator.  An evolve is a row of phases,
 O(n_q n_t), and its record repeats the previous observables, which a
-column phase leaves exactly unchanged.  A jump is a row swap and a
-time-domain phase kick reached by FFT, O(n_q n_t log n_t); it permutes the
-system density C C^H kept across the run, so its moments cost O(n_q^2).
+column phase leaves exactly unchanged; its equivalence guard takes the
+exact gap only when a bound from the last residual does not settle it.
+A jump is a row swap and a time-domain phase kick reached by FFT,
+O(n_q n_t log n_t); it permutes the system density C C^H kept across the
+run, so its moments cost O(n_q^2).  The momentum moments come by FFT,
+with no momentum operator built.
 """
 from __future__ import annotations
 
@@ -28,7 +31,6 @@ from .axes import (
     CompositeState,
     band_edge,
     energy_operator,
-    momentum_operator,
     nearest_lattice_energy,
     require_label,
 )
@@ -45,7 +47,7 @@ from .exceptions import (
     TruncationTopError,
     WrongKindError,
 )
-from .linalg import kronecker_null_pairs, spectral_exp
+from .linalg import eigenbasis_defect, kronecker_null_pairs, spectral_exp
 from .models import (
     OSCILLATOR,
     ModelSpec,
@@ -58,6 +60,9 @@ from .models import (
 
 EIGEN_TOL = 1e-9
 EQUIVALENCE_TOL = 1e-6
+# covers the rounding, a few n eps relative, of the evolve guard's bound:
+# in residual1, in ||C|| and in |C|^2 over the evolves since residual1
+GUARD_MARGIN = 1.01
 
 
 def time_translation(tg, dt):
@@ -81,6 +86,30 @@ def _shift_phases(tg, d_energy, constants):
 def _translation_phases(tg, dt):
     # e^{i w dt}: the translation by dt in the time grid's Fourier basis
     return np.exp(1j * float(dt) * tg.frequencies)
+
+
+def _equivalence_bound(dt, hbar, residual, norm):
+    # |e^{-i E dt/hbar} - e^{-i kappa dt/hbar}| <= |E - kappa| |dt| / hbar
+    # entry by entry, so the exact gap is at most |dt| / hbar times the
+    # state's residual times its norm
+    return GUARD_MARGIN * abs(dt) / hbar * residual * norm
+
+
+def _equivalence_gap(c, energies, row, dt, hbar):
+    # ||(e^{-i E_m dt/hbar} - row_k) C_mk||, the two evolutions' gap on C
+    diff = np.subtract.outer(np.exp(-1j * dt / hbar * energies), row)
+    diff *= c
+    return float(np.sqrt(np.vdot(diff, diff).real))
+
+
+def _momentum_in(v, grid, constants):
+    # V^H P V for the spectral momentum P = Phi diag(hbar w) Phi^H, with P
+    # never formed: row k of Phi^H V is row (k - n/2) mod n of V's
+    # orthonormal FFT times e^{-i w_k x_0}, and those phases cancel
+    # between W^H and W in W^H diag(hbar w) W
+    f = np.fft.fft(v, axis=0, norm="ortho")
+    return (f.conj().T * np.fft.ifftshift(constants.hbar * grid.frequencies)) \
+        @ f
 
 
 def _time_kick(c, tg, phases):
@@ -330,14 +359,17 @@ def run_scenario(sc):
     The state M is held as C = V^H M conj(Phi): V is the Hamiltonian
     eigenbasis (energies E), Phi the time grid's Fourier map, the energy
     operator's eigenbasis (kappa = -hbar w).  Both are certified against
-    the grid-basis operators to eigen_tol, or ConvergenceError is raised.
-    An evolve multiplies column k by e^{i w_k dt}, the lifted time
-    translation, cross checked against the lifted Hamiltonian exponential
+    the grid-basis operators to eigen_tol (linalg.eigenbasis_defect,
+    folded on a mirrored grid), or ConvergenceError is raised.  An evolve
+    multiplies column k by e^{i w_k dt}, the lifted time translation,
+    cross checked against the lifted Hamiltonian exponential
     e^{-i E_m dt / hbar} whenever the state satisfies the first
-    constraint; the two must agree within 1e-6.  A jump swaps rows i and
-    j and kicks the phases in the time domain, reached by an FFT along
-    the time axis.  Any failing step, a norm drift included, raises with
-    the partial trajectory attached.
+    constraint; the two must agree within 1e-6.  Their gap is at most
+    |dt| / hbar * residual1 * ||C||, and the O(n_q n_t) exact gap is taken
+    only when that bound, times GUARD_MARGIN, exceeds 1e-6.  A jump swaps
+    rows i and j and kicks the phases in the time domain, reached by an
+    FFT along the time axis.  Any failing step, a norm drift included,
+    raises with the partial trajectory attached.
 
     Every recorded observable depends only on |C|^2 and on the system
     density rho = C C^H.  An evolve's column phases leave both exactly
@@ -358,9 +390,8 @@ def run_scenario(sc):
     # this defect of the residual taken in the grid basis
     try:
         defect = np.maximum(
-            np.linalg.norm(hamiltonian(model).matrix @ v - v * energies, 2),
-            np.linalg.norm(energy_operator(tg, k).matrix @ phi - phi * kappa,
-                           2))
+            eigenbasis_defect(hamiltonian(model).matrix, energies, v),
+            eigenbasis_defect(energy_operator(tg, k).matrix, kappa, phi))
     except np.linalg.LinAlgError as exc:  # a NaN stops the 2-norm's SVD
         raise ConvergenceError("eigenbasis defect: %s" % exc) from exc
     if not defect <= sc.eigen_tol:
@@ -373,7 +404,7 @@ def run_scenario(sc):
     rows, cols = kronecker_null_pairs(energies, kappa, sc.constraint_tol)
     # complex here, once, rather than cast by every np.vdot(rho, q_v)
     q_v = ((v.conj().T * model.grid.samples) @ v).astype(np.complex128)
-    p_v = v.conj().T @ momentum_operator(model.grid, k).matrix @ v
+    p_v = _momentum_in(v, model.grid, k)
 
     records = []
     kicks = {}  # the time-domain phase row of each (from, to) pair
@@ -396,14 +427,14 @@ def run_scenario(sc):
             weight,
             probabilities))
 
-    def evolve(c, dt):
+    def evolve(c, dt, norm):
         row = _translation_phases(tg, dt)
-        # the preceding record measured the residual of this state
-        if records[-1].residual1 <= sc.constraint_tol:
-            diff = np.subtract.outer(np.exp(-1j * dt / k.hbar * energies),
-                                     row)
-            diff *= c
-            gap = float(np.sqrt(np.vdot(diff, diff).real))
+        # the preceding record measured the residual of this state; the
+        # exact gap is taken only when its bound does not settle it
+        residual = records[-1].residual1
+        if residual <= sc.constraint_tol and not _equivalence_bound(
+                dt, k.hbar, residual, norm) <= EQUIVALENCE_TOL:
+            gap = _equivalence_gap(c, energies, row, dt, k.hbar)
             if gap > EQUIVALENCE_TOL:
                 raise ChronosError(
                     "evolution operators disagree by %.3e on a solution"
@@ -422,11 +453,12 @@ def run_scenario(sc):
 
     c = v.conj().T @ _initial_state(sc, es).matrix @ phi.conj()
     rho = c @ c.conj().T
+    norm = float(np.sqrt(np.vdot(c, c).real))
     observe(0, "init", c)
     for index, step in enumerate(sc.steps, start=1):
         try:
             if step.kind == "evolve":
-                evolve(c, float(step.dt))
+                evolve(c, float(step.dt), norm)
             else:
                 c = jump(c, step.from_level, step.to_level)
             norm = float(np.sqrt(np.vdot(c, c).real))

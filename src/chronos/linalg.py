@@ -18,8 +18,11 @@ the input's hermitian defect, orthonormality and reconstruction against
 the caller's full matrix.  When every vector is exactly even or odd, and
 for reconstruction the input is also exactly reflection-invariant, each
 of the two costs two half-size products, a quarter of the n^3 of the
-full one that any other input gets.  The hermitian defect is compared
-tile by tile, so no n x n transposed read is made.  Every hermitian,
+full one that any other input gets.  eigenbasis_defect, the spectral
+norm of A V - V diag(w), folds the same way: two half-size products and
+SVDs on such an input, the full ones on any other.  The hermitian defect
+and the phase convention's magnitudes are taken tile by tile, so no
+n x n transposed read or magnitude copy is made.  Every hermitian,
 unitary and decomposition check is written so that a NaN defect fails
 it.
 """
@@ -228,17 +231,23 @@ def canonical_phase(vectors):
 
 def _fix_phase(vectors):
     # canonical_phase in place on an array the caller owns: one pivot per
-    # column from the thresholded magnitudes, then one row of phases
+    # column from the thresholded magnitudes, then one row of phases.  The
+    # magnitudes are taken TILE rows at a time, so none is held whole
     if not vectors.size:
         return vectors
-    mags = np.abs(vectors)
-    peak = mags.max(axis=0)
+    n, count = vectors.shape
+    peak = np.zeros(count)
+    for i in range(0, n, TILE):  # np.maximum carries a NaN to its column
+        peak = np.maximum(peak, np.abs(vectors[i:i + TILE]).max(axis=0))
+    above = np.empty(vectors.shape, dtype=bool)
+    for i in range(0, n, TILE):
+        np.greater(np.abs(vectors[i:i + TILE]), PHASE_PIVOT_RTOL * peak,
+                   out=above[i:i + TILE])
     live = peak != 0.0
-    pivot = (np.argmax(mags > PHASE_PIVOT_RTOL * peak, axis=0),
-             np.arange(vectors.shape[1]))
-    phase = np.divide(vectors[pivot], mags[pivot], where=live,
-                      out=np.ones(vectors.shape[1], dtype=vectors.dtype))
-    del mags
+    pivot = np.argmax(above, axis=0), np.arange(count)
+    del above
+    phase = np.divide(vectors[pivot], np.abs(vectors[pivot]), where=live,
+                      out=np.ones(count, dtype=vectors.dtype))
     np.multiply(vectors, phase.conj(), out=vectors, where=live)
     pivot = pivot[0][live], pivot[1][live]
     vectors[pivot] = vectors[pivot].real  # exact by convention
@@ -399,6 +408,36 @@ def _reconstruction_defect(values, vectors, m, parity):
     return _owned_maxnorm(top)
 
 
+def eigenbasis_defect(matrix, values, vectors):
+    """||R||_2 for R = A V - V diag(values), the eigensystem defect.
+
+    When A is real and exactly reflection-invariant and every column of V
+    exactly even or odd (tested as eig_hermitian does), each column of R
+    shares its column's parity, so rows n/2 + 1 .. n - 1 repeat rows
+    1 .. n/2 - 1 and even and odd columns have orthogonal ranges.  Only
+    rows 0 .. n/2 are formed, rows 1 .. n/2 - 1 weighted by sqrt(2), and
+    the norm is the larger of the even and the odd columns' norms: two
+    half-size products and SVDs.  Anything else gets the full product
+    and SVD.  A NaN stops the SVD with np.linalg.LinAlgError.
+    """
+    matrix = np.asarray(matrix)
+    parity = _parity_columns(vectors)
+    if parity is None or matrix.dtype != np.float64 \
+            or not _reflection_invariant(matrix):
+        return float(np.linalg.norm(matrix @ vectors - vectors * values, 2))
+    h = matrix.shape[0] // 2
+    weight = np.full((h + 1, 1), np.sqrt(2.0))
+    weight[::h] = 1.0
+    norm = 0.0
+    for columns in parity:
+        if columns.size:
+            rows = matrix[:h + 1] @ vectors[:, columns]
+            rows -= vectors[:h + 1, columns] * values[columns]
+            rows *= weight
+            norm = np.maximum(norm, np.linalg.norm(rows, 2))
+    return float(norm)
+
+
 def eig_hermitian(op):
     """Full eigendecomposition of a verified Hermitian operator.
 
@@ -523,19 +562,22 @@ def kronecker_null_space(left, right, tol):
     left and right are the eigensystems of A and K.  The sum is diagonal
     in the product basis psi_m (x) chi_k with eigenvalue kappa_k - a_m, so
     its singular values are exactly |kappa_k - a_m| (Horn & Johnson,
-    Topics in Matrix Analysis, sec. 4.4).  Returns (m, k, members): the
-    pairs of kronecker_null_pairs and a C-ordered complex128 array whose
-    entry i is outer(psi_m[i], chi_k[i]), phase-fixed like an eigenvector.
+    Topics in Matrix Analysis, sec. 4.4).  Returns (m, k, vectors): the
+    pairs of kronecker_null_pairs and a C-ordered (n_a, n_k, count)
+    complex128 array whose [:, :, i] is outer(psi_m[i], chi_k[i]),
+    phase-fixed like an eigenvector.  The array is filled and phase-fixed
+    in place, as its (n_a n_k, count) reshape, so the call holds little
+    beyond the array it returns.
     """
     m, k = kronecker_null_pairs(left.values, right.values, tol)
-    members = np.zeros((m.size, left.dim, right.dim), dtype=np.complex128)
+    vectors = np.zeros((left.dim, right.dim, m.size), dtype=np.complex128)
     # real factors are multiplied and phase-fixed in the real part: exact signs
     real = np.isrealobj(left.vectors) and np.isrealobj(right.vectors)
-    fill = members.real if real else members
-    np.multiply(left.vectors.T[m][:, :, None], right.vectors.T[k][:, None, :],
+    fill = vectors.real if real else vectors
+    np.multiply(left.vectors[:, m][:, None, :], right.vectors[:, k][None],
                 out=fill)
-    _fix_phase(fill.reshape(m.size, left.dim * right.dim).T)
-    return m, k, members
+    _fix_phase(fill.reshape(left.dim * right.dim, m.size))
+    return m, k, vectors
 
 
 def kronecker_null_pairs(a_values, k_values, tol):

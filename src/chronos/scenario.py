@@ -52,12 +52,23 @@ def _fields(value, field, allowed, required=(), one_of=False):
 def _number(value, field, *, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail("expected a number", field)
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         _fail("number must be finite", field)
     if positive and value <= 0.0:
         _fail("number must be positive", field)
     return value
+
+
+def _json_integer(literal):
+    # past int()'s digit limit a literal is far past the float range too
+    try:
+        return int(literal)
+    except ValueError:
+        return math.inf
 
 
 def _integer(value, field, *, low=None, high=None):
@@ -177,7 +188,8 @@ def parse_scenario(text):
         _fail("non-finite number %s" % name, "<document>")
 
     try:
-        doc = json.loads(text, parse_constant=reject_constant)
+        doc = json.loads(text, parse_constant=reject_constant,
+                         parse_int=_json_integer)
     except json.JSONDecodeError as exc:
         raise ScenarioSyntaxError(exc.msg, line=exc.lineno,
                                   column=exc.colno) from exc

@@ -319,3 +319,12 @@ def serialize_scenario(sc):
                        "eigen_tol": sc.eigen_tol},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def momentum_in_basis(vectors, grid, constants):
+    """V^H P V for the spectral momentum P = D diag(hbar w) D^H, with the
+    plane waves D built entry by entry and P formed densely."""
+    d = dft_columns(grid.samples, grid.frequencies)
+    p = (d * (constants.hbar * grid.frequencies)) @ d.conj().T
+    v = np.asarray(vectors, dtype=np.complex128)
+    return v.conj().T @ p @ v

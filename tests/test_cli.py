@@ -52,6 +52,34 @@ def test_result_table_formats_each_value_type():
         == "flag,count,missing,value\nTrue,3,nan,0.10000000000000001\n"
 
 
+def test_result_table_formats_a_repeated_cell_once(monkeypatch):
+    import chronos.cli as cli
+    formatted = []
+    format_value = cli._format_value
+
+    def counted(value):
+        formatted.append(value)
+        return format_value(value)
+
+    monkeypatch.setattr(cli, "_format_value", counted)
+    x, y = 0.1, 2.0 / 3.0
+    z = y * 1.0  # equal to y, but another object
+    assert z == y and z is not y
+    table = ResultTable(["a", "b", "c"])
+    table.add(1, x, y)
+    table.add(2, x, y)  # the same objects as the row above
+    table.add(3, x, z)
+    table.add(4, y, x)  # the same objects, in other columns
+    assert table.render() == (
+        "a,b,c\n"
+        "1,0.10000000000000001,0.66666666666666663\n"
+        "2,0.10000000000000001,0.66666666666666663\n"
+        "3,0.10000000000000001,0.66666666666666663\n"
+        "4,0.66666666666666663,0.10000000000000001\n")
+    assert formatted == [1, x, y, 2, 3, z, 4, y, x]
+    assert formatted[5] is z
+
+
 def test_spectrum_table_shape(capsys, small_config):
     code, out, err = run_cli(capsys, "spectrum", "--config", small_config,
                              "--levels", "4")

@@ -462,6 +462,27 @@ def test_physical_subspace_holds_its_members_once(unit_constants):
     assert held <= 1.25 * basis.count * op.dim * 16
 
 
+def test_physical_subspace_peaks_near_its_basis(unit_constants):
+    # kronecker_null_space fills the (n_q, n_t, count) array in place and
+    # each residual reads a copy of one member, so no second copy of the
+    # basis is ever held (it peaked at twice the basis when the members
+    # were built count-first and transposed into place)
+    q_grid, t_grid = energy_aligned_grids(unit_constants, n_q=256, n_t=128)
+    ham = hamiltonian(ModelSpec(OSCILLATOR, unit_constants, q_grid))
+    op = first_constraint_operator(ham, t_grid, unit_constants)
+    op.system_eigensystem  # cached on the operator, not part of the basis
+    state = np.ones(op.dim, dtype=complex)
+    tracemalloc.start()
+    try:
+        basis = physical_subspace(op)
+        basis.project(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.count == 32
+    assert peak <= 1.25 * basis.vectors.nbytes
+
+
 def test_projector_gap_refuses_other_dimensions(rng):
     with pytest.raises(DimensionMismatchError):
         random_basis(rng, 30, 10, 2).projector_gap(random_basis(rng, 30, 9, 2))

@@ -528,9 +528,9 @@ def test_run_scenario_jump_from_unoccupied_level_is_visible():
     assert last.subspace_weight < 1e-10
 
 
-def test_run_scenario_equivalence_guard_keeps_partial_records():
-    # a state just inside the constraint tolerance drifts apart under the
-    # two evolution routes; the guard must abort and hand back the prefix
+def stray_scenario():
+    # a state just inside the constraint tolerance whose two evolution
+    # routes drift apart by more than the equivalence bound
     sc0 = base_scenario()
     es = validate_scenario(sc0)
     k = sc0.model.constants
@@ -539,13 +539,41 @@ def test_run_scenario_equivalence_guard_keeps_partial_records():
     from chronos.axes import energy_eigenvector
     stray = np.outer(es.vector(0), energy_eigenvector(sc0.t_grid, 1.0, k))
     amps = np.asarray(solution.amplitudes) + 1.6e-6 * stray.ravel()
-    sc = base_scenario(
+    return base_scenario(
         initial=InitialState(kind="amplitudes", amplitudes=tuple(amps)),
         steps=(Step(kind="evolve", dt=2.0),))
-    with pytest.raises(ScenarioStepError) as info:
-        run_scenario(sc)
+
+
+def test_run_scenario_equivalence_guard_keeps_partial_records():
+    # the guard must abort and hand back the prefix
+    with pytest.raises(ScenarioStepError,
+                       match="evolution operators disagree") as info:
+        run_scenario(stray_scenario())
     assert len(info.value.records) == 1
     assert info.value.records[0].kind == "init"
+
+
+def test_run_scenario_takes_the_exact_gap_only_past_its_bound(monkeypatch):
+    import chronos.dynamics as dynamics
+    calls = []
+    gap = dynamics._equivalence_gap
+
+    def counted(*args):
+        calls.append(gap(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(dynamics, "_equivalence_gap", counted)
+    # 120 evolves on a solution: every one is certified by its bound
+    steps = tuple(Step(kind="evolve", dt=0.37 * (i % 9) - 1.1)
+                  for i in range(120))
+    records = run_scenario(base_scenario(steps=steps))
+    assert len(records) == 121 and calls == []
+    # the stray state's bound, 2 * 8.0e-7, is past 1e-6: one exact pass,
+    # which fails
+    with pytest.raises(ScenarioStepError,
+                       match="evolution operators disagree"):
+        run_scenario(stray_scenario())
+    assert len(calls) == 1 and calls[0] > dynamics.EQUIVALENCE_TOL
 
 
 def free_particle_scenario(**overrides):
@@ -802,3 +830,69 @@ def test_run_scenario_checks_jump_energies_once_per_pair(monkeypatch):
     assert str(info.value) == "step 5 (jump) failed: %s" % want.value
     assert [r.kind for r in info.value.records] == [
         "init", "evolve", "jump", "evolve", "jump"]
+
+
+def near_solutions(sc, count, seed):
+    # unit states: a random mix of the physical subspace plus a random
+    # stray part 1e-11 to 1e-8 of its size, so each residual is below the
+    # constraint tolerance but not at rounding level
+    rng = np.random.default_rng(seed)
+    model, tg = sc.model, sc.t_grid
+    basis = physical_subspace(first_constraint_operator(
+        hamiltonian(model), tg, model.constants), sc.constraint_tol)
+    b = basis.vectors.reshape(-1, basis.count)
+    for _ in range(count):
+        mix = rng.standard_normal(basis.count) \
+            + 1j * rng.standard_normal(basis.count)
+        stray = rng.standard_normal(b.shape[0]) \
+            + 1j * rng.standard_normal(b.shape[0])
+        state = b @ (mix / np.linalg.norm(mix)) + 10.0 ** rng.uniform(
+            -11, -8) * stray / np.linalg.norm(stray)
+        yield InitialState(kind="amplitudes",
+                           amplitudes=tuple(state / np.linalg.norm(state)))
+
+
+@pytest.mark.parametrize("make", [oscillator_scenario,
+                                  free_particle_scenario],
+                         ids=["oscillator", "free"])
+def test_equivalence_bound_is_at_least_the_exact_gap(monkeypatch, make):
+    # every evolve of run_scenario computes both: the bound, recorded and
+    # reported as failing so the exact gap is taken, and the exact gap,
+    # recorded and reported as passing so the run goes on
+    import chronos.dynamics as dynamics
+    bounds, gaps = [], []
+    bound, gap = dynamics._equivalence_bound, dynamics._equivalence_gap
+
+    def record(log, fn, reported):
+        def wrapper(*args):
+            log.append(fn(*args))
+            return reported
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "_equivalence_bound",
+                        record(bounds, bound, math.inf))
+    monkeypatch.setattr(dynamics, "_equivalence_gap",
+                        record(gaps, gap, 0.0))
+    rng = np.random.default_rng(11)
+    for initial in near_solutions(make(), 12, 3):
+        # |dt| from 1e-3, where the bound is tight, to 40, where the
+        # gap's sines saturate
+        steps = tuple(Step(kind="evolve", dt=rng.choice([-1.0, 1.0])
+                           * 10.0 ** rng.uniform(-3.0, 1.6))
+                      for _ in range(4))
+        records = run_scenario(make(initial=initial, steps=steps))
+        assert 1e-12 < records[0].residual1 <= make().constraint_tol
+    assert len(bounds) == len(gaps) == 48
+    assert all(b >= g > 0.0 for b, g in zip(bounds, gaps))
+
+
+@pytest.mark.parametrize("sc", [base_scenario(), oscillator_scenario(),
+                                free_particle_scenario()],
+                         ids=["unit", "oscillator", "free"])
+def test_momentum_by_fft_matches_the_dense_product(sc):
+    import chronos.dynamics as dynamics
+    model = sc.model
+    v = hamiltonian_eigensystem(model).vectors
+    want = oracles.momentum_in_basis(v, model.grid, model.constants)
+    got = dynamics._momentum_in(v, model.grid, model.constants)
+    assert maxnorm(got - want) <= 1e-12

@@ -457,6 +457,80 @@ def test_quarter_reconstruction_matches_full_product(rng, n):
         assert abs(quarter - full) <= 1e-13 * maxnorm(m)
 
 
+@pytest.fixture
+def norm_shapes(monkeypatch):
+    """Shape of every matrix whose np.linalg.norm the test takes."""
+    shapes = []
+    norm = np.linalg.norm
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return norm(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    return shapes
+
+
+def mirrored_model(kind, n):
+    # origin -L/2 with a binary spacing: the samples mirror exactly
+    return ModelSpec(kind, PhysicalConstants(),
+                     AxisGrid(n=n, origin=-8.0, spacing=16.0 / n,
+                              label="position"))
+
+
+def full_defect(m, values, vectors):
+    return np.linalg.norm(m @ vectors - vectors * values, 2)
+
+
+@pytest.mark.parametrize("kind", ["oscillator", FREE_PARTICLE])
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_folded_eigenbasis_defect_matches_full_svd(rng, norm_shapes, kind,
+                                                   n):
+    m = hamiltonian(mirrored_model(kind, n)).matrix
+    es = eig_hermitian(m)
+    assert linalg._parity_columns(es.vectors) is not None
+    want = full_defect(m, es.values, es.vectors)
+    del norm_shapes[:]
+    got = linalg.eigenbasis_defect(m, es.values, es.vectors)
+    # rows 0 .. n/2 of the even and of the odd columns, no full product
+    assert norm_shapes == [(n // 2 + 1, n // 2 + 1), (n // 2 + 1, n // 2 - 1)]
+    # the defect is itself rounding, which the two routes round differently
+    assert abs(got - want) <= 1e-13 * maxnorm(m)
+    # defects far above rounding: shifted values, and an operator moved by
+    # a reflection-invariant symmetric perturbation
+    shifted = es.values + rng.uniform(-1e-3, 1e-3, n)
+    moved = m + 1e-4 * reflected(random_symmetric(rng, n))
+    for a, w in ((m, shifted), (moved, es.values), (moved, shifted)):
+        want = full_defect(a, w, es.vectors)
+        assert want > 1e-6
+        assert abs(linalg.eigenbasis_defect(a, w, es.vectors) - want) \
+            <= 1e-13 * maxnorm(a)
+
+
+def test_eigenbasis_defect_takes_the_full_svd_off_the_mirror(norm_shapes):
+    # an origin off -L/2: the operator is not reflection-invariant
+    grid = AxisGrid(n=32, origin=-8.1, spacing=0.5, label="position")
+    m = hamiltonian(ModelSpec("oscillator", PhysicalConstants(),
+                              grid)).matrix
+    es = eig_hermitian(m)
+    assert not linalg._reflection_invariant(m)
+    del norm_shapes[:]
+    got = linalg.eigenbasis_defect(m, es.values, es.vectors)
+    assert norm_shapes == [(32, 32)]
+    assert got == full_defect(m, es.values, es.vectors)
+    # mirrored, but handed vectors that are not each even or odd
+    m = hamiltonian(mirrored_model("oscillator", 32)).matrix
+    es = eig_hermitian(m)
+    mixed = es.vectors.copy()
+    mixed[:, :2] = (es.vectors[:, :2] @ [[1.0, 1.0], [1.0, -1.0]]) \
+        / np.sqrt(2.0)
+    assert linalg._parity_columns(mixed) is None
+    del norm_shapes[:]
+    got = linalg.eigenbasis_defect(m, es.values, mixed)
+    assert norm_shapes == [(32, 32)]
+    assert got == full_defect(m, es.values, mixed)
+
+
 def test_eig_quarter_reconstruction_refuses_a_wrong_value(rng, monkeypatch):
     m = reflected(random_symmetric(rng, 12))
     split = linalg._eigh
@@ -770,17 +844,17 @@ def test_kronecker_null_space_matches_dense_svd(rng, a_values, k_values, tol):
     kk = hermitian_with_spectrum(rng, k_values)
     left = eig_hermitian(operator(a, hermitian=True))
     right = eig_hermitian(operator(kk, hermitian=True))
-    m, k, members = kronecker_null_space(left, right, tol)
+    m, k, vectors = kronecker_null_space(left, right, tol)
     composite = (oracles.kron_by_index(np.eye(len(a_values)), kk)
                  - oracles.kron_by_index(a, np.eye(len(k_values))))
     dense = near_null_space(composite, tol)
-    assert m.size == k.size == len(members) == len(dense) \
+    assert m.size == k.size == vectors.shape[2] == len(dense) \
         == oracles.small_singular_count(composite, tol)
-    assert members.shape == (m.size, len(a_values), len(k_values))
-    assert members.dtype == np.complex128 and members.flags.c_contiguous
+    assert vectors.shape == (len(a_values), len(k_values), m.size)
+    assert vectors.dtype == np.complex128 and vectors.flags.c_contiguous
     pairs = list(zip(m.tolist(), k.tolist()))
     assert pairs == sorted(pairs)
-    block = members.reshape(m.size, composite.shape[0]).T
+    block = vectors.reshape(composite.shape[0], m.size)
     for i, (mi, ki) in enumerate(pairs):
         assert abs(right.values[ki] - left.values[mi]) <= tol
         assert np.linalg.norm(composite @ block[:, i]) <= tol
@@ -801,14 +875,14 @@ def test_kronecker_null_space_real_factors_stay_real(rng):
     kk = np.diag([2.0, 1.0, 0.0])
     left = eig_hermitian(operator(0.5 * (a + a.T), hermitian=True))
     right = eig_hermitian(operator(kk, hermitian=True))
-    m, k, members = kronecker_null_space(left, right, 1e-8)
+    m, k, vectors = kronecker_null_space(left, right, 1e-8)
     assert m.size == 4
-    assert not np.any(members.imag)
+    assert not np.any(vectors.imag)
     for i in range(m.size):
         product = np.outer(left.vector(m[i]), right.vector(k[i]))
         want = canonical_phase(product.reshape(-1, 1)).reshape(product.shape)
         assert want.dtype == np.float64
-        assert np.array_equal(members[i].real, want)
+        assert np.array_equal(vectors[:, :, i].real, want)
 
 
 def test_kronecker_null_pairs_follow_ascending_k_values():

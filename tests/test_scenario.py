@@ -13,6 +13,7 @@ from chronos.axes import (
     energy_aligned_grids,
     time_aligned_grids,
 )
+from chronos.cli import main
 from chronos.dynamics import InitialState, Step, run_scenario
 from chronos.exceptions import ScenarioSyntaxError, ScenarioValidationError
 from chronos.scenario import parse_scenario
@@ -162,6 +163,41 @@ def test_parse_reports_field_and_message(path, value, field, message):
         parse_scenario(json.dumps(edited_doc(path, value)))
     assert info.value.field == field
     assert str(info.value) == "%s: %s" % (field, message)
+
+
+HUGE = 10 ** 400  # an integer literal beyond the float range
+# past the digit limit of int(str), where json.loads itself would raise
+LONG = "1" + "0" * 5000
+
+
+def amplitudes_with(index, pair):
+    doc = base_doc(initial={"amplitudes": [[1.0, 0.0]] * (32 * 16)})
+    doc["initial"]["amplitudes"][index] = pair
+    return doc
+
+
+@pytest.mark.parametrize("doc, field", [
+    (edited_doc(("constants", "hbar"), HUGE), "constants.hbar"),
+    (edited_doc(("constants", "mass"), -HUGE), "constants.mass"),
+    (edited_doc(("steps", 0), {"evolve": HUGE}), "steps[0].evolve"),
+    (edited_doc(("steps", 0), {"evolve": LONG}), "steps[0].evolve"),
+    (edited_doc(("steps", 1, "jump", "at"), -HUGE), "steps[1].jump.at"),
+    (amplitudes_with(3, [0.5, HUGE]), "initial.amplitudes[3]"),
+    (edited_doc(("preset", "q", "origin"), -HUGE), "preset.q.origin"),
+], ids=["hbar", "mass", "evolve", "evolve-5001-digits", "jump-at",
+        "amplitude", "origin"])
+def test_parse_refuses_integers_beyond_the_float_range(tmp_path, capsys,
+                                                       doc, field):
+    text = json.dumps(doc).replace('"%s"' % LONG, LONG)
+    with pytest.raises(ScenarioValidationError) as info:
+        parse_scenario(text)
+    assert info.value.field == field
+    assert str(info.value) == "%s: number must be finite" % field
+    config = tmp_path / "huge.json"
+    config.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
 
 
 def test_parse_rejects_missing_top_key():
