@@ -12,7 +12,8 @@ grid's Fourier basis, where both sides of the first constraint are
 diagonal, so no step builds an operator.  An evolve is a row of phases,
 O(n_q n_t), and its record repeats the previous observables, which a
 column phase leaves exactly unchanged; its equivalence guard takes the
-exact gap only when a bound from the last residual does not settle it.
+exact gap only when a bound from the last residual and the phase row's
+checked slip does not settle it.
 A jump is a row swap and a time-domain phase kick reached by FFT,
 O(n_q n_t log n_t); it permutes the system density C C^H kept across the
 run, so its moments cost O(n_q^2).  The momentum moments come by FFT,
@@ -47,7 +48,7 @@ from .exceptions import (
     TruncationTopError,
     WrongKindError,
 )
-from .linalg import eigenbasis_defect, kronecker_null_pairs, spectral_exp
+from .linalg import kronecker_null_pairs, spectral_exp
 from .models import (
     OSCILLATOR,
     ModelSpec,
@@ -88,11 +89,14 @@ def _translation_phases(tg, dt):
     return np.exp(1j * float(dt) * tg.frequencies)
 
 
-def _equivalence_bound(dt, hbar, residual, norm):
-    # |e^{-i E dt/hbar} - e^{-i kappa dt/hbar}| <= |E - kappa| |dt| / hbar
-    # entry by entry, so the exact gap is at most |dt| / hbar times the
-    # state's residual times its norm
-    return GUARD_MARGIN * abs(dt) / hbar * residual * norm
+def _equivalence_bound(row, kappa, dt, hbar, residual, norm):
+    # entry by entry |e^{-i E_m dt/hbar} - row_k| is at most
+    # |E_m - kappa_k| |dt| / hbar plus the row's slip from
+    # e^{-i kappa_k dt/hbar}, so the exact gap is at most |dt| / hbar times
+    # the state's residual, plus the largest slip, times its norm.  The
+    # slip is rounding for a right row and O(1) for a wrong sign or scale
+    slip = float(np.max(np.abs(row - np.exp(-1j * dt / hbar * kappa))))
+    return GUARD_MARGIN * (abs(dt) / hbar * residual + slip) * norm
 
 
 def _equivalence_gap(c, energies, row, dt, hbar):
@@ -359,17 +363,19 @@ def run_scenario(sc):
     The state M is held as C = V^H M conj(Phi): V is the Hamiltonian
     eigenbasis (energies E), Phi the time grid's Fourier map, the energy
     operator's eigenbasis (kappa = -hbar w).  Both are certified against
-    the grid-basis operators to eigen_tol (linalg.eigenbasis_defect,
-    folded on a mirrored grid), or ConvergenceError is raised.  An evolve
-    multiplies column k by e^{i w_k dt}, the lifted time translation,
-    cross checked against the lifted Hamiltonian exponential
+    the grid-basis operators to eigen_tol, or ConvergenceError is raised.
+    An evolve multiplies column k by e^{i w_k dt}, the lifted time
+    translation, cross checked against the lifted Hamiltonian exponential
     e^{-i E_m dt / hbar} whenever the state satisfies the first
     constraint; the two must agree within 1e-6.  Their gap is at most
-    |dt| / hbar * residual1 * ||C||, and the O(n_q n_t) exact gap is taken
-    only when that bound, times GUARD_MARGIN, exceeds 1e-6.  A jump swaps
-    rows i and j and kicks the phases in the time domain, reached by an
-    FFT along the time axis.  Any failing step, a norm drift included,
-    raises with the partial trajectory attached.
+    (|dt| / hbar * residual1 + s) * ||C||, where s, the row's largest
+    departure from e^{-i kappa_k dt / hbar}, is checked on every such
+    evolve in O(n_t).  The O(n_q n_t) exact gap is taken only when that
+    bound, times GUARD_MARGIN, exceeds 1e-6, so a solution's evolve is
+    certified by its bound and a wrong row still meets the exact gap.  A
+    jump swaps rows i and j and kicks the phases in the time domain,
+    reached by an FFT along the time axis.  Any failing step, a norm
+    drift included, raises with the partial trajectory attached.
 
     Every recorded observable depends only on |C|^2 and on the system
     density rho = C C^H.  An evolve's column phases leave both exactly
@@ -390,8 +396,9 @@ def run_scenario(sc):
     # this defect of the residual taken in the grid basis
     try:
         defect = np.maximum(
-            eigenbasis_defect(hamiltonian(model).matrix, energies, v),
-            eigenbasis_defect(energy_operator(tg, k).matrix, kappa, phi))
+            np.linalg.norm(hamiltonian(model).matrix @ v - v * energies, 2),
+            np.linalg.norm(energy_operator(tg, k).matrix @ phi - phi * kappa,
+                           2))
     except np.linalg.LinAlgError as exc:  # a NaN stops the 2-norm's SVD
         raise ConvergenceError("eigenbasis defect: %s" % exc) from exc
     if not defect <= sc.eigen_tol:
@@ -433,7 +440,7 @@ def run_scenario(sc):
         # exact gap is taken only when its bound does not settle it
         residual = records[-1].residual1
         if residual <= sc.constraint_tol and not _equivalence_bound(
-                dt, k.hbar, residual, norm) <= EQUIVALENCE_TOL:
+                row, kappa, dt, k.hbar, residual, norm) <= EQUIVALENCE_TOL:
             gap = _equivalence_gap(c, energies, row, dt, k.hbar)
             if gap > EQUIVALENCE_TOL:
                 raise ChronosError(

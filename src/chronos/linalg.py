@@ -18,13 +18,10 @@ the input's hermitian defect, orthonormality and reconstruction against
 the caller's full matrix.  When every vector is exactly even or odd, and
 for reconstruction the input is also exactly reflection-invariant, each
 of the two costs two half-size products, a quarter of the n^3 of the
-full one that any other input gets.  eigenbasis_defect, the spectral
-norm of A V - V diag(w), folds the same way: two half-size products and
-SVDs on such an input, the full ones on any other.  The hermitian defect
-and the phase convention's magnitudes are taken tile by tile, so no
-n x n transposed read or magnitude copy is made.  Every hermitian,
-unitary and decomposition check is written so that a NaN defect fails
-it.
+full one that any other input gets.  The hermitian defect and the
+phase convention's magnitudes are taken tile by tile, so no n x n
+transposed read or magnitude copy is made.  Every hermitian, unitary and
+decomposition check is written so that a NaN defect fails it.
 """
 from __future__ import annotations
 
@@ -406,36 +403,6 @@ def _reconstruction_defect(values, vectors, m, parity):
     del block
     top -= m[:h + 1]
     return _owned_maxnorm(top)
-
-
-def eigenbasis_defect(matrix, values, vectors):
-    """||R||_2 for R = A V - V diag(values), the eigensystem defect.
-
-    When A is real and exactly reflection-invariant and every column of V
-    exactly even or odd (tested as eig_hermitian does), each column of R
-    shares its column's parity, so rows n/2 + 1 .. n - 1 repeat rows
-    1 .. n/2 - 1 and even and odd columns have orthogonal ranges.  Only
-    rows 0 .. n/2 are formed, rows 1 .. n/2 - 1 weighted by sqrt(2), and
-    the norm is the larger of the even and the odd columns' norms: two
-    half-size products and SVDs.  Anything else gets the full product
-    and SVD.  A NaN stops the SVD with np.linalg.LinAlgError.
-    """
-    matrix = np.asarray(matrix)
-    parity = _parity_columns(vectors)
-    if parity is None or matrix.dtype != np.float64 \
-            or not _reflection_invariant(matrix):
-        return float(np.linalg.norm(matrix @ vectors - vectors * values, 2))
-    h = matrix.shape[0] // 2
-    weight = np.full((h + 1, 1), np.sqrt(2.0))
-    weight[::h] = 1.0
-    norm = 0.0
-    for columns in parity:
-        if columns.size:
-            rows = matrix[:h + 1] @ vectors[:, columns]
-            rows -= vectors[:h + 1, columns] * values[columns]
-            rows *= weight
-            norm = np.maximum(norm, np.linalg.norm(rows, 2))
-    return float(norm)
 
 
 def eig_hermitian(op):

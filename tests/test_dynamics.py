@@ -576,6 +576,25 @@ def test_run_scenario_takes_the_exact_gap_only_past_its_bound(monkeypatch):
     assert len(calls) == 1 and calls[0] > dynamics.EQUIVALENCE_TOL
 
 
+@pytest.mark.parametrize("wrong", [np.conj, np.square],
+                         ids=["sign", "scale"])
+def test_run_scenario_guard_catches_a_wrong_row_on_a_solution(monkeypatch,
+                                                               wrong):
+    # the bound holds only for the row e^{-i kappa dt/hbar}; a row with a
+    # wrong sign or twice the step must fail its slip check, take the
+    # exact gap and abort, though the state satisfies the constraint
+    import chronos.dynamics as dynamics
+    row = dynamics._translation_phases
+    monkeypatch.setattr(dynamics, "_translation_phases",
+                        lambda *args: wrong(row(*args)))
+    sc = base_scenario(steps=(Step(kind="evolve", dt=0.3),))
+    with pytest.raises(ScenarioStepError,
+                       match="evolution operators disagree") as info:
+        run_scenario(sc)
+    assert [r.kind for r in info.value.records] == ["init"]
+    assert info.value.records[0].residual1 <= sc.constraint_tol
+
+
 def free_particle_scenario(**overrides):
     # q period 2*pi puts every level (hbar k)^2/2m on the time lattice
     # hbar*2*pi/L_t = 2/3 of a 6*pi time period

@@ -457,80 +457,6 @@ def test_quarter_reconstruction_matches_full_product(rng, n):
         assert abs(quarter - full) <= 1e-13 * maxnorm(m)
 
 
-@pytest.fixture
-def norm_shapes(monkeypatch):
-    """Shape of every matrix whose np.linalg.norm the test takes."""
-    shapes = []
-    norm = np.linalg.norm
-
-    def spy(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return norm(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", spy)
-    return shapes
-
-
-def mirrored_model(kind, n):
-    # origin -L/2 with a binary spacing: the samples mirror exactly
-    return ModelSpec(kind, PhysicalConstants(),
-                     AxisGrid(n=n, origin=-8.0, spacing=16.0 / n,
-                              label="position"))
-
-
-def full_defect(m, values, vectors):
-    return np.linalg.norm(m @ vectors - vectors * values, 2)
-
-
-@pytest.mark.parametrize("kind", ["oscillator", FREE_PARTICLE])
-@pytest.mark.parametrize("n", [8, 64, 256])
-def test_folded_eigenbasis_defect_matches_full_svd(rng, norm_shapes, kind,
-                                                   n):
-    m = hamiltonian(mirrored_model(kind, n)).matrix
-    es = eig_hermitian(m)
-    assert linalg._parity_columns(es.vectors) is not None
-    want = full_defect(m, es.values, es.vectors)
-    del norm_shapes[:]
-    got = linalg.eigenbasis_defect(m, es.values, es.vectors)
-    # rows 0 .. n/2 of the even and of the odd columns, no full product
-    assert norm_shapes == [(n // 2 + 1, n // 2 + 1), (n // 2 + 1, n // 2 - 1)]
-    # the defect is itself rounding, which the two routes round differently
-    assert abs(got - want) <= 1e-13 * maxnorm(m)
-    # defects far above rounding: shifted values, and an operator moved by
-    # a reflection-invariant symmetric perturbation
-    shifted = es.values + rng.uniform(-1e-3, 1e-3, n)
-    moved = m + 1e-4 * reflected(random_symmetric(rng, n))
-    for a, w in ((m, shifted), (moved, es.values), (moved, shifted)):
-        want = full_defect(a, w, es.vectors)
-        assert want > 1e-6
-        assert abs(linalg.eigenbasis_defect(a, w, es.vectors) - want) \
-            <= 1e-13 * maxnorm(a)
-
-
-def test_eigenbasis_defect_takes_the_full_svd_off_the_mirror(norm_shapes):
-    # an origin off -L/2: the operator is not reflection-invariant
-    grid = AxisGrid(n=32, origin=-8.1, spacing=0.5, label="position")
-    m = hamiltonian(ModelSpec("oscillator", PhysicalConstants(),
-                              grid)).matrix
-    es = eig_hermitian(m)
-    assert not linalg._reflection_invariant(m)
-    del norm_shapes[:]
-    got = linalg.eigenbasis_defect(m, es.values, es.vectors)
-    assert norm_shapes == [(32, 32)]
-    assert got == full_defect(m, es.values, es.vectors)
-    # mirrored, but handed vectors that are not each even or odd
-    m = hamiltonian(mirrored_model("oscillator", 32)).matrix
-    es = eig_hermitian(m)
-    mixed = es.vectors.copy()
-    mixed[:, :2] = (es.vectors[:, :2] @ [[1.0, 1.0], [1.0, -1.0]]) \
-        / np.sqrt(2.0)
-    assert linalg._parity_columns(mixed) is None
-    del norm_shapes[:]
-    got = linalg.eigenbasis_defect(m, es.values, mixed)
-    assert norm_shapes == [(32, 32)]
-    assert got == full_defect(m, es.values, mixed)
-
-
 def test_eig_quarter_reconstruction_refuses_a_wrong_value(rng, monkeypatch):
     m = reflected(random_symmetric(rng, 12))
     split = linalg._eigh
