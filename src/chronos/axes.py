@@ -32,7 +32,8 @@ LATTICE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Problem constants; every one strictly positive."""
+    """Problem constants; every one, and every scale derived from them,
+    strictly positive and finite."""
 
     hbar: float = 1.0
     mass: float = 1.0
@@ -46,6 +47,23 @@ class PhysicalConstants:
                 raise ValueError("%s must be positive and finite, got %r"
                                  % (name, value))
             object.__setattr__(self, name, value)
+        # positive finite constants can still over- or underflow a scale
+        # that the models multiply or divide by
+        def rest():
+            return self.mass ** 2 * self.c ** 4
+
+        for name, scale in (
+                ("m^2 c^4", rest),
+                ("hbar/(m^2 c^4)", lambda: self.hbar / rest()),
+                ("time_quantum", lambda: self.time_quantum),
+                ("oscillator_length", lambda: self.oscillator_length)):
+            try:
+                value = scale()
+            except (OverflowError, ZeroDivisionError):
+                value = np.nan
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError("%s is not positive and finite for these "
+                                 "constants" % name)
 
     @property
     def oscillator_length(self):

@@ -128,7 +128,7 @@ def _constraint1_suite(k, tol):
     basis = physical_subspace(cop, tol)
     # expected kernel from exact lattice matching of the grid eigenvalues,
     # each pair solved separably at its lattice energy
-    es, lattice = cop.system_eigensystem, energy_lattice(tg, k)
+    es, lattice = cop.system_op.eigensystem, energy_lattice(tg, k)
     states = [separable_first((float(lattice[j]), es.vector(m)), tg, k)
               .amplitudes
               for m, j in zip(*kronecker_null_pairs(es.values, lattice, tol))]
@@ -145,7 +145,7 @@ def _constraint1_suite(k, tol):
     tg_d = AxisGrid(n=16, origin=0.0, spacing=period / 16, label=TIME)
     h_small = harmonic_hamiltonian(ModelSpec(OSCILLATOR, k, qg_s))
     cop_d = first_constraint_operator(h_small, tg_d, k)
-    expected = kronecker_null_pairs(cop_d.system_eigensystem.values,
+    expected = kronecker_null_pairs(cop_d.system_op.eigensystem.values,
                                     energy_lattice(tg_d, k), tol)[0].size
     rows.append(_le("detuned_count_gap",
                     abs(physical_subspace(cop_d, tol).count - expected), 0.0))
@@ -159,7 +159,7 @@ def _constraint2_suite(k, tol):
     g_op = oscillator_clock_operator(model)
     cop = second_constraint_operator(g_op, tg)
     basis = physical_subspace(cop, tol)
-    es = cop.system_eigensystem
+    es = cop.system_op.eigensystem
     samples = tg.samples
     expected = sum(1 for value in es.values
                    if np.min(np.abs(samples - value)) <= tol)

@@ -35,7 +35,6 @@ from .models import (
     clock_scale,
     free_particle_time_level,
     hamiltonian,
-    hamiltonian_eigensystem,
     predicted_time_level,
 )
 from .scenario import parse_scenario
@@ -118,7 +117,7 @@ def cmd_spectrum(args):
             raise ScenarioValidationError(
                 "levels %d exceed the grid dimension %d"
                 % (args.levels, model.grid.n), field="--levels")
-        energies = hamiltonian_eigensystem(model).values
+        energies = hamiltonian(model).eigensystem.values
         for n in range(args.levels):
             energy = float(energies[n])
             clock = clock_scale(model) * energy

@@ -46,7 +46,6 @@ from .exceptions import (
 from .linalg import (
     TILE,
     OperatorMatrix,
-    eig_hermitian,
     identity,
     kron,
     kronecker_null_space,
@@ -89,11 +88,6 @@ class ConstraintOperator:
     @property
     def dim(self):
         return self.n_q * self.n_t
-
-    @cached_property
-    def system_eigensystem(self):
-        """Eigensystem of the system factor A."""
-        return eig_hermitian(self.system_op)
 
     def apply_matrix(self, m):
         """Constraint image of a state given as its (n_q, n_t) matrix."""
@@ -280,17 +274,17 @@ def physical_subspace(op, tol=DEFAULT_TOL):
     The operator is the Kronecker sum I (x) K - A (x) I, so the basis is
     exact: every product eigenvector psi_m (x) chi_k with
     |kappa_k - a_m| <= tol, ordered by system level and then by axis
-    eigenvalue, labelled a_m.  Generalized members carry no label.  The
-    members are stored once, in the read-only C-ordered
-    SubspaceBasis.vectors that kronecker_null_space fills in place; every
-    residual is measured against the full operator on a contiguous copy
-    of one member matrix at a time.  tol must be positive.
+    eigenvalue, labelled a_m, from the eigensystems A and K keep.
+    Generalized members carry no label.  The members are stored once, in
+    the read-only C-ordered SubspaceBasis.vectors that kronecker_null_space
+    fills in place; every residual is measured against the full operator
+    on a contiguous copy of one member matrix at a time.  tol must be
+    positive.
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive, got %r" % (tol,))
-    system = op.system_eigensystem
-    m, _, vectors = kronecker_null_space(system, eig_hermitian(op.axis_op),
-                                         tol)
+    system = op.system_op.eigensystem
+    m, _, vectors = kronecker_null_space(system, op.axis_op.eigensystem, tol)
     labels = (None,) * m.size if op.kind == GENERALIZED \
         else tuple(system.values[m].tolist())
     residuals = tuple(op.residual(np.ascontiguousarray(vectors[:, :, i]))

@@ -55,7 +55,6 @@ from .models import (
     clock_scale,
     energy_eigensystem,
     hamiltonian,
-    hamiltonian_eigensystem,
     ladder_operators,
 )
 
@@ -300,7 +299,8 @@ def validate_scenario(sc):
     """Numeric validation pass run before any step is applied.
 
     Checks that both tolerances are positive, that referenced levels are
-    retained and that every jump's at-time lies within the constraint
+    retained, that a level or energy start lies inside the time grid's
+    band, and that every jump's at-time lies within the constraint
     tolerance of a clock eigenvalue.  Every comparison fails on NaN.
     Returns the model's retained eigensystem.
     """
@@ -323,6 +323,13 @@ def validate_scenario(sc):
                 "no retained eigenvalue within %g of energy %.6g"
                 % (sc.constraint_tol, sc.initial.energy),
                 field="initial.energy")
+    if sc.initial.kind != "amplitudes":
+        energy = float(es.values[_initial_level(sc, es)])
+        edge = band_edge(sc.t_grid, sc.model.constants)
+        if not abs(energy) <= edge:
+            raise ScenarioValidationError(
+                "level energy %.6g outside the time grid's band |E| <= %.6g"
+                % (energy, edge), field="initial." + sc.initial.kind)
     for idx, step in enumerate(sc.steps):
         if step.kind != "jump":
             continue
@@ -341,6 +348,13 @@ def validate_scenario(sc):
     return es
 
 
+def _initial_level(sc, es):
+    # the retained level a level or energy start is built on
+    if sc.initial.kind == "level":
+        return sc.initial.level
+    return int(np.argmin(np.abs(es.values - sc.initial.energy)))
+
+
 def _initial_state(sc, es):
     if sc.initial.kind == "amplitudes":
         amp = np.asarray(sc.initial.amplitudes, dtype=np.complex128)
@@ -349,10 +363,7 @@ def _initial_state(sc, es):
             raise ScenarioValidationError("amplitudes are all zero",
                                           field="initial.amplitudes")
         return CompositeState(amp / norm, sc.model.grid.n, sc.t_grid.n)
-    if sc.initial.kind == "level":
-        n = sc.initial.level
-    else:
-        n = int(np.argmin(np.abs(es.values - sc.initial.energy)))
+    n = _initial_level(sc, es)
     return separable_first((float(es.values[n]), es.vector(n)), sc.t_grid,
                            sc.model.constants)
 
@@ -388,15 +399,15 @@ def run_scenario(sc):
     es = validate_scenario(sc)
     model, tg = sc.model, sc.t_grid
     k = model.constants
-    h_es = hamiltonian_eigensystem(model)
-    v, energies = h_es.vectors, h_es.values
+    h = hamiltonian(model)
+    v, energies = h.eigensystem.vectors, h.eigensystem.values
     phi = tg.fourier_map
     kappa = -k.hbar * tg.frequencies
     # for a unit state the residual taken in these bases is within twice
     # this defect of the residual taken in the grid basis
     try:
         defect = np.maximum(
-            np.linalg.norm(hamiltonian(model).matrix @ v - v * energies, 2),
+            np.linalg.norm(h.matrix @ v - v * energies, 2),
             np.linalg.norm(energy_operator(tg, k).matrix @ phi - phi * kappa,
                            2))
     except np.linalg.LinAlgError as exc:  # a NaN stops the 2-norm's SVD

@@ -26,6 +26,7 @@ decomposition check is written so that a NaN defect fails it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -149,7 +150,7 @@ class OperatorMatrix:
     guarantee it by construction (spectral builders, `kron` of two
     Hermitian factors, `identity`).  The matrix is stored read-only: as a
     copy, unless the array handed in owns its memory and is read-only
-    already.
+    already, so the operator keeps its eigensystem once it is computed.
     """
 
     matrix: np.ndarray
@@ -162,6 +163,11 @@ class OperatorMatrix:
     @property
     def dim(self):
         return self.matrix.shape[0]
+
+    @cached_property
+    def eigensystem(self):
+        """eig_hermitian of this operator, on first request."""
+        return eig_hermitian(self)
 
 
 def operator(matrix, *, hermitian=False):
@@ -476,12 +482,12 @@ def kron(a, b):
 
 
 def unitary_exp(op, theta):
-    """exp(-i * theta * A) for Hermitian A, via its eigendecomposition.
+    """exp(-i * theta * A) for a Hermitian operator A, via the
+    eigensystem it keeps.
 
     The result is verified unitary to 1e-10 before it is returned.
     """
-    es = eig_hermitian(op)
-    return spectral_exp(es.vectors, es.values, theta)
+    return spectral_exp(op.eigensystem.vectors, op.eigensystem.values, theta)
 
 
 def spectral_exp(vectors, values, theta):

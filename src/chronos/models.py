@@ -3,27 +3,26 @@
 A model couples a position grid with physical constants and provides two
 operators on the system space: the energy operator (Hamiltonian) and the
 clock operator, a rescaled positive operator whose eigenvalues are the
-internal time readings paired with the energy levels.
+internal time readings paired with the energy levels.  A model keeps its
+Hamiltonian, and the Hamiltonian its eigensystem, once either is built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .axes import POSITION, AxisGrid, PhysicalConstants
 from .exceptions import WrongAxisError, WrongKindError
-from .linalg import OperatorMatrix, eig_hermitian, operator
+from .linalg import OperatorMatrix, operator
 
 OSCILLATOR = "oscillator"
 FREE_PARTICLE = "free_particle"
 KINDS = (OSCILLATOR, FREE_PARTICLE)
 
 DEFAULT_RETAINED_LEVELS = 16
-# hamiltonian eigensystems kept per process, by model
-EIGEN_CACHE = 4
 
 
 @dataclass(frozen=True)
@@ -38,6 +37,11 @@ class ModelSpec:
         if self.grid.label != POSITION:
             raise WrongAxisError("model grid must be position-labeled")
 
+    @cached_property
+    def hamiltonian(self):
+        """The Hamiltonian, built on first request; see hamiltonian()."""
+        return _hamiltonian(self)
+
 
 def _require_kind(model, kind, what):
     if model.kind != kind:
@@ -45,10 +49,11 @@ def _require_kind(model, kind, what):
                              % (what, kind, model.kind))
 
 
-def _hamiltonian(model, kind, what, omega):
-    # p^2/(2m) + m*omega^2*q^2/2, the one builder behind both models
-    _require_kind(model, kind, what)
+def _hamiltonian(model):
+    # p^2/(2m) + m*omega^2*q^2/2, the one builder behind both models: the
+    # free particle's omega is 0
     k = model.constants
+    omega = k.omega if model.kind == OSCILLATOR else 0.0
     n = model.grid.n
     # p^2 = Phi diag((hbar w)^2) Phi^H is a circulant: entry (j, l) depends
     # only on (j - l) mod n.  Its symbol is even in w (the unpaired Nyquist
@@ -79,16 +84,18 @@ def _hamiltonian(model, kind, what, omega):
 
 def harmonic_hamiltonian(model):
     """p^2/(2m) + m*omega^2*q^2/2 on the model's position grid."""
-    return _hamiltonian(model, OSCILLATOR, "harmonic hamiltonian",
-                        model.constants.omega)
+    _require_kind(model, OSCILLATOR, "harmonic hamiltonian")
+    return model.hamiltonian
 
 
 def free_particle_hamiltonian(model):
     """p^2/(2m) on the model's position grid."""
-    return _hamiltonian(model, FREE_PARTICLE, "free-particle hamiltonian", 0.0)
+    _require_kind(model, FREE_PARTICLE, "free-particle hamiltonian")
+    return model.hamiltonian
 
 
 def hamiltonian(model):
+    """The model's Hamiltonian, through the builder of its kind."""
     if model.kind == OSCILLATOR:
         return harmonic_hamiltonian(model)
     return free_particle_hamiltonian(model)
@@ -144,16 +151,10 @@ def free_particle_time_level(energy, constants):
         / (constants.mass ** 2 * constants.c ** 4)
 
 
-@lru_cache(maxsize=EIGEN_CACHE)
-def hamiltonian_eigensystem(model):
-    """Full verified eigensystem of the model hamiltonian, once per model."""
-    return eig_hermitian(hamiltonian(model))
-
-
-def energy_eigensystem(model, retained=DEFAULT_RETAINED_LEVELS):
-    """Lowest `retained` eigenpairs of the model hamiltonian."""
-    es = hamiltonian_eigensystem(model)
-    return es.truncated(min(retained, es.count))
+def energy_eigensystem(model):
+    """Lowest DEFAULT_RETAINED_LEVELS eigenpairs of the model hamiltonian."""
+    es = hamiltonian(model).eigensystem
+    return es.truncated(min(DEFAULT_RETAINED_LEVELS, es.count))
 
 
 def ladder_operators(es):

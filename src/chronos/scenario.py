@@ -27,6 +27,9 @@ PRESETS = ("energy-aligned", "time-aligned")
 TOP_KEYS = ("constants", "preset", "model", "initial", "steps", "tolerances")
 CONSTANT_KEYS = ("hbar", "mass", "c", "omega")
 GRID_KEYS = ("n", "origin", "spacing")
+# largest grid a scenario may ask for: an n x n complex operator on it
+# takes 1 GiB
+MAX_GRID_N = 8192
 
 
 def _fail(message, field):
@@ -90,7 +93,7 @@ def _parse_constants(value):
 
 def _parse_grid(value, field, label):
     obj = _fields(value, field, GRID_KEYS, GRID_KEYS)
-    n = _integer(obj["n"], field + ".n", low=2)
+    n = _integer(obj["n"], field + ".n", low=2, high=MAX_GRID_N + 1)
     if n % 2 != 0:
         _fail("grid size must be even", field + ".n")
     origin = _number(obj["origin"], field + ".origin")

@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import chronos.linalg
 from chronos import checks
 from chronos.axes import (
     TIME,
@@ -125,6 +126,29 @@ def test_generalized_suite_loads_no_random_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("name, solves", [
+    ("constraint1", 4), ("constraint2", 2), ("generalized", 4), ("ladder", 1),
+    ("commutators", 0), ("uncertainty", 0)])
+def test_suite_solves_each_eigensystem_once(monkeypatch, name, solves):
+    # every operator a suite diagonalizes keeps its eigensystem, and the
+    # model keeps its Hamiltonian: the generalized suite solves H once for
+    # its four constraints and the energy eigensystem, plus the time-axis
+    # factors of its two coefficient pairs and of its detuned grid
+    calls = []
+    eig_hermitian = chronos.linalg.eig_hermitian
+
+    def counted(op):
+        calls.append(op)
+        return eig_hermitian(op)
+
+    for module in [m for n, m in sys.modules.items()
+                   if n == "chronos" or n.startswith("chronos.")]:
+        if getattr(module, "eig_hermitian", None) is eig_hermitian:
+            monkeypatch.setattr(module, "eig_hermitian", counted)
+    assert run_suite(name)[1]
+    assert len(calls) == solves
 
 
 @pytest.mark.parametrize("suite, kind, rows", [

@@ -263,7 +263,7 @@ def test_subspace_matches_dense_oracle_at_wide_tolerance(kind, tol):
     block = np.column_stack(dense)
     gap = maxnorm(oracles.dense_projector(basis) - block @ block.conj().T)
     assert gap < 1e-10
-    assert set(basis.labels) <= set(op.system_eigensystem.values.tolist())
+    assert set(basis.labels) <= set(op.system_op.eigensystem.values.tolist())
     assert list(basis.labels) == sorted(basis.labels)
     assert max(basis.residuals) <= tol
 
@@ -448,7 +448,8 @@ def test_physical_subspace_holds_its_members_once(unit_constants):
     q_grid, t_grid = energy_aligned_grids(unit_constants, n_q=128, n_t=64)
     ham = hamiltonian(ModelSpec(OSCILLATOR, unit_constants, q_grid))
     op = first_constraint_operator(ham, t_grid, unit_constants)
-    op.system_eigensystem  # cached on the operator, not part of the basis
+    # both factors keep their eigensystems, which are not part of the basis
+    op.system_op.eigensystem, op.axis_op.eigensystem
     state = np.ones(op.dim, dtype=complex)
     tracemalloc.start()
     try:
@@ -470,7 +471,8 @@ def test_physical_subspace_peaks_near_its_basis(unit_constants):
     q_grid, t_grid = energy_aligned_grids(unit_constants, n_q=256, n_t=128)
     ham = hamiltonian(ModelSpec(OSCILLATOR, unit_constants, q_grid))
     op = first_constraint_operator(ham, t_grid, unit_constants)
-    op.system_eigensystem  # cached on the operator, not part of the basis
+    # both factors keep their eigensystems, which are not part of the basis
+    op.system_op.eigensystem, op.axis_op.eigensystem
     state = np.ones(op.dim, dtype=complex)
     tracemalloc.start()
     try:

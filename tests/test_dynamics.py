@@ -8,9 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-import chronos.constraints
+import chronos.dynamics
 import chronos.linalg
-import chronos.models
 
 from chronos.axes import (
     AxisGrid,
@@ -54,6 +53,7 @@ from chronos.exceptions import (
 )
 from chronos.linalg import (
     UNITARY_ATOL,
+    EigenSystem,
     kronecker_null_pairs,
     maxnorm,
     operator,
@@ -68,7 +68,6 @@ from chronos.models import (
     clock_scale,
     energy_eigensystem,
     hamiltonian,
-    hamiltonian_eigensystem,
 )
 
 import oracles
@@ -134,7 +133,7 @@ def test_shared_eigensystem_evolution_matches_unitary_exp(kind):
     k = PhysicalConstants(hbar=2.0, mass=3.0, c=1.5, omega=0.7)
     grid = AxisGrid(n=48, origin=-6.0, spacing=0.25, label="position")
     model = ModelSpec(kind, k, grid)
-    es = hamiltonian_eigensystem(model)
+    es = hamiltonian(model).eigensystem
     for theta in (0.3, -1.1, 4.0):
         shared = spectral_exp(es.vectors, es.values, theta)
         assert unitary_defect(shared.matrix) <= UNITARY_ATOL
@@ -158,15 +157,16 @@ def test_run_scenario_eigensolves_do_not_grow_with_steps(monkeypatch):
             return solver(*args, **kwargs)
         return wrapper
 
-    eig_hermitian = counted(chronos.linalg.eig_hermitian, solves)
-    for module in (chronos.linalg, chronos.models, chronos.constraints):
-        monkeypatch.setattr(module, "eig_hermitian", eig_hermitian)
+    # every eigensystem is computed by OperatorMatrix.eigensystem, which
+    # calls linalg's own eig_hermitian
+    monkeypatch.setattr(chronos.linalg, "eig_hermitian",
+                        counted(chronos.linalg.eig_hermitian, solves))
     monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, lapack))
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         counted(np.linalg.eigvalsh, lapack))
 
     def count(repeats):
-        hamiltonian_eigensystem.cache_clear()
+        # a fresh scenario, so its model has computed nothing yet
         del solves[:], lapack[:]
         records = run_scenario(base_scenario(steps=ROUND_TRIP * repeats))
         assert len(records) == 4 * repeats + 1
@@ -199,7 +199,7 @@ def test_eigen_swap_unitary_exchanges_levels():
     model = ModelSpec(OSCILLATOR, k, __import__(
         "chronos.axes", fromlist=["default_position_grid"]
     ).default_position_grid(k))
-    es = energy_eigensystem(model, retained=6)
+    es = hamiltonian(model).eigensystem.truncated(6)
     swap = oracles.eigen_swap_unitary(1, 4, es)
     assert oracles.dense_hermitian_defect(swap) == 0.0
     assert unitary_defect(swap) <= UNITARY_ATOL
@@ -721,7 +721,7 @@ def test_kernel_pairs_follow_physical_subspace_order(sc, tol):
     # run_scenario gathers its kernel coefficients at these pairs
     validate_scenario(sc)
     model, tg = sc.model, sc.t_grid
-    es = hamiltonian_eigensystem(model)
+    es = hamiltonian(model).eigensystem
     kappa = -model.constants.hbar * tg.frequencies
     rows, cols = kronecker_null_pairs(es.values, kappa, tol)
     basis = physical_subspace(first_constraint_operator(
@@ -754,7 +754,17 @@ def test_run_refuses_a_nan_in_either_certificate_term(tmp_path, capsys,
     build = getattr(dynamics, name)
 
     def poisoned(*args):
-        m = np.array(build(*args).matrix)
+        op = build(*args)
+        if name == "hamiltonian":
+            # in V, the eigenvectors the model's H keeps: a NaN in H itself
+            # is refused before, by the eigensolve's hermitian check
+            es = op.eigensystem
+            vectors = np.array(es.vectors)
+            vectors[1, 2] = np.nan
+            monkeypatch.setitem(op.__dict__, "eigensystem",
+                                EigenSystem(es.values, vectors))
+            return op
+        m = np.array(op.matrix)
         m[1, 2] = np.nan
         return operator(m)
 
@@ -911,7 +921,7 @@ def test_equivalence_bound_is_at_least_the_exact_gap(monkeypatch, make):
 def test_momentum_by_fft_matches_the_dense_product(sc):
     import chronos.dynamics as dynamics
     model = sc.model
-    v = hamiltonian_eigensystem(model).vectors
+    v = hamiltonian(model).eigensystem.vectors
     want = oracles.momentum_in_basis(v, model.grid, model.constants)
     got = dynamics._momentum_in(v, model.grid, model.constants)
     assert maxnorm(got - want) <= 1e-12

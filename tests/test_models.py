@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import chronos.linalg
 from chronos.axes import (
     TIME,
     AxisGrid,
@@ -20,6 +21,7 @@ from chronos.dynamics import time_translation
 from chronos.exceptions import WrongKindError
 from chronos.linalg import eig_hermitian, identity, kron, maxnorm
 from chronos.models import (
+    DEFAULT_RETAINED_LEVELS,
     FREE_PARTICLE,
     OSCILLATOR,
     ModelSpec,
@@ -30,7 +32,6 @@ from chronos.models import (
     free_particle_hamiltonian,
     free_particle_time_level,
     hamiltonian,
-    hamiltonian_eigensystem,
     harmonic_hamiltonian,
     ladder_operators,
     oscillator_clock_operator,
@@ -200,8 +201,8 @@ def test_oscillator_without_exact_reflection_takes_full_eigh(k, grid,
 
 def test_degenerate_free_particle_levels_are_standing_waves():
     n = 64
-    es = hamiltonian_eigensystem(
-        ModelSpec(FREE_PARTICLE, PhysicalConstants(), centred_grid(n)))
+    es = hamiltonian(ModelSpec(FREE_PARTICLE, PhysicalConstants(),
+                               centred_grid(n))).eigensystem
     parity = oracles.reflection_parities(es.vectors)
     # the constant and the Nyquist wave are even; every +-w pair between
     # them is one exactly even and one exactly odd standing wave
@@ -227,7 +228,7 @@ def dtype_cases():
         "identity": lambda: identity(4).matrix,
         "kron": lambda: kron(time_operator(tg), identity(3)).matrix,
         "lift_system": lambda: lift_system(hamiltonian(osc), 4).matrix,
-        "eig_vectors": lambda: hamiltonian_eigensystem(osc).vectors,
+        "eig_vectors": lambda: hamiltonian(osc).eigensystem.vectors,
     }
     complex_ = {
         "momentum": lambda: momentum_operator(qg, k).matrix,
@@ -268,7 +269,7 @@ def test_clock_operator_is_scaled_hamiltonian():
 def test_clock_values_are_scaled_energies(kind, k):
     grid = AxisGrid(n=48, origin=-6.0, spacing=0.25, label="position")
     model = ModelSpec(kind, k, grid)
-    scaled = clock_scale(model) * hamiltonian_eigensystem(model).values
+    scaled = clock_scale(model) * hamiltonian(model).eigensystem.values
     clock = eig_hermitian(clock_operator(model)).values
     assert np.max(np.abs(scaled - clock)) <= 1e-12 * np.max(np.abs(clock))
 
@@ -296,16 +297,43 @@ def test_free_particle_clock_matches_formula():
 
 def test_energy_eigensystem_truncation():
     model = oscillator_model(n=64)
-    system = energy_eigensystem(model, retained=10)
-    assert system.count == 10
+    system = energy_eigensystem(model)
+    assert system.count == DEFAULT_RETAINED_LEVELS
     assert np.all(np.diff(system.values) > 0)
-    full = energy_eigensystem(model, retained=64)
-    assert np.allclose(system.values, full.values[:10])
+    full = hamiltonian(model).eigensystem
+    assert full.count == 64
+    assert system.values.tobytes() \
+        == full.values[:DEFAULT_RETAINED_LEVELS].tobytes()
+    # a grid of fewer points keeps every level
+    assert energy_eigensystem(oscillator_model(n=8)).count == 8
+
+
+def test_each_eigensystem_is_computed_once_by_its_owner(monkeypatch):
+    # the model keeps its Hamiltonian and the Hamiltonian its
+    # eigensystem; an equal model is a separate owner
+    solves = []
+    eig_hermitian = chronos.linalg.eig_hermitian
+    monkeypatch.setattr(chronos.linalg, "eig_hermitian",
+                        lambda op: solves.append(op) or eig_hermitian(op))
+    model = oscillator_model(n=32)
+    ham = hamiltonian(model)
+    assert harmonic_hamiltonian(model) is ham
+    es = energy_eigensystem(model)
+    assert ham.eigensystem is hamiltonian(model).eigensystem
+    assert es.vectors.tobytes() \
+        == ham.eigensystem.vectors[:, :DEFAULT_RETAINED_LEVELS].tobytes()
+    assert solves == [ham]
+    # the clock operator is a new matrix with an eigensystem of its own
+    clock = clock_operator(model)
+    assert clock.eigensystem is clock.eigensystem
+    assert solves == [ham, clock]
+    other = oscillator_model(n=32)
+    assert other == model and hamiltonian(other) is not ham
 
 
 def test_ladder_matrix_elements_match_oracle():
     model = oscillator_model()
-    system = energy_eigensystem(model, retained=12)
+    system = hamiltonian(model).eigensystem.truncated(12)
     lower, raiser = ladder_operators(system)
     for n in range(11):
         up = raiser.matrix @ system.vector(n)
@@ -319,14 +347,14 @@ def test_ladder_matrix_elements_match_oracle():
 
 def test_ladder_annihilates_ground_state():
     model = oscillator_model()
-    system = energy_eigensystem(model, retained=6)
+    system = hamiltonian(model).eigensystem.truncated(6)
     lower, _ = ladder_operators(system)
     assert np.linalg.norm(lower.matrix @ system.vector(0)) < 1e-10
 
 
 def test_ladder_commutator_on_retained_levels():
     model = oscillator_model()
-    system = energy_eigensystem(model, retained=12)
+    system = hamiltonian(model).eigensystem.truncated(12)
     lower, raiser = ladder_operators(system)
     comm = lower.matrix @ raiser.matrix - raiser.matrix @ lower.matrix
     # identity on every retained level except the truncation boundary
@@ -337,6 +365,6 @@ def test_ladder_commutator_on_retained_levels():
 
 def test_ladder_requires_two_levels():
     model = oscillator_model(n=32)
-    system = energy_eigensystem(model, retained=1)
+    system = hamiltonian(model).eigensystem.truncated(1)
     with pytest.raises(WrongKindError):
         ladder_operators(system)

@@ -16,7 +16,7 @@ from chronos.axes import (
 from chronos.cli import main
 from chronos.dynamics import InitialState, Step, run_scenario
 from chronos.exceptions import ScenarioSyntaxError, ScenarioValidationError
-from chronos.scenario import parse_scenario
+from chronos.scenario import MAX_GRID_N, parse_scenario
 
 import oracles
 
@@ -205,6 +205,76 @@ def test_parse_rejects_missing_top_key():
     del doc["model"]
     with pytest.raises(ScenarioValidationError):
         parse_scenario(json.dumps(doc))
+
+
+def refused_by_cli(tmp_path, capsys, doc, argv):
+    """Exit code and stderr of `chronos ARGV --config` on doc."""
+    config = tmp_path / "refused.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    code = main([*argv, "--config", str(config)])
+    return code, capsys.readouterr().err
+
+
+# positive finite constants whose derived scales overflow or underflow:
+# hbar^2 in the time quantum, m^2 and c^4 in m^2 c^4
+@pytest.mark.parametrize("name, value, scale", [
+    ("hbar", 1e300, "time_quantum"),
+    ("mass", 1e-300, "m^2 c^4"),
+    ("c", 1e-100, "m^2 c^4"),
+])
+@pytest.mark.parametrize("argv", [["run"], ["spectrum"],
+                                  ["check", "--suite", "ladder"],
+                                  ["check", "--suite", "constraint2"]],
+                         ids=["run", "spectrum", "ladder", "constraint2"])
+def test_cli_refuses_constants_with_unusable_scales(tmp_path, capsys, name,
+                                                    value, scale, argv):
+    with pytest.raises(ScenarioValidationError) as info:
+        parse_scenario(json.dumps(edited_doc(("constants", name), value)))
+    assert info.value.field == "constants"
+    code, err = refused_by_cli(tmp_path, capsys,
+                               edited_doc(("constants", name), value), argv)
+    assert code == 2
+    assert "constants: %s is not positive and finite" % scale in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("axis", ["q", "t"])
+@pytest.mark.parametrize("n", [MAX_GRID_N + 2, 10 ** 400])
+def test_cli_refuses_a_grid_above_the_size_limit(tmp_path, capsys, axis, n):
+    field = "preset.%s.n" % axis
+    doc = edited_doc(("preset", axis, "n"), n)
+    with pytest.raises(ScenarioValidationError) as info:
+        parse_scenario(json.dumps(doc))
+    assert info.value.field == field
+    assert str(info.value) == "%s: must be < %d" % (field, MAX_GRID_N + 1)
+    code, err = refused_by_cli(tmp_path, capsys, doc, ["run"])
+    assert code == 2 and field in err and "Traceback" not in err
+
+
+def test_parse_accepts_a_grid_at_the_size_limit():
+    # parsed only: the grids hold no array until one is asked for
+    for axis in ("q", "t"):
+        sc = parse_scenario(json.dumps(
+            edited_doc(("preset", axis, "n"), MAX_GRID_N)))
+        grid = sc.model.grid if axis == "q" else sc.t_grid
+        assert grid.n == MAX_GRID_N
+
+
+@pytest.mark.parametrize("initial, field", [
+    ({"level": 0}, "initial.level"),
+    ({"energy": 29.874122633}, "initial.energy"),
+])
+def test_run_refuses_a_start_beyond_the_time_band(tmp_path, capsys, initial,
+                                                  field):
+    # on two position samples the lowest level sits near 29.87, far past
+    # the 16-point time grid's band edge of 4
+    doc = base_doc(initial=initial, tolerances={"constraint_tol": 1e-3})
+    doc["preset"]["q"]["n"] = 2
+    code, err = refused_by_cli(tmp_path, capsys, doc, ["run"])
+    assert code == 2
+    assert "%s: level energy 29.8741 outside the time grid's band" % field \
+        in err
+    assert "Traceback" not in err
 
 
 def test_parse_rejects_bad_grid():
