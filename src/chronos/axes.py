@@ -131,7 +131,7 @@ def require_label(grid, label, what):
 
 
 def _spectral_operator(grid, symbol):
-    # Phi diag(symbol) Phi^H, symmetrized so the hermitian flag is exact
+    # Phi diag(symbol) Phi^H, symmetrized so it is exactly Hermitian
     phi = grid.fourier_map
     m = (phi * symbol) @ phi.conj().T
     m = 0.5 * (m + m.conj().T)
@@ -200,7 +200,7 @@ def energy_eigenvector(grid, energy, constants):
             "energy %.6g outside representable band |E| <= %.6g"
             % (energy, edge))
     _, miss = nearest_lattice_energy(grid, energy, constants)
-    if miss > LATTICE_RTOL * max(1.0, abs(energy)):
+    if not miss <= LATTICE_RTOL * max(1.0, abs(energy)):
         warnings.warn(
             "energy %.6g misses the frequency lattice by %.3g"
             % (energy, miss), OffLatticeWarning, stacklevel=2)

@@ -184,7 +184,7 @@ def cmd_subspace(args):
     basis = physical_subspace(cop, tol)
     table = ResultTable(["index", "label", "residual"])
     for i, (label, residual) in enumerate(zip(basis.labels, basis.residuals)):
-        table.add(i, "" if label is None else label, residual)
+        table.add(i, label, residual)
     _emit(table.render(), args.out)
     return 0
 

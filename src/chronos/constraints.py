@@ -11,9 +11,11 @@ where s_op/t_op are the conjugate/sample operators of the time axis, H is
 a Hamiltonian and G a clock operator.  In the generalized equation the
 time and energy operators act on the time factor alone and reach the
 system only through F = A (x) I, so every builder takes the system factor
-A itself, never a composite.  States in the near-kernel of a constraint
-operator form the physical subspace; measurement statistics are
-renormalized inside it.
+A itself, never a composite; it measures A's hermitian defect and keeps
+the very operator it is handed.  A constraint operator is its two
+factors and nothing else.  States in the near-kernel of a constraint
+operator form the physical subspace, each member labelled with its
+system eigenvalue; measurement statistics are renormalized inside it.
 
 The near-kernel is solved exactly from one eigendecomposition of each
 factor, and applications are Kronecker-factored throughout.  The
@@ -40,7 +42,6 @@ from .axes import (
 from .exceptions import (
     DimensionMismatchError,
     EmptyBasisError,
-    NotHermitianError,
     OutOfRangeError,
 )
 from .linalg import (
@@ -50,12 +51,9 @@ from .linalg import (
     kron,
     kronecker_null_space,
     operator,
+    require_hermitian,
     tiled_maxnorm,
 )
-
-FIRST = "first"
-SECOND = "second"
-GENERALIZED = "generalized"
 
 # largest composite dimension for which the dense solve is materialized
 MATERIALIZE_LIMIT = 4096
@@ -69,11 +67,10 @@ class ConstraintOperator:
     """The constraint operator I (x) K - A (x) I, kept in factored form.
 
     system_op is A on the system factor; axis_op is K on the time axis:
-    the energy operator for the first kind, the time operator for the
-    second and c_s s_op + c_t t_op for the generalized kind.
+    the energy operator for the first constraint, the time operator for
+    the second and c_s s_op + c_t t_op for the generalized one.
     """
 
-    kind: str
     system_op: OperatorMatrix
     axis_op: OperatorMatrix
 
@@ -110,9 +107,9 @@ class ConstraintOperator:
             raise DimensionMismatchError(
                 "composite dimension %d exceeds the materialization cap %d; "
                 "use the factored application" % (self.dim, MATERIALIZE_LIMIT))
-        m = kron(identity(self.n_q), self.axis_op).matrix \
-            - kron(self.system_op, identity(self.n_t)).matrix
-        return operator(m, hermitian=True)
+        return OperatorMatrix(
+            kron(identity(self.n_q), self.axis_op).matrix
+            - kron(self.system_op, identity(self.n_t)).matrix)
 
 
 def _state_matrix(state, n_q, n_t):
@@ -130,27 +127,25 @@ def _state_matrix(state, n_q, n_t):
     return a.reshape(n_q, n_t), float(np.linalg.norm(a))
 
 
-def _verified_hermitian(candidate, what):
-    # raw matrices are accepted but the symmetry claim is verified here
-    if isinstance(candidate, OperatorMatrix):
-        if not candidate.hermitian:
-            raise NotHermitianError("%s must carry a verified hermitian "
-                                    "flag" % what)
-        return candidate
-    return operator(candidate, hermitian=True)
+def _verified_hermitian(candidate):
+    # the system factor, measured; an OperatorMatrix is returned as it is,
+    # with the eigensystem it keeps
+    if not isinstance(candidate, OperatorMatrix):
+        candidate = operator(candidate)
+    require_hermitian(candidate.matrix)
+    return candidate
 
 
 def first_constraint_operator(hamiltonian_op, tg, constants):
     require_label(tg, TIME, "first constraint")
-    hamiltonian_op = _verified_hermitian(hamiltonian_op, "hamiltonian")
-    return ConstraintOperator(FIRST, hamiltonian_op,
+    return ConstraintOperator(_verified_hermitian(hamiltonian_op),
                               energy_operator(tg, constants))
 
 
 def second_constraint_operator(clock_op, tg):
     require_label(tg, TIME, "second constraint")
-    clock_op = _verified_hermitian(clock_op, "clock operator")
-    return ConstraintOperator(SECOND, clock_op, time_operator(tg))
+    return ConstraintOperator(_verified_hermitian(clock_op),
+                              time_operator(tg))
 
 
 def generalized_constraint_operator(coeff_s, coeff_t, system_op, tg,
@@ -162,11 +157,10 @@ def generalized_constraint_operator(coeff_s, coeff_t, system_op, tg,
     result is I (x) K - A (x) I with K = c_s s_op + c_t t_op.
     """
     require_label(tg, TIME, "generalized constraint")
-    system_op = _verified_hermitian(system_op, "system operator")
+    system_op = _verified_hermitian(system_op)
     k = float(coeff_s) * energy_operator(tg, constants).matrix \
         + np.diag(float(coeff_t) * tg.samples)
-    return ConstraintOperator(GENERALIZED, system_op,
-                              operator(k, hermitian=True))
+    return ConstraintOperator(system_op, operator(k, hermitian=True))
 
 
 def separable_first(pair, tg, constants):
@@ -209,12 +203,11 @@ class SubspaceBasis:
 
     vectors holds the members once, as one (n_q, n_t, count) array whose
     reshape to (dim, count) is the member matrix B.  labels holds one
-    entry per member: the system eigenvalue a_m of its product factor,
-    repeated across a degenerate level, or None for every member of a
-    generalized-constraint basis.  Projection is done in factored form,
-    through B: a state is projected as B (B^H s), and two subspaces are
-    compared by the largest entry of B B^H - B' B'^H, formed a few rows at
-    a time.  No dim x dim projector is built.
+    entry per member, on every constraint: the system eigenvalue a_m of
+    its product factor, repeated across a degenerate level.  Projection is
+    done in factored form, through B: a state is projected as B (B^H s),
+    and two subspaces are compared by the largest entry of B B^H - B' B'^H,
+    formed a few rows at a time.  No dim x dim projector is built.
     """
 
     vectors: np.ndarray
@@ -274,19 +267,18 @@ def physical_subspace(op, tol=DEFAULT_TOL):
     The operator is the Kronecker sum I (x) K - A (x) I, so the basis is
     exact: every product eigenvector psi_m (x) chi_k with
     |kappa_k - a_m| <= tol, ordered by system level and then by axis
-    eigenvalue, labelled a_m, from the eigensystems A and K keep.
-    Generalized members carry no label.  The members are stored once, in
-    the read-only C-ordered SubspaceBasis.vectors that kronecker_null_space
-    fills in place; every residual is measured against the full operator
-    on a contiguous copy of one member matrix at a time.  tol must be
-    positive.
+    eigenvalue, labelled a_m, from the eigensystems A and K keep.  The
+    generalized constraint reduces to the first two, so its members are
+    labelled the same way.  The members are stored once, in the read-only
+    C-ordered SubspaceBasis.vectors that kronecker_null_space fills in
+    place; every residual is measured against the full operator on a
+    contiguous copy of one member matrix at a time.  tol must be positive.
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive, got %r" % (tol,))
     system = op.system_op.eigensystem
     m, _, vectors = kronecker_null_space(system, op.axis_op.eigensystem, tol)
-    labels = (None,) * m.size if op.kind == GENERALIZED \
-        else tuple(system.values[m].tolist())
+    labels = tuple(system.values[m].tolist())
     residuals = tuple(op.residual(np.ascontiguousarray(vectors[:, :, i]))
                       for i in range(m.size))
     vectors.setflags(write=False)

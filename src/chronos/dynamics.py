@@ -300,7 +300,8 @@ def validate_scenario(sc):
 
     Checks that both tolerances are positive, that referenced levels are
     retained, that a level or energy start lies inside the time grid's
-    band, and that every jump's at-time lies within the constraint
+    band, that both levels of every jump pass the jump's own range, band
+    and lattice checks, and that its at-time lies within the constraint
     tolerance of a clock eigenvalue.  Every comparison fails on NaN.
     Returns the model's retained eigensystem.
     """
@@ -330,16 +331,20 @@ def validate_scenario(sc):
             raise ScenarioValidationError(
                 "level energy %.6g outside the time grid's band |E| <= %.6g"
                 % (energy, edge), field="initial." + sc.initial.kind)
+    checked = set()  # level pairs whose energies passed, each taken once
     for idx, step in enumerate(sc.steps):
         if step.kind != "jump":
             continue
         where = "steps[%d].jump" % idx
-        for name, level in (("from", step.from_level),
-                            ("to", step.to_level)):
-            if not 0 <= level < es.count:
-                raise ScenarioValidationError(
-                    "%s-level %d outside retained range 0..%d"
-                    % (name, level, es.count - 1), field=where)
+        pair = step.from_level, step.to_level
+        if pair not in checked:
+            try:
+                _jump_energies(*pair, es, sc.t_grid, sc.model.constants,
+                               sc.constraint_tol)
+            except (IndexOutOfRangeError, OffLatticeError) as exc:
+                raise ScenarioValidationError(str(exc), field=where) \
+                    from None
+            checked.add(pair)
         gap = float(np.min(np.abs(clock_values - step.at_time)))
         if not gap <= sc.constraint_tol:
             raise ScenarioValidationError(
@@ -453,17 +458,15 @@ def run_scenario(sc):
         if residual <= sc.constraint_tol and not _equivalence_bound(
                 row, kappa, dt, k.hbar, residual, norm) <= EQUIVALENCE_TOL:
             gap = _equivalence_gap(c, energies, row, dt, k.hbar)
-            if gap > EQUIVALENCE_TOL:
+            if not gap <= EQUIVALENCE_TOL:
                 raise ChronosError(
                     "evolution operators disagree by %.3e on a solution"
                     % gap)
         c *= row
 
     def jump(c, i, j):
-        if (i, j) not in kicks:
-            e_from, e_to = _jump_energies(i, j, es, tg, k,
-                                          sc.constraint_tol)
-            kicks[i, j] = _shift_phases(tg, e_to - e_from, k)
+        if (i, j) not in kicks:  # both levels passed validate_scenario
+            kicks[i, j] = _shift_phases(tg, es.values[j] - es.values[i], k)
         c[[i, j]] = c[[j, i]]
         rho[[i, j]] = rho[[j, i]]
         rho[:, [i, j]] = rho[:, [j, i]]

@@ -1,13 +1,16 @@
 """Dense linear algebra kernels.
 
-Immutable operator values, each a matrix and one verified hermitian flag,
+Immutable operator values, each a matrix and the eigensystem it keeps,
 plus the primitives everything else is built from: Kronecker products,
 Hermitian eigendecomposition with a fixed phase and ordering convention,
 unitary exponentials, and the exact near-null space of a Kronecker sum
 I (x) K - A (x) I, as two pair index arrays and one array of its product
-members.  Unitarity is checked by spectral_exp, which builds every unitary,
-and is not stored.  near_null_space, a dense SVD of a materialized matrix,
-is the oracle the exact solver is tested against; no solver route calls it.
+members.  Neither symmetry is stored: hermitian symmetry is measured by
+require_hermitian wherever it is relied on (operator(..., hermitian=True),
+eig_hermitian, the constraint builders), and unitarity by spectral_exp,
+which builds every unitary.  near_null_space, a dense SVD of a
+materialized matrix, is the oracle the exact solver is tested against; no
+solver route calls it.
 Matrices are dense, stored float64 when real and complex128 otherwise, so
 a real symmetric operator is diagonalized in real arithmetic, and one of
 even order that is exactly invariant under the grid reflection
@@ -123,8 +126,8 @@ def hermitian_defect(matrix):
                          for j in range(i, n, TILE))
 
 
-def _require_hermitian(m):
-    # returns maxnorm(m), the scale of every relative check on m
+def require_hermitian(m):
+    """Refuse m unless hermitian to 1e-12 of maxnorm(m), which is returned."""
     defect, scale = hermitian_defect(m), maxnorm(m)
     if not defect <= HERMITIAN_RTOL * max(scale, 1e-300):
         raise NotHermitianError(
@@ -143,18 +146,15 @@ def unitary_defect(matrix):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """A square operator and whether it is Hermitian.
+    """A square operator and, once requested, its eigensystem.
 
-    The hermitian flag is trusted by downstream code, so it is only set by
-    constructors that either verify it numerically (`operator`) or
-    guarantee it by construction (spectral builders, `kron` of two
-    Hermitian factors, `identity`).  The matrix is stored read-only: as a
-    copy, unless the array handed in owns its memory and is read-only
-    already, so the operator keeps its eigensystem once it is computed.
+    No symmetry is stored: whatever relies on it measures it, through
+    require_hermitian.  The matrix is stored read-only: as a copy, unless
+    the array handed in owns its memory and is read-only already, so the
+    operator keeps its eigensystem once it is computed.
     """
 
     matrix: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "matrix",
@@ -171,19 +171,19 @@ class OperatorMatrix:
 
 
 def operator(matrix, *, hermitian=False):
-    """Wrap a square matrix, verifying the hermitian flag if it is claimed.
+    """Wrap a square matrix, measuring its symmetry if it is claimed.
 
-    hermitian: max |A_ij - conj(A_ji)| <= 1e-12 * maxnorm(A); stored as
-               the operator's flag
+    hermitian: max |A_ij - conj(A_ji)| <= 1e-12 * maxnorm(A), refused
+               otherwise; nothing is stored
     """
     m = _square(_stored(matrix))
     if hermitian:
-        _require_hermitian(m)
-    return OperatorMatrix(m, hermitian=hermitian)
+        require_hermitian(m)
+    return OperatorMatrix(m)
 
 
 def identity(dim):
-    return OperatorMatrix(np.eye(dim), hermitian=True)
+    return OperatorMatrix(np.eye(dim))
 
 
 @dataclass(frozen=True)
@@ -412,7 +412,7 @@ def _reconstruction_defect(values, vectors, m, parity):
 
 
 def eig_hermitian(op):
-    """Full eigendecomposition of a verified Hermitian operator.
+    """Full eigendecomposition of a Hermitian operator or square matrix.
 
     Values come back ascending; each eigenvector column has its first
     significant component rotated real positive, and exactly degenerate
@@ -440,13 +440,8 @@ def eig_hermitian(op):
       otherwise the full product.
     A matrix that is not square raises DimensionMismatchError.
     """
-    if isinstance(op, OperatorMatrix):
-        if not op.hermitian:
-            raise NotHermitianError("operator is not flagged hermitian")
-        m = op.matrix
-    else:
-        m = _square(_stored(op))
-    scale = _require_hermitian(m)
+    m = op.matrix if isinstance(op, OperatorMatrix) else _square(_stored(op))
+    scale = require_hermitian(m)
     try:
         values, vectors = _eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -465,7 +460,7 @@ def eig_hermitian(op):
 
 
 def kron(a, b):
-    """Kronecker product; Hermitian iff both factors are flagged Hermitian."""
+    """Kronecker product of two operators or square matrices."""
     if not isinstance(a, OperatorMatrix):
         a = OperatorMatrix(a)
     if not isinstance(b, OperatorMatrix):
@@ -478,7 +473,7 @@ def kron(a, b):
     np.multiply(a.matrix[:, None, :, None], b.matrix[None, :, None, :],
                 out=out.reshape(na, nb, na, nb))
     out.setflags(write=False)
-    return OperatorMatrix(out, hermitian=a.hermitian and b.hermitian)
+    return OperatorMatrix(out)
 
 
 def unitary_exp(op, theta):

@@ -79,7 +79,7 @@ def _hamiltonian(model):
     # exactly with the reflection j -> (n - j) mod n, and eig_hermitian
     # solves it as two half-size blocks.  Frozen here, m is stored by
     # OperatorMatrix without a second copy
-    return OperatorMatrix(m, hermitian=True)
+    return OperatorMatrix(m)
 
 
 def harmonic_hamiltonian(model):

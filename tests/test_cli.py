@@ -209,6 +209,24 @@ def test_run_aborts_with_partial_csv(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("hbar, gap", [(1.0, "3.990e-01"), (1e-10, "nan")])
+def test_run_refuses_an_evolve_whose_operators_disagree(capsys, tmp_path,
+                                                        hbar, gap):
+    # at hbar = 1e-10, dt / hbar overflows and the gap between the two
+    # evolution operators is NaN, which must fail the guard as the finite
+    # gap at hbar = 1 does
+    doc = {"constants": {"hbar": hbar, "mass": 1, "c": 1, "omega": 1},
+           "model": "oscillator", "preset": "energy-aligned",
+           "initial": {"level": 0}, "steps": [{"evolve": 1e300}]}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 1
+    assert out.splitlines()[-1].startswith("# aborted: ")
+    assert "evolution operators disagree by %s" % gap in err
+
+
 def test_subspace_table(capsys, small_config):
     code, out, _ = run_cli(capsys, "subspace", "--config", small_config)
     assert code == 0

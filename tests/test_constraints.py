@@ -23,6 +23,7 @@ from chronos.constraints import (
     DEFAULT_TOL,
     MATERIALIZE_LIMIT,
     ZERO_WEIGHT,
+    ConstraintOperator,
     SubspaceBasis,
     first_constraint_operator,
     generalized_constraint_operator,
@@ -39,7 +40,7 @@ from chronos.exceptions import (
     OffLatticeWarning,
     OutOfRangeError,
 )
-from chronos.linalg import maxnorm, near_null_space, operator
+from chronos.linalg import OperatorMatrix, maxnorm, near_null_space
 from chronos.models import (
     OSCILLATOR,
     ModelSpec,
@@ -112,18 +113,30 @@ def test_generalized_constraint_matches_dense_kron(rng):
 
 def test_builders_reject_unverified_hermitian():
     k, q_grid, t_grid, model = small_setup()
-    lopsided = np.triu(np.ones((q_grid.n, q_grid.n)))
-    with pytest.raises(NotHermitianError):
-        first_constraint_operator(lopsided, t_grid, k)
-    with pytest.raises(NotHermitianError):
-        second_constraint_operator(lopsided, t_grid)
-    with pytest.raises(NotHermitianError):
-        generalized_constraint_operator(1.0, 0.0, lopsided, t_grid, k)
-    # a wrapped matrix must carry the verified flag, not merely be symmetric
-    unflagged = operator(hamiltonian(model).matrix)
-    assert not unflagged.hermitian
-    with pytest.raises(NotHermitianError):
-        generalized_constraint_operator(1.0, 0.0, unflagged, t_grid, k)
+    raw = np.triu(np.ones((q_grid.n, q_grid.n)))
+    # a wrapped matrix is measured too, not trusted
+    for lopsided in (raw, OperatorMatrix(raw)):
+        with pytest.raises(NotHermitianError):
+            first_constraint_operator(lopsided, t_grid, k)
+        with pytest.raises(NotHermitianError):
+            second_constraint_operator(lopsided, t_grid)
+        with pytest.raises(NotHermitianError):
+            generalized_constraint_operator(1.0, 0.0, lopsided, t_grid, k)
+
+
+def test_builders_keep_the_operator_they_are_handed():
+    # a constraint is its two factors; the system factor is the very
+    # operator handed in, so the eigensystem it keeps is solved once
+    k, q_grid, t_grid, model = small_setup()
+    h = hamiltonian(model)
+    assert [f.name for f in dataclasses.fields(ConstraintOperator)] \
+        == ["system_op", "axis_op"]
+    for op in (first_constraint_operator(h, t_grid, k),
+               second_constraint_operator(h, t_grid),
+               generalized_constraint_operator(1.0, 0.0, h, t_grid, k)):
+        assert op.system_op is h
+    raw = second_constraint_operator(h.matrix, t_grid).system_op
+    assert raw is not h and raw.matrix.tobytes() == h.matrix.tobytes()
 
 
 def test_composite_refuses_to_materialize_above_cap():
@@ -309,7 +322,7 @@ def test_generalized_lifted_system_solved_above_cap():
     assert peak <= 8 * 2 ** 20
     assert op.dim > MATERIALIZE_LIMIT
     assert basis.count == first.count > 0
-    assert basis.labels == (None,) * basis.count
+    assert basis.labels == first.labels
     assert max(basis.residuals) <= DEFAULT_TOL
 
 

@@ -41,6 +41,7 @@ from chronos.dynamics import (
 )
 from chronos.scenario import parse_scenario
 from chronos.exceptions import (
+    ChronosError,
     ConvergenceError,
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -814,19 +815,23 @@ def test_run_scenario_evolve_repeats_the_observables(sc):
 
 
 def test_run_scenario_checks_the_norm_of_every_evolve(monkeypatch):
-    # a NaN phase row passes the equivalence guard's comparison (NaN is not
-    # above the bound) and must then fail the norm check; off a solution
-    # the guard is skipped and the norm check alone catches a bad row
+    # on a solution a NaN phase row makes the equivalence gap NaN, which
+    # the guard refuses; off a solution the guard is skipped and the norm
+    # check alone catches a bad row
     import chronos.dynamics as dynamics
     row = dynamics._translation_phases
     off = random_amplitudes(base_scenario(), 3)
-    for initial, factor in ((InitialState(kind="level", level=0), math.nan),
-                            (off, math.nan), (off, 1.5)):
+    for initial, factor, cause, message in (
+            (InitialState(kind="level", level=0), math.nan, ChronosError,
+             "evolution operators disagree by nan"),
+            (off, math.nan, NotUnitaryError, "state norm nan"),
+            (off, 1.5, NotUnitaryError, "state norm 1.5")):
         monkeypatch.setattr(dynamics, "_translation_phases",
                             lambda *args: factor * row(*args))
         with pytest.raises(ScenarioStepError) as info:
             run_scenario(base_scenario(initial=initial))
-        assert isinstance(info.value.__cause__, NotUnitaryError)
+        assert type(info.value.__cause__) is cause
+        assert str(info.value.__cause__).startswith(message)
         assert [r.kind for r in info.value.records] == ["init"]
 
 
@@ -843,22 +848,21 @@ def test_run_scenario_checks_jump_energies_once_per_pair(monkeypatch):
     assert len(run_scenario(base_scenario(steps=ROUND_TRIP * 5))) == 21
     assert checked == [(0, 2), (2, 0)]
     # level 5 lies beyond the band edge of the 16-point time grid: the
-    # first jump to it fails as energy_jump would, after the good pairs
+    # first jump to it is refused as energy_jump would refuse it, before
+    # any step runs
     sc = base_scenario(steps=ROUND_TRIP + (
         Step(kind="jump", from_level=0, to_level=5, at_time=0.5),
         Step(kind="evolve", dt=0.2)))
-    es = validate_scenario(sc)
+    es = energy_eigensystem(sc.model)
     start = separable_first((float(es.values[0]), es.vector(0)),
                             sc.t_grid, sc.model.constants)
     with pytest.raises(OffLatticeError) as want:
         energy_jump(start, 0, 5, sc.model, sc.t_grid)
-    with pytest.raises(ScenarioStepError) as info:
-        run_scenario(sc)
-    assert isinstance(info.value.__cause__, OffLatticeError)
-    assert str(info.value.__cause__) == str(want.value)
-    assert str(info.value) == "step 5 (jump) failed: %s" % want.value
-    assert [r.kind for r in info.value.records] == [
-        "init", "evolve", "jump", "evolve", "jump"]
+    for refuse in (validate_scenario, run_scenario):
+        with pytest.raises(ScenarioValidationError) as info:
+            refuse(sc)
+        assert info.value.field == "steps[4].jump"
+        assert str(info.value) == "steps[4].jump: %s" % want.value
 
 
 def near_solutions(sc, count, seed):

@@ -1,6 +1,7 @@
 """Every imported name and every private module-level name in the
-package is used, and a private name stays in the module that defines it:
-stdlib `ast` scans, no linter needed."""
+package is used, a private name stays in the module that defines it, and
+every tolerance comparison fails on NaN: stdlib `ast` scans, no linter
+needed."""
 
 import ast
 import pathlib
@@ -180,3 +181,47 @@ def test_no_unread_public_names():
                        for p in sorted((REPO / top).rglob("*.py"))]
     tracer = (REPO / "bench" / "tracer.py").read_text(encoding="utf-8")
     assert unread_public_names(package, users, traced_names(tracer)) == []
+
+
+def loose_tolerance_comparisons(source):
+    """Lines of comparisons against a tolerance not written x <= TOL.
+
+    A tolerance is a name ending in _TOL, _ATOL or _RTOL, or an attribute
+    ending in _tol, anywhere in an operand.  Written x <= TOL, a refusal
+    reads `not x <= TOL`, which a NaN x fails; `x > TOL` lets NaN pass.
+    """
+    def tolerance(operand):
+        return any(isinstance(n, ast.Name)
+                   and n.id.endswith(("_TOL", "_ATOL", "_RTOL"))
+                   or isinstance(n, ast.Attribute) and n.attr.endswith("_tol")
+                   for n in ast.walk(operand))
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left] + node.comparators
+            if any(tolerance(left) or tolerance(right)
+                   and not isinstance(op, ast.LtE)
+                   for op, left, right in zip(node.ops, operands,
+                                              operands[1:])):
+                found.append(node.lineno)
+    return found
+
+
+def test_scan_finds_loose_tolerance_comparisons():
+    source = ("if not gap <= EQUIVALENCE_TOL:\n    pass\n"
+              "if gap > EQUIVALENCE_TOL:\n    pass\n"
+              "if miss > LATTICE_RTOL * max(1.0, e):\n    pass\n"
+              "ok = NORM_ATOL >= drift\n"
+              "ok = 0 < x <= sc.constraint_tol\n"
+              "ok = x < sc.eigen_tol\n"
+              "ok = x > tol and y > TOLERANCE and z > TOL\n")
+    assert loose_tolerance_comparisons(source) == [3, 5, 7, 9]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.relative_to(REPO).as_posix()
+    for p in (REPO / "src" / "chronos").glob("*.py")))
+def test_tolerance_comparisons_fail_on_nan(path):
+    source = (REPO / path).read_text(encoding="utf-8")
+    assert loose_tolerance_comparisons(source) == []

@@ -1,4 +1,5 @@
-"""Dense linear-algebra kernel: flags, eigensolves, products, null spaces."""
+"""Dense linear-algebra kernel: symmetry checks, eigensolves, products, null
+spaces."""
 
 import dataclasses
 import inspect
@@ -73,19 +74,18 @@ def test_maxnorm_propagates_nan_from_any_entry(dtype):
 
 
 def test_operator_flag_verification(rng):
+    # the hermitian keyword is measured and refused, never stored
     herm = random_hermitian(rng, 6)
-    op = operator(herm, hermitian=True)
-    assert op.hermitian
+    assert operator(herm, hermitian=True).matrix.tobytes() == herm.tobytes()
     with pytest.raises(NotHermitianError):
         operator(herm + 1e-6 * 1j * np.eye(6), hermitian=True)
     v, values = random_unitary(rng, 6), rng.standard_normal(6)
     # unitarity is verified where a unitary is built, by spectral_exp, but
-    # not stored: the only flag is hermitian, the only keyword too
+    # not stored either: an operator is its matrix, the only keyword is
+    # hermitian
     wrapped = spectral_exp(v, values, 0.7)
     assert unitary_defect(wrapped.matrix) <= UNITARY_ATOL
-    assert not wrapped.hermitian
-    assert [f.name for f in dataclasses.fields(OperatorMatrix)] \
-        == ["matrix", "hermitian"]
+    assert [f.name for f in dataclasses.fields(OperatorMatrix)] == ["matrix"]
     assert list(inspect.signature(operator).parameters) \
         == ["matrix", "hermitian"]
     # sqrt(2) V diag(phases) sqrt(2) V^H is twice a unitary
@@ -95,7 +95,7 @@ def test_operator_flag_verification(rng):
 
 def test_operator_matrix_copies_unless_handed_a_frozen_array(rng):
     mutable = random_symmetric(rng, 4)
-    op = OperatorMatrix(mutable, hermitian=True)
+    op = OperatorMatrix(mutable)
     mutable[0, 0] += 1.0
     assert op.matrix[0, 0] == mutable[0, 0] - 1.0
     assert not op.matrix.flags.writeable
@@ -657,7 +657,6 @@ def test_kron_matches_index_oracle(rng):
     a = random_hermitian(rng, 3)
     b = random_hermitian(rng, 4)
     built = kron(operator(a, hermitian=True), operator(b, hermitian=True))
-    assert built.hermitian
     assert maxnorm(built.matrix - oracles.kron_by_index(a, b)) < 1e-14
 
 
@@ -684,13 +683,17 @@ def test_lift_system_allocates_only_its_result(rng):
     assert peak <= 1.1 * lifted.matrix.nbytes
 
 
-def test_kron_flag_rules(rng):
-    # hermitian survives only when both factors carry it
+def test_eig_hermitian_measures_every_product(rng):
+    # no symmetry is carried through kron or identity: the eigensolve
+    # measures each product it is handed
     u = spectral_exp(random_unitary(rng, 2), rng.standard_normal(2), 0.9)
     h = operator(random_hermitian(rng, 3), hermitian=True)
-    assert not kron(u, h).hermitian
-    assert kron(h, h).hermitian
-    assert identity(4).hermitian and kron(identity(2), h).hermitian
+    with pytest.raises(NotHermitianError):
+        eig_hermitian(kron(u, h))
+    for product in (kron(h, h), identity(4), kron(identity(2), h)):
+        system = eig_hermitian(product)
+        assert maxnorm((system.vectors * system.values)
+                       @ system.vectors.conj().T - product.matrix) < 1e-12
 
 
 def test_unitary_exp_against_eigis(rng):

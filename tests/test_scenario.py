@@ -20,6 +20,9 @@ from chronos.scenario import MAX_GRID_N, parse_scenario
 
 import oracles
 
+BUNDLED = Path(__file__).resolve().parents[1] / "scenarios" \
+    / "oscillator_jump.json"
+
 
 def base_doc(**overrides):
     doc = {
@@ -277,6 +280,43 @@ def test_run_refuses_a_start_beyond_the_time_band(tmp_path, capsys, initial,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc, field, message", [
+    (edited_doc(("constants", "omega"), "1"), "constants.omega",
+     "expected a number"),
+    (base_doc(initial={"level": -1}), "initial.level", "must be >= 0"),
+    (base_doc(initial={"amplitudes": 5}), "initial.amplitudes",
+     "expected a list of [re, im] pairs"),
+    (amplitudes_with(0, [1.0]), "initial.amplitudes[0]",
+     "expected a [re, im] pair"),
+    (base_doc(initial={"amplitudes": [[0.0, 0.0]] * (32 * 16)}),
+     "initial.amplitudes", "amplitudes are all zero"),
+], ids=["omega-string", "level-negative", "amplitudes-number",
+        "amplitude-short-pair", "amplitudes-zero"])
+def test_run_refuses_an_unusable_field(tmp_path, capsys, doc, field,
+                                       message):
+    code, err = refused_by_cli(tmp_path, capsys, doc, ["run"])
+    assert code == 2
+    assert "%s: %s" % (field, message) in err
+    assert "Traceback" not in err
+
+
+def test_run_refuses_an_off_lattice_jump_before_the_first_step(tmp_path,
+                                                               capsys):
+    # on two time samples level 0's energy 0.5 lies 0.5 from the nearest
+    # lattice energy: the jump is refused as a field before any step runs,
+    # so no CSV row is written
+    doc = json.loads(BUNDLED.read_text(encoding="utf-8"))
+    doc["preset"]["t"]["n"] = 2
+    config = tmp_path / "coarse.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["run", "--config", str(config)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "steps[1].jump: from-level energy 0.5 misses the frequency " \
+        "lattice by 0.5" in err
+    assert "Traceback" not in err
+
+
 def test_parse_rejects_bad_grid():
     doc = base_doc()
     doc["preset"]["q"]["n"] = 33  # odd
@@ -388,10 +428,7 @@ def test_serialize_is_canonical():
 
 
 def test_bundled_scenario_parses():
-    from pathlib import Path
-    bundled = Path(__file__).resolve().parent.parent / "scenarios" \
-        / "oscillator_jump.json"
-    sc = parse_scenario(bundled.read_bytes())
+    sc = parse_scenario(BUNDLED.read_bytes())
     assert sc.model.kind == "oscillator"
     assert len(sc.steps) == 3
 
