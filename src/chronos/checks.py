@@ -318,13 +318,12 @@ SUITES = {
 }
 
 
-def run_suite(name, constants=None, constraint_tol=None):
+def run_suite(name, constants=PhysicalConstants(),
+              constraint_tol=DEFAULT_TOL):
     """Run one named suite; returns (rows, all_passed)."""
     if name not in SUITES:
         raise UnknownSuiteError(
             "unknown suite %r (expected one of %s)"
             % (name, ", ".join(sorted(SUITES))))
-    k = constants if constants is not None else PhysicalConstants()
-    tol = constraint_tol if constraint_tol is not None else DEFAULT_TOL
-    rows = SUITES[name](k, tol)
+    rows = SUITES[name](constants, constraint_tol)
     return rows, all(row.passed for row in rows)

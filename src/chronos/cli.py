@@ -17,10 +17,9 @@ import math
 import os
 import sys
 
-from .axes import PhysicalConstants, energy_aligned_grids
 from .checks import run_suite
 from .constraints import first_constraint_operator, physical_subspace
-from .dynamics import InitialState, Scenario, run_scenario
+from .dynamics import run_scenario
 from .exceptions import (
     ChronosError,
     ConvergenceError,
@@ -31,13 +30,19 @@ from .exceptions import (
 )
 from .models import (
     OSCILLATOR,
-    ModelSpec,
     clock_scale,
     free_particle_time_level,
     hamiltonian,
     predicted_time_level,
 )
 from .scenario import parse_scenario
+
+# the scenario of a command given no --config: unit constants, the
+# energy-aligned grids and the oscillator at level 0, with no steps
+DEFAULT_DOCUMENT = (
+    '{"constants": {"hbar": 1, "mass": 1, "c": 1, "omega": 1}, '
+    '"preset": "energy-aligned", "model": "oscillator", '
+    '"initial": {"level": 0}, "steps": []}')
 
 
 def _format_value(value):
@@ -87,26 +92,16 @@ def _emit(text, out_path):
             handle.write(text)
 
 
-def _load_scenario(path):
-    with open(path, "r", encoding="utf-8") as handle:
+def _read_scenario(args):
+    # the --config file, or else the default document
+    if args.config is None:
+        return parse_scenario(DEFAULT_DOCUMENT)
+    with open(args.config, "r", encoding="utf-8") as handle:
         return parse_scenario(handle.read())
 
 
-def _default_scenario():
-    constants = PhysicalConstants()
-    qg, tg = energy_aligned_grids(constants)
-    return Scenario(model=ModelSpec(OSCILLATOR, constants, qg), t_grid=tg,
-                    initial=InitialState("level", level=0), steps=())
-
-
-def _scenario_from_args(args):
-    if args.config is not None:
-        return _load_scenario(args.config)
-    return _default_scenario()
-
-
 def cmd_spectrum(args):
-    sc = _scenario_from_args(args)
+    sc = _read_scenario(args)
     if args.levels < 0:
         raise ScenarioValidationError("levels must be nonnegative",
                                       field="--levels")
@@ -132,7 +127,7 @@ def cmd_spectrum(args):
 
 
 def cmd_check(args):
-    sc = _scenario_from_args(args)
+    sc = _read_scenario(args)
     rows, all_passed = run_suite(args.suite, constants=sc.model.constants,
                                  constraint_tol=sc.constraint_tol)
     table = ResultTable(["name", "measured", "bound", "status"])
@@ -160,7 +155,7 @@ def _trajectory_csv(records, aborted_reason=None):
 
 
 def cmd_run(args):
-    sc = _load_scenario(args.config)
+    sc = _read_scenario(args)
     try:
         records = run_scenario(sc)
     except ScenarioStepError as exc:
@@ -174,7 +169,7 @@ def cmd_run(args):
 
 
 def cmd_subspace(args):
-    sc = _scenario_from_args(args)
+    sc = _read_scenario(args)
     tol = args.tol if args.tol is not None else sc.constraint_tol
     if not (math.isfinite(tol) and tol > 0.0):
         raise ScenarioValidationError("tolerance must be positive and "

@@ -267,6 +267,9 @@ class InitialState:
         if getattr(self, self.kind) is None:
             raise ValueError("%s initial state needs %s"
                              % (self.kind, self.kind))
+        if self.kind == "amplitudes" and not np.any(self.amplitudes):
+            raise ScenarioValidationError("amplitudes are all zero",
+                                          field="initial.amplitudes")
 
 
 @dataclass(frozen=True)
@@ -279,6 +282,14 @@ class Scenario:
     steps: tuple
     constraint_tol: float = DEFAULT_TOL
     eigen_tol: float = EIGEN_TOL
+
+    def __post_init__(self):
+        for key in ("constraint_tol", "eigen_tol"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ScenarioValidationError(
+                    "must be positive and finite, got %r" % (value,),
+                    field="tolerances." + key)
 
 
 @dataclass(frozen=True)
@@ -298,18 +309,12 @@ class TrajectoryRecord:
 def validate_scenario(sc):
     """Numeric validation pass run before any step is applied.
 
-    Checks that both tolerances are positive, that referenced levels are
-    retained, that a level or energy start lies inside the time grid's
+    Checks that referenced levels are retained, that a level or energy start lies inside the time grid's
     band, that both levels of every jump pass the jump's own range, band
     and lattice checks, and that its at-time lies within the constraint
     tolerance of a clock eigenvalue.  Every comparison fails on NaN.
     Returns the model's retained eigensystem.
     """
-    for key in ("constraint_tol", "eigen_tol"):
-        if not getattr(sc, key) > 0.0:
-            raise ScenarioValidationError(
-                "must be positive, got %r" % (getattr(sc, key),),
-                field="tolerances." + key)
     es = energy_eigensystem(sc.model)
     clock_values = clock_scale(sc.model) * es.values
     if sc.initial.kind == "level":
@@ -364,9 +369,6 @@ def _initial_state(sc, es):
     if sc.initial.kind == "amplitudes":
         amp = np.asarray(sc.initial.amplitudes, dtype=np.complex128)
         norm = np.linalg.norm(amp)
-        if norm == 0.0:
-            raise ScenarioValidationError("amplitudes are all zero",
-                                          field="initial.amplitudes")
         return CompositeState(amp / norm, sc.model.grid.n, sc.t_grid.n)
     n = _initial_level(sc, es)
     return separable_first((float(es.values[n]), es.vector(n)), sc.t_grid,

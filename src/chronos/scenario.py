@@ -17,8 +17,7 @@ from .axes import (
     energy_aligned_grids,
     time_aligned_grids,
 )
-from .constraints import DEFAULT_TOL
-from .dynamics import EIGEN_TOL, InitialState, Scenario, Step
+from .dynamics import InitialState, Scenario, Step
 from .exceptions import ScenarioSyntaxError, ScenarioValidationError
 from .models import DEFAULT_RETAINED_LEVELS, KINDS, ModelSpec
 
@@ -167,11 +166,12 @@ def _parse_steps(value):
 
 
 def _parse_tolerances(value):
-    defaults = {"constraint_tol": DEFAULT_TOL, "eigen_tol": EIGEN_TOL}
-    obj = _fields({} if value is None else value, "tolerances", defaults)
-    return tuple(_number(obj[key], "tolerances." + key, positive=True)
-                 if key in obj else default
-                 for key, default in defaults.items())
+    # only the keys the document gives: Scenario holds the defaults and
+    # refuses a tolerance that is not positive
+    obj = _fields({} if value is None else value, "tolerances",
+                  ("constraint_tol", "eigen_tol"))
+    return {key: _number(number, "tolerances." + key)
+            for key, number in obj.items()}
 
 
 def parse_scenario(text):
@@ -211,8 +211,8 @@ def parse_scenario(text):
               % (model_kind, ", ".join(KINDS)), "model")
     initial = _parse_initial(doc["initial"], q_grid.n, t_grid.n)
     steps = _parse_steps(doc["steps"])
-    constraint_tol, eigen_tol = _parse_tolerances(doc.get("tolerances"))
+    tolerances = _parse_tolerances(doc.get("tolerances"))
     return Scenario(model=ModelSpec(model_kind, constants, q_grid),
                     t_grid=t_grid, initial=initial, steps=steps,
-                    constraint_tol=constraint_tol, eigen_tol=eigen_tol)
+                    **tolerances)
 

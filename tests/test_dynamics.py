@@ -449,14 +449,21 @@ JUMP_SCENARIO = pathlib.Path(__file__).resolve().parents[1] \
 
 
 @pytest.mark.parametrize("key", ["constraint_tol", "eigen_tol"])
-@pytest.mark.parametrize("value", [math.nan, 0.0, -1e-6])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0,
+                                   -1e-6])
 def test_validate_scenario_refuses_non_positive_tolerances(key, value):
-    # JSON cannot carry NaN, but a Scenario built in Python can
-    sc = dataclasses.replace(parse_scenario(JUMP_SCENARIO.read_bytes()),
-                             **{key: value})
-    with pytest.raises(ScenarioValidationError) as info:
-        run_scenario(sc)
-    assert info.value.field == "tolerances." + key
+    # JSON cannot carry NaN or inf, but a Scenario built in Python can: it
+    # is refused when it is made, directly or by dataclasses.replace.  An
+    # infinite constraint_tol would accept any jump time and make every
+    # pair a member; an infinite eigen_tol would switch the certificate off
+    sc = parse_scenario(JUMP_SCENARIO.read_bytes())
+    for make in (lambda: dataclasses.replace(sc, **{key: value}),
+                 lambda: Scenario(sc.model, sc.t_grid, sc.initial, sc.steps,
+                                  **{key: value})):
+        with pytest.raises(ScenarioValidationError) as info:
+            make()
+        assert info.value.field == "tolerances." + key
+        assert "must be positive and finite" in str(info.value)
 
 
 @pytest.mark.parametrize("change, field", [
