@@ -218,7 +218,7 @@ def lift_time(op, n_q):
     return kron(identity(n_q), op)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositeState:
     """Vector on the (system (x) time) product space, row-major by system index."""
 

@@ -37,8 +37,7 @@ from .models import (
 )
 from .scenario import parse_scenario
 
-# the scenario of a command given no --config: unit constants, the
-# energy-aligned grids and the oscillator at level 0, with no steps
+# the scenario a command reads when it is given no --config
 DEFAULT_DOCUMENT = (
     '{"constants": {"hbar": 1, "mass": 1, "c": 1, "omega": 1}, '
     '"preset": "energy-aligned", "model": "oscillator", '
@@ -93,7 +92,6 @@ def _emit(text, out_path):
 
 
 def _read_scenario(args):
-    # the --config file, or else the default document
     if args.config is None:
         return parse_scenario(DEFAULT_DOCUMENT)
     with open(args.config, "r", encoding="utf-8") as handle:

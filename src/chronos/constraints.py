@@ -62,7 +62,7 @@ ZERO_WEIGHT = 1e-14
 DEFAULT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintOperator:
     """The constraint operator I (x) K - A (x) I, kept in factored form.
 
@@ -197,7 +197,7 @@ def separable_second(pair, tg):
     return tensor_state(system_vector, delta), float(abs(samples[j] - t_value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """Orthonormal near-kernel basis with system eigenvalue labels.
 

@@ -267,14 +267,20 @@ class InitialState:
         if getattr(self, self.kind) is None:
             raise ValueError("%s initial state needs %s"
                              % (self.kind, self.kind))
-        if self.kind == "amplitudes" and not np.any(self.amplitudes):
-            raise ScenarioValidationError("amplitudes are all zero",
-                                          field="initial.amplitudes")
+        if self.kind == "amplitudes":
+            amp = np.asarray(self.amplitudes, dtype=np.complex128)
+            if not np.all(np.isfinite(amp)):
+                raise ScenarioValidationError("amplitudes must be finite",
+                                              field="initial.amplitudes")
+            if not np.any(amp):
+                raise ScenarioValidationError("amplitudes are all zero",
+                                              field="initial.amplitudes")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A model, the time grid it runs on, a start and the steps to take."""
+    """A model, the time grid it runs on, a start, the steps to take and
+    two tolerances, each refused unless it is positive and finite."""
 
     model: ModelSpec
     t_grid: AxisGrid
@@ -309,12 +315,14 @@ class TrajectoryRecord:
 def validate_scenario(sc):
     """Numeric validation pass run before any step is applied.
 
-    Checks that referenced levels are retained, that a level or energy start lies inside the time grid's
-    band, that both levels of every jump pass the jump's own range, band
-    and lattice checks, and that its at-time lies within the constraint
-    tolerance of a clock eigenvalue.  Every comparison fails on NaN.
-    Returns the model's retained eigensystem.
+    Checks that referenced levels are retained, that a level or energy
+    start lies inside the time grid's band, that every evolve's phases
+    stay in the float range, that both levels of every jump pass the
+    jump's own range, band and lattice checks, and that its at-time lies
+    within the constraint tolerance of a clock eigenvalue.  Every
+    comparison fails on NaN.  Returns the model's retained eigensystem.
     """
+    k = sc.model.constants
     es = energy_eigensystem(sc.model)
     clock_values = clock_scale(sc.model) * es.values
     if sc.initial.kind == "level":
@@ -329,23 +337,31 @@ def validate_scenario(sc):
                 "no retained eigenvalue within %g of energy %.6g"
                 % (sc.constraint_tol, sc.initial.energy),
                 field="initial.energy")
+    edge = band_edge(sc.t_grid, k)
     if sc.initial.kind != "amplitudes":
         energy = float(es.values[_initial_level(sc, es)])
-        edge = band_edge(sc.t_grid, sc.model.constants)
         if not abs(energy) <= edge:
             raise ScenarioValidationError(
                 "level energy %.6g outside the time grid's band |E| <= %.6g"
                 % (energy, edge), field="initial." + sc.initial.kind)
+    # an evolve by dt turns phases up to |dt| / hbar times the larger of
+    # the band edge and the largest |E_m|, in Python floats, which give inf
+    # past the float range where numpy's phase rows would turn NaN
+    reach = float(np.maximum(edge, np.max(np.abs(
+        hamiltonian(sc.model).eigensystem.values))))
     checked = set()  # level pairs whose energies passed, each taken once
     for idx, step in enumerate(sc.steps):
-        if step.kind != "jump":
+        if step.kind == "evolve":
+            if not np.isfinite(abs(float(step.dt)) / k.hbar * reach):
+                raise ScenarioValidationError(
+                    "the phases of an evolve by %.6g overflow" % step.dt,
+                    field="steps[%d].evolve" % idx)
             continue
         where = "steps[%d].jump" % idx
         pair = step.from_level, step.to_level
         if pair not in checked:
             try:
-                _jump_energies(*pair, es, sc.t_grid, sc.model.constants,
-                               sc.constraint_tol)
+                _jump_energies(*pair, es, sc.t_grid, k, sc.constraint_tol)
             except (IndexOutOfRangeError, OffLatticeError) as exc:
                 raise ScenarioValidationError(str(exc), field=where) \
                     from None
@@ -368,8 +384,16 @@ def _initial_level(sc, es):
 def _initial_state(sc, es):
     if sc.initial.kind == "amplitudes":
         amp = np.asarray(sc.initial.amplitudes, dtype=np.complex128)
-        norm = np.linalg.norm(amp)
-        return CompositeState(amp / norm, sc.model.grid.n, sc.t_grid.n)
+        with np.errstate(all="ignore"):
+            unit = amp / np.linalg.norm(amp)
+            drift = abs(np.linalg.norm(unit) - 1.0)
+        if not drift <= NORM_ATOL:
+            # the sum of squares over- or underflowed: divide out the
+            # largest real or imaginary part first, then normalize
+            parts = amp.view(np.float64)
+            parts /= np.max(np.abs(parts))
+            unit = amp / np.linalg.norm(amp)
+        return CompositeState(unit, sc.model.grid.n, sc.t_grid.n)
     n = _initial_level(sc, es)
     return separable_first((float(es.values[n]), es.vector(n)), sc.t_grid,
                            sc.model.constants)

@@ -144,7 +144,7 @@ def unitary_defect(matrix):
     return _owned_maxnorm(gram)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """A square operator and, once requested, its eigensystem.
 
@@ -186,7 +186,7 @@ def identity(dim):
     return OperatorMatrix(np.eye(dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Eigenvalues ascending with matching orthonormal eigenvector columns."""
 

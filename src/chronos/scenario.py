@@ -211,8 +211,7 @@ def parse_scenario(text):
               % (model_kind, ", ".join(KINDS)), "model")
     initial = _parse_initial(doc["initial"], q_grid.n, t_grid.n)
     steps = _parse_steps(doc["steps"])
-    tolerances = _parse_tolerances(doc.get("tolerances"))
     return Scenario(model=ModelSpec(model_kind, constants, q_grid),
                     t_grid=t_grid, initial=initial, steps=steps,
-                    **tolerances)
+                    **_parse_tolerances(doc.get("tolerances")))
 

@@ -271,3 +271,13 @@ def test_time_aligned_grids_geometry():
     assert t_grid.spacing == pytest.approx(quantum)
     # samples sit exactly on the half-integer clock readings
     assert np.allclose(t_grid.samples, quantum * (np.arange(t_grid.n) + 0.5))
+
+
+@pytest.mark.parametrize("refused, match", [
+    (lambda: AxisGrid(n=8, origin=np.nan, spacing=0.5, label="time"),
+     "origin must be finite"),
+    (lambda: tensor_state(np.zeros(4), np.ones(2)), "zero factors"),
+], ids=["grid-origin-nan", "tensor-zero-factor"])
+def test_axes_refusals(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()

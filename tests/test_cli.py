@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -209,22 +210,44 @@ def test_run_aborts_with_partial_csv(capsys, tmp_path):
     assert "error" in err
 
 
-@pytest.mark.parametrize("hbar, gap", [(1.0, "3.990e-01"), (1e-10, "nan")])
-def test_run_refuses_an_evolve_whose_operators_disagree(capsys, tmp_path,
-                                                        hbar, gap):
-    # at hbar = 1e-10, dt / hbar overflows and the gap between the two
-    # evolution operators is NaN, which must fail the guard as the finite
-    # gap at hbar = 1 does
-    doc = {"constants": {"hbar": hbar, "mass": 1, "c": 1, "omega": 1},
+def test_run_refuses_an_evolve_whose_operators_disagree(capsys, tmp_path):
+    # a level-0 solution evolved by 1e300: the rounding of the phase rows
+    # opens a gap of 0.399 between the two evolution operators
+    doc = {"constants": {"hbar": 1.0, "mass": 1, "c": 1, "omega": 1},
            "model": "oscillator", "preset": "energy-aligned",
            "initial": {"level": 0}, "steps": [{"evolve": 1e300}]}
     path = tmp_path / "far.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with np.errstate(all="ignore"):
-        code, out, err = run_cli(capsys, "run", "--config", str(path))
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 1
     assert out.splitlines()[-1].startswith("# aborted: ")
-    assert "evolution operators disagree by %s" % gap in err
+    assert "evolution operators disagree by 3.990e-01" in err
+
+
+@pytest.mark.parametrize("doc, dt", [
+    # dt / hbar overflows
+    ({"constants": {"hbar": 1e-10, "mass": 1, "c": 1, "omega": 1},
+      "model": "oscillator", "preset": "energy-aligned",
+      "initial": {"level": 0}, "steps": [{"evolve": 1e300}]}, "1e+300"),
+    # dt times the band edge pi / 0.001 overflows
+    ({"constants": {"hbar": 1, "mass": 1, "c": 1, "omega": 1},
+      "model": "oscillator",
+      "preset": {"q": {"n": 16, "origin": -4, "spacing": 0.5},
+                 "t": {"n": 16, "origin": 0, "spacing": 0.001}},
+      "initial": {"amplitudes": [[1, 0]] + [[0, 0]] * 255},
+      "steps": [{"evolve": 1e306}]}, "1e+306"),
+], ids=["hbar", "band"])
+def test_run_refuses_an_evolve_whose_phases_overflow(capsys, tmp_path, doc,
+                                                     dt):
+    # refused as a field before any step: no CSV, and no numpy warning
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: steps[0].evolve: the phases of an evolve by %s " \
+        "overflow\n" % dt
 
 
 def test_subspace_table(capsys, small_config):
@@ -377,3 +400,8 @@ def test_no_color_env_strips_nothing_when_piped(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "check", "--suite", "nope")
     assert code == 2
     assert "\x1b[" not in err
+
+
+def test_result_table_refuses_a_short_row():
+    with pytest.raises(ValueError, match="row width 1, table width 2"):
+        ResultTable(["a", "b"]).add(1)

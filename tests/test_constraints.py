@@ -40,7 +40,12 @@ from chronos.exceptions import (
     OffLatticeWarning,
     OutOfRangeError,
 )
-from chronos.linalg import OperatorMatrix, maxnorm, near_null_space
+from chronos.linalg import (
+    OperatorMatrix,
+    identity,
+    maxnorm,
+    near_null_space,
+)
 from chronos.models import (
     OSCILLATOR,
     ModelSpec,
@@ -521,3 +526,35 @@ def test_uncertainty_requires_normalized_state():
     for phi in (np.ones(32), np.full(32, np.nan)):
         with pytest.raises(ValueError):
             uncertainty_product(phi, t_grid, k)
+
+
+def _first_small():
+    k, _, t_grid, model = small_setup()
+    return first_constraint_operator(hamiltonian(model), t_grid, k)
+
+
+@pytest.mark.parametrize("refused, error", [
+    (lambda: _first_small().residual(np.ones(7)), DimensionMismatchError),
+    (lambda: _first_small().residual(np.zeros(24)), ValueError),
+    (lambda: uncertainty_product(np.ones(3) / np.sqrt(3.0),
+                                 small_setup()[2], PhysicalConstants()),
+     DimensionMismatchError),
+], ids=["residual-length", "residual-zero", "uncertainty-length"])
+def test_constraint_refusals(refused, error):
+    with pytest.raises(error):
+        refused()
+
+
+def test_array_holding_values_compare_and_hash_by_identity():
+    # their fields are arrays, whose == has no single truth value
+    cop = _first_small()
+    basis = physical_subspace(cop, 0.6)
+    state = CompositeState(basis.vectors[..., 0], cop.n_q, cop.n_t)
+    for value, twin in ((identity(3), identity(3)),
+                        (cop.system_op.eigensystem,
+                         dataclasses.replace(cop.system_op.eigensystem)),
+                        (cop, dataclasses.replace(cop)),
+                        (basis, dataclasses.replace(basis)),
+                        (state, dataclasses.replace(state))):
+        assert value == value and value != twin
+        assert len({value, value, twin}) == 2

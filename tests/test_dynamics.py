@@ -51,6 +51,7 @@ from chronos.exceptions import (
     ScenarioStepError,
     ScenarioValidationError,
     TruncationTopError,
+    WrongKindError,
 )
 from chronos.linalg import (
     UNITARY_ATOL,
@@ -523,6 +524,60 @@ def test_run_scenario_amplitudes_initial(rng):
         kind="amplitudes", amplitudes=tuple(np.asarray(state.amplitudes))))
     records = run_scenario(sc)
     assert records[0].probabilities[1] == pytest.approx(1.0, abs=1e-9)
+
+
+def amplitude_scenario(amplitudes):
+    # a 4 x 4 oscillator started on raw amplitudes, with no steps
+    return Scenario(
+        ModelSpec(OSCILLATOR, PhysicalConstants(),
+                  AxisGrid(n=4, origin=-1.0, spacing=0.5, label="position")),
+        AxisGrid(n=4, origin=0.0, spacing=0.5, label="time"),
+        InitialState("amplitudes", amplitudes=tuple(amplitudes)), ())
+
+
+@pytest.mark.parametrize("scaled, plain", [
+    ([1e200] * 16, [1.0] * 16),
+    ([1e-320] + [0.0] * 15, [1.0] + [0.0] * 15),
+    ([3e-162] + [0.0] * 15, [1.0] + [0.0] * 15),
+], ids=["overflow", "underflow", "denormal"])
+def test_run_scenario_normalizes_amplitudes_of_any_scale(scaled, plain):
+    # the sum of squares overflows, underflows to zero, or underflows to a
+    # denormal that misses the norm; the largest part is divided out first,
+    # which gives the bits of the plain start
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = run_scenario(amplitude_scenario(scaled))
+    assert repr(records) == repr(run_scenario(amplitude_scenario(plain)))
+
+
+@pytest.mark.parametrize("amplitudes, message", [
+    ((0j,) * 16, "amplitudes are all zero"),
+    ((1.0, math.nan), "amplitudes must be finite"),
+    ((1.0, complex(0.0, -math.inf)), "amplitudes must be finite"),
+], ids=["zero", "nan", "inf"])
+def test_initial_state_refuses_unusable_amplitudes(amplitudes, message):
+    # the amplitudes themselves are tested, not their norm: 1e-320 alone
+    # is a start, its norm 0.0 notwithstanding
+    with pytest.raises(ScenarioValidationError) as info:
+        InitialState("amplitudes", amplitudes=amplitudes)
+    assert str(info.value) == "initial.amplitudes: " + message
+    assert InitialState("amplitudes", amplitudes=(1e-320,)).amplitudes
+
+
+def _free_ladder_step():
+    k = PhysicalConstants()
+    q_grid, t_grid = energy_aligned_grids(k, n_q=8, n_t=4)
+    ladder_step_up(tensor_state(np.ones(8), np.ones(4)),
+                   ModelSpec(FREE_PARTICLE, k, q_grid), t_grid)
+
+
+@pytest.mark.parametrize("refused, error", [
+    (_free_ladder_step, WrongKindError),
+    (lambda: InitialState("momentum"), ValueError),
+], ids=["ladder-free-particle", "initial-momentum"])
+def test_dynamics_refusals(refused, error):
+    with pytest.raises(error):
+        refused()
 
 
 def test_run_scenario_jump_from_unoccupied_level_is_visible():

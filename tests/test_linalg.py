@@ -828,3 +828,12 @@ def test_kronecker_null_pairs_empty_are_two_empty_index_arrays():
     assert m.dtype == k.dtype == np.intp
     assert m.shape == k.shape == (0,)
 
+
+@pytest.mark.parametrize("refused", [
+    lambda: linalg.EigenSystem(np.zeros(3), np.eye(4)),
+    lambda: linalg.EigenSystem(np.zeros(4), np.eye(4)).truncated(0),
+    lambda: linalg.EigenSystem(np.zeros(4), np.eye(4)).truncated(5),
+], ids=["values-vectors", "truncated-0", "truncated-5"])
+def test_eigensystem_refusals(refused):
+    with pytest.raises(DimensionMismatchError):
+        refused()

@@ -368,3 +368,12 @@ def test_ladder_requires_two_levels():
     system = hamiltonian(model).eigensystem.truncated(1)
     with pytest.raises(WrongKindError):
         ladder_operators(system)
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: predicted_time_level(-1, PhysicalConstants()),
+    lambda: free_particle_time_level(-1.0, PhysicalConstants()),
+], ids=["oscillator-level", "free-particle-energy"])
+def test_time_level_refusals(refused):
+    with pytest.raises(ValueError, match="nonnegative"):
+        refused()

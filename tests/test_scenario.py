@@ -290,14 +290,29 @@ def test_run_refuses_a_start_beyond_the_time_band(tmp_path, capsys, initial,
      "expected a [re, im] pair"),
     (base_doc(initial={"amplitudes": [[0.0, 0.0]] * (32 * 16)}),
      "initial.amplitudes", "amplitudes are all zero"),
+    # the energy-aligned period 4 pi / omega overflows
+    (base_doc(constants={"hbar": 1, "mass": 1, "c": 1, "omega": 1e-308},
+              preset="energy-aligned"),
+     "preset", "grid spacing must be positive, got inf"),
 ], ids=["omega-string", "level-negative", "amplitudes-number",
-        "amplitude-short-pair", "amplitudes-zero"])
+        "amplitude-short-pair", "amplitudes-zero", "preset-spacing-inf"])
 def test_run_refuses_an_unusable_field(tmp_path, capsys, doc, field,
                                        message):
     code, err = refused_by_cli(tmp_path, capsys, doc, ["run"])
     assert code == 2
     assert "%s: %s" % (field, message) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["subspace"],
+                                  ["check", "--suite", "ladder"]],
+                         ids=["spectrum", "subspace", "check"])
+def test_every_command_refuses_an_all_zero_start(tmp_path, capsys, argv):
+    # as run does: the refusal is InitialState's, made by the parser
+    doc = base_doc(initial={"amplitudes": [[0.0, 0.0]] * (32 * 16)})
+    code, err = refused_by_cli(tmp_path, capsys, doc, argv)
+    assert (code, err) == (
+        2, "error: initial.amplitudes: amplitudes are all zero\n")
 
 
 def test_run_refuses_an_off_lattice_jump_before_the_first_step(tmp_path,
@@ -386,9 +401,14 @@ def test_parse_tolerances():
         tolerances={"constraint_tol": 1e-8, "eigen_tol": 1e-10})))
     assert sc.constraint_tol == 1e-8
     assert sc.eigen_tol == 1e-10
-    with pytest.raises(ScenarioValidationError):
+    # a key the document leaves out keeps Scenario's default
+    sc = parse_scenario(json.dumps(base_doc(tolerances={"eigen_tol": 1e-7})))
+    assert (sc.constraint_tol, sc.eigen_tol) == (1e-6, 1e-7)
+    with pytest.raises(ScenarioValidationError) as info:
         parse_scenario(json.dumps(base_doc(
             tolerances={"constraint_tol": 0.0})))
+    assert str(info.value) == \
+        "tolerances.constraint_tol: must be positive and finite, got 0.0"
     with pytest.raises(ScenarioValidationError):
         parse_scenario(json.dumps(base_doc(tolerances={"slack": 1.0})))
 
