@@ -30,6 +30,48 @@ NORM_ATOL = 1e-10
 LATTICE_RTOL = 1e-9
 
 
+def positive_finite(scale):
+    """Whether scale() is positive and finite.
+
+    scale computes in Python floats, where an overflow gives inf or raises
+    and an underflow gives 0, so either one fails.
+    """
+    try:
+        value = scale()
+    except (OverflowError, ZeroDivisionError):
+        return False
+    return bool(np.isfinite(value) and value > 0.0)
+
+
+def _top_frequency(n, spacing):
+    # the largest |2 pi k / (n spacing)|, at k = -n/2
+    return 2.0 * np.pi * (n // 2) / (n * spacing)
+
+
+def _reach(n, origin, spacing):
+    # the largest |origin + j spacing|, at one end
+    return max(abs(origin), abs(origin + spacing * (n - 1)))
+
+
+def grid_overflow(n, origin, spacing):
+    """(parameter, scale) for the first scale of a grid that leaves the
+    float range, or None when every one stays in it.
+
+    The spacing sets the period and the top |frequency|; the origin also
+    sets the largest |sample| and the largest Fourier phase, |sample| times
+    |frequency|.  Each is taken with the operations the grid's arrays use.
+    """
+    for parameter, name, scale in (
+            ("spacing", "period", lambda: n * spacing),
+            ("spacing", "top frequency", lambda: _top_frequency(n, spacing)),
+            ("origin", "largest sample", lambda: _reach(n, origin, spacing)),
+            ("origin", "largest Fourier phase",
+             lambda: _reach(n, origin, spacing) * _top_frequency(n, spacing))):
+        if not positive_finite(scale):
+            return parameter, name
+    return None
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Problem constants; every one, and every scale derived from them,
@@ -57,11 +99,7 @@ class PhysicalConstants:
                 ("hbar/(m^2 c^4)", lambda: self.hbar / rest()),
                 ("time_quantum", lambda: self.time_quantum),
                 ("oscillator_length", lambda: self.oscillator_length)):
-            try:
-                value = scale()
-            except (OverflowError, ZeroDivisionError):
-                value = np.nan
-            if not (np.isfinite(value) and value > 0.0):
+            if not positive_finite(scale):
                 raise ValueError("%s is not positive and finite for these "
                                  "constants" % name)
 
@@ -96,10 +134,24 @@ class AxisGrid:
             raise ValueError("grid origin must be finite")
         object.__setattr__(self, "origin", float(self.origin))
         object.__setattr__(self, "spacing", float(self.spacing))
+        fault = grid_overflow(self.n, self.origin, self.spacing)
+        if fault is not None:
+            raise ValueError("grid %s %r puts its %s out of the float range"
+                             % (fault[0], getattr(self, fault[0]), fault[1]))
 
     @property
     def period(self):
         return self.n * self.spacing
+
+    @property
+    def top_frequency(self):
+        """Largest |frequency|, with no array formed."""
+        return _top_frequency(self.n, self.spacing)
+
+    @property
+    def reach(self):
+        """Largest |sample|, with no array formed."""
+        return _reach(self.n, self.origin, self.spacing)
 
     @cached_property
     def samples(self):

@@ -30,7 +30,6 @@ from .axes import (
     time_operator,
 )
 from .constraints import (
-    DEFAULT_TOL,
     first_constraint_operator,
     generalized_constraint_operator,
     physical_subspace,
@@ -41,7 +40,12 @@ from .constraints import (
 )
 from .dynamics import ladder_step_down, ladder_step_up
 from .exceptions import TruncationTopError, UnknownSuiteError
-from .linalg import hermitian_defect, kronecker_null_pairs, maxnorm
+from .linalg import (
+    DEFAULT_TOL,
+    hermitian_defect,
+    kronecker_null_pairs,
+    maxnorm,
+)
 from .models import (
     FREE_PARTICLE,
     OSCILLATOR,

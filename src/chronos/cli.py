@@ -9,6 +9,10 @@ stdout unless --out names a file.
 Exit codes: 0 all pass, 1 check or run failure, 2 usage or validation
 error, 3 numerical non-convergence.  CHRONOS_NO_COLOR disables ANSI
 coloring of diagnostics.
+
+At its top this module imports only the standard library and the
+exception types, so argument parsing, --help and usage errors load no
+numpy.  Each command imports the modules it runs when it runs.
 """
 from __future__ import annotations
 
@@ -17,9 +21,6 @@ import math
 import os
 import sys
 
-from .checks import run_suite
-from .constraints import first_constraint_operator, physical_subspace
-from .dynamics import run_scenario
 from .exceptions import (
     ChronosError,
     ConvergenceError,
@@ -28,14 +29,6 @@ from .exceptions import (
     ScenarioValidationError,
     UnknownSuiteError,
 )
-from .models import (
-    OSCILLATOR,
-    clock_scale,
-    free_particle_time_level,
-    hamiltonian,
-    predicted_time_level,
-)
-from .scenario import parse_scenario
 
 # the scenario a command reads when it is given no --config
 DEFAULT_DOCUMENT = (
@@ -92,6 +85,7 @@ def _emit(text, out_path):
 
 
 def _read_scenario(args):
+    from .scenario import parse_scenario
     if args.config is None:
         return parse_scenario(DEFAULT_DOCUMENT)
     with open(args.config, "r", encoding="utf-8") as handle:
@@ -99,6 +93,13 @@ def _read_scenario(args):
 
 
 def cmd_spectrum(args):
+    from .models import (
+        OSCILLATOR,
+        clock_scale,
+        free_particle_time_level,
+        hamiltonian,
+        predicted_time_level,
+    )
     sc = _read_scenario(args)
     if args.levels < 0:
         raise ScenarioValidationError("levels must be nonnegative",
@@ -125,9 +126,15 @@ def cmd_spectrum(args):
 
 
 def cmd_check(args):
+    from .checks import run_suite
     sc = _read_scenario(args)
-    rows, all_passed = run_suite(args.suite, constants=sc.model.constants,
-                                 constraint_tol=sc.constraint_tol)
+    try:
+        rows, all_passed = run_suite(args.suite, constants=sc.model.constants,
+                                     constraint_tol=sc.constraint_tol)
+    except ValueError as exc:
+        # a suite reads only the constants and the tolerance, which has
+        # passed, so a grid or model it refuses is refused for the constants
+        raise ScenarioValidationError(str(exc), field="constants") from None
     table = ResultTable(["name", "measured", "bound", "status"])
     for row in rows:
         table.add(row.name, row.measured, row.bound,
@@ -153,6 +160,7 @@ def _trajectory_csv(records, aborted_reason=None):
 
 
 def cmd_run(args):
+    from .dynamics import run_scenario
     sc = _read_scenario(args)
     try:
         records = run_scenario(sc)
@@ -167,6 +175,8 @@ def cmd_run(args):
 
 
 def cmd_subspace(args):
+    from .constraints import first_constraint_operator, physical_subspace
+    from .models import hamiltonian
     sc = _read_scenario(args)
     tol = args.tol if args.tol is not None else sc.constraint_tol
     if not (math.isfinite(tol) and tol > 0.0):

@@ -45,6 +45,7 @@ from .exceptions import (
     OutOfRangeError,
 )
 from .linalg import (
+    DEFAULT_TOL,
     TILE,
     OperatorMatrix,
     identity,
@@ -59,7 +60,6 @@ from .linalg import (
 MATERIALIZE_LIMIT = 4096
 
 ZERO_WEIGHT = 1e-14
-DEFAULT_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,8 +2,9 @@
 
 Covers the maps of the formalism (time translation, ladder-with-
 translation steps, energy jumps) plus a small declarative driver that
-chains evolve/jump steps and records observables after each one.  All
-composite applications are Kronecker-factored.  Each map is closed-form:
+runs a scenario.Scenario, chaining its evolve/jump steps and recording
+observables after each one.  All composite applications are
+Kronecker-factored.  Each map is closed-form:
 translations from the time grid's Fourier map, evolution and level swaps
 from the model's one shared eigensystem.  A jump's swap and phase kick
 act on the state directly, so neither unitary is formed.
@@ -28,14 +29,13 @@ import numpy as np
 from .axes import (
     NORM_ATOL,
     TIME,
-    AxisGrid,
     CompositeState,
     band_edge,
     energy_operator,
     nearest_lattice_energy,
     require_label,
 )
-from .constraints import DEFAULT_TOL, ZERO_WEIGHT, separable_first
+from .constraints import ZERO_WEIGHT, separable_first
 from .exceptions import (
     ChronosError,
     ConvergenceError,
@@ -48,17 +48,15 @@ from .exceptions import (
     TruncationTopError,
     WrongKindError,
 )
-from .linalg import kronecker_null_pairs, spectral_exp
+from .linalg import DEFAULT_TOL, kronecker_null_pairs, spectral_exp
 from .models import (
     OSCILLATOR,
-    ModelSpec,
     clock_scale,
     energy_eigensystem,
     hamiltonian,
     ladder_operators,
 )
 
-EIGEN_TOL = 1e-9
 EQUIVALENCE_TOL = 1e-6
 # covers the rounding, a few n eps relative, of the evolve guard's bound:
 # in residual1, in ||C|| and in |C|^2 over the evolves since residual1
@@ -226,76 +224,6 @@ def _jump_energies(i, j, es, tg, constants, tol):
                 "%s-level energy %.6g misses the frequency lattice by %.3g"
                 % (name, value, miss))
     return energies
-
-
-@dataclass(frozen=True)
-class Step:
-    """One scenario step: either an evolution or an energy jump."""
-
-    kind: str
-    dt: float | None = None
-    from_level: int | None = None
-    to_level: int | None = None
-    at_time: float | None = None
-
-    def __post_init__(self):
-        if self.kind == "evolve":
-            if self.dt is None or not np.isfinite(self.dt):
-                raise ValueError("evolve step needs a finite duration")
-        elif self.kind == "jump":
-            for name in ("from_level", "to_level", "at_time"):
-                if getattr(self, name) is None:
-                    raise ValueError("jump step needs %s" % name)
-            if self.from_level == self.to_level:
-                raise ValueError("jump levels must differ")
-        else:
-            raise ValueError("unknown step kind %r" % (self.kind,))
-
-
-@dataclass(frozen=True)
-class InitialState:
-    """Starting state: an eigenlevel, a target energy, or raw amplitudes."""
-
-    kind: str
-    level: int | None = None
-    energy: float | None = None
-    amplitudes: tuple | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("level", "energy", "amplitudes"):
-            raise ValueError("unknown initial kind %r" % (self.kind,))
-        if getattr(self, self.kind) is None:
-            raise ValueError("%s initial state needs %s"
-                             % (self.kind, self.kind))
-        if self.kind == "amplitudes":
-            amp = np.asarray(self.amplitudes, dtype=np.complex128)
-            if not np.all(np.isfinite(amp)):
-                raise ScenarioValidationError("amplitudes must be finite",
-                                              field="initial.amplitudes")
-            if not np.any(amp):
-                raise ScenarioValidationError("amplitudes are all zero",
-                                              field="initial.amplitudes")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A model, the time grid it runs on, a start, the steps to take and
-    two tolerances, each refused unless it is positive and finite."""
-
-    model: ModelSpec
-    t_grid: AxisGrid
-    initial: InitialState
-    steps: tuple
-    constraint_tol: float = DEFAULT_TOL
-    eigen_tol: float = EIGEN_TOL
-
-    def __post_init__(self):
-        for key in ("constraint_tol", "eigen_tol"):
-            value = getattr(self, key)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ScenarioValidationError(
-                    "must be positive and finite, got %r" % (value,),
-                    field="tolerances." + key)
 
 
 @dataclass(frozen=True)

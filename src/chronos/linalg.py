@@ -548,6 +548,11 @@ def kronecker_null_space(left, right, tol):
     return m, k, vectors
 
 
+# the default near-null threshold of the pair test below: the constraint
+# solve, the scenario's constraint_tol and the jump's lattice test
+DEFAULT_TOL = 1e-6
+
+
 def kronecker_null_pairs(a_values, k_values, tol):
     """Index arrays (m, k) of the pairs |k_values[k] - a_values[m]| <= tol.
 

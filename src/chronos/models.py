@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .axes import POSITION, AxisGrid, PhysicalConstants
+from .axes import POSITION, AxisGrid, PhysicalConstants, positive_finite
 from .exceptions import WrongAxisError, WrongKindError
 from .linalg import OperatorMatrix, operator
 
@@ -36,6 +36,25 @@ class ModelSpec:
             raise WrongKindError("unknown model kind %r" % (self.kind,))
         if self.grid.label != POSITION:
             raise WrongAxisError("model grid must be position-labeled")
+        # the Hamiltonian's transform sums n kinetic symbols, the clock
+        # operator scales energies and a run's residual squares them, so
+        # each of these must stay in the float range
+        n, hbar_w = self.grid.n, self.constants.hbar * self.grid.top_frequency
+        for name, scale in (
+                ("n (hbar w)^2", lambda: n * hbar_w ** 2),
+                ("energy bound squared", lambda: self.energy_bound ** 2),
+                ("clock bound", lambda: clock_scale(self) * self.energy_bound)):
+            if not positive_finite(scale):
+                raise ValueError("%s is not positive and finite for the %s "
+                                 "on this grid" % (name, self.kind))
+
+    @property
+    def energy_bound(self):
+        """A bound on |E|: the largest kinetic plus potential entry."""
+        k = self.constants
+        omega = k.omega if self.kind == OSCILLATOR else 0.0
+        return ((k.hbar * self.grid.top_frequency) ** 2 / (2.0 * k.mass)
+                + 0.5 * k.mass * omega ** 2 * self.grid.reach ** 2)
 
     @cached_property
     def hamiltonian(self):

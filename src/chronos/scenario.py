@@ -1,13 +1,22 @@
-"""Scenario file format: strict JSON parsing into a validated Scenario.
+"""Scenarios: the values a scenario is made of, and the strict JSON
+document format parsed into them.
 
-A scenario document has exactly the top-level keys constants, preset,
-model, initial, steps, and optionally tolerances.  Unknown keys anywhere
-are rejected by name, and every number must be finite.
+A Scenario holds a model, the time grid it runs on, an InitialState, its
+Steps and two tolerances; each value refuses, when it is made, what it
+can judge on its own, and dynamics.run_scenario runs it.  A scenario
+document has exactly the top-level keys constants, preset, model,
+initial, steps, and optionally tolerances.  Unknown keys anywhere are
+rejected by name, every number must be finite, and an explicit grid
+must keep every scale it derives in the float range.  Nothing here
+imports the step maps or the constraint solver.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 import json
 import math
+
+import numpy as np
 
 from .axes import (
     POSITION,
@@ -15,10 +24,12 @@ from .axes import (
     AxisGrid,
     PhysicalConstants,
     energy_aligned_grids,
+    grid_overflow,
+    positive_finite,
     time_aligned_grids,
 )
-from .dynamics import InitialState, Scenario, Step
 from .exceptions import ScenarioSyntaxError, ScenarioValidationError
+from .linalg import DEFAULT_TOL
 from .models import DEFAULT_RETAINED_LEVELS, KINDS, ModelSpec
 
 PRESETS = ("energy-aligned", "time-aligned")
@@ -29,6 +40,89 @@ GRID_KEYS = ("n", "origin", "spacing")
 # largest grid a scenario may ask for: an n x n complex operator on it
 # takes 1 GiB
 MAX_GRID_N = 8192
+# the default bound on the eigenbasis defect that run certifies
+EIGEN_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Step:
+    """One scenario step: either an evolution or an energy jump."""
+
+    kind: str
+    dt: float | None = None
+    from_level: int | None = None
+    to_level: int | None = None
+    at_time: float | None = None
+
+    def __post_init__(self):
+        if self.kind == "evolve":
+            if self.dt is None or not np.isfinite(self.dt):
+                raise ValueError("evolve step needs a finite duration")
+        elif self.kind == "jump":
+            for name in ("from_level", "to_level", "at_time"):
+                if getattr(self, name) is None:
+                    raise ValueError("jump step needs %s" % name)
+            if self.from_level == self.to_level:
+                raise ValueError("jump levels must differ")
+        else:
+            raise ValueError("unknown step kind %r" % (self.kind,))
+
+
+@dataclass(frozen=True)
+class InitialState:
+    """Starting state: an eigenlevel, a target energy, or raw amplitudes."""
+
+    kind: str
+    level: int | None = None
+    energy: float | None = None
+    amplitudes: tuple | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("level", "energy", "amplitudes"):
+            raise ValueError("unknown initial kind %r" % (self.kind,))
+        if getattr(self, self.kind) is None:
+            raise ValueError("%s initial state needs %s"
+                             % (self.kind, self.kind))
+        if self.kind == "amplitudes":
+            amp = np.asarray(self.amplitudes, dtype=np.complex128)
+            if not np.all(np.isfinite(amp)):
+                raise ScenarioValidationError("amplitudes must be finite",
+                                              field="initial.amplitudes")
+            if not np.any(amp):
+                raise ScenarioValidationError("amplitudes are all zero",
+                                              field="initial.amplitudes")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A model, the time grid it runs on, a start, the steps to take and
+    two tolerances, each refused unless it is positive and finite."""
+
+    model: ModelSpec
+    t_grid: AxisGrid
+    initial: InitialState
+    steps: tuple
+    constraint_tol: float = DEFAULT_TOL
+    eigen_tol: float = EIGEN_TOL
+
+    def __post_init__(self):
+        for key in ("constraint_tol", "eigen_tol"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ScenarioValidationError(
+                    "must be positive and finite, got %r" % (value,),
+                    field="tolerances." + key)
+        # the time grid's energies reach the band edge hbar pi / spacing;
+        # the energy operator sums n of them and a run squares their gaps
+        # to the model's energies, so both must stay in the float range
+        edge = self.model.constants.hbar * self.t_grid.top_frequency
+        for scale in (lambda: self.t_grid.n * edge,
+                      lambda: (edge + self.model.energy_bound) ** 2):
+            if not positive_finite(scale):
+                raise ScenarioValidationError(
+                    "the band edge %.6g leaves the float range for these "
+                    "constants and this model" % edge,
+                    field="preset.t.spacing")
 
 
 def _fail(message, field):
@@ -97,6 +191,10 @@ def _parse_grid(value, field, label):
         _fail("grid size must be even", field + ".n")
     origin = _number(obj["origin"], field + ".origin")
     spacing = _number(obj["spacing"], field + ".spacing", positive=True)
+    fault = grid_overflow(n, origin, spacing)
+    if fault is not None:
+        _fail("puts the grid's %s out of the float range" % fault[1],
+              "%s.%s" % (field, fault[0]))
     return AxisGrid(n=n, origin=origin, spacing=spacing, label=label)
 
 
@@ -211,7 +309,10 @@ def parse_scenario(text):
               % (model_kind, ", ".join(KINDS)), "model")
     initial = _parse_initial(doc["initial"], q_grid.n, t_grid.n)
     steps = _parse_steps(doc["steps"])
-    return Scenario(model=ModelSpec(model_kind, constants, q_grid),
-                    t_grid=t_grid, initial=initial, steps=steps,
+    try:
+        model = ModelSpec(model_kind, constants, q_grid)
+    except ValueError as exc:
+        raise ScenarioValidationError(str(exc), field="model") from None
+    return Scenario(model=model, t_grid=t_grid, initial=initial, steps=steps,
                     **_parse_tolerances(doc.get("tolerances")))
 

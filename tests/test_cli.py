@@ -16,7 +16,7 @@ import chronos
 from chronos.cli import ResultTable, main
 from chronos.models import free_particle_time_level
 from chronos.axes import PhysicalConstants
-from chronos.constraints import DEFAULT_TOL
+from chronos.linalg import DEFAULT_TOL
 
 import oracles
 
@@ -142,14 +142,15 @@ def test_check_unknown_suite(capsys):
 
 
 def test_check_reports_failure_with_exit_one(capsys, monkeypatch):
+    import chronos.checks as checks
     from chronos.checks import CheckRow
-    import chronos.cli as cli_module
 
     def fake_run_suite(name, constants=None, constraint_tol=None):
         rows = [CheckRow("synthetic_gap", 2.0, 1.0, "<=")]
         return rows, False
 
-    monkeypatch.setattr(cli_module, "run_suite", fake_run_suite)
+    # check reads run_suite from its module when it runs
+    monkeypatch.setattr(checks, "run_suite", fake_run_suite)
     code, out, _ = run_cli(capsys, "check", "--suite", "ladder")
     assert code == 1
     assert "synthetic_gap,2,1,fail" in out
@@ -185,7 +186,7 @@ def test_run_aborts_with_partial_csv(capsys, tmp_path):
     # equivalence guard trips and the CSV must keep the prefix + marker
     from chronos.axes import energy_aligned_grids, energy_eigenvector
     from chronos.constraints import separable_first
-    from chronos.dynamics import InitialState, Scenario, Step
+    from chronos.scenario import InitialState, Scenario, Step
     from chronos.models import OSCILLATOR, ModelSpec, energy_eigensystem
 
     k = PhysicalConstants()
@@ -373,6 +374,46 @@ def test_package_import_loads_no_submodule_and_no_numpy():
                            capture_output=True, text=True, env=_child_env())
     assert child.returncode == 0, child.stderr
     assert child.stdout == "[]\n"
+
+
+def _modules_loaded(*argv):
+    """Exit code and the modules `python -m chronos *argv` imports, as
+    listed by -X importtime."""
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "chronos", *argv],
+        capture_output=True, text=True, env=_child_env())
+    names = {line.rpartition("|")[2].strip()
+             for line in child.stderr.splitlines()
+             if line.startswith("import time:")}
+    return child.returncode, names
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--help"], 0), (["check", "--help"], 0),
+    (["run", "--help"], 0), (["subspace", "--help"], 0),
+    (["run"], 2),  # --config missing
+], ids=["spectrum-help", "check-help", "run-help", "subspace-help",
+        "usage-error"])
+def test_parsing_loads_no_numpy_and_no_command_module(argv, code):
+    exit_code, names = _modules_loaded(*argv)
+    assert exit_code == code
+    assert "numpy" not in names
+    assert {n for n in names if n.startswith("chronos.")} \
+        == {"chronos.cli", "chronos.exceptions"}
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["spectrum"], {"constraints", "dynamics", "checks"}),
+    (["subspace"], {"dynamics", "checks"}),
+    (["run", "--config", "scenarios/oscillator_jump.json"], {"checks"}),
+], ids=["spectrum", "subspace", "run"])
+def test_each_command_loads_only_its_own_modules(argv, unused):
+    root = Path(__file__).resolve().parents[1]
+    argv = [str(root / a) if a.startswith("scenarios/") else a for a in argv]
+    code, names = _modules_loaded(*argv)
+    assert code == 0
+    assert "numpy" in names
+    assert not names & {"chronos." + m for m in unused}
 
 
 def test_importing_entry_module_runs_nothing():

@@ -20,7 +20,6 @@ from chronos.axes import (
     time_operator,
 )
 from chronos.constraints import (
-    DEFAULT_TOL,
     MATERIALIZE_LIMIT,
     ZERO_WEIGHT,
     ConstraintOperator,
@@ -41,6 +40,7 @@ from chronos.exceptions import (
     OutOfRangeError,
 )
 from chronos.linalg import (
+    DEFAULT_TOL,
     OperatorMatrix,
     identity,
     maxnorm,

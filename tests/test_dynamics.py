@@ -29,9 +29,6 @@ from chronos.constraints import (
     separable_first,
 )
 from chronos.dynamics import (
-    InitialState,
-    Scenario,
-    Step,
     energy_jump,
     ladder_step_down,
     ladder_step_up,
@@ -39,7 +36,7 @@ from chronos.dynamics import (
     time_translation,
     validate_scenario,
 )
-from chronos.scenario import parse_scenario
+from chronos.scenario import InitialState, Scenario, Step, parse_scenario
 from chronos.exceptions import (
     ChronosError,
     ConvergenceError,

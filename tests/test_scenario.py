@@ -4,6 +4,7 @@ canonical writer in the test oracles."""
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,9 @@ from chronos.axes import (
     time_aligned_grids,
 )
 from chronos.cli import main
-from chronos.dynamics import InitialState, Step, run_scenario
+from chronos.dynamics import run_scenario
 from chronos.exceptions import ScenarioSyntaxError, ScenarioValidationError
-from chronos.scenario import MAX_GRID_N, parse_scenario
+from chronos.scenario import MAX_GRID_N, InitialState, Step, parse_scenario
 
 import oracles
 
@@ -252,6 +253,89 @@ def test_cli_refuses_a_grid_above_the_size_limit(tmp_path, capsys, axis, n):
     assert str(info.value) == "%s: must be < %d" % (field, MAX_GRID_N + 1)
     code, err = refused_by_cli(tmp_path, capsys, doc, ["run"])
     assert code == 2 and field in err and "Traceback" not in err
+
+
+# a grid whose period, top frequency or Fourier phases leave the float range
+@pytest.mark.parametrize("axis, key, value, scale", [
+    ("q", "spacing", 1e308, "period"),
+    ("q", "spacing", 5e-324, "top frequency"),
+    ("t", "spacing", 1e-308, "top frequency"),
+    ("t", "spacing", 1e308, "period"),
+    ("t", "origin", -1e308, "largest Fourier phase"),
+])
+@pytest.mark.parametrize("argv", [["run"], ["subspace"]],
+                         ids=["run", "subspace"])
+def test_cli_refuses_a_grid_whose_scales_overflow(tmp_path, capsys, axis,
+                                                  key, value, scale, argv):
+    field = "preset.%s.%s" % (axis, key)
+    doc = edited_doc(("preset", axis, key), value)
+    with pytest.raises(ScenarioValidationError) as info:
+        parse_scenario(json.dumps(doc))
+    assert info.value.field == field
+    assert str(info.value) == "%s: puts the grid's %s out of the float " \
+        "range" % (field, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = refused_by_cli(tmp_path, capsys, doc, argv)
+    assert code == 2 and field in err and "Traceback" not in err
+
+
+# grids and constants each usable alone whose Hamiltonian is not: the
+# potential's omega^2 or x^2, the kinetic (hbar w)^2, or the clock operator
+# hbar / (m^2 c^4) times the energies leaves the float range
+@pytest.mark.parametrize("path, value, scale", [
+    (("constants", "omega"), 2.4e178, "energy bound squared"),
+    (("preset", "q", "origin"), -2e285, "energy bound squared"),
+    (("preset", "q", "spacing"), 1e-289, "n (hbar w)^2"),
+    (("constants", "mass"), 1e-150, "clock bound"),
+], ids=["omega", "q-origin", "q-spacing", "mass"])
+@pytest.mark.parametrize("argv", [["run"], ["spectrum"], ["subspace"]])
+def test_cli_refuses_a_model_whose_scales_overflow(tmp_path, capsys, path,
+                                                   value, scale, argv):
+    doc = edited_doc(path, value)
+    with pytest.raises(ScenarioValidationError) as info:
+        parse_scenario(json.dumps(doc))
+    assert info.value.field == "model"
+    assert str(info.value) == "model: %s is not positive and finite for " \
+        "the oscillator on this grid" % scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = refused_by_cli(tmp_path, capsys, doc, argv)
+    assert code == 2 and "model: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("hbar, spacing, edge", [
+    (1e70, 1e-240, "inf"),  # the band edge hbar pi / spacing itself
+    (1.0, 1e-160, "3.14159e+160"),  # its square, in a run's residual
+])
+@pytest.mark.parametrize("argv", [["run"], ["spectrum"], ["subspace"]])
+def test_cli_refuses_a_band_edge_that_overflows(tmp_path, capsys, hbar,
+                                                spacing, edge, argv):
+    # grid, constants and model each usable alone: hbar = 1e70 on the
+    # 32-point position grid keeps the energies near 1e140
+    doc = edited_doc(("preset", "t", "spacing"), spacing)
+    doc["constants"]["hbar"] = hbar
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = refused_by_cli(tmp_path, capsys, doc, argv)
+    assert code == 2
+    assert "preset.t.spacing: the band edge %s leaves the float range" \
+        % edge in err
+
+
+@pytest.mark.parametrize("suite", ["constraint1", "ladder", "commutators"])
+def test_check_refuses_constants_its_suite_cannot_grid(tmp_path, capsys,
+                                                       suite):
+    # the document's explicit grids hold omega = 1e-308, but the suites'
+    # energy-aligned time grid, of period 4 pi / omega, does not
+    doc = edited_doc(("constants", "omega"), 1e-308)
+    parse_scenario(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = refused_by_cli(tmp_path, capsys, doc,
+                                   ["check", "--suite", suite])
+    assert code == 2
+    assert err.startswith("error: constants: grid spacing ")
 
 
 def test_parse_accepts_a_grid_at_the_size_limit():
