@@ -10,24 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-import warnings
 
 import numpy as np
 
-from .exceptions import (
-    DimensionMismatchError,
-    OffLatticeWarning,
-    OutOfBandError,
-    WrongAxisError,
-)
+from .exceptions import DimensionMismatchError, OutOfBandError, WrongAxisError
 from .linalg import kron, identity, operator
 
 POSITION = "position"
 TIME = "time"
 
 NORM_ATOL = 1e-10
-# relative miss beyond which a requested energy is flagged off-lattice
-LATTICE_RTOL = 1e-9
 
 
 def positive_finite(scale):
@@ -240,9 +232,9 @@ def nearest_lattice_energy(grid, energy, constants):
 def energy_eigenvector(grid, energy, constants):
     """Normalized grid samples of e^{-i E t / hbar}.
 
-    Exact energy-operator eigenvector when E sits on the grid's frequency
-    lattice; a warning is issued when it misses the lattice, and energies
-    beyond the band edge (or NaN) are refused outright.
+    An exact energy-operator eigenvector only when E sits on the grid's
+    frequency lattice; nearest_lattice_energy returns the miss.  Energies
+    beyond the band edge (or NaN) are refused.
     """
     require_label(grid, TIME, "energy eigenvector")
     energy = float(energy)
@@ -251,11 +243,6 @@ def energy_eigenvector(grid, energy, constants):
         raise OutOfBandError(
             "energy %.6g outside representable band |E| <= %.6g"
             % (energy, edge))
-    _, miss = nearest_lattice_energy(grid, energy, constants)
-    if not miss <= LATTICE_RTOL * max(1.0, abs(energy)):
-        warnings.warn(
-            "energy %.6g misses the frequency lattice by %.3g"
-            % (energy, miss), OffLatticeWarning, stacklevel=2)
     v = np.exp(-1j * energy * grid.samples / constants.hbar)
     return v / np.sqrt(grid.n)
 

@@ -88,7 +88,7 @@ def _read_scenario(args):
     from .scenario import parse_scenario
     if args.config is None:
         return parse_scenario(DEFAULT_DOCUMENT)
-    with open(args.config, "r", encoding="utf-8") as handle:
+    with open(args.config, "rb") as handle:  # parse_scenario decodes
         return parse_scenario(handle.read())
 
 

@@ -16,6 +16,8 @@ the very operator it is handed.  A constraint operator is its two
 factors and nothing else.  States in the near-kernel of a constraint
 operator form the physical subspace, each member labelled with its
 system eigenvalue; measurement statistics are renormalized inside it.
+A product state from an energy off the lattice is built as asked, and
+its residual, judged against the one constraint_tol, shows the miss.
 
 The near-kernel is solved exactly from one eigendecomposition of each
 factor, and applications are Kronecker-factored throughout.  The
@@ -167,8 +169,9 @@ def separable_first(pair, tg, constants):
     """Product solution of the first constraint from an energy eigenpair.
 
     pair is (E, psi_E); the result is psi_E (x) energy_eigenvector(E),
-    normalized.  Off-band energies are refused, off-lattice ones warned
-    about by the eigenvector constructor.
+    normalized.  It solves the constraint exactly only when E sits on the
+    time grid's frequency lattice; nearest_lattice_energy returns the
+    miss.  Off-band energies are refused.
     """
     energy, system_vector = pair
     chi = energy_eigenvector(tg, energy, constants)

@@ -1,4 +1,5 @@
-"""Exception and warning types shared by every module in the package."""
+"""Exception types shared by every module; the package reports by raising
+them and issues no warnings."""
 
 
 class ChronosError(Exception):
@@ -95,7 +96,3 @@ class ScenarioStepError(ChronosError):
     def __init__(self, message, records=()):
         super().__init__(message)
         self.records = tuple(records)
-
-
-class OffLatticeWarning(UserWarning):
-    """A requested energy misses the frequency lattice; results degrade."""

@@ -260,26 +260,17 @@ def _fix_phase(vectors):
 def _order_degenerate(values, vectors):
     # eigh gives ascending values; inside exact ties fix the column order
     # lexicographically, real part before imaginary and row by row, so
-    # equal inputs always produce equal outputs.  All tied columns are
-    # sorted together, stably, one component at a time, with the tie
-    # group as the leading key, until no two columns are still tied.
+    # equal inputs always produce equal outputs.  One lexsort orders all
+    # tied columns; its last key, which leads, is the tie group.
     rises = values[1:] != values[:-1]
     if rises.all():
         return vectors
     group = np.concatenate(([0], np.cumsum(rises)))
     tied = np.flatnonzero(np.bincount(group)[group] > 1)
-    order, group = tied, group[tied]
-    parts = (vectors.real, vectors.imag) if np.iscomplexobj(vectors) \
-        else (vectors,)
-    for component in (part[row] for row in range(vectors.shape[0])
-                      for part in parts):
-        key = component[order]
-        step = np.lexsort((key, group))
-        order, group, key = order[step], group[step], key[step]
-        split = (group[1:] != group[:-1]) | (key[1:] != key[:-1])
-        if split.all():
-            break
-        group = np.concatenate(([0], np.cumsum(split)))
+    block = vectors[:, tied]
+    parts = (block.real, block.imag) if np.iscomplexobj(block) else (block,)
+    keys = np.stack(parts, axis=1).reshape(-1, tied.size)[::-1]
+    order = tied[np.lexsort(np.vstack((keys, group[tied])))]
     vectors[:, tied] = vectors[:, order]
     return vectors
 

@@ -1,7 +1,6 @@
 """Grids, conjugate operator pairs, composite states, preset geometries."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from chronos.axes import (
 )
 from chronos.exceptions import (
     DimensionMismatchError,
-    OffLatticeWarning,
     OutOfBandError,
     WrongAxisError,
 )
@@ -160,11 +158,6 @@ def test_energy_eigenvector_guards():
     for energy in (band_edge(grid, k) * 1.5, math.nan):
         with pytest.raises(OutOfBandError):
             energy_eigenvector(grid, energy, k)
-    with pytest.warns(OffLatticeWarning):
-        energy_eigenvector(grid, energy_lattice(grid, k)[2] + 0.05, k)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        energy_eigenvector(grid, energy_lattice(grid, k)[2], k)
 
 
 def test_lifts_match_kron_oracle(rng):

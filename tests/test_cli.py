@@ -300,6 +300,45 @@ def test_malformed_config_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_config_that_is_not_utf8_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"constants": \xff}')
+    code, out, err = run_cli(capsys, "spectrum", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not valid UTF-8: ")
+    assert err.count("\n") == 1
+
+
+# level starts that miss the energy lattice: level 1 of a 32-point box by
+# 2.84e-9, level 0 on the time-aligned preset by 0.089
+OFF_LATTICE_STARTS = {
+    "near": dict(SMALL_DOC, preset={
+        "q": {"n": 32, "origin": -10.0, "spacing": 0.625},
+        "t": {"n": 16, "origin": 0.0, "spacing": 0.7853981633974483}},
+        initial={"level": 1},
+        steps=[{"evolve": 1.0}, {"jump": {"from": 1, "to": 3, "at": 1.5}}]),
+    "far": dict(SMALL_DOC, preset="time-aligned", steps=[{"evolve": 1.0}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_LATTICE_STARTS))
+def test_run_of_an_off_lattice_start_writes_nothing_to_stderr(tmp_path, name):
+    # the CSV's residual1 and subspace_weight report the miss; a fresh
+    # interpreter, so no warning registry hides a repeat
+    path = tmp_path / "start.json"
+    path.write_text(json.dumps(OFF_LATTICE_STARTS[name]), encoding="utf-8")
+    child = subprocess.run(
+        [sys.executable, "-m", "chronos", "run", "--config", str(path)],
+        capture_output=True, text=True, env=_child_env())
+    assert (child.returncode, child.stderr) == (0, "")
+    row0 = child.stdout.splitlines()[1].split(",")
+    residual1, weight = float(row0[5]), float(row0[6])
+    if name == "near":
+        assert residual1 < 1e-6 and weight == pytest.approx(1.0)
+    else:
+        assert residual1 > 0.1 and weight == 0.0
+
+
 def test_invalid_schema_reports_field(capsys, tmp_path):
     doc = dict(SMALL_DOC)
     doc["initial"] = {"level": 99}

@@ -36,7 +36,6 @@ from chronos.exceptions import (
     DimensionMismatchError,
     EmptyBasisError,
     NotHermitianError,
-    OffLatticeWarning,
     OutOfRangeError,
 )
 from chronos.linalg import (
@@ -163,14 +162,6 @@ def test_separable_first_solves_constraint(energy_bundle):
         state = separable_first((system.values[n], system.vector(n)),
                                 bundle["t_grid"], bundle["constants"])
         assert op.residual(state) < 1e-10
-
-
-def test_separable_first_warns_off_lattice(energy_bundle):
-    bundle = energy_bundle
-    system = bundle["eigensystem"]
-    with pytest.warns(OffLatticeWarning):
-        separable_first((system.values[0] + 0.01, system.vector(0)),
-                        bundle["t_grid"], bundle["constants"])
 
 
 def test_separable_second_rounding(time_bundle):

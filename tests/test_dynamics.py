@@ -44,7 +44,6 @@ from chronos.exceptions import (
     IndexOutOfRangeError,
     NotUnitaryError,
     OffLatticeError,
-    OffLatticeWarning,
     ScenarioStepError,
     ScenarioValidationError,
     TruncationTopError,
@@ -512,11 +511,8 @@ def test_run_scenario_energy_initial_matches_level():
 def test_run_scenario_amplitudes_initial(rng):
     sc0 = base_scenario()
     es = validate_scenario(sc0)
-    with warnings.catch_warnings():
-        # the discrete eigenvalue misses the lattice by a few 1e-9; fine here
-        warnings.simplefilter("ignore", OffLatticeWarning)
-        state = separable_first((float(es.values[1]), es.vector(1)),
-                                sc0.t_grid, sc0.model.constants)
+    state = separable_first((float(es.values[1]), es.vector(1)),
+                            sc0.t_grid, sc0.model.constants)
     sc = base_scenario(initial=InitialState(
         kind="amplitudes", amplitudes=tuple(np.asarray(state.amplitudes))))
     records = run_scenario(sc)

@@ -1,7 +1,7 @@
 """Every imported name and every private module-level name in the
-package is used, a private name stays in the module that defines it, and
-every tolerance comparison fails on NaN: stdlib `ast` scans, no linter
-needed."""
+package is used, a private name stays in the module that defines it,
+every tolerance comparison fails on NaN, and no package module imports
+warnings: stdlib `ast` scans, no linter needed."""
 
 import ast
 import pathlib
@@ -225,3 +225,27 @@ def test_scan_finds_loose_tolerance_comparisons():
 def test_tolerance_comparisons_fail_on_nan(path):
     source = (REPO / path).read_text(encoding="utf-8")
     assert loose_tolerance_comparisons(source) == []
+
+
+def warnings_imports(source):
+    """Lines that import the stdlib warnings module, in either form."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import)
+            and any(a.name == "warnings" for a in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and node.module == "warnings" and not node.level]
+
+
+def test_scan_finds_warnings_imports():
+    source = ("import os, warnings as w\nimport numpy as np\n"
+              "from warnings import warn\nfrom .warnings import x\n")
+    assert warnings_imports(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.relative_to(REPO).as_posix()
+    for p in (REPO / "src" / "chronos").glob("*.py")))
+def test_package_issues_no_warnings(path):
+    # the package reports through exceptions, exit codes and its CSV only
+    source = (REPO / path).read_text(encoding="utf-8")
+    assert warnings_imports(source) == []

@@ -626,6 +626,19 @@ def test_order_degenerate_matches_tuple_oracle_on_free_particle(rng):
     assert ordered.tobytes() \
         == oracles.ordered_by_tuples(values, shuffled).tobytes()
     assert ordered.tobytes() == system.vectors.tobytes()
+    # random tied blocks, real and complex, drawn from a few entries with
+    # -0.0 among them, so ties also break late or never
+    pool = np.array([-1.0, -0.0, 0.0, 1.0])
+    for _ in range(200):
+        values = np.sort(rng.integers(0, 3, 9)).astype(np.float64)
+        real, imag = rng.choice(pool, (2, 4, 9))
+        mixed = real.astype(np.complex128)
+        mixed.imag = imag
+        for vectors in (real, mixed):
+            shuffled = tie_shuffled(values, vectors, rng)
+            ordered = linalg._order_degenerate(values, shuffled.copy())
+            assert ordered.tobytes() \
+                == oracles.ordered_by_tuples(values, shuffled).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])

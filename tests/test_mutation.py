@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from chronos.cli import DEFAULT_DOCUMENT, main
-from chronos.exceptions import OffLatticeWarning
 
 BUNDLED = Path(__file__).resolve().parents[1] / "scenarios" \
     / "oscillator_jump.json"
@@ -100,12 +99,10 @@ def test_mutated_documents_end_in_an_exit_code(tmp_path, name):
             argv = command + ["--config", str(path)]
             where = "mutant %d, %s: %s" % (index, " ".join(command),
                                            json.dumps(doc))
-            # a numerical warning raises here, as a sign of a scale that
-            # left the float range; OffLatticeWarning is the package's own
-            # note that a start misses the energy lattice, and the run goes on
+            # a warning raises here, as a sign of a scale that left the
+            # float range: the package itself issues none
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                warnings.simplefilter("ignore", OffLatticeWarning)
                 code, err = run_quietly(argv)
             assert code in (0, 1, 2, 3), where
             assert "Traceback" not in err, where
