@@ -7,8 +7,8 @@ CSV with LF line endings and 17-significant-digit floats; tables go to
 stdout unless --out names a file.
 
 Exit codes: 0 all pass, 1 check or run failure, 2 usage or validation
-error, 3 numerical non-convergence.  CHRONOS_NO_COLOR disables ANSI
-coloring of diagnostics.
+error, 3 numerical non-convergence.  Each diagnostic is one plain
+`error: <message>` line on stderr.
 
 At its top this module imports only the standard library and the
 exception types, so argument parsing, --help and usage errors load no
@@ -17,8 +17,6 @@ numpy.  Each command imports the modules it runs when it runs.
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
 
 from .exceptions import (
@@ -69,11 +67,7 @@ class ResultTable:
 
 
 def _diag(message):
-    text = "error: %s" % message
-    stream = sys.stderr
-    if stream.isatty() and not os.environ.get("CHRONOS_NO_COLOR"):
-        text = "\x1b[31m%s\x1b[0m" % text
-    print(text, file=stream)
+    print("error: %s" % message, file=sys.stderr)
 
 
 def _emit(text, out_path):
@@ -178,13 +172,9 @@ def cmd_subspace(args):
     from .constraints import first_constraint_operator, physical_subspace
     from .models import hamiltonian
     sc = _read_scenario(args)
-    tol = args.tol if args.tol is not None else sc.constraint_tol
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ScenarioValidationError("tolerance must be positive and "
-                                      "finite, got %r" % tol, field="--tol")
     cop = first_constraint_operator(hamiltonian(sc.model), sc.t_grid,
                                     sc.model.constants)
-    basis = physical_subspace(cop, tol)
+    basis = physical_subspace(cop, sc.constraint_tol)
     table = ResultTable(["index", "label", "residual"])
     for i, (label, residual) in enumerate(zip(basis.labels, basis.residuals)):
         table.add(i, label, residual)
@@ -224,9 +214,8 @@ def build_parser():
 
     subspace = sub.add_parser(
         "subspace", help="physical-subspace basis of the first constraint")
-    subspace.add_argument("--config", help="scenario file")
-    subspace.add_argument("--tol", type=float,
-                          help="near-null threshold override")
+    subspace.add_argument("--config", help="scenario file supplying "
+                          "constants, grids and constraint_tol")
     subspace.add_argument("--out", help="write CSV here instead of stdout")
     subspace.set_defaults(func=cmd_subspace)
     return parser

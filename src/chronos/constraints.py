@@ -33,6 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .axes import (
+    NORM_ATOL,
     TIME,
     CompositeState,
     energy_eigenvector,
@@ -297,7 +298,7 @@ def uncertainty_product(phi, tg, constants):
             "state length %d does not match grid size %d"
             % (phi.shape[0], tg.n))
     norm = np.linalg.norm(phi)
-    if not abs(norm - 1.0) <= 1e-8:
+    if not abs(norm - 1.0) <= NORM_ATOL:
         raise ValueError("state must be normalized, got norm %.12g" % norm)
     density = np.abs(phi) ** 2
     t = tg.samples

@@ -311,17 +311,16 @@ def _initial_level(sc, es):
 
 def _initial_state(sc, es):
     if sc.initial.kind == "amplitudes":
-        amp = np.asarray(sc.initial.amplitudes, dtype=np.complex128)
-        with np.errstate(all="ignore"):
-            unit = amp / np.linalg.norm(amp)
-            drift = abs(np.linalg.norm(unit) - 1.0)
-        if not drift <= NORM_ATOL:
-            # the sum of squares over- or underflowed: divide out the
-            # largest real or imaginary part first, then normalize
-            parts = amp.view(np.float64)
-            parts /= np.max(np.abs(parts))
-            unit = amp / np.linalg.norm(amp)
-        return CompositeState(unit, sc.model.grid.n, sc.t_grid.n)
+        parts = np.asarray(sc.initial.amplitudes,
+                           dtype=np.complex128).view(np.float64)
+        # the power of two that brings the largest real or imaginary part
+        # into [0.5, 1) scales exactly: the sum of squares can neither
+        # over- nor underflow, and where amp / |amp| did neither before,
+        # the quotient keeps its bits
+        amp = np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1]) \
+            .view(np.complex128)
+        return CompositeState(amp / np.linalg.norm(amp), sc.model.grid.n,
+                              sc.t_grid.n)
     n = _initial_level(sc, es)
     return separable_first((float(es.values[n]), es.vector(n)), sc.t_grid,
                            sc.model.constants)
@@ -384,7 +383,6 @@ def run_scenario(sc):
     p_v = _momentum_in(v, model.grid, k)
 
     records = []
-    kicks = {}  # the time-domain phase row of each (from, to) pair
 
     def observe(index, kind, c):
         weights = np.abs(c) ** 2
@@ -418,13 +416,12 @@ def run_scenario(sc):
                     % gap)
         c *= row
 
-    def jump(c, i, j):
-        if (i, j) not in kicks:  # both levels passed validate_scenario
-            kicks[i, j] = _shift_phases(tg, es.values[j] - es.values[i], k)
+    def jump(c, i, j):  # both levels passed validate_scenario
         c[[i, j]] = c[[j, i]]
         rho[[i, j]] = rho[[j, i]]
         rho[:, [i, j]] = rho[:, [j, i]]
-        return _time_kick(c, tg, kicks[i, j])
+        return _time_kick(c, tg,
+                          _shift_phases(tg, es.values[j] - es.values[i], k))
 
     c = v.conj().T @ _initial_state(sc, es).matrix @ phi.conj()
     rho = c @ c.conj().T

@@ -1,5 +1,6 @@
 """Command-line surface: table formats, exit codes, reproducibility."""
 
+import io
 import json
 import os
 import shutil
@@ -263,22 +264,77 @@ def test_subspace_table(capsys, small_config):
         assert float(line.split(",")[2]) < 1e-6
 
 
-def test_subspace_tolerance_guard(capsys, small_config):
-    code, _, err = run_cli(capsys, "subspace", "--config", small_config,
-                           "--tol", "-1e-6")
-    assert code == 2
-    assert "tol" in err
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
-def test_subspace_rejects_non_finite_tolerance(capsys, small_config, tol):
-    # nan once slipped past the sign check and printed an empty table;
-    # inf listed every product pair
-    code, out, err = run_cli(capsys, "subspace", "--config", small_config,
-                             "--tol", tol)
+def test_subspace_has_no_tolerance_option(capsys):
+    # the document's constraint_tol is the one source of the tolerance
+    code, out, _ = run_cli(capsys, "subspace", "--help")
+    assert code == 0 and "--tol" not in out
+    code, out, err = run_cli(capsys, "subspace", "--tol", "1e-3")
     assert code == 2
     assert out == ""
     assert "--tol" in err
+
+
+# 16 points of 0.9: the grid's levels miss the lattice by 1e-6 to 0.05
+COARSE_DOC = dict(SMALL_DOC, steps=[], preset={
+    "q": {"n": 16, "origin": -7.2, "spacing": 0.9},
+    "t": SMALL_DOC["preset"]["t"]})
+
+
+def _subspace_of(capsys, tmp_path, text):
+    path = tmp_path / "subspace.json"
+    path.write_text(text, encoding="utf-8")
+    return run_cli(capsys, "subspace", "--config", str(path))
+
+
+def _subspace_rows(capsys, tmp_path, doc):
+    code, out, err = _subspace_of(capsys, tmp_path, json.dumps(doc))
+    assert (code, err) == (0, "")
+    return out.splitlines()[1:]
+
+
+def test_subspace_takes_its_tolerance_from_the_document(capsys, tmp_path):
+    from chronos.constraints import (
+        first_constraint_operator,
+        physical_subspace,
+    )
+    from chronos.models import hamiltonian
+    from chronos.scenario import parse_scenario
+    doc = dict(COARSE_DOC, tolerances={"constraint_tol": 0.05})
+    sc = parse_scenario(json.dumps(doc))
+    basis = physical_subspace(first_constraint_operator(
+        hamiltonian(sc.model), sc.t_grid, sc.model.constants), 0.05)
+    assert basis.count == 4
+    assert _subspace_rows(capsys, tmp_path, doc) == [
+        "%d,%.17g,%.17g" % (i, label, residual) for i, (label, residual)
+        in enumerate(zip(basis.labels, basis.residuals))]
+    # the default 1e-6 admits none of these levels
+    assert _subspace_rows(capsys, tmp_path, COARSE_DOC) == []
+
+
+def _subspace_with_tolerance(capsys, tmp_path, token):
+    # token is the constraint_tol exactly as the file spells it
+    text = json.dumps(dict(SMALL_DOC, tolerances={"constraint_tol": "TOL"}))
+    return _subspace_of(capsys, tmp_path, text.replace('"TOL"', token))
+
+
+def test_subspace_tolerance_guard(capsys, tmp_path):
+    # Scenario refuses the document's tolerance; the command has no check
+    for token in ("0", "-1e-6"):
+        code, out, err = _subspace_with_tolerance(capsys, tmp_path, token)
+        assert code == 2
+        assert out == ""
+        assert "tolerances.constraint_tol" in err
+
+
+@pytest.mark.parametrize("tol", ["NaN", "1e999", "-1e999"],
+                         ids=["nan", "inf", "-inf"])
+def test_subspace_rejects_non_finite_tolerance(capsys, tmp_path, tol):
+    # nan once slipped past the sign check and printed an empty table;
+    # inf listed every product pair
+    code, out, err = _subspace_with_tolerance(capsys, tmp_path, tol)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "finite" in err
 
 
 def test_usage_errors(capsys):
@@ -474,12 +530,19 @@ def test_check_defaults_match_default_config(capsys, tmp_path, suite):
     assert configured == bare
 
 
-def test_no_color_env_strips_nothing_when_piped(capsys, monkeypatch):
-    # piped stderr never carries escape codes, with or without the switch
-    monkeypatch.setenv("CHRONOS_NO_COLOR", "1")
-    code, _, err = run_cli(capsys, "check", "--suite", "nope")
-    assert code == 2
-    assert "\x1b[" not in err
+def test_diagnostic_is_one_plain_line_on_a_tty(capsys, monkeypatch):
+    class Terminal(io.StringIO):
+        def isatty(self):
+            return True
+
+    terminal = Terminal()
+    monkeypatch.setattr(sys, "stderr", terminal)
+    assert main(["check", "--suite", "nope"]) == 2
+    assert capsys.readouterr().out == ""
+    lines = terminal.getvalue().split("\n")
+    assert len(lines) == 2 and lines[1] == ""
+    assert lines[0].startswith("error: ") and "nope" in lines[0]
+    assert "\x1b" not in lines[0]
 
 
 def test_result_table_refuses_a_short_row():

@@ -513,8 +513,10 @@ def test_uncertainty_product_gaussian():
 def test_uncertainty_requires_normalized_state():
     k = PhysicalConstants()
     t_grid = AxisGrid(n=32, origin=0.0, spacing=0.25, label="time")
-    # a NaN norm must fail the unit-norm check, not pass it by default
-    for phi in (np.ones(32), np.full(32, np.nan)):
+    # a NaN norm must fail the unit-norm check, not pass it by default;
+    # the check is NORM_ATOL's, so a norm of 1 + 1e-9 fails it too
+    for phi in (np.ones(32), np.full(32, np.nan),
+                np.full(32, (1.0 + 1e-9) / np.sqrt(32.0))):
         with pytest.raises(ValueError):
             uncertainty_product(phi, t_grid, k)
 

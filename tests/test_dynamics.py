@@ -530,17 +530,29 @@ def amplitude_scenario(amplitudes):
 
 @pytest.mark.parametrize("scaled, plain", [
     ([1e200] * 16, [1.0] * 16),
-    ([1e-320] + [0.0] * 15, [1.0] + [0.0] * 15),
+    # 1e-320 = 0.98828125 * 2**-1063, and 0.98828125 normalizes to 1 - 2**-53
+    ([1e-320] + [0.0] * 15, [0.98828125] + [0.0] * 15),
     ([3e-162] + [0.0] * 15, [1.0] + [0.0] * 15),
 ], ids=["overflow", "underflow", "denormal"])
 def test_run_scenario_normalizes_amplitudes_of_any_scale(scaled, plain):
     # the sum of squares overflows, underflows to zero, or underflows to a
-    # denormal that misses the norm; the largest part is divided out first,
-    # which gives the bits of the plain start
+    # denormal that misses the norm; the amplitudes are first scaled by a
+    # power of two, exactly, which gives the bits of the plain start
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         records = run_scenario(amplitude_scenario(scaled))
     assert repr(records) == repr(run_scenario(amplitude_scenario(plain)))
+
+
+def test_initial_state_is_amplitudes_over_their_norm_bit_for_bit(rng):
+    # the power-of-two scaling is exact, so wherever the plain sum of
+    # squares neither over- nor underflows the start keeps its bits
+    for scale in 10.0 ** rng.uniform(-140.0, 140.0, size=300):
+        amp = scale * (rng.standard_normal(16)
+                       + 1j * rng.standard_normal(16))
+        state = chronos.dynamics._initial_state(amplitude_scenario(amp), None)
+        assert state.amplitudes.tobytes() \
+            == (amp / np.linalg.norm(amp)).tobytes()
 
 
 @pytest.mark.parametrize("amplitudes, message", [
