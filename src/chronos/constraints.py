@@ -22,8 +22,8 @@ its residual, judged against the one constraint_tol, shows the miss.
 The near-kernel is solved exactly from one eigendecomposition of each
 factor, and applications are Kronecker-factored throughout.  The
 materialized composite is kept, below a size cap, only as a dense oracle.
-Projection onto a physical subspace is factored too: it goes through the
-basis's one member array, and no dense projector is formed.
+Projection onto a physical subspace and the comparison of two go through
+each basis's one member array, so no dense projector is formed.
 """
 from __future__ import annotations
 
@@ -49,8 +49,8 @@ from .exceptions import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    TILE,
     OperatorMatrix,
+    hermitian_tiles,
     identity,
     kron,
     kronecker_null_space,
@@ -211,7 +211,7 @@ class SubspaceBasis:
     its product factor, repeated across a degenerate level.  Projection is
     done in factored form, through B: a state is projected as B (B^H s),
     and two subspaces are compared by the largest entry of B B^H - B' B'^H,
-    formed a few rows at a time.  No dim x dim projector is built.
+    formed in square tiles.  No dim x dim projector is built.
     """
 
     vectors: np.ndarray
@@ -244,25 +244,24 @@ class SubspaceBasis:
     def projector_gap(self, other):
         """max |B B^H - B' B'^H|, the distance between the two projectors.
 
-        The difference is formed linalg.TILE rows at a time, so no dim x dim
-        projector is built; a NaN in either basis carries to the result.
+        Only the linalg.hermitian_tiles of this Hermitian difference are
+        formed; a NaN in either basis carries to the result.  A basis of
+        another (n_q, n_t) shape is refused.
         """
         if not self.count or not other.count:
             raise EmptyBasisError("projector gap against an empty basis")
+        if self.vectors.shape[:2] != other.vectors.shape[:2]:
+            raise DimensionMismatchError("bases of shapes %s and %s" % (
+                self.vectors.shape[:2], other.vectors.shape[:2]))
         a, b = self._columns, other._columns
-        if a.shape[0] != b.shape[0]:
-            raise DimensionMismatchError(
-                "bases live in dimensions %d and %d"
-                % (a.shape[0], b.shape[0]))
-        a_h, b_h = a.conj().T, b.conj().T
 
-        def rows():
-            for i in range(0, a.shape[0], TILE):
-                tile = a[i:i + TILE] @ a_h
-                tile -= b[i:i + TILE] @ b_h
+        def tiles():  # the second product is subtracted in place
+            for r, c in hermitian_tiles(a.shape[0]):
+                tile = a[r] @ a[c].conj().T
+                tile -= b[r] @ b[c].conj().T
                 yield tile
 
-        return tiled_maxnorm(rows())
+        return tiled_maxnorm(tiles())
 
 
 def physical_subspace(op, tol=DEFAULT_TOL):

@@ -18,12 +18,10 @@ j -> (n - j) mod n as two half-size even and odd blocks; intended
 sizes are a few hundred rows per factor space and a few thousand for
 composites.  Every eigendecomposition is certified on every route by
 the input's hermitian defect, orthonormality and reconstruction against
-the caller's full matrix.  When every vector is exactly even or odd, and
-for reconstruction the input is also exactly reflection-invariant, each
-of the two costs two half-size products, a quarter of the n^3 of the
-full one that any other input gets.  The hermitian defect and the
-phase convention's magnitudes are taken tile by tile, so no n x n
-transposed read or magnitude copy is made.  Every hermitian, unitary and
+the caller's full matrix, at a quarter of the n^3 cost for exactly even
+or odd vectors (eig_hermitian).  The hermitian defect and the phase
+convention's magnitudes are taken tile by tile, so no n x n transposed
+read or magnitude copy is made.  Every hermitian, unitary and
 decomposition check is written so that a NaN defect fails it.
 """
 from __future__ import annotations
@@ -49,8 +47,7 @@ RECONSTRUCT_RTOL = 1e-9
 # picking the phase-fixing pivot
 PHASE_PIVOT_RTOL = 1e-8
 
-# rows (and columns) of the tiles in which a defect too large to hold at
-# once is formed: hermitian_defect's square tiles, projector_gap's row blocks
+# rows and columns of a tile of a matrix too large to form at once
 TILE = 128
 
 
@@ -84,6 +81,14 @@ def tiled_maxnorm(tiles):
     return float(norm)
 
 
+def hermitian_tiles(n):
+    """(rows, columns) slices of the TILE x TILE tiles of an n x n matrix
+    on and above its diagonal, row by row; with their mirrors, every entry."""
+    for i in range(0, n, TILE):
+        for j in range(i, n, TILE):
+            yield slice(i, i + TILE), slice(j, j + TILE)
+
+
 def _stored(a):
     # the one dtype rule: real input is float64, anything else complex128
     a = np.asarray(a)
@@ -113,17 +118,13 @@ def _frozen(a):
 def hermitian_defect(matrix):
     """max |A_ij - conj(A_ji)|, the distance from exact Hermitian symmetry.
 
-    Each tile on or above the diagonal is compared with the conjugate
-    transpose of its mirror tile, which covers every pair (i, j) once and
-    is bit-identical to the dense difference; a NaN in any tile carries
-    to the result.
+    Each of hermitian_tiles is compared with the conjugate transpose of
+    its mirror, bit-identical to the dense difference; a NaN in any tile
+    carries to the result.
     """
     matrix = _square(np.asarray(matrix))
-    n = matrix.shape[0]
-    return tiled_maxnorm(matrix[i:i + TILE, j:j + TILE]
-                         - matrix[j:j + TILE, i:i + TILE].conj().T
-                         for i in range(0, n, TILE)
-                         for j in range(i, n, TILE))
+    return tiled_maxnorm(matrix[r, c] - matrix[c, r].conj().T
+                         for r, c in hermitian_tiles(matrix.shape[0]))
 
 
 def require_hermitian(m):

@@ -23,6 +23,7 @@ from .axes import (
     TIME,
     AxisGrid,
     PhysicalConstants,
+    band_edge,
     energy_aligned_grids,
     grid_overflow,
     positive_finite,
@@ -115,7 +116,7 @@ class Scenario:
         # the time grid's energies reach the band edge hbar pi / spacing;
         # the energy operator sums n of them and a run squares their gaps
         # to the model's energies, so both must stay in the float range
-        edge = self.model.constants.hbar * self.t_grid.top_frequency
+        edge = band_edge(self.t_grid, self.model.constants)
         for scale in (lambda: self.t_grid.n * edge,
                       lambda: (edge + self.model.energy_bound) ** 2):
             if not positive_finite(scale):

@@ -87,12 +87,14 @@ def test_constraint1_passes_at_wide_tolerance(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, limit_mb", [("constraint1", 4.0),
-                                            ("generalized", 4.0)])
+                                            ("generalized", 1.5)])
 def test_suite_allocation_peak(name, limit_mb):
     # subspaces are compared through their member matrices: two dense
     # 2048 x 2048 projectors took 129 MB in constraint1, and two 512 x 512
     # ones with their difference 12.9 MB in generalized, and four 512 x 512
-    # lifts of its system factors another 1.1 MB there
+    # lifts of its system factors another 1.1 MB there; comparing them in
+    # 128-row blocks of the difference still took 3.3 MB, and in square
+    # tiles under 1 MB
     tracemalloc.start()
     try:
         run_suite(name)

@@ -385,10 +385,15 @@ def with_nan(basis, row):
 
 
 # two dims are not multiples of the 128-row tile.  The comparison is bit
-# for bit, so it rests on BLAS giving a block of rows of B B^H the same
-# bits as the whole product does: true of OpenBLAS 0.3.31 (Haswell
-# kernels, one and two threads), but a BLAS whose edge kernels or thread
-# split differ between the two shapes may round a last bit apart
+# for bit, so it rests on BLAS giving a tile of rows and columns of B B^H
+# the same bits as the whole product does, and, since only the tiles on
+# and above the diagonal are formed, on the dense difference's largest
+# entry having a mirror of the same magnitude.  Both hold for these
+# inputs with OpenBLAS 0.3.31 (Haswell kernels, one and two threads), but
+# neither is promised: zgemm's product is Hermitian only to rounding, and
+# a BLAS whose edge kernels or thread split differ between the two shapes
+# may round a last bit apart.  Swapping the two bases negates every tile,
+# so the gap is symmetric bit for bit
 @pytest.mark.parametrize("n_q, n_t, count", [(32, 16, 4), (30, 10, 7),
                                              (128, 16, 16), (129, 1, 1)])
 def test_projector_gap_matches_dense_oracle(rng, n_q, n_t, count):
@@ -400,9 +405,11 @@ def test_projector_gap_matches_dense_oracle(rng, n_q, n_t, count):
         want = maxnorm(dense)
         del dense
         assert basis.projector_gap(other).hex() == want.hex()
+        assert other.projector_gap(basis).hex() == want.hex()
 
 
-@pytest.mark.parametrize("row", [0, 200, 299])
+# rows 127, 128 and 256 sit on the edges of the 128 x 128 tiles
+@pytest.mark.parametrize("row", [0, 127, 128, 200, 256, 299])
 def test_projector_gap_propagates_nan_from_either_basis(rng, row):
     a, b = random_basis(rng, 30, 10, 3), random_basis(rng, 30, 10, 3)
     assert math.isnan(with_nan(a, row).projector_gap(b))
@@ -497,6 +504,26 @@ def test_physical_subspace_peaks_near_its_basis(unit_constants):
 def test_projector_gap_refuses_other_dimensions(rng):
     with pytest.raises(DimensionMismatchError):
         random_basis(rng, 30, 10, 2).projector_gap(random_basis(rng, 30, 9, 2))
+
+
+def test_projector_gap_refuses_another_shape_of_the_same_dimension(rng):
+    # a 32 x 16 basis and a 16 x 32 one have the same dim, but their
+    # members are states of different composite spaces
+    with pytest.raises(DimensionMismatchError):
+        random_basis(rng, 32, 16, 2).projector_gap(random_basis(rng, 16, 32, 2))
+
+
+def test_projector_gap_peak_stays_bounded(rng):
+    # one square tile at a time: two 128-row blocks of the 8192-dim
+    # difference took 49 MiB; the two bases themselves hold 1 MiB
+    a, b = random_basis(rng, 128, 64, 4), random_basis(rng, 128, 64, 4)
+    tracemalloc.start()
+    try:
+        a.projector_gap(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
 
 
 def test_uncertainty_product_gaussian():

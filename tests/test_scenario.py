@@ -11,6 +11,7 @@ import pytest
 
 from chronos.axes import (
     PhysicalConstants,
+    band_edge,
     energy_aligned_grids,
     time_aligned_grids,
 )
@@ -321,6 +322,23 @@ def test_cli_refuses_a_band_edge_that_overflows(tmp_path, capsys, hbar,
     assert code == 2
     assert "preset.t.spacing: the band edge %s leaves the float range" \
         % edge in err
+
+
+def test_band_edge_refusal_uses_the_band_edge_of_the_run():
+    # the refusal squares band_edge, hbar pi / spacing, the edge the run
+    # tests energies against.  On this 26-point grid the top frequency's
+    # energy, 2 pi hbar (n / 2) / (n spacing), rounds one ulp above it, to
+    # the first float whose square overflows, while the band edge's square
+    # stays finite, so the grid is accepted
+    doc = base_doc(preset={"q": {"n": 32, "origin": -8.0, "spacing": 0.5},
+                           "t": {"n": 26, "origin": 0.0,
+                                 "spacing": 2.34310684491081e-154}})
+    sc = parse_scenario(json.dumps(doc))
+    edge = band_edge(sc.t_grid, sc.model.constants)
+    assert edge == 1.3407807929942596e+154
+    assert math.isfinite((edge + sc.model.energy_bound) ** 2)
+    assert sc.model.constants.hbar * sc.t_grid.top_frequency \
+        == math.nextafter(edge, math.inf)
 
 
 @pytest.mark.parametrize("suite", ["constraint1", "ladder", "commutators"])
