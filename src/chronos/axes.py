@@ -4,7 +4,8 @@ Each one-dimensional variable (particle position, laboratory time) lives
 on an evenly spaced periodic grid.  The variable itself becomes a diagonal
 sample operator; its conjugate is built through the unitary discrete
 Fourier map as frequency times a constant, so conjugate eigenpairs on the
-induced frequency lattice are exact up to rounding.
+induced frequency lattice are exact up to rounding, and the conjugate
+keeps that pair as its eigensystem.
 """
 from __future__ import annotations
 
@@ -175,11 +176,13 @@ def require_label(grid, label, what):
 
 
 def _spectral_operator(grid, symbol):
-    # Phi diag(symbol) Phi^H, symmetrized so it is exactly Hermitian
+    # Phi diag(symbol) Phi^H, symmetrized so it is exactly Hermitian; it
+    # keeps the pair (symbol, Phi) it is built from, in ascending order
     phi = grid.fourier_map
     m = (phi * symbol) @ phi.conj().T
     m = 0.5 * (m + m.conj().T)
-    return operator(m, hermitian=True)
+    order = np.argsort(symbol, kind="stable")
+    return operator(m, hermitian=True).kept(symbol[order], phi[:, order])
 
 
 def position_operator(grid):

@@ -19,8 +19,8 @@ system eigenvalue; measurement statistics are renormalized inside it.
 A product state from an energy off the lattice is built as asked, and
 its residual, judged against the one constraint_tol, shows the miss.
 
-The near-kernel is solved exactly from one eigendecomposition of each
-factor, and applications are Kronecker-factored throughout.  The
+The near-kernel is solved exactly from the eigensystem each factor
+keeps, and applications are Kronecker-factored throughout.  The
 materialized composite is kept, below a size cap, only as a dense oracle.
 Projection onto a physical subspace and the comparison of two go through
 each basis's one member array, so no dense projector is formed.
@@ -61,8 +61,6 @@ from .linalg import (
 
 # largest composite dimension for which the dense solve is materialized
 MATERIALIZE_LIMIT = 4096
-
-ZERO_WEIGHT = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,9 +159,13 @@ def generalized_constraint_operator(coeff_s, coeff_t, system_op, tg,
     """
     require_label(tg, TIME, "generalized constraint")
     system_op = _verified_hermitian(system_op)
-    k = float(coeff_s) * energy_operator(tg, constants).matrix \
-        + np.diag(float(coeff_t) * tg.samples)
-    return ConstraintOperator(system_op, operator(k, hermitian=True))
+    s_op = energy_operator(tg, constants)
+    k = operator(float(coeff_s) * s_op.matrix
+                 + np.diag(float(coeff_t) * tg.samples), hermitian=True)
+    if coeff_t == 0:  # K = c_s s_op keeps c_s times s_op's pair, ascending
+        es, step = s_op.eigensystem, -1 if coeff_s < 0 else 1
+        k.kept(float(coeff_s) * es.values[::step], es.vectors[:, ::step])
+    return ConstraintOperator(system_op, k)
 
 
 def separable_first(pair, tg, constants):

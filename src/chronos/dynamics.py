@@ -35,7 +35,7 @@ from .axes import (
     nearest_lattice_energy,
     require_label,
 )
-from .constraints import ZERO_WEIGHT, separable_first
+from .constraints import separable_first
 from .exceptions import (
     ChronosError,
     ConvergenceError,
@@ -58,6 +58,8 @@ from .models import (
 )
 
 EQUIVALENCE_TOL = 1e-6
+# below this subspace weight a record reports no distribution (NaNs)
+ZERO_WEIGHT = 1e-14
 # covers the rounding, a few n eps relative, of the evolve guard's bound:
 # in residual1, in ||C|| and in |C|^2 over the evolves since residual1
 GUARD_MARGIN = 1.01

@@ -16,7 +16,9 @@ a real symmetric operator is diagonalized in real arithmetic, and one of
 even order that is exactly invariant under the grid reflection
 j -> (n - j) mod n as two half-size even and odd blocks; intended
 sizes are a few hundred rows per factor space and a few thousand for
-composites.  Every eigendecomposition is certified on every route by
+composites.  An operator built from a known eigenpair keeps that pair
+as its eigensystem (OperatorMatrix.kept), and its users measure its
+residual; every other eigendecomposition is certified on every route by
 the input's hermitian defect, orthonormality and reconstruction against
 the caller's full matrix, at a quarter of the n^3 cost for exactly even
 or odd vectors (eig_hermitian).  The hermitian defect and the phase
@@ -167,8 +169,14 @@ class OperatorMatrix:
 
     @cached_property
     def eigensystem(self):
-        """eig_hermitian of this operator, on first request."""
+        """The pair a builder kept (see kept), or else eig_hermitian of
+        this operator, on first request."""
         return eig_hermitian(self)
+
+    def kept(self, values, vectors):
+        """This operator, keeping the eigenpair it was built from."""
+        vars(self)["eigensystem"] = EigenSystem(values, vectors)
+        return self
 
 
 def operator(matrix, *, hermitian=False):

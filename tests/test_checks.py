@@ -133,13 +133,14 @@ def test_generalized_suite_loads_no_random_module():
 
 
 @pytest.mark.parametrize("name, solves", [
-    ("constraint1", 4), ("constraint2", 2), ("generalized", 4), ("ladder", 1),
+    ("constraint1", 2), ("constraint2", 2), ("generalized", 1), ("ladder", 1),
     ("commutators", 0), ("uncertainty", 0)])
 def test_suite_solves_each_eigensystem_once(monkeypatch, name, solves):
     # every operator a suite diagonalizes keeps its eigensystem, and the
     # model keeps its Hamiltonian: the generalized suite solves H once for
-    # its four constraints and the energy eigensystem, plus the time-axis
-    # factors of its two coefficient pairs and of its detuned grid
+    # its four constraints and the energy eigensystem.  An energy operator,
+    # and a time-axis factor c_s s_op, keeps the Fourier pair it is built
+    # from, so constraint1 solves only its two Hamiltonians
     calls = []
     eig_hermitian = chronos.linalg.eig_hermitian
 

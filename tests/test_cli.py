@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import chronos
-from chronos.cli import ResultTable, main
+from chronos.cli import DEFAULT_DOCUMENT, ResultTable, main
 from chronos.models import free_particle_time_level
 from chronos.axes import PhysicalConstants
 from chronos.linalg import DEFAULT_TOL
@@ -262,6 +262,70 @@ def test_subspace_table(capsys, small_config):
     assert labels[0] == pytest.approx(0.5, abs=1e-6)
     for line in lines[1:]:
         assert float(line.split(",")[2]) < 1e-6
+
+
+def test_subspace_solves_only_the_hamiltonian(monkeypatch, capsys):
+    # the energy operator keeps the Fourier pair it is built from, so the
+    # one eigensolve of `subspace` is the Hamiltonian's
+    solves = []
+    eig_hermitian = chronos.linalg.eig_hermitian
+    monkeypatch.setattr(chronos.linalg, "eig_hermitian",
+                        lambda op: solves.append(op) or eig_hermitian(op))
+    assert run_cli(capsys, "subspace")[0] == 0
+    assert len(solves) == 1
+
+
+# on and beside the smallest gaps |kappa_k - E_m| of the default document,
+# where rounding decides which pairs count
+@pytest.mark.parametrize("tol", [1e-16, 4.440892098500626e-16, 1e-15,
+                                 0.5000000000000004])
+def test_subspace_lists_one_row_per_run_column(capsys, tmp_path, tol):
+    doc = dict(json.loads(DEFAULT_DOCUMENT),
+               tolerances={"constraint_tol": tol})
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "subspace", "--config", str(path))
+    assert code == 0
+    rows = len(out.splitlines()) - 1
+    code, out, _ = run_cli(capsys, "run", "--config", str(path))
+    assert code == 0
+    header = out.splitlines()[0].split(",")
+    assert rows == len([c for c in header if c[0] == "p" and c[1:].isdigit()])
+    _, out, _ = run_cli(capsys, "check", "--suite", "constraint1",
+                        "--config", str(path))
+    assert "level_count_gap,0,0,pass" in out.splitlines()
+
+
+# eigen_tol is absolute: the free particle on a 0.001-spaced q grid has
+# levels up to about 4.9e6, and the rounding of its eigenbasis, about
+# 1e-15 of that, exceeds the default bound until the file raises it
+STIFF_DOC = {
+    "constants": {"hbar": 1.0, "mass": 1.0, "c": 1.0, "omega": 1.0},
+    "preset": {
+        "q": {"n": 128, "origin": -0.064, "spacing": 0.001},
+        "t": {"n": 64, "origin": 0.0, "spacing": 4.0 * np.pi / 64},
+    },
+    "model": "free_particle",
+    "initial": {"level": 0},
+    "steps": [],
+}
+
+
+def test_stiff_hamiltonian_needs_a_wider_eigen_tol(capsys, tmp_path):
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(STIFF_DOC), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert (code, out) == (3, "")
+    defect = err.split()[3]
+    assert err == "error: eigenbasis defect %s exceeds eigen_tol 1e-09\n" \
+        % defect
+    assert 1e-9 < float(defect) <= 1e-7
+    path.write_text(json.dumps(dict(STIFF_DOC,
+                                    tolerances={"eigen_tol": 1e-7})),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("step_index,kind,")
 
 
 def test_subspace_has_no_tolerance_option(capsys):

@@ -21,7 +21,6 @@ from chronos.axes import (
 )
 from chronos.constraints import (
     MATERIALIZE_LIMIT,
-    ZERO_WEIGHT,
     ConstraintOperator,
     SubspaceBasis,
     first_constraint_operator,
@@ -32,6 +31,7 @@ from chronos.constraints import (
     separable_second,
     uncertainty_product,
 )
+from chronos.dynamics import ZERO_WEIGHT
 from chronos.exceptions import (
     DimensionMismatchError,
     EmptyBasisError,
@@ -226,15 +226,35 @@ def test_detuned_grid_has_empty_subspace():
 
 
 def test_generalized_solve_reduces_to_first(energy_bundle):
+    # the (1, 0) reduction keeps the energy operator's own pair, so both
+    # solves give the same members bit for bit, at any tolerance
     bundle = energy_bundle
-    basis = physical_subspace(generalized_constraint_operator(
+    reduced = generalized_constraint_operator(
         1.0, 0.0, bundle["hamiltonian"], bundle["t_grid"],
-        bundle["constants"]))
-    reference = bundle["basis"]
-    assert basis.count == reference.count
-    gap = maxnorm(oracles.dense_projector(basis)
-                  - oracles.dense_projector(reference))
-    assert gap < 1e-8
+        bundle["constants"])
+    for tol in (1e-16, DEFAULT_TOL, 0.3):
+        first = physical_subspace(bundle["constraint"], tol)
+        basis = physical_subspace(reduced, tol)
+        assert basis.labels == first.labels
+        assert np.array_equal(basis.vectors, first.vectors)
+
+
+# with c_t == 0 the time-axis factor is c_s s_op and keeps c_s times the
+# energy operator's pair, ascending; with c_t != 0 it is solved
+@pytest.mark.parametrize("coeff_s", [1.0, 2.5, -0.75])
+def test_generalized_axis_factor_keeps_the_scaled_energy_pair(coeff_s):
+    k, _, t_grid, model = small_setup(n_t=16)
+    pair = energy_operator(t_grid, k).eigensystem
+    kept = generalized_constraint_operator(
+        coeff_s, 0.0, hamiltonian(model), t_grid, k).axis_op.eigensystem
+    step = -1 if coeff_s < 0 else 1
+    assert np.array_equal(kept.values, coeff_s * pair.values[::step])
+    assert np.array_equal(kept.vectors, pair.vectors[:, ::step])
+    assert np.all(np.diff(kept.values) > 0)
+    mixed = generalized_constraint_operator(coeff_s, 0.5, hamiltonian(model),
+                                            t_grid, k).axis_op
+    assert not np.array_equal(mixed.eigensystem.vectors,
+                              pair.vectors[:, ::step])
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
@@ -384,28 +404,65 @@ def with_nan(basis, row):
     return dataclasses.replace(basis, vectors=vectors)
 
 
-# two dims are not multiples of the 128-row tile.  The comparison is bit
-# for bit, so it rests on BLAS giving a tile of rows and columns of B B^H
-# the same bits as the whole product does, and, since only the tiles on
-# and above the diagonal are formed, on the dense difference's largest
-# entry having a mirror of the same magnitude.  Both hold for these
-# inputs with OpenBLAS 0.3.31 (Haswell kernels, one and two threads), but
-# neither is promised: zgemm's product is Hermitian only to rounding, and
-# a BLAS whose edge kernels or thread split differ between the two shapes
-# may round a last bit apart.  Swapping the two bases negates every tile,
-# so the gap is symmetric bit for bit
+def projector_gap_bound(basis, other, gap):
+    """How far two computations of max |B B^H - B' B'^H| may differ.
+
+    An entry of B B^H is a complex dot product of `count` terms, so in
+    any summation order and with any kernel it lies within
+    sqrt(2) gamma_{count+2} ||b_i|| ||b_j|| <= sqrt(2) gamma_{count+2} r^2
+    of the exact one, r the largest row norm and gamma_n = n u / (1 - n u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1 and
+    3.6): a few ulps of the largest entry |b_i|^2, not of the gap.  The
+    difference and its modulus add 2u of the gap; two computations, each
+    within that of the exact gap, are within twice it of each other.
+    """
+    u = np.finfo(float).eps / 2.0
+
+    def entry_error(b):
+        rows = b.vectors.reshape(-1, b.count)
+        n = b.count + 2
+        return math.sqrt(2.0) * n * u / (1.0 - n * u) \
+            * float(np.max(np.sum(np.abs(rows) ** 2, axis=1)))
+
+    return 2.0 * (entry_error(basis) + entry_error(other) + 2.0 * u * gap)
+
+
+def assert_gap_matches_dense_oracle(basis, other):
+    # the tiles and the dense oracle round apart only where BLAS rounds a
+    # tile and the whole product apart, or the dense difference is not
+    # bitwise Hermitian; swapping the two bases negates every tile, so the
+    # gap is symmetric bit for bit
+    dense = oracles.dense_projector(basis)
+    dense -= oracles.dense_projector(other)
+    want = maxnorm(dense)
+    del dense
+    gap = basis.projector_gap(other)
+    assert abs(gap - want) <= projector_gap_bound(basis, other, want)
+    assert other.projector_gap(basis).hex() == gap.hex()
+
+
+# two dims are not multiples of the 128-row tile
 @pytest.mark.parametrize("n_q, n_t, count", [(32, 16, 4), (30, 10, 7),
                                              (128, 16, 16), (129, 1, 1)])
 def test_projector_gap_matches_dense_oracle(rng, n_q, n_t, count):
     basis = random_basis(rng, n_q, n_t, count)
     for other in (random_basis(rng, n_q, n_t, count),
                   random_basis(rng, n_q, n_t, count, near=basis)):
-        dense = oracles.dense_projector(basis)
-        dense -= oracles.dense_projector(other)
-        want = maxnorm(dense)
-        del dense
-        assert basis.projector_gap(other).hex() == want.hex()
-        assert other.projector_gap(basis).hex() == want.hex()
+        assert_gap_matches_dense_oracle(basis, other)
+
+
+# random pairs of random shapes, far apart and about 1e-6 apart, drawn
+# from a fixed seed, within the same bound
+def test_projector_gap_matches_dense_oracle_on_random_pairs():
+    rng = np.random.default_rng(30)
+    for _ in range(120):
+        n_q, n_t = (int(rng.integers(1, 9)) * 16 + int(rng.integers(0, 2)),
+                    int(rng.integers(1, 5)))
+        count = int(rng.integers(1, 17))
+        basis = random_basis(rng, n_q, n_t, count)
+        near = basis if rng.integers(0, 2) else None
+        assert_gap_matches_dense_oracle(
+            basis, random_basis(rng, n_q, n_t, count, near=near))
 
 
 # rows 127, 128 and 256 sit on the edges of the 128 x 128 tiles

@@ -564,5 +564,9 @@ def test_readme_json_examples_parse_and_run():
         sc = parse_scenario(block)
         records = run_scenario(sc)
         assert len(records) == len(sc.steps) + 1
-    # the documented example ends one level up, at energy 3/2
+    # the worked example is the bundled file as it is, and ends one level
+    # up, at energy 3/2
+    worked = BUNDLED.read_text("utf-8")
+    assert worked in blocks
+    records = run_scenario(parse_scenario(worked))
     assert records[-1].energy_mean == pytest.approx(1.5, abs=1e-9)
