@@ -20,11 +20,12 @@ composites.  An operator built from a known eigenpair keeps that pair
 as its eigensystem (OperatorMatrix.kept), and its users measure its
 residual; every other eigendecomposition is certified on every route by
 the input's hermitian defect, orthonormality and reconstruction against
-the caller's full matrix, at a quarter of the n^3 cost for exactly even
-or odd vectors (eig_hermitian).  The hermitian defect and the phase
-convention's magnitudes are taken tile by tile, so no n x n transposed
-read or magnitude copy is made.  Every hermitian, unitary and
-decomposition check is written so that a NaN defect fails it.
+the caller's full matrix (eig_hermitian).  The split keeps rows 0 .. n/2
+of its exactly even or odd vectors, certified at a quarter of the n^3
+cost, and EigenSystem.vectors forms the n x n array on first read, its
+parity tested exactly.  The hermitian defect, the phase convention's
+magnitudes and the split's reconstruction are taken TILE rows at a
+time; every hermitian, unitary and decomposition check fails on NaN.
 """
 from __future__ import annotations
 
@@ -197,22 +198,45 @@ def identity(dim):
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Eigenvalues ascending with matching orthonormal eigenvector columns."""
+    """Eigenvalues ascending with matching orthonormal eigenvector columns.
+
+    rows holds the vectors, or, when sign is given, rows 0 .. n/2 of the
+    vectors of a reflection-split solve (eig_hermitian), column j exactly
+    even (sign[j] = +1) or odd (-1) under j -> (n - j) mod n.  vectors is
+    then formed on first read, rows n/2 + 1 .. n - 1 as rows n/2 - 1 .. 1
+    times sign, once an exact parity test has found every odd column zero
+    on rows 0 and n/2, its own mirrors; ConvergenceError otherwise.
+    """
 
     values: np.ndarray
-    vectors: np.ndarray
+    rows: np.ndarray
+    sign: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
-        object.__setattr__(self, "vectors", _frozen(self.vectors))
-        if self.values.shape[0] != self.vectors.shape[1]:
+        for name in ("values", "rows", "sign"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(getattr(self, name)))
+        if self.values.shape[0] != self.rows.shape[1]:
             raise DimensionMismatchError(
                 "%d eigenvalues for %d eigenvectors"
-                % (self.values.shape[0], self.vectors.shape[1]))
+                % (self.values.shape[0], self.rows.shape[1]))
+
+    @cached_property
+    def vectors(self):
+        if self.sign is None:
+            return self.rows
+        h = self.rows.shape[0] - 1
+        if not (self.rows[::h, self.sign < 0] == 0.0).all():  # NaN fails
+            raise ConvergenceError("eigenvectors lost exact parity")
+        vectors = _mirrored(self.rows, self.sign)
+        vectors.setflags(write=False)
+        # the kept rows become a view of the array, so both are held once
+        object.__setattr__(self, "rows", vectors[:h + 1])
+        return vectors
 
     @property
     def dim(self):
-        return self.vectors.shape[0]
+        return self.count if self.sign is not None else self.rows.shape[0]
 
     @property
     def count(self):
@@ -266,22 +290,33 @@ def _fix_phase(vectors):
     return vectors
 
 
-def _order_degenerate(values, vectors):
+def _order_degenerate(values, vectors, sign=None):
     # eigh gives ascending values; inside exact ties fix the column order
     # lexicographically, real part before imaginary and row by row, so
     # equal inputs always produce equal outputs.  One lexsort orders all
-    # tied columns; its last key, which leads, is the tie group.
+    # tied columns; its last key, which leads, is the tie group.  Given the
+    # rows and sign of a split solve, the tied columns are formed in full
+    # for their keys, and sign is permuted with them.
     rises = values[1:] != values[:-1]
     if rises.all():
         return vectors
     group = np.concatenate(([0], np.cumsum(rises)))
     tied = np.flatnonzero(np.bincount(group)[group] > 1)
     block = vectors[:, tied]
+    if sign is not None:
+        block = _mirrored(block, sign[tied])
     parts = (block.real, block.imag) if np.iscomplexobj(block) else (block,)
     keys = np.stack(parts, axis=1).reshape(-1, tied.size)[::-1]
     order = tied[np.lexsort(np.vstack((keys, group[tied])))]
     vectors[:, tied] = vectors[:, order]
+    if sign is not None:
+        sign[tied] = sign[order]
     return vectors
+
+
+def _mirrored(rows, sign):
+    # the n x count vectors, exactly: rows, then rows n/2 - 1 .. 1 times sign
+    return np.concatenate((rows, rows[-2:0:-1] * sign))
 
 
 def _reflection_invariant(m):
@@ -296,18 +331,20 @@ def _reflection_invariant(m):
 
 
 def _eigh(m):
-    # np.linalg.eigh of m, except that a real matrix of even order n that
-    # is exactly invariant under the reflection j -> (n - j) mod n is
-    # solved as two half-size blocks (Golub & Van Loan, Matrix
-    # Computations, sec. 8.1): on the basis e_0, (e_j + e_{n-j})/sqrt(2),
-    # e_{n/2} of even vectors and (e_j - e_{n-j})/sqrt(2) of odd ones, for
-    # 0 < j < n/2.  The blocks are built from views of m, not copies;
-    # values come back ascending, each vector exactly even or odd.  Below
-    # n = 4 the split saves nothing.
+    # (values, vectors, None) from np.linalg.eigh of m, except that a real
+    # matrix of even order n that is exactly invariant under the reflection
+    # j -> (n - j) mod n is solved as two half-size blocks (Golub & Van
+    # Loan, Matrix Computations, sec. 8.1): on the basis e_0,
+    # (e_j + e_{n-j})/sqrt(2), e_{n/2} of even vectors and
+    # (e_j - e_{n-j})/sqrt(2) of odd ones, for 0 < j < n/2.  The blocks are
+    # built from views of m, not copies.  The split returns the values
+    # ascending, rows 0 .. n/2 of their vectors, each exactly even or odd,
+    # and the column signs, +1 for an even column and -1 for an odd one; it
+    # forms no n x n array.  Below n = 4 the split saves nothing.
     n = m.shape[0]
     if m.dtype != np.float64 or n % 2 or n < 4 \
             or not _reflection_invariant(m):
-        return np.linalg.eigh(m)
+        return (*np.linalg.eigh(m), None)
     h = n // 2
     r = np.sqrt(0.5)
     # even[a, b] = m[a, b] + m[a, n - b], scaled by sqrt(1/2) on each side
@@ -323,92 +360,68 @@ def _eigh(m):
         np.subtract(m[1:h, 1:h], m[1:h, :h:-1]))
     even_vectors[1:h] *= r
     odd_vectors *= r
-    # rows 0 .. h in block order, [even | odd], gathered into ascending
-    # order by one take; rows h + 1 .. n - 1 then mirror rows h - 1 .. 1,
-    # times +1 in an even column and -1 in an odd one, both exact
-    top = np.empty((h + 1, n))
-    top[:, :h + 1] = even_vectors
-    top[::h, h + 1:] = 0.0
-    top[1:h, h + 1:] = odd_vectors
-    del even_vectors, odd_vectors
+    # block column k, [even | odd], is scattered straight into its place in
+    # ascending order; an odd column is zero on rows 0 and h
     values = np.concatenate((even_values, odd_values))
     order = np.argsort(values, kind="stable")
-    sign = np.ones(n)
-    sign[h + 1:] = -1.0
-    vectors = np.empty((n, n))
-    # order is a permutation, so "clip" never clips; it lets take write
-    # into the view unbuffered
-    np.take(top, order, axis=1, out=vectors[:h + 1], mode="clip")
-    np.multiply(vectors[h - 1:0:-1], sign[order], out=vectors[h + 1:])
-    return values[order], vectors
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    rows = np.empty((h + 1, n))
+    rows[:, column[:h + 1]] = even_vectors
+    rows[::h, column[h + 1:]] = 0.0
+    rows[1:h, column[h + 1:]] = odd_vectors
+    return values[order], rows, np.where(order > h, -1.0, 1.0)
 
 
-def _parity_columns(vectors):
-    # (even, odd) column indices when n is even and every column of the
-    # real n x n vectors is exactly even or odd under j -> (n - j) mod n,
-    # an odd one also zero on rows 0 and n/2, as the reflection split
-    # returns them; None otherwise.  Exact and O(n^2).
-    n = vectors.shape[0]
-    h = n // 2
-    if np.iscomplexobj(vectors) or n % 2 or n == 0:
-        return None
-    inner, mirror = vectors[1:h], vectors[:h:-1]
-    even = (mirror == inner).all(axis=0)
-    odd = (mirror == -inner).all(axis=0) \
-        & (vectors[0] == 0.0) & (vectors[h] == 0.0) & ~even
-    if not (even | odd).all():
-        return None
-    return np.flatnonzero(even), np.flatnonzero(odd)
-
-
-def _orthonormality_defect(vectors, parity):
-    # maxnorm(V^H V - I).  With parity (_parity_columns), even and odd
-    # columns are orthogonal term by term and rows n/2 + 1 .. n - 1 repeat
-    # rows 1 .. n/2 - 1.  The defect is then that of two half-size
-    # products: rows 0 .. n/2 of the even columns and 1 .. n/2 - 1 of the
-    # odd ones, rows 1 .. n/2 - 1 weighted by sqrt(2).  Anything else gets
-    # the full product.
-    if parity is None:
-        return unitary_defect(vectors)
-    h = vectors.shape[0] // 2
-    even_rows = np.take(vectors[:h + 1], parity[0], axis=1)
-    odd_rows = np.take(vectors[1:h], parity[1], axis=1)
+def _orthonormality_defect(rows, sign):
+    # maxnorm(V^H V - I).  With sign, V is the vectors formed from rows,
+    # each odd column taken as zero on rows 0 and n/2, as their parity test
+    # holds it: even and odd columns are orthogonal term by term, so the
+    # defect is that of two half-size products, rows 0 .. n/2 of the even
+    # columns and 1 .. n/2 - 1 of the odd ones, rows 1 .. n/2 - 1 (which
+    # rows n/2 + 1 .. n - 1 repeat) weighted by sqrt(2).
+    if sign is None:
+        return unitary_defect(rows)
+    h = rows.shape[0] - 1
+    even_rows = np.take(rows, np.flatnonzero(sign > 0), axis=1)
+    odd_rows = np.take(rows[1:h], np.flatnonzero(sign < 0), axis=1)
     even_rows[1:h] *= np.sqrt(2.0)
     odd_rows *= np.sqrt(2.0)
     return np.maximum(unitary_defect(even_rows), unitary_defect(odd_rows))
 
 
-def _reconstruction_defect(values, vectors, m, parity):
-    # maxnorm(V diag(w) V^H - m).  With parity and a real m that is exactly
-    # reflection-invariant, P V = V S for the reflection P and a diagonal
-    # S of signs, so V diag(w) V^T - m is exactly invariant too and its
-    # rows 0 .. n/2 hold a representative of every entry.  Only those rows
-    # are formed, from two half-size products: the even columns' rows
-    # 0 .. n/2 and the odd columns' rows 1 .. n/2 - 1 (their rows 0 and
-    # n/2 are zero).  Columns n/2 + 1 .. n - 1 are the reflected columns
-    # 1 .. n/2 - 1, the even part with a plus sign and the odd part with a
-    # minus.  Anything else gets the full product.  Each temporary is
-    # dropped before the next one is made.
-    if parity is None or m.dtype != np.float64 \
-            or not _reflection_invariant(m):
-        recon = (vectors * values) @ vectors.conj().T
+def _reconstruction_defect(values, rows, sign, m):
+    # maxnorm(V diag(w) V^H - m).  With sign, V as in _orthonormality_defect
+    # and a real m that is exactly reflection-invariant, P V = V diag(sign)
+    # for the reflection P, so V diag(w) V^T - m is exactly invariant too
+    # and its rows 0 .. n/2 hold a representative of every entry.  Only
+    # those are formed, TILE rows at a time, by two half-size products;
+    # columns n/2 + 1 .. n - 1 are the reflected columns 1 .. n/2 - 1, the
+    # even part plus and the odd part minus.  Any other m gets the full
+    # product of the formed vectors, differenced in place.
+    h = m.shape[0] // 2
+    if sign is not None and (m.dtype != np.float64
+                             or not _reflection_invariant(m)):
+        rows, sign = _mirrored(rows, sign), None
+    if sign is None:
+        recon = (rows * values) @ rows.conj().T
         recon -= m
         return _owned_maxnorm(recon)
-    n = m.shape[0]
-    h = n // 2
-    even, odd = parity
-    rows = np.take(vectors[:h + 1], even, axis=1)
-    top = np.empty((h + 1, n))
-    top[:, :h + 1] = (rows * values[even]) @ rows.T
-    top[:, h + 1:] = top[:, h - 1:0:-1]
-    rows = np.take(vectors[1:h], odd, axis=1)
-    block = (rows * values[odd]) @ rows.T
-    del rows
-    top[1:h, 1:h] += block
-    top[1:h, h + 1:] -= block[:, ::-1]
-    del block
-    top -= m[:h + 1]
-    return _owned_maxnorm(top)
+    even, odd = np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)
+    even_rows = np.take(rows, even, axis=1)
+    odd_rows = np.take(rows, odd, axis=1)
+    odd_rows[::h] = 0.0
+
+    def tiles():
+        for i in range(0, h + 1, TILE):
+            part = (even_rows[i:i + TILE] * values[even]) @ even_rows.T
+            top = np.concatenate((part, part[:, h - 1:0:-1]), 1)
+            part = (odd_rows[i:i + TILE] * values[odd]) @ odd_rows.T
+            top[:, :h + 1] += part
+            top[:, h + 1:] -= part[:, h - 1:0:-1]
+            top -= m[i:min(i + TILE, h + 1)]
+            yield top
+    return tiled_maxnorm(tiles())
 
 
 def eig_hermitian(op):
@@ -423,40 +436,41 @@ def eig_hermitian(op):
     reflection j -> (n - j) mod n, as a Hamiltonian on a grid with origin
     -L/2 is, is solved as two half-size blocks; every vector then comes
     back exactly even or odd, v[(n - j) % n] == +-v[j], degenerate
-    eigenspaces included.
+    eigenspaces included.  Only rows 0 .. n/2 of those vectors are kept,
+    with the column signs, and phases and tie order are fixed on them: an
+    even or odd column has its peak and first significant entry there.
+    EigenSystem.vectors forms the n x n array on first read, after an exact
+    test of its parity, so a caller that reads only the values never pays.
 
     Three checks run on every route, each written so that NaN fails it:
     - the input's hermitian defect, O(n^2), tile by tile;
-    - orthonormality of the merged, phase-fixed and ordered vectors,
-      maxnorm(V^H V - I) <= 1e-10.  When every column is exactly even or
-      odd, tested entry by entry in O(n^2), this is two half-size products
-      at a quarter of the n^3 cost; otherwise the full product;
+    - orthonormality of the phase-fixed and ordered vectors,
+      maxnorm(V^H V - I) <= 1e-10: on the split route two half-size
+      products of the kept rows, a quarter of the n^3 cost;
     - reconstruction against the caller's full matrix, maxnorm(V diag(w)
-      V^H - A) <= 1e-9 maxnorm(A), so it certifies the split too.  When
-      every column is exactly even or odd and A is real and exactly
-      reflection-invariant, tested entry by entry in O(n^2), every entry
-      of the difference equals one in its rows 0 .. n/2, and those rows
-      come from two half-size products at a quarter of the n^3 cost;
-      otherwise the full product.
+      V^H - A) <= 1e-9 maxnorm(A), so it certifies the split too.  On
+      the split route, when A is real and exactly reflection-invariant,
+      tested entry by entry in O(n^2), every entry of the difference
+      equals one in its rows 0 .. n/2, and those rows come from the kept
+      rows, TILE rows at a time, at a quarter of the n^3 cost; otherwise
+      the full product of the formed vectors.
     A matrix that is not square raises DimensionMismatchError.
     """
     m = op.matrix if isinstance(op, OperatorMatrix) else _square(_stored(op))
     scale = require_hermitian(m)
     try:
-        values, vectors = _eigh(m)
+        values, rows, sign = _eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("eigendecomposition failed: %s" % exc) from exc
-    _fix_phase(vectors)
-    _order_degenerate(values, vectors)
-
-    parity = _parity_columns(vectors)
-    if not _orthonormality_defect(vectors, parity) <= ORTHONORMAL_ATOL:
+    _fix_phase(rows)
+    _order_degenerate(values, rows, sign)
+    if not _orthonormality_defect(rows, sign) <= ORTHONORMAL_ATOL:
         raise ConvergenceError("eigenvectors lost orthonormality")
-    if not _reconstruction_defect(values, vectors, m, parity) \
+    if not _reconstruction_defect(values, rows, sign, m) \
             <= RECONSTRUCT_RTOL * max(scale, 1e-300):
         raise ConvergenceError("eigendecomposition does not reconstruct input")
-    vectors.setflags(write=False)  # stored by EigenSystem without a copy
-    return EigenSystem(values, vectors)
+    rows.setflags(write=False)  # stored by EigenSystem without a copy
+    return EigenSystem(values, rows, sign)
 
 
 def kron(a, b):

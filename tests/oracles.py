@@ -247,6 +247,39 @@ def scatter_merge(even, odd):
     return values[order], vectors
 
 
+def take_merge(even, odd):
+    """scatter_merge by a second route: both blocks laid side by side,
+    [even | odd], in an (n/2 + 1) x n array, gathered into ascending order
+    by one np.take, and rows n/2 + 1 .. n - 1 filled as rows n/2 - 1 .. 1
+    times +1 in an even column and -1 in an odd one."""
+    (even_values, even_vectors), (odd_values, odd_vectors) = even, odd
+    h = even_vectors.shape[0] - 1
+    n = 2 * h
+    r = np.sqrt(0.5)
+    top = np.empty((h + 1, n))
+    top[:, :h + 1] = even_vectors
+    top[1:h, :h + 1] *= r
+    top[::h, h + 1:] = 0.0
+    top[1:h, h + 1:] = odd_vectors * r
+    values = np.concatenate((even_values, odd_values))
+    order = np.argsort(values, kind="stable")
+    sign = np.ones(n)
+    sign[h + 1:] = -1.0
+    vectors = np.empty((n, n))
+    vectors[:h + 1] = np.take(top, order, axis=1)
+    vectors[h + 1:] = vectors[h - 1:0:-1] * sign[order]
+    return values[order], vectors
+
+
+def eig_by_take_merge(even, odd):
+    """eig_hermitian's values and vectors of an exactly reflected real
+    matrix, from the (values, vectors) eigh returned for its two blocks:
+    take_merge, then phase_fixed_by_loop and ordered_by_tuples on the
+    full n x n vectors."""
+    values, vectors = take_merge(even, odd)
+    return values, ordered_by_tuples(values, phase_fixed_by_loop(vectors))
+
+
 def dense_reconstruction_defect(values, vectors, matrix):
     """max |V diag(values) V^H - A| from one full product."""
     return float(np.abs((vectors * values) @ vectors.conj().T

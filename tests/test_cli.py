@@ -128,6 +128,19 @@ def test_spectrum_free_particle_prediction(capsys, tmp_path):
             free_particle_time_level(max(energy, 0.0), k), rel=1e-12)
 
 
+def test_spectrum_forms_no_eigenvectors(capsys, monkeypatch):
+    # `spectrum` reads the Hamiltonian's values alone, so the n x n vectors
+    # of its reflection-split solve are never formed
+    built = []
+    build = chronos.models.hamiltonian
+    monkeypatch.setattr(chronos.models, "hamiltonian",
+                        lambda model: built.append(build(model)) or built[-1])
+    assert run_cli(capsys, "spectrum", "--levels", "3")[0] == 0
+    system = vars(built[0])["eigensystem"]
+    assert system.sign is not None
+    assert "vectors" not in vars(system)
+
+
 def test_check_suite_table(capsys):
     code, out, _ = run_cli(capsys, "check", "--suite", "ladder")
     assert code == 0

@@ -33,7 +33,7 @@ from chronos.linalg import (
     unitary_defect,
     unitary_exp,
 )
-from chronos.models import FREE_PARTICLE, ModelSpec, hamiltonian
+from chronos.models import FREE_PARTICLE, OSCILLATOR, ModelSpec, hamiltonian
 
 import oracles
 
@@ -400,25 +400,40 @@ def test_eig_split_checks_refuse_one_nan(rng, monkeypatch, where):
             eig_hermitian(m)
 
 
-@pytest.mark.parametrize("parity, row", [(1, 8), (-1, 8), (-1, 0), (-1, 6)])
-def test_eig_parity_break_takes_the_full_gram(rng, monkeypatch, parity, row):
-    # the half-size Gram products read rows 0 .. n/2 of the even columns
-    # and rows 1 .. n/2 - 1 of the odd ones; a merged column that breaks
-    # exact parity on a row they skip must send the check to the full
-    # product, which sees that row
+@pytest.mark.parametrize("parity, row", [(1, 4), (-1, 4), (-1, 0), (-1, 6)])
+def test_eig_broken_mirror_is_caught_when_vectors_are_formed(rng, monkeypatch,
+                                                              parity, row):
+    # the split keeps rows 0 .. n/2 and each column's sign.  A kept row
+    # 1 .. n/2 - 1 that is off breaks the half-size Gram products; an odd
+    # column off zero on row 0 or n/2, its own mirrors, would break the
+    # parity of the formed vectors, and the products skip those entries,
+    # so the array's parity test must refuse it when it is formed
     m = reflected(random_symmetric(rng, 12))
     split = linalg._eigh
 
     def broken(a):
-        values, vectors = split(a)
-        column = oracles.reflection_parities(vectors).index(parity)
-        vectors[row, column] += 1e-4
-        return values, vectors
+        values, rows, sign = split(a)
+        rows[row, list(sign).index(parity)] += 1e-4
+        return values, rows, sign
 
     monkeypatch.setattr(linalg, "_eigh", broken)
-    with pytest.raises(ConvergenceError, match="orthonormality"):
-        eig_hermitian(m)
-    assert 0 in oracles.reflection_parities(broken(m)[1])
+    if row in (0, 6):
+        system = eig_hermitian(m)
+        assert "vectors" not in vars(system)
+        with pytest.raises(ConvergenceError, match="parity"):
+            system.vectors
+        assert "vectors" not in vars(system)
+    else:
+        with pytest.raises(ConvergenceError, match="orthonormality"):
+            eig_hermitian(m)
+
+
+def test_formed_vectors_refuse_a_nan_on_an_odd_mirror_row(rng):
+    m = reflected(random_symmetric(rng, 12))
+    values, rows, sign = split_result(m)
+    rows[6, list(sign).index(-1)] = np.nan
+    with pytest.raises(ConvergenceError, match="parity"):
+        linalg.EigenSystem(values, rows, sign).vectors
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 7, 12])
@@ -437,22 +452,29 @@ def test_reflection_test_reads_every_entry(rng, n):
 
 
 def split_result(m):
-    # the split's values, vectors and parity as eig_hermitian checks them
-    values, vectors = linalg._eigh(m)
-    linalg._fix_phase(vectors)
-    linalg._order_degenerate(values, vectors)
-    return values, vectors, linalg._parity_columns(vectors)
+    # the split's values, kept rows and signs as eig_hermitian checks them
+    values, rows, sign = linalg._eigh(m)
+    linalg._fix_phase(rows)
+    linalg._order_degenerate(values, rows, sign)
+    return values, rows, sign
 
 
-@pytest.mark.parametrize("n", [4, 6, 12, 512])
+def formed(rows, sign):
+    return linalg.EigenSystem(np.zeros(sign.shape), rows, sign).vectors
+
+
+@pytest.mark.parametrize("n", [4, 6, 12, 130, 512, 1024])
 def test_quarter_reconstruction_matches_full_product(rng, n):
+    # rows 0 .. n/2 go TILE rows at a time: 130 fits one partial tile,
+    # 512 and 1024 end on a one-row tile
     m = reflected(random_symmetric(rng, n))
-    values, vectors, parity = split_result(m)
-    assert parity is not None and linalg._reflection_invariant(m)
+    values, rows, sign = split_result(m)
+    assert sign is not None and linalg._reflection_invariant(m)
+    vectors = formed(rows, sign)
     shifted = values.copy()
     shifted[n // 3] += 1e-6
     for w in (values, shifted):
-        quarter = linalg._reconstruction_defect(w, vectors, m, parity)
+        quarter = linalg._reconstruction_defect(w, rows, sign, m)
         full = oracles.dense_reconstruction_defect(w, vectors, m)
         assert abs(quarter - full) <= 1e-13 * maxnorm(m)
 
@@ -468,9 +490,9 @@ def test_eig_quarter_reconstruction_refuses_a_wrong_value(rng, monkeypatch):
         return seen[-1]
 
     def shifted(a):
-        values, vectors = split(a)
+        values, rows, sign = split(a)
         values[3] += 1e-3
-        return values, vectors
+        return values, rows, sign
 
     monkeypatch.setattr(linalg, "_reflection_invariant", spy)
     monkeypatch.setattr(linalg, "_eigh", shifted)
@@ -489,9 +511,9 @@ def test_eig_reconstruction_reads_rows_below_the_quarter(rng, monkeypatch):
     changed[8, 10] += 1e-3
     changed[10, 8] += 1e-3
     assert np.array_equal(changed[:7], m[:7])
-    values, vectors = linalg._eigh(m)
-    monkeypatch.setattr(linalg, "_eigh",
-                        lambda a: (values.copy(), vectors.copy()))
+    values, rows, sign = linalg._eigh(m)
+    monkeypatch.setattr(linalg, "_eigh", lambda a: (
+        values.copy(), rows.copy(), sign.copy()))
     eig_hermitian(m)
     with pytest.raises(ConvergenceError, match="reconstruct"):
         eig_hermitian(changed)
@@ -499,11 +521,11 @@ def test_eig_reconstruction_reads_rows_below_the_quarter(rng, monkeypatch):
 
 def test_eig_nan_below_the_quarter_is_refused(rng):
     m = reflected(random_symmetric(rng, 12))
-    values, vectors, parity = split_result(m)
+    values, rows, sign = split_result(m)
     m[9, 10] = m[10, 9] = np.nan
     with np.errstate(invalid="ignore"):
         assert np.isnan(
-            linalg._reconstruction_defect(values, vectors, m, parity))
+            linalg._reconstruction_defect(values, rows, sign, m))
         with pytest.raises(NotHermitianError):
             eig_hermitian(m)
 
@@ -515,14 +537,8 @@ def free_particle_matrix(n):
                  label="position"))).matrix
 
 
-@pytest.mark.parametrize("build", [
-    pytest.param(lambda rng: reflected(random_symmetric(rng, 4)), id="n4"),
-    pytest.param(lambda rng: reflected(random_symmetric(rng, 12)), id="n12"),
-    pytest.param(lambda rng: reflected(random_symmetric(rng, 64)), id="n64"),
-    pytest.param(lambda rng: free_particle_matrix(256), id="free_particle"),
-])
-def test_eigh_merge_matches_scatter_oracle(rng, monkeypatch, build):
-    m = build(rng)
+def eigh_blocks(monkeypatch):
+    # every (values, vectors) np.linalg.eigh returns, as it returned them
     blocks = []
     eigh = np.linalg.eigh
 
@@ -532,13 +548,50 @@ def test_eigh_merge_matches_scatter_oracle(rng, monkeypatch, build):
         return values, vectors
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
-    values, vectors = linalg._eigh(m)
+    return blocks
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda rng: reflected(random_symmetric(rng, 4)), id="n4"),
+    pytest.param(lambda rng: reflected(random_symmetric(rng, 12)), id="n12"),
+    pytest.param(lambda rng: reflected(random_symmetric(rng, 64)), id="n64"),
+    pytest.param(lambda rng: free_particle_matrix(256), id="free_particle"),
+])
+def test_eigh_merge_matches_scatter_oracle(rng, monkeypatch, build):
+    m = build(rng)
+    h = m.shape[0] // 2
+    blocks = eigh_blocks(monkeypatch)
+    values, rows, sign = linalg._eigh(m)
     assert len(blocks) == 2
     want_values, want_vectors = oracles.scatter_merge(*blocks)
     assert values.tobytes() == want_values.tobytes()
-    assert vectors.tobytes() == want_vectors.tobytes()
+    assert rows.tobytes() == want_vectors[:h + 1].tobytes()
+    assert list(sign) == oracles.reflection_parities(want_vectors)
+    assert formed(rows, sign).tobytes() == want_vectors.tobytes()
     if m.shape[0] == 256:
         assert np.count_nonzero(values[1:] == values[:-1]) >= 10
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda rng, n=n: reflected(random_symmetric(rng, n)),
+                 id="n%d" % n) for n in (4, 12, 64, 512)] + [
+    pytest.param(lambda rng: free_particle_matrix(256), id="free_particle"),
+])
+def test_formed_vectors_match_take_merge_oracle(rng, monkeypatch, build):
+    # the n x n vectors formed from the kept rows on first read, bit for
+    # bit those of merging both blocks in full, then fixing phases and
+    # ordering ties on the full array
+    m = build(rng)
+    blocks = eigh_blocks(monkeypatch)
+    system = eig_hermitian(m)
+    assert "vectors" not in vars(system)
+    want_values, want_vectors = oracles.eig_by_take_merge(*blocks)
+    assert system.values.tobytes() == want_values.tobytes()
+    assert system.vectors.tobytes() == want_vectors.tobytes()
+    assert system.vectors is system.vectors
+    assert not system.vectors.flags.writeable
+    # once formed, the kept rows are a view of the array, held once
+    assert system.rows.base is system.vectors
 
 
 @pytest.mark.parametrize("split", [False, True])
@@ -557,6 +610,29 @@ def test_eig_allocation_peak(rng, split):
     # every check temporary at once took five.  The split route holds the
     # vectors, rows 0 .. n/2 of the merge and the phase magnitudes at most
     assert peak <= (2.75 if split else 3.5) * m.nbytes
+
+
+def test_spectrum_values_allocation_peak():
+    # the values of the spectrum-large document's 1024-point Hamiltonian,
+    # as `chronos spectrum` reads them.  The split keeps rows 0 .. n/2 of
+    # the vectors, half of m, and the values and signs; at its peak the
+    # reconstruction also holds the even and odd columns of those rows, a
+    # quarter of m each, and TILE-row temporaries.  Forming the n x n
+    # vectors beside an (n/2 + 1) x n block copy peaked at 18.05 MiB and
+    # held 8.01 MiB afterwards
+    model = ModelSpec(OSCILLATOR, PhysicalConstants(),
+                      AxisGrid(n=1024, origin=-20.0, spacing=40.0 / 1024,
+                               label="position"))
+    n, size = model.grid.n, hamiltonian(model).matrix.nbytes
+    tracemalloc.start()
+    try:
+        hamiltonian(model).eigensystem.values
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * size
+    # the kept rows, and room for eight length-n float arrays
+    assert held <= (n // 2 + 1) * n * 8 + 8 * n * 8
 
 
 def test_canonical_phase_keeps_real_columns_real(rng):
