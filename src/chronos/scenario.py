@@ -6,12 +6,14 @@ Steps and two tolerances; each value refuses, when it is made, what it
 can judge on its own, and dynamics.run_scenario runs it.  A scenario
 document has exactly the top-level keys constants, preset, model,
 initial, steps, and optionally tolerances.  Unknown keys anywhere are
-rejected by name, every number must be finite, and an explicit grid
-must keep every scale it derives in the float range.  Nothing here
-imports the step maps or the constraint solver.
+rejected by name, and so is a key an object gives twice; every number
+must be finite, and an explicit grid must keep every scale it derives
+in the float range.  Nothing here imports the step maps or the
+constraint solver.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 import json
 import math
@@ -130,14 +132,26 @@ def _fail(message, field):
     raise ScenarioValidationError(message, field=field)
 
 
+class _Object(dict):
+    """A JSON object, and the keys the document gives it more than once."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        counts = Counter(key for key, _ in pairs)
+        self.duplicates = [key for key in self if counts[key] > 1]
+
+
 def _fields(value, field, allowed, required=(), one_of=False):
-    # value as an object whose keys are all allowed, that holds every
-    # required key, and, with one_of, exactly one key
+    # value as an object whose keys are all allowed and given once, that
+    # holds every required key, and, with one_of, exactly one key
     if not isinstance(value, dict):
         _fail("expected an object", field)
     for key in value:
         if key not in allowed:
             _fail("unknown key %r" % (key,), field)
+    for key in getattr(value, "duplicates", ()):
+        _fail("key given more than once",
+              key if field == "<document>" else "%s.%s" % (field, key))
     for key in required:
         if key not in value:
             _fail("missing key %r" % (key,), field)
@@ -291,7 +305,8 @@ def parse_scenario(text):
 
     try:
         doc = json.loads(text, parse_constant=reject_constant,
-                         parse_int=_json_integer)
+                         parse_int=_json_integer,
+                         object_pairs_hook=_Object)
     except json.JSONDecodeError as exc:
         raise ScenarioSyntaxError(exc.msg, line=exc.lineno,
                                   column=exc.colno) from exc

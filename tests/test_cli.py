@@ -225,14 +225,16 @@ def test_run_aborts_with_partial_csv(capsys, tmp_path):
     assert "error" in err
 
 
+# a level-0 solution evolved by 1e300: the rounding of the phase rows
+# opens a gap of 0.399 between the two evolution operators
+FAR_EVOLVE_DOC = {"constants": {"hbar": 1.0, "mass": 1, "c": 1, "omega": 1},
+                  "model": "oscillator", "preset": "energy-aligned",
+                  "initial": {"level": 0}, "steps": [{"evolve": 1e300}]}
+
+
 def test_run_refuses_an_evolve_whose_operators_disagree(capsys, tmp_path):
-    # a level-0 solution evolved by 1e300: the rounding of the phase rows
-    # opens a gap of 0.399 between the two evolution operators
-    doc = {"constants": {"hbar": 1.0, "mass": 1, "c": 1, "omega": 1},
-           "model": "oscillator", "preset": "energy-aligned",
-           "initial": {"level": 0}, "steps": [{"evolve": 1e300}]}
     path = tmp_path / "far.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(FAR_EVOLVE_DOC), encoding="utf-8")
     code, out, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 1
     assert out.splitlines()[-1].startswith("# aborted: ")
@@ -515,8 +517,18 @@ def _child_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
-def test_console_script_and_module_entry_agree(small_config):
-    args = ["spectrum", "--config", small_config, "--levels", "2"]
+@pytest.mark.parametrize("doc, argv, code", [
+    (SMALL_DOC, ["spectrum", "--levels", "2"], 0),
+    (FAR_EVOLVE_DOC, ["run"], 1),
+    (dict(SMALL_DOC, initial={"level": -1}), ["run"], 2),
+    (dict(SMALL_DOC, tolerances={"eigen_tol": 1e-300}), ["run"], 3),
+], ids=["spectrum", "aborted-run", "invalid-document", "eigen-defect"])
+def test_console_script_and_module_entry_agree(tmp_path, doc, argv, code):
+    # each exit, including the flush of a partial CSV and its diagnostic
+    # after the entry point has frozen the heap
+    config = tmp_path / "doc.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    args = [*argv, "--config", str(config)]
     env = _child_env()
     module_name, _, attr = _console_script_spec().partition(":")
     # the same call pip's generated console-script wrapper makes
@@ -524,18 +536,21 @@ def test_console_script_and_module_entry_agree(small_config):
                f"sys.exit({attr}())")
     module = subprocess.run([sys.executable, "-m", "chronos", *args],
                             capture_output=True, text=True, env=env)
-    assert module.returncode == 0, module.stderr
+    assert module.returncode == code, module.stderr
+    if code == 1:
+        assert module.stdout.startswith("step_index,kind,")
+        assert module.stdout.splitlines()[-1].startswith("# aborted: ")
+    elif code == 3:
+        assert module.stderr.startswith("error: eigenbasis defect ")
+        assert module.stderr.endswith(" exceeds eigen_tol 1e-300\n")
     runs = {"entry point": [sys.executable, "-c", wrapper, *args]}
     installed = shutil.which("chronos")
     if installed is not None:
         runs["installed script " + installed] = [installed, *args]
     for label, cmd in runs.items():
         child = subprocess.run(cmd, capture_output=True, text=True, env=env)
-        assert child.returncode == module.returncode, (
-            f"{label} exited {child.returncode}: {child.stderr}")
-        assert child.stdout == module.stdout, (
-            f"{label} and python -m chronos disagree; stderr: "
-            f"{child.stderr!r} / {module.stderr!r}")
+        assert (child.returncode, child.stdout, child.stderr) \
+            == (module.returncode, module.stdout, module.stderr), label
 
 
 def test_package_import_loads_no_submodule_and_no_numpy():
@@ -592,6 +607,35 @@ def test_importing_entry_module_runs_nothing():
     child = subprocess.run([sys.executable, "-c", "import chronos.__main__"],
                            capture_output=True, text=True, env=_child_env())
     assert (child.returncode, child.stdout, child.stderr) == (0, "", "")
+
+
+# in a child, so that this process's heap is never frozen
+FREEZE_PROBE = """
+import contextlib, gc, io, sys
+caller, sys.argv = sys.argv[1], ["chronos", *sys.argv[2:]]
+if caller == "library":
+    from chronos.cli import main
+    call = lambda: main(sys.argv[1:])
+else:
+    from chronos.__main__ import main as call
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    code = call()
+print(code, gc.get_freeze_count() > 0)
+"""
+
+
+@pytest.mark.parametrize("caller, argv, code, frozen", [
+    ("library", ["check", "--suite", "ladder"], 0, False),
+    ("entry", ["check", "--suite", "ladder"], 0, True),
+    ("entry", ["run"], 2, True),  # --config missing
+], ids=["library", "entry-success", "entry-usage-error"])
+def test_only_the_entry_point_freezes_the_heap(caller, argv, code, frozen):
+    child = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, caller, *argv],
+        capture_output=True, text=True, env=_child_env())
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout == "%d %s\n" % (code, frozen)
 
 
 @pytest.mark.parametrize("suite", ["constraint1", "ladder"])

@@ -227,25 +227,45 @@ def test_tolerance_comparisons_fail_on_nan(path):
     assert loose_tolerance_comparisons(source) == []
 
 
-def warnings_imports(source):
-    """Lines that import the stdlib warnings module, in either form."""
+def stdlib_imports(source, module):
+    """Lines that import the stdlib module `module`, in either form."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Import)
-            and any(a.name == "warnings" for a in node.names)
+            and any(a.name == module for a in node.names)
             or isinstance(node, ast.ImportFrom)
-            and node.module == "warnings" and not node.level]
+            and node.module == module and not node.level]
 
 
 def test_scan_finds_warnings_imports():
     source = ("import os, warnings as w\nimport numpy as np\n"
               "from warnings import warn\nfrom .warnings import x\n")
-    assert warnings_imports(source) == [1, 3]
+    assert stdlib_imports(source, "warnings") == [1, 3]
 
 
-@pytest.mark.parametrize("path", sorted(
-    p.relative_to(REPO).as_posix()
-    for p in (REPO / "src" / "chronos").glob("*.py")))
+def test_scan_finds_gc_imports():
+    source = ("import gc\nimport gcd, os\nfrom gc import freeze\n"
+              "from . import gc\nimport sys, gc as collector\n")
+    assert stdlib_imports(source, "gc") == [1, 3, 5]
+
+
+SOURCES = sorted(p.relative_to(REPO).as_posix()
+                 for p in (REPO / "src" / "chronos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES)
 def test_package_issues_no_warnings(path):
     # the package reports through exceptions, exit codes and its CSV only
     source = (REPO / path).read_text(encoding="utf-8")
-    assert warnings_imports(source) == []
+    assert stdlib_imports(source, "warnings") == []
+
+
+@pytest.mark.parametrize("path", SOURCES)
+def test_only_the_entry_point_imports_gc(path):
+    # collector policy is the process's: the entry point freezes the heap
+    # before exit, and no library module may change the collector
+    source = (REPO / path).read_text(encoding="utf-8")
+    found = stdlib_imports(source, "gc")
+    if path == "src/chronos/__main__.py":
+        assert len(found) == 1
+    else:
+        assert found == []

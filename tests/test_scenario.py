@@ -170,7 +170,36 @@ def test_parse_reports_field_and_message(path, value, field, message):
     assert str(info.value) == "%s: %s" % (field, message)
 
 
-HUGE = 10 ** 400  # an integer literal beyond the float range
+# (a key and value that the two-step document holds once, what it is given
+# twice as, field): JSON keeps the last value, the parser refuses both
+TWICE_CASES = [
+    ('"model": "oscillator"', '"model": "free_particle"', "model"),
+    ('"n": 32', '"n": 32', "preset.q.n"),
+    ('"to": 1', '"to": 2', "steps[1].jump.to"),
+]
+
+
+@pytest.mark.parametrize("given, again, field", TWICE_CASES,
+                         ids=[c[2] for c in TWICE_CASES])
+def test_parse_refuses_a_key_given_twice(given, again, field):
+    text = json.dumps(base_doc(steps=[{"evolve": 1.0}, {"jump": JUMP}]))
+    assert text.count(given) == 1
+    with pytest.raises(ScenarioValidationError) as info:
+        parse_scenario(text.replace(given, given + ", " + again))
+    assert info.value.field == field
+    assert str(info.value) == field + ": key given more than once"
+
+
+def test_cli_refuses_a_constant_given_twice(tmp_path, capsys):
+    config = tmp_path / "twice.json"
+    config.write_text(json.dumps(base_doc()).replace(
+        '"omega": 1.0', '"omega": 1.0, "omega": 2.0'), encoding="utf-8")
+    assert main(["subspace", "--config", str(config)]) == 2
+    assert capsys.readouterr() \
+        == ("", "error: constants.omega: key given more than once\n")
+
+
+HUGE =10 ** 400  # an integer literal beyond the float range
 # past the digit limit of int(str), where json.loads itself would raise
 LONG = "1" + "0" * 5000
 
