@@ -59,6 +59,11 @@ from .models import (
 )
 
 
+# eps of the energy bound that a constraint residual may carry in rounding
+# (see _constraint1_suite)
+RESIDUAL_ROUNDING_EPS = 8.0
+
+
 @dataclass(frozen=True)
 class CheckRow:
     name: str
@@ -128,7 +133,8 @@ def _commutator_suite(k, tol):
 def _constraint1_suite(k, tol):
     rows = []
     qg, tg = energy_aligned_grids(k)
-    h_op = harmonic_hamiltonian(ModelSpec(OSCILLATOR, k, qg))
+    model = ModelSpec(OSCILLATOR, k, qg)
+    h_op = harmonic_hamiltonian(model)
     cop = first_constraint_operator(h_op, tg, k)
     basis = physical_subspace(cop, tol)
     # expected kernel from exact lattice matching of the grid eigenvalues,
@@ -137,10 +143,15 @@ def _constraint1_suite(k, tol):
     states = [separable_first((float(lattice[j]), es.vector(m)), tg, k)
               .amplitudes
               for m, j in zip(*kronecker_null_pairs(es.values, lattice, tol))]
+    # a pair's residual is its exact gap, at most tol, plus the rounding of
+    # ||m K^T - A m|| on a unit state: A m and m K^T are each as large as the
+    # energy bound, and the level's eigenvector, the time factor and both
+    # products each carry up to about 2 eps of it
+    floor = RESIDUAL_ROUNDING_EPS * np.finfo(float).eps * model.energy_bound
     rows.append(_le("level_count_gap", abs(basis.count - len(states)), 0.0))
     rows.append(_le("separable_residual_max",
-                    [cop.residual(s) for s in states], tol))
-    rows.append(_le("member_residual_max", basis.residuals, 2.0 * tol))
+                    [cop.residual(s) for s in states], tol + floor))
+    rows.append(_le("member_residual_max", basis.residuals, tol + floor))
     if basis.count:
         # s - B (B^H s) for linalg.TILE states at a time, one product each
         b = basis.vectors.reshape(-1, basis.count)

@@ -20,7 +20,11 @@ composites.  An operator built from a known eigenpair keeps that pair
 as its eigensystem (OperatorMatrix.kept), and its users measure its
 residual; every other eigendecomposition is certified on every route by
 the input's hermitian defect, orthonormality and reconstruction against
-the caller's full matrix (eig_hermitian).  The split keeps rows 0 .. n/2
+the caller's full matrix (eig_hermitian).  A real circulant plus a
+diagonal is kept in closed form (CirculantPlusDiagonal), its matrix
+formed on first read: eig_hermitian measures its symmetry and scale in
+O(n) from the two arrays, and a split generates only rows 0 .. n/2, so
+its values never form the matrix.  The split keeps rows 0 .. n/2
 of its exactly even or odd vectors, certified at a quarter of the n^3
 cost, and EigenSystem.vectors forms the n x n array on first read, its
 parity tested exactly.  The hermitian defect, the phase convention's
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import (
     ConvergenceError,
@@ -131,8 +136,14 @@ def hermitian_defect(matrix):
 
 
 def require_hermitian(m):
-    """Refuse m unless hermitian to 1e-12 of maxnorm(m), which is returned."""
-    defect, scale = hermitian_defect(m), maxnorm(m)
+    """Refuse m unless hermitian to 1e-12 of maxnorm(m), which is returned.
+
+    m is a matrix, or a CirculantPlusDiagonal measured in closed form.
+    """
+    if isinstance(m, CirculantPlusDiagonal):
+        defect, scale = m.hermitian_defect(), m.maxnorm()
+    else:
+        defect, scale = hermitian_defect(m), maxnorm(m)
     if not defect <= HERMITIAN_RTOL * max(scale, 1e-300):
         raise NotHermitianError(
             "hermitian defect %.3e exceeds %.1e of maxnorm %.3e"
@@ -178,6 +189,86 @@ class OperatorMatrix:
         """This operator, keeping the eigenpair it was built from."""
         vars(self)["eigensystem"] = EigenSystem(values, vectors)
         return self
+
+
+class CirculantPlusDiagonal(OperatorMatrix):
+    """A real operator C + diag(diagonal) kept in closed form, its two
+    length-n arrays: C is the circulant whose entry (j, l) is
+    column[(l - j) mod n] (Golub & Van Loan, Matrix Computations, sec. 4.7).
+
+    matrix is formed on first read, and rows(start, stop) forms any of its
+    rows on their own, bit for bit.  eig_hermitian takes the closed form in
+    place of the matrix: its hermitian defect, maxnorm and reflection test
+    are measured in O(n), exactly the numbers the formed matrix gives, and a
+    split solve reads rows 0 .. n/2 only, so the matrix is never formed.
+    """
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, column, diagonal):
+        column, diagonal = (_frozen(np.asarray(a, dtype=np.float64))
+                            for a in (column, diagonal))
+        if column.ndim != 1 or column.shape != diagonal.shape:
+            raise DimensionMismatchError(
+                "column %r and diagonal %r are not one length"
+                % (column.shape, diagonal.shape))
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "diagonal", diagonal)
+
+    def __repr__(self):
+        return "CirculantPlusDiagonal(dim=%d)" % self.dim
+
+    @property
+    def dim(self):
+        return self.column.shape[0]
+
+    @property
+    def shape(self):
+        return self.dim, self.dim
+
+    @cached_property
+    def matrix(self):
+        m = self.rows(0, self.dim)
+        m.setflags(write=False)
+        return m
+
+    def rows(self, start, stop):
+        """Rows start .. stop - 1 of the matrix, as a new array.
+
+        Row j is column[(l - j) mod n] over l, the window of the doubled
+        column that starts at n - j, so the rows are one copy of a Toeplitz
+        window view (rows one element apart, backwards), with O(n) scratch
+        and no index array; then the diagonal is added in place.
+        """
+        n = self.dim
+        doubled = np.concatenate((self.column, self.column))
+        out = as_strided(doubled[n - start:], shape=(stop - start, n),
+                         strides=(-doubled.itemsize, doubled.itemsize)).copy()
+        out.flat[start::n + 1] += self.diagonal[start:stop]
+        return out
+
+    def _entries(self):
+        # every entry of the matrix once: off the diagonal column[1:],
+        # each offset d = (l - j) mod n occurring, and the diagonal itself
+        return self.column[1:], self.column[0] + self.diagonal
+
+    def hermitian_defect(self):
+        """hermitian_defect of the matrix: |column[d] - column[n - d]| off
+        the diagonal and 0 on it, or NaN where an entry is not finite."""
+        off, on = self._entries()
+        return tiled_maxnorm((off - off[::-1], on - on))
+
+    def maxnorm(self):
+        """maxnorm of the matrix."""
+        return float(np.maximum(*map(maxnorm, self._entries())))
+
+    def reflection_invariant(self):
+        """_reflection_invariant of the matrix: entry (j, l) depends on
+        (l - j) mod n, and on j alone on the diagonal, so each of both
+        arrays must equal its own mirror; a NaN fails."""
+        off, on = self._entries()
+        return np.array_equal(off, off[::-1]) \
+            and np.array_equal(on, np.roll(on[::-1], 1))
 
 
 def operator(matrix, *, hermitian=False):
@@ -321,13 +412,28 @@ def _mirrored(rows, sign):
 
 def _reflection_invariant(m):
     # m[(n - i) % n, (n - j) % n] == m[i, j] for every entry, tested
-    # exactly on views.  Row 0 is its own mirror; rows 1 .. h, h = n // 2,
-    # are compared with their mirrors n - 1 .. n - h, which covers every
-    # other equation once and reads every entry.
+    # exactly on views, or in closed form.  Row 0 is its own mirror; rows
+    # 1 .. h, h = n // 2, are compared with their mirrors n - 1 .. n - h,
+    # which covers every other equation once and reads every entry.
+    if isinstance(m, CirculantPlusDiagonal):
+        return m.reflection_invariant()
     h = m.shape[0] // 2
     return np.array_equal(m[0, 1:], m[0, :0:-1]) \
         and np.array_equal(m[1:h + 1, 0], m[:-h - 1:-1, 0]) \
         and np.array_equal(m[1:h + 1, 1:], m[:-h - 1:-1, :0:-1])
+
+
+def _rows(m, start, stop):
+    # rows start .. stop - 1 of a matrix, a view, or of a closed form's
+    # matrix, formed on their own
+    if isinstance(m, CirculantPlusDiagonal):
+        return m.rows(start, stop)
+    return m[start:stop]
+
+
+def _formed(m):
+    # the matrix itself, formed once if m is a closed form
+    return m.matrix if isinstance(m, CirculantPlusDiagonal) else m
 
 
 def _eigh(m):
@@ -337,27 +443,31 @@ def _eigh(m):
     # Loan, Matrix Computations, sec. 8.1): on the basis e_0,
     # (e_j + e_{n-j})/sqrt(2), e_{n/2} of even vectors and
     # (e_j - e_{n-j})/sqrt(2) of odd ones, for 0 < j < n/2.  The blocks are
-    # built from views of m, not copies.  The split returns the values
-    # ascending, rows 0 .. n/2 of their vectors, each exactly even or odd,
-    # and the column signs, +1 for an even column and -1 for an odd one; it
-    # forms no n x n array.  Below n = 4 the split saves nothing.
+    # built from rows 0 .. n/2 of m: a view of a matrix, or rows a closed
+    # form generates, dropped before the solves.  The split returns the
+    # values ascending, rows 0 .. n/2 of their vectors, each exactly even or
+    # odd, and the column signs, +1 for an even column and -1 for an odd
+    # one; it forms no n x n array.  Below n = 4 the split saves nothing.
     n = m.shape[0]
     if m.dtype != np.float64 or n % 2 or n < 4 \
             or not _reflection_invariant(m):
-        return (*np.linalg.eigh(m), None)
+        return (*np.linalg.eigh(_formed(m)), None)
     h = n // 2
     r = np.sqrt(0.5)
+    top = _rows(m, 0, h + 1)
     # even[a, b] = m[a, b] + m[a, n - b], scaled by sqrt(1/2) on each side
     # that is a fixed point (0 or h) of the reflection
     even = np.empty((h + 1, h + 1))
-    np.add(m[:h + 1, 0], m[:h + 1, 0], out=even[:, 0])
-    np.add(m[:h + 1, 1:h + 1], m[:h + 1, :h - 1:-1], out=even[:, 1:])
+    np.add(top[:, 0], top[:, 0], out=even[:, 0])
+    np.add(top[:, 1:h + 1], top[:, :h - 1:-1], out=even[:, 1:])
+    odd = np.subtract(top[1:h, 1:h], top[1:h, :h:-1])
+    del top
     even[::h] *= r
     even[:, ::h] *= r
     even_values, even_vectors = np.linalg.eigh(even)
     del even
-    odd_values, odd_vectors = np.linalg.eigh(
-        np.subtract(m[1:h, 1:h], m[1:h, :h:-1]))
+    odd_values, odd_vectors = np.linalg.eigh(odd)
+    del odd
     even_vectors[1:h] *= r
     odd_vectors *= r
     # block column k, [even | odd], is scattered straight into its place in
@@ -398,14 +508,15 @@ def _reconstruction_defect(values, rows, sign, m):
     # those are formed, TILE rows at a time, by two half-size products;
     # columns n/2 + 1 .. n - 1 are the reflected columns 1 .. n/2 - 1, the
     # even part plus and the odd part minus.  Any other m gets the full
-    # product of the formed vectors, differenced in place.
+    # product of the formed vectors, differenced in place.  m may be a
+    # closed form, whose rows are formed TILE at a time like the products.
     h = m.shape[0] // 2
     if sign is not None and (m.dtype != np.float64
                              or not _reflection_invariant(m)):
         rows, sign = _mirrored(rows, sign), None
     if sign is None:
         recon = (rows * values) @ rows.conj().T
-        recon -= m
+        recon -= _formed(m)
         return _owned_maxnorm(recon)
     even, odd = np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)
     even_rows = np.take(rows, even, axis=1)
@@ -419,7 +530,7 @@ def _reconstruction_defect(values, rows, sign, m):
             part = (odd_rows[i:i + TILE] * values[odd]) @ odd_rows.T
             top[:, :h + 1] += part
             top[:, h + 1:] -= part[:, h - 1:0:-1]
-            top -= m[i:min(i + TILE, h + 1)]
+            top -= _rows(m, i, min(i + TILE, h + 1))
             yield top
     return tiled_maxnorm(tiles())
 
@@ -443,7 +554,9 @@ def eig_hermitian(op):
     test of its parity, so a caller that reads only the values never pays.
 
     Three checks run on every route, each written so that NaN fails it:
-    - the input's hermitian defect, O(n^2), tile by tile;
+    - the input's hermitian defect, O(n^2), tile by tile, or O(n) from
+      a CirculantPlusDiagonal's two arrays, which stand in for its matrix
+      on every route that does not form it;
     - orthonormality of the phase-fixed and ordered vectors,
       maxnorm(V^H V - I) <= 1e-10: on the split route two half-size
       products of the kept rows, a quarter of the n^3 cost;
@@ -456,7 +569,12 @@ def eig_hermitian(op):
       the full product of the formed vectors.
     A matrix that is not square raises DimensionMismatchError.
     """
-    m = op.matrix if isinstance(op, OperatorMatrix) else _square(_stored(op))
+    if isinstance(op, CirculantPlusDiagonal):
+        m = op  # its closed form stands in for the matrix
+    elif isinstance(op, OperatorMatrix):
+        m = op.matrix
+    else:
+        m = _square(_stored(op))
     scale = require_hermitian(m)
     try:
         values, rows, sign = _eigh(m)

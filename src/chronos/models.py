@@ -5,6 +5,9 @@ operators on the system space: the energy operator (Hamiltonian) and the
 clock operator, a rescaled positive operator whose eigenvalues are the
 internal time readings paired with the energy levels.  A model keeps its
 Hamiltonian, and the Hamiltonian its eigensystem, once either is built.
+The Hamiltonian is kept in closed form, a circulant's first column plus
+the potential, and forms its n x n matrix only when it is read; its
+values alone, all `spectrum` reads, never form it.
 """
 from __future__ import annotations
 
@@ -12,11 +15,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .axes import POSITION, AxisGrid, PhysicalConstants, positive_finite
 from .exceptions import WrongAxisError, WrongKindError
-from .linalg import OperatorMatrix, operator
+from .linalg import CirculantPlusDiagonal, operator
 
 OSCILLATOR = "oscillator"
 FREE_PARTICLE = "free_particle"
@@ -80,25 +82,18 @@ def _hamiltonian(model):
     # first column is irfft of the symbol's k = 0..n/2 half, with no complex
     # n^3 product p @ p.  Symmetrizing the column, c_d <- (c_d + c_-d)/2,
     # gives every entry the bits (C + C^T)/2 of the circulant C would have.
-    # Row j is c_{(l - j) mod n} over l, the window of the doubled column
-    # that starts at n - j, so the matrix is one copy of a Toeplitz window
-    # view (rows one element apart, backwards), with O(n) scratch and no
-    # n x n index array
+    # The Hamiltonian keeps that column and the potential on the diagonal
     w = 2.0 * np.pi * np.arange(n // 2 + 1) / model.grid.period
     column = np.fft.irfft((k.hbar * w) ** 2, n) / (2.0 * k.mass)
     column = 0.5 * (column + column[-np.arange(n) % n])
-    doubled = np.concatenate((column, column))
-    m = as_strided(doubled[n:], shape=(n, n),
-                   strides=(-doubled.itemsize, doubled.itemsize)).copy()
-    m.flat[::n + 1] += 0.5 * k.mass * omega ** 2 * model.grid.samples ** 2
-    m.setflags(write=False)
     # real and exactly symmetric by construction; eig_hermitian still
     # measures the defect of whatever it is handed.  On a grid with origin
     # -L/2 whose samples mirror exactly, x_{n-j} == -x_j, it also commutes
     # exactly with the reflection j -> (n - j) mod n, and eig_hermitian
-    # solves it as two half-size blocks.  Frozen here, m is stored by
-    # OperatorMatrix without a second copy
-    return OperatorMatrix(m)
+    # solves it as two half-size blocks from the closed form, with no
+    # n x n matrix; the matrix is formed only when it is read
+    return CirculantPlusDiagonal(
+        column, 0.5 * k.mass * omega ** 2 * model.grid.samples ** 2)
 
 
 def harmonic_hamiltonian(model):

@@ -21,6 +21,7 @@ from chronos.axes import (
     AxisGrid,
     CompositeState,
     PhysicalConstants,
+    energy_aligned_grids,
 )
 from chronos.checks import SUITES, run_suite
 from chronos.cli import main
@@ -84,6 +85,46 @@ def test_constraint1_passes_at_wide_tolerance(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert ",fail" not in out
+
+
+def _floor():
+    # the rounding floor of constraint1's residual rows, default constants
+    k = PhysicalConstants()
+    return checks.RESIDUAL_ROUNDING_EPS * np.finfo(float).eps \
+        * ModelSpec(OSCILLATOR, k, energy_aligned_grids(k)[0]).energy_bound
+
+
+@pytest.mark.parametrize("tol", [1e-16, 0.5000000000000004])
+def test_constraint1_residuals_carry_a_rounding_floor(tol):
+    # the energy-aligned pairs' residuals carry about 4e-14 of rounding, so
+    # at 1e-16 the bare tolerance failed them though every level was
+    # counted; at 0.5000000000000004 a pair 0.5 apart measured
+    # 0.5000000000000053.  Each bound is tol plus the one rounding floor
+    rows, all_passed = run_suite("constraint1", constraint_tol=tol)
+    assert all_passed, [(r.name, r.measured, r.bound) for r in rows]
+    bounds = {r.name: r.bound for r in rows}
+    assert bounds["separable_residual_max"] == tol + _floor()
+    assert bounds["member_residual_max"] == tol + _floor()
+
+
+@pytest.mark.parametrize("miss, passed", [(0.5, True), (1.5, False)])
+def test_constraint1_member_beyond_the_floor_fails(monkeypatch, miss,
+                                                   passed):
+    # one member's residual raised to tol plus miss rounding floors
+    tol, floor = 1e-16, _floor()
+    real = checks.physical_subspace
+
+    def missing(*args):
+        basis = real(*args)
+        residuals = (basis.residuals[:1] + (tol + miss * floor,)
+                     + basis.residuals[2:])
+        return dataclasses.replace(basis, residuals=residuals)
+
+    monkeypatch.setattr(checks, "physical_subspace", missing)
+    rows, all_passed = run_suite("constraint1", constraint_tol=tol)
+    row = {r.name: r for r in rows}["member_residual_max"]
+    assert row.measured == tol + miss * floor
+    assert row.passed == all_passed == passed
 
 
 @pytest.mark.parametrize("name, limit_mb", [("constraint1", 4.0),

@@ -1,5 +1,6 @@
 """Command-line surface: table formats, exit codes, reproducibility."""
 
+import functools
 import io
 import json
 import os
@@ -17,7 +18,7 @@ import chronos
 from chronos.cli import DEFAULT_DOCUMENT, ResultTable, main
 from chronos.models import free_particle_time_level
 from chronos.axes import PhysicalConstants
-from chronos.linalg import DEFAULT_TOL
+from chronos.linalg import DEFAULT_TOL, CirculantPlusDiagonal
 
 import oracles
 
@@ -139,6 +140,27 @@ def test_spectrum_forms_no_eigenvectors(capsys, monkeypatch):
     system = vars(built[0])["eigensystem"]
     assert system.sign is not None
     assert "vectors" not in vars(system)
+
+
+@pytest.mark.parametrize("argv, formed", [
+    (["spectrum"], 0), (["spectrum", "--levels", "3"], 0),
+    (["run", "--config", "scenarios/oscillator_jump.json"], 1),
+    (["subspace"], 1)], ids=["spectrum", "spectrum-levels", "run", "subspace"])
+def test_commands_form_the_hamiltonian_matrix_as_needed(capsys, monkeypatch,
+                                                        argv, formed):
+    # the Hamiltonian keeps its closed form: `spectrum` reads its values
+    # from rows 0 .. n/2 alone, while `run` and `subspace` read the n x n
+    # matrix, formed once
+    root = Path(__file__).resolve().parents[1]
+    argv = [str(root / a) if a.startswith("scenarios/") else a for a in argv]
+    counted = []
+    form = CirculantPlusDiagonal.matrix.func
+    matrix = functools.cached_property(
+        lambda op: counted.append(op.dim) or form(op))
+    matrix.__set_name__(CirculantPlusDiagonal, "matrix")
+    monkeypatch.setattr(CirculantPlusDiagonal, "matrix", matrix)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(counted) == formed
 
 
 def test_check_suite_table(capsys):

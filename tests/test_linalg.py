@@ -18,6 +18,7 @@ from chronos.exceptions import (
 )
 from chronos.linalg import (
     UNITARY_ATOL,
+    CirculantPlusDiagonal,
     OperatorMatrix,
     canonical_phase,
     eig_hermitian,
@@ -614,16 +615,21 @@ def test_eig_allocation_peak(rng, split):
 
 def test_spectrum_values_allocation_peak():
     # the values of the spectrum-large document's 1024-point Hamiltonian,
-    # as `chronos spectrum` reads them.  The split keeps rows 0 .. n/2 of
-    # the vectors, half of m, and the values and signs; at its peak the
-    # reconstruction also holds the even and odd columns of those rows, a
-    # quarter of m each, and TILE-row temporaries.  Forming the n x n
-    # vectors beside an (n/2 + 1) x n block copy peaked at 18.05 MiB and
-    # held 8.01 MiB afterwards
+    # as `chronos spectrum` reads them, traced from before the Hamiltonian
+    # is built.  It is kept in closed form, and the split generates rows
+    # 0 .. n/2 of the matrix, half of its n x n size, drops them once the
+    # blocks are built, and keeps rows 0 .. n/2 of the vectors and the
+    # values and signs; at its peak the reconstruction also holds the even
+    # and odd columns of those rows, a quarter of the matrix each, and
+    # TILE-row temporaries.  Forming the n x n vectors beside an
+    # (n/2 + 1) x n block copy peaked at 18.05 MiB and held 8.01 MiB
+    # afterwards
     model = ModelSpec(OSCILLATOR, PhysicalConstants(),
                       AxisGrid(n=1024, origin=-20.0, spacing=40.0 / 1024,
                                label="position"))
-    n, size = model.grid.n, hamiltonian(model).matrix.nbytes
+    n = model.grid.n
+    size = n * n * 8
+    np.fft.irfft  # numpy imports its fft module on first use, not traced
     tracemalloc.start()
     try:
         hamiltonian(model).eigensystem.values
@@ -633,6 +639,138 @@ def test_spectrum_values_allocation_peak():
     assert peak <= 1.5 * size
     # the kept rows, and room for eight length-n float arrays
     assert held <= (n // 2 + 1) * n * 8 + 8 * n * 8
+    assert "matrix" not in vars(hamiltonian(model))
+
+
+def closed_form_hamiltonian(kind, n, shift=0.0):
+    # a box of about 40 with an exact binary spacing, so origin -L/2 mirrors
+    # the samples exactly; shift moves the origin by that fraction of a step
+    spacing = 2.0 ** -np.round(np.log2(n / 40.0))
+    return hamiltonian(ModelSpec(kind, PhysicalConstants(), AxisGrid(
+        n=n, origin=(shift - n / 2) * spacing, spacing=spacing,
+        label="position")))
+
+
+@pytest.mark.parametrize("kind", [OSCILLATOR, FREE_PARTICLE])
+@pytest.mark.parametrize("n, shift", [(4, 0.0), (6, 0.0), (64, 0.0),
+                                      (1024, 0.0), (2048, 0.0), (64, 0.3)],
+                         ids=["n4", "n6", "n64", "n1024", "n2048",
+                              "n64-offset"])
+def test_closed_form_eigensystem_matches_formed_matrix(kind, n, shift):
+    # the Hamiltonian solved from its closed form, bit for bit the solve of
+    # its formed matrix; a split never forms the matrix, while the
+    # oscillator on an offset grid is not reflection-invariant and is
+    # formed for today's full route (the free particle has no potential to
+    # break the mirror)
+    ham = closed_form_hamiltonian(kind, n, shift)
+    assert isinstance(ham, CirculantPlusDiagonal)
+    closed = eig_hermitian(ham)
+    assert (closed.sign is None) == (kind == OSCILLATOR and shift != 0.0)
+    assert ("matrix" in vars(ham)) == (closed.sign is None)
+    dense = eig_hermitian(ham.matrix)
+    for name in ("values", "rows", "vectors"):
+        assert getattr(closed, name).tobytes() \
+            == getattr(dense, name).tobytes(), name
+    assert repr(closed.sign) == repr(dense.sign)
+
+
+def closed_form_cases(rng, n):
+    # (column, diagonal) pairs: mirrored, with an asymmetric column, an
+    # unmirrored diagonal, and a NaN or an infinity in either array
+    column = rng.standard_normal(n)
+    column = column + column[-np.arange(n) % n]
+    diagonal = rng.standard_normal(n)
+    diagonal = diagonal + diagonal[-np.arange(n) % n]
+    yield column, diagonal
+    yield column + 1e-9 * rng.standard_normal(n), diagonal
+    yield column, rng.standard_normal(n)
+    for where in (0, n // 2, n - 1):
+        for bad in (np.nan, np.inf, -np.inf):
+            for target in (0, 1):
+                pair = [column.copy(), diagonal.copy()]
+                pair[target][where] = bad
+                yield pair
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 300])
+def test_closed_form_checks_are_the_formed_matrix_checks(rng, n):
+    # the O(n) hermitian defect, maxnorm and reflection test read the same
+    # numbers as the tile tests on the formed matrix, NaN for NaN; a NaN
+    # fails the closed form's reflection test even at entry (0, 0), which
+    # is its own mirror and which the matrix test never reads
+    with np.errstate(invalid="ignore"):
+        for column, diagonal in closed_form_cases(rng, n):
+            op = CirculantPlusDiagonal(column, diagonal)
+            m = op.matrix
+            assert repr(op.hermitian_defect()) == repr(hermitian_defect(m))
+            assert repr(op.maxnorm()) == repr(maxnorm(m))
+            finite = np.isfinite(column).all() and np.isfinite(diagonal).all()
+            if finite or np.isnan(m).any():
+                assert op.reflection_invariant() == (
+                    finite and linalg._reflection_invariant(m))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 7])
+def test_closed_form_reflection_test_reads_every_entry(rng, n):
+    column, diagonal = next(closed_form_cases(rng, n))
+    flip = -np.arange(n) % n
+    base = CirculantPlusDiagonal(column, diagonal)
+    assert base.reflection_invariant()
+    for target in (0, 1):
+        for j in range(n):
+            pair = [column.copy(), diagonal.copy()]
+            pair[target][j] = np.nextafter(pair[target][j], np.inf)
+            op = CirculantPlusDiagonal(*pair)
+            # the column's entry 0 is on the diagonal, with every diagonal
+            # entry, so it moves them all alike; a one-ulp step of the
+            # diagonal can round away in the entry column[0] + diagonal[j]
+            mirrored = flip[j] == j or (target == 0 and j == 0)
+            moved = not np.array_equal(op.matrix, base.matrix)
+            assert op.reflection_invariant() == (mirrored or not moved)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 300])
+def test_closed_form_rows_are_rows_of_the_formed_matrix(rng, n):
+    op = CirculantPlusDiagonal(rng.standard_normal(n), rng.standard_normal(n))
+    for start in range(0, n, 3):
+        for stop in (start, start + 1, min(start + 129, n), n):
+            assert op.rows(start, stop).tobytes() \
+                == op.matrix[start:stop].tobytes()
+    assert op.dim == n and op.shape == (n, n)
+    assert not op.matrix.flags.writeable
+    with pytest.raises(DimensionMismatchError):
+        CirculantPlusDiagonal(np.ones(n), np.ones(n + 1))
+
+
+def test_closed_form_refusals_match_the_formed_matrix(rng):
+    # an asymmetric column beyond HERMITIAN_RTOL, and a NaN in the
+    # potential, are refused by the closed form with the very error the
+    # formed matrix gets
+    ham = closed_form_hamiltonian(OSCILLATOR, 64)
+    column = ham.column.copy()
+    column[3] *= 1.0 + 1e-9
+    diagonal = ham.diagonal.copy()
+    diagonal[10] = np.nan
+    for op in (CirculantPlusDiagonal(column, ham.diagonal),
+               CirculantPlusDiagonal(ham.column, diagonal)):
+        with pytest.raises(NotHermitianError) as closed:
+            eig_hermitian(op)
+        assert "matrix" not in vars(op)
+        with pytest.raises(NotHermitianError) as dense:
+            eig_hermitian(op.matrix)
+        assert str(closed.value) == str(dense.value)
+
+
+def test_closed_form_with_an_unmirrored_potential_takes_the_full_route(
+        eigh_shapes):
+    ham = closed_form_hamiltonian(OSCILLATOR, 64)
+    diagonal = ham.diagonal.copy()
+    diagonal[5] = np.nextafter(diagonal[5], np.inf)
+    op = CirculantPlusDiagonal(ham.column, diagonal)
+    system = eig_hermitian(op)
+    assert eigh_shapes == [(64, 64)] and system.sign is None
+    assert "matrix" in vars(op)
+    assert system.values.tobytes() == eig_hermitian(op.matrix).values.tobytes()
 
 
 def test_canonical_phase_keeps_real_columns_real(rng):
