@@ -16,6 +16,7 @@ from .axes import (
     TIME,
     AxisGrid,
     PhysicalConstants,
+    band_edge,
     default_position_grid,
     energy_aligned_grids,
     energy_eigenvector,
@@ -51,6 +52,7 @@ from .models import (
     FREE_PARTICLE,
     OSCILLATOR,
     ModelSpec,
+    clock_scale,
     energy_eigensystem,
     free_particle_clock_operator,
     harmonic_hamiltonian,
@@ -59,8 +61,8 @@ from .models import (
 )
 
 
-# eps of the energy bound that a constraint residual may carry in rounding
-# (see _constraint1_suite)
+# eps of its larger factor's bound that a constraint residual may carry in
+# rounding (see _rounding_floor)
 RESIDUAL_ROUNDING_EPS = 8.0
 
 
@@ -89,6 +91,14 @@ def _le(name, measured, bound):
 
 def _ge(name, measured, bound):
     return CheckRow(name, _fold(measured, np.min), float(bound), ">=")
+
+
+def _rounding_floor(*bounds):
+    # a kernel pair's residual ||m K^T - A m|| on a unit state is its exact
+    # gap, at most tol, plus rounding: A m and m K^T are each as large as
+    # the bound of their factor, and the level's eigenvector, the axis
+    # factor and both products each carry up to about 2 eps of the larger
+    return RESIDUAL_ROUNDING_EPS * np.finfo(float).eps * float(np.max(bounds))
 
 
 def _commutator_suite(k, tol):
@@ -143,11 +153,7 @@ def _constraint1_suite(k, tol):
     states = [separable_first((float(lattice[j]), es.vector(m)), tg, k)
               .amplitudes
               for m, j in zip(*kronecker_null_pairs(es.values, lattice, tol))]
-    # a pair's residual is its exact gap, at most tol, plus the rounding of
-    # ||m K^T - A m|| on a unit state: A m and m K^T are each as large as the
-    # energy bound, and the level's eigenvector, the time factor and both
-    # products each carry up to about 2 eps of it
-    floor = RESIDUAL_ROUNDING_EPS * np.finfo(float).eps * model.energy_bound
+    floor = _rounding_floor(model.energy_bound, band_edge(tg, k))
     rows.append(_le("level_count_gap", abs(basis.count - len(states)), 0.0))
     rows.append(_le("separable_residual_max",
                     [cop.residual(s) for s in states], tol + floor))
@@ -190,7 +196,8 @@ def _constraint2_suite(k, tol):
         (float(es.values[0]), es.vector(0)), tg)
     rows.append(_le("ground_residual", cop.residual(ground), 1e-8))
     rows.append(_le("ground_rounding", rounding, 1e-8))
-    rows.append(_le("member_residual_max", basis.residuals, 2.0 * tol))
+    floor = _rounding_floor(clock_scale(model) * model.energy_bound, tg.reach)
+    rows.append(_le("member_residual_max", basis.residuals, tol + floor))
     # free-particle mode whose clock value falls between samples: the
     # residual must equal the rounding distance up to rounding noise
     free = ModelSpec(FREE_PARTICLE, k, qg)

@@ -12,24 +12,24 @@ which builds every unitary.  near_null_space, a dense SVD of a
 materialized matrix, is the oracle the exact solver is tested against; no
 solver route calls it.
 Matrices are dense, stored float64 when real and complex128 otherwise, so
-a real symmetric operator is diagonalized in real arithmetic, and one of
-even order that is exactly invariant under the grid reflection
-j -> (n - j) mod n as two half-size even and odd blocks; intended
-sizes are a few hundred rows per factor space and a few thousand for
-composites.  An operator built from a known eigenpair keeps that pair
-as its eigensystem (OperatorMatrix.kept), and its users measure its
-residual; every other eigendecomposition is certified on every route by
-the input's hermitian defect, orthonormality and reconstruction against
-the caller's full matrix (eig_hermitian).  A real circulant plus a
-diagonal is kept in closed form (CirculantPlusDiagonal), its matrix
-formed on first read: eig_hermitian measures its symmetry and scale in
-O(n) from the two arrays, and a split generates only rows 0 .. n/2, so
-its values never form the matrix.  The split keeps rows 0 .. n/2
-of its exactly even or odd vectors, certified at a quarter of the n^3
-cost, and EigenSystem.vectors forms the n x n array on first read, its
-parity tested exactly.  The hermitian defect, the phase convention's
-magnitudes and the split's reconstruction are taken TILE rows at a
-time; every hermitian, unitary and decomposition check fails on NaN.
+a real symmetric matrix is solved in real arithmetic, whole, by one
+np.linalg.eigh; intended sizes are a few hundred rows per factor space
+and a few thousand for composites.  An operator built from a known
+eigenpair keeps that pair as its eigensystem (OperatorMatrix.kept), and
+its users measure its residual; every other eigendecomposition is
+certified on every route by the input's hermitian defect, orthonormality
+and reconstruction against the caller's full matrix (eig_hermitian).  A
+real circulant plus a diagonal is kept in closed form
+(CirculantPlusDiagonal), its matrix formed on first read; eig_hermitian
+measures its symmetry, scale and invariance under the grid reflection
+j -> (n - j) mod n in O(n), and splits one of even order that is exactly
+invariant into two half-size even and odd blocks from its rows 0 .. n/2,
+so its values never form the matrix.  The split keeps rows 0 .. n/2 of
+its exactly even or odd vectors, certified at a quarter of the n^3 cost,
+and EigenSystem.vectors forms the n x n array on first read, its parity
+tested exactly.  The hermitian defect, the phase convention's magnitudes
+and the split's reconstruction are taken TILE rows at a time; every
+hermitian, unitary and decomposition check fails on NaN.
 """
 from __future__ import annotations
 
@@ -199,11 +199,9 @@ class CirculantPlusDiagonal(OperatorMatrix):
     matrix is formed on first read, and rows(start, stop) forms any of its
     rows on their own, bit for bit.  eig_hermitian takes the closed form in
     place of the matrix: its hermitian defect, maxnorm and reflection test
-    are measured in O(n), exactly the numbers the formed matrix gives, and a
-    split solve reads rows 0 .. n/2 only, so the matrix is never formed.
+    are measured in O(n), exactly the numbers the formed matrix gives, and
+    the split solve, its route alone, reads rows 0 .. n/2 only.
     """
-
-    dtype = np.dtype(np.float64)
 
     def __init__(self, column, diagonal):
         column, diagonal = (_frozen(np.asarray(a, dtype=np.float64))
@@ -263,9 +261,10 @@ class CirculantPlusDiagonal(OperatorMatrix):
         return float(np.maximum(*map(maxnorm, self._entries())))
 
     def reflection_invariant(self):
-        """_reflection_invariant of the matrix: entry (j, l) depends on
-        (l - j) mod n, and on j alone on the diagonal, so each of both
-        arrays must equal its own mirror; a NaN fails."""
+        """Whether the matrix is exactly invariant under the reflection
+        j -> (n - j) mod n: entry (j, l) depends on (l - j) mod n, and on j
+        alone on the diagonal, so each of both arrays must equal its own
+        mirror; a NaN fails."""
         off, on = self._entries()
         return np.array_equal(off, off[::-1]) \
             and np.array_equal(on, np.roll(on[::-1], 1))
@@ -410,51 +409,24 @@ def _mirrored(rows, sign):
     return np.concatenate((rows, rows[-2:0:-1] * sign))
 
 
-def _reflection_invariant(m):
-    # m[(n - i) % n, (n - j) % n] == m[i, j] for every entry, tested
-    # exactly on views, or in closed form.  Row 0 is its own mirror; rows
-    # 1 .. h, h = n // 2, are compared with their mirrors n - 1 .. n - h,
-    # which covers every other equation once and reads every entry.
-    if isinstance(m, CirculantPlusDiagonal):
-        return m.reflection_invariant()
-    h = m.shape[0] // 2
-    return np.array_equal(m[0, 1:], m[0, :0:-1]) \
-        and np.array_equal(m[1:h + 1, 0], m[:-h - 1:-1, 0]) \
-        and np.array_equal(m[1:h + 1, 1:], m[:-h - 1:-1, :0:-1])
-
-
-def _rows(m, start, stop):
-    # rows start .. stop - 1 of a matrix, a view, or of a closed form's
-    # matrix, formed on their own
-    if isinstance(m, CirculantPlusDiagonal):
-        return m.rows(start, stop)
-    return m[start:stop]
-
-
-def _formed(m):
-    # the matrix itself, formed once if m is a closed form
-    return m.matrix if isinstance(m, CirculantPlusDiagonal) else m
-
-
 def _eigh(m):
-    # (values, vectors, None) from np.linalg.eigh of m, except that a real
-    # matrix of even order n that is exactly invariant under the reflection
-    # j -> (n - j) mod n is solved as two half-size blocks (Golub & Van
-    # Loan, Matrix Computations, sec. 8.1): on the basis e_0,
-    # (e_j + e_{n-j})/sqrt(2), e_{n/2} of even vectors and
-    # (e_j - e_{n-j})/sqrt(2) of odd ones, for 0 < j < n/2.  The blocks are
-    # built from rows 0 .. n/2 of m: a view of a matrix, or rows a closed
-    # form generates, dropped before the solves.  The split returns the
-    # values ascending, rows 0 .. n/2 of their vectors, each exactly even or
-    # odd, and the column signs, +1 for an even column and -1 for an odd
-    # one; it forms no n x n array.  Below n = 4 the split saves nothing.
-    n = m.shape[0]
-    if m.dtype != np.float64 or n % 2 or n < 4 \
-            or not _reflection_invariant(m):
-        return (*np.linalg.eigh(_formed(m)), None)
+    # (values, vectors, None) from np.linalg.eigh of a matrix m, or, for the
+    # closed form that eig_hermitian hands over only when it is exactly
+    # invariant under the reflection j -> (n - j) mod n, of even order
+    # n >= 4, the split into two half-size blocks (Golub & Van Loan, Matrix
+    # Computations, sec. 8.1): on the basis e_0, (e_j + e_{n-j})/sqrt(2),
+    # e_{n/2} of even vectors and (e_j - e_{n-j})/sqrt(2) of odd ones, for
+    # 0 < j < n/2.  The blocks are built from rows 0 .. n/2 of m, generated
+    # and dropped before the solves.  The split returns the values
+    # ascending, rows 0 .. n/2 of their vectors, each exactly even or odd,
+    # and the column signs, +1 for an even column and -1 for an odd one; it
+    # forms no n x n array.
+    if not isinstance(m, CirculantPlusDiagonal):
+        return (*np.linalg.eigh(m), None)
+    n = m.dim
     h = n // 2
     r = np.sqrt(0.5)
-    top = _rows(m, 0, h + 1)
+    top = m.rows(0, h + 1)
     # even[a, b] = m[a, b] + m[a, n - b], scaled by sqrt(1/2) on each side
     # that is a fixed point (0 or h) of the reflection
     even = np.empty((h + 1, h + 1))
@@ -502,21 +474,21 @@ def _orthonormality_defect(rows, sign):
 
 def _reconstruction_defect(values, rows, sign, m):
     # maxnorm(V diag(w) V^H - m).  With sign, V as in _orthonormality_defect
-    # and a real m that is exactly reflection-invariant, P V = V diag(sign)
-    # for the reflection P, so V diag(w) V^T - m is exactly invariant too
-    # and its rows 0 .. n/2 hold a representative of every entry.  Only
-    # those are formed, TILE rows at a time, by two half-size products;
-    # columns n/2 + 1 .. n - 1 are the reflected columns 1 .. n/2 - 1, the
-    # even part plus and the odd part minus.  Any other m gets the full
-    # product of the formed vectors, differenced in place.  m may be a
-    # closed form, whose rows are formed TILE at a time like the products.
+    # and m a closed form that is exactly reflection-invariant, tested here
+    # again whatever routed the solve, P V = V diag(sign) for the
+    # reflection P, so V diag(w) V^T - m is exactly invariant too and its
+    # rows 0 .. n/2 hold a representative of every entry.  Only those are
+    # formed, TILE rows at a time, by two half-size products less the same
+    # rows of m; columns n/2 + 1 .. n - 1 are the reflected columns
+    # 1 .. n/2 - 1, the even part plus and the odd part minus.  Any other m
+    # gets the full product of the formed vectors, differenced in place
+    # from the matrix, formed if m is a closed form that fails the test.
     h = m.shape[0] // 2
-    if sign is not None and (m.dtype != np.float64
-                             or not _reflection_invariant(m)):
-        rows, sign = _mirrored(rows, sign), None
+    if sign is not None and not m.reflection_invariant():
+        rows, sign, m = _mirrored(rows, sign), None, m.matrix
     if sign is None:
         recon = (rows * values) @ rows.conj().T
-        recon -= _formed(m)
+        recon -= m
         return _owned_maxnorm(recon)
     even, odd = np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)
     even_rows = np.take(rows, even, axis=1)
@@ -530,7 +502,7 @@ def _reconstruction_defect(values, rows, sign, m):
             part = (odd_rows[i:i + TILE] * values[odd]) @ odd_rows.T
             top[:, :h + 1] += part
             top[:, h + 1:] -= part[:, h - 1:0:-1]
-            top -= _rows(m, i, min(i + TILE, h + 1))
+            top -= m.rows(i, min(i + TILE, h + 1))
             yield top
     return tiled_maxnorm(tiles())
 
@@ -542,14 +514,15 @@ def eig_hermitian(op):
     significant component rotated real positive, and exactly degenerate
     eigenvalues get their columns ordered lexicographically, so the result
     is a deterministic function of the input matrix.  eigh gets the stored
-    dtype, so real input is solved in real arithmetic into real vectors.
-    A real input of even order n that is exactly invariant under the
-    reflection j -> (n - j) mod n, as a Hamiltonian on a grid with origin
-    -L/2 is, is solved as two half-size blocks; every vector then comes
-    back exactly even or odd, v[(n - j) % n] == +-v[j], degenerate
-    eigenspaces included.  Only rows 0 .. n/2 of those vectors are kept,
-    with the column signs, and phases and tie order are fixed on them: an
-    even or odd column has its peak and first significant entry there.
+    dtype, so real input is solved in real arithmetic into real vectors,
+    whole, by one eigh.  Only a CirculantPlusDiagonal of even order n >= 4
+    exactly invariant under the reflection j -> (n - j) mod n, as a
+    Hamiltonian on a grid with origin -L/2 is, is split into two half-size
+    blocks from its rows 0 .. n/2; each vector comes back exactly even or
+    odd, v[(n - j) % n] == +-v[j], degenerate eigenspaces included.  Only
+    rows 0 .. n/2 of those vectors are kept, with the column signs, and
+    phases and tie order are fixed on them: an even or odd column has its
+    peak and first significant entry there.
     EigenSystem.vectors forms the n x n array on first read, after an exact
     test of its parity, so a caller that reads only the values never pays.
 
@@ -561,12 +534,11 @@ def eig_hermitian(op):
       maxnorm(V^H V - I) <= 1e-10: on the split route two half-size
       products of the kept rows, a quarter of the n^3 cost;
     - reconstruction against the caller's full matrix, maxnorm(V diag(w)
-      V^H - A) <= 1e-9 maxnorm(A), so it certifies the split too.  On
-      the split route, when A is real and exactly reflection-invariant,
-      tested entry by entry in O(n^2), every entry of the difference
-      equals one in its rows 0 .. n/2, and those rows come from the kept
-      rows, TILE rows at a time, at a quarter of the n^3 cost; otherwise
-      the full product of the formed vectors.
+      V^H - A) <= 1e-9 maxnorm(A), so it certifies the split too: when
+      the closed form is exactly reflection-invariant, tested again in
+      O(n), every entry of the difference equals one in its rows
+      0 .. n/2, formed from the kept rows TILE rows at a time at a quarter
+      of the n^3 cost; otherwise the full product of the formed vectors.
     A matrix that is not square raises DimensionMismatchError.
     """
     if isinstance(op, CirculantPlusDiagonal):
@@ -576,6 +548,9 @@ def eig_hermitian(op):
     else:
         m = _square(_stored(op))
     scale = require_hermitian(m)
+    if isinstance(m, CirculantPlusDiagonal) and (
+            m.dim % 2 or m.dim < 4 or not m.reflection_invariant()):
+        m = m.matrix  # solved whole; below n = 4 a split saves nothing
     try:
         values, rows, sign = _eigh(m)
     except np.linalg.LinAlgError as exc:

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the code paths under test: the Jacobi
 solver touches no LAPACK eigenroutine, the Kronecker builder indexes entry
 by entry, the shift oracle is a plain np.roll, the jump is formed as the
-two dense unitaries that energy_jump applies without forming, and
-scenarios are written back to the JSON that parse_scenario reads.  Slow
-is fine, these run on small inputs only.
+two dense unitaries that energy_jump applies without forming, the
+reflection test reads a formed matrix, and scenarios are written back to
+the JSON that parse_scenario reads.  Slow is fine, these run on small
+inputs only.
 """
 
 import json
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 
-def _rotate(a, v, p, q):
+def _rotate(a, p, q):
     # one Jacobi rotation zeroing a[p, q] on a real symmetric matrix
     app, aqq, apq = a[p, p], a[q, q], a[p, q]
     phi = 0.5 * math.atan2(2.0 * apq, aqq - app)
@@ -25,9 +26,6 @@ def _rotate(a, v, p, q):
     cols = a[:, [p, q]].copy()
     a[:, p] = c * cols[:, 0] - s * cols[:, 1]
     a[:, q] = s * cols[:, 0] + c * cols[:, 1]
-    vc = v[:, [p, q]].copy()
-    v[:, p] = c * vc[:, 0] - s * vc[:, 1]
-    v[:, q] = s * vc[:, 0] + c * vc[:, 1]
 
 
 def jacobi_spectrum(matrix, eps=1e-14, max_sweeps=60):
@@ -35,26 +33,29 @@ def jacobi_spectrum(matrix, eps=1e-14, max_sweeps=60):
 
     Complex input is embedded as the real symmetric [[re, -im], [im, re]]
     whose spectrum doubles every eigenvalue; adjacent sorted pairs are then
-    averaged back down.  Returns eigenvalues in ascending order.
+    averaged back down.  Real input is rotated as it is.  Returns
+    eigenvalues in ascending order.
     """
-    m = np.asarray(matrix, dtype=np.complex128)
+    m = np.asarray(matrix)
+    real = np.isrealobj(m)
     n = m.shape[0]
-    a = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    a = np.array(m, dtype=float) if real \
+        else np.block([[m.real, -m.imag], [m.imag, m.real]])
     a = 0.5 * (a + a.T)
-    v = np.eye(2 * n)
+    size = a.shape[0]
     scale = max(np.abs(a).max(), 1.0)
     for _ in range(max_sweeps):
         off = 0.0
-        for p in range(2 * n):
-            for q in range(p + 1, 2 * n):
+        for p in range(size):
+            for q in range(p + 1, size):
                 if abs(a[p, q]) > eps * scale:
-                    _rotate(a, v, p, q)
-        for p in range(2 * n):
+                    _rotate(a, p, q)
+        for p in range(size):
             off += np.abs(a[p, p + 1:]).sum()
         if off <= eps * scale * n:
             break
-    doubled = np.sort(np.diag(a))
-    return doubled.reshape(-1, 2).mean(axis=1)
+    values = np.sort(np.diag(a))
+    return values if real else values.reshape(-1, 2).mean(axis=1)
 
 
 def eigenspace_projectors(values, vectors, count, rtol=1e-9):
@@ -77,6 +78,19 @@ def reflection_parities(vectors):
     mirrored = vectors[-np.arange(vectors.shape[0]) % vectors.shape[0]]
     return [int(np.array_equal(w, v)) - int(np.array_equal(w, -v))
             for w, v in zip(mirrored.T, vectors.T)]
+
+
+def dense_reflection_invariant(matrix):
+    """Whether matrix[(n - i) % n, (n - j) % n] == matrix[i, j] for every
+    entry, tested exactly on views: the reference for
+    CirculantPlusDiagonal.reflection_invariant.  Row 0 is its own mirror;
+    rows 1 .. h, h = n // 2, are compared with their mirrors n - 1 .. n - h,
+    which covers every other equation once and reads every entry."""
+    m = np.asarray(matrix)
+    h = m.shape[0] // 2
+    return np.array_equal(m[0, 1:], m[0, :0:-1]) \
+        and np.array_equal(m[1:h + 1, 0], m[:-h - 1:-1, 0]) \
+        and np.array_equal(m[1:h + 1, 1:], m[:-h - 1:-1, :0:-1])
 
 
 def kron_by_index(a, b):

@@ -22,13 +22,19 @@ from chronos.axes import (
     CompositeState,
     PhysicalConstants,
     energy_aligned_grids,
+    time_aligned_grids,
 )
 from chronos.checks import SUITES, run_suite
 from chronos.cli import main
 from chronos.constraints import generalized_constraint_operator
 from chronos.exceptions import UnknownSuiteError
 from chronos.linalg import EigenSystem
-from chronos.models import OSCILLATOR, ModelSpec, harmonic_hamiltonian
+from chronos.models import (
+    OSCILLATOR,
+    ModelSpec,
+    clock_scale,
+    harmonic_hamiltonian,
+)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -107,22 +113,60 @@ def test_constraint1_residuals_carry_a_rounding_floor(tol):
     assert bounds["member_residual_max"] == tol + _floor()
 
 
+def _member_row(monkeypatch, suite, tol, residual):
+    # the suite's member_residual_max row, and whether the suite passed,
+    # with one member's residual in every basis raised to `residual`
+    real = checks.physical_subspace
+
+    def missing(*args):
+        basis = real(*args)
+        residuals = (basis.residuals[:1] + (residual,)
+                     + basis.residuals[2:])
+        return dataclasses.replace(basis, residuals=residuals)
+
+    monkeypatch.setattr(checks, "physical_subspace", missing)
+    rows, all_passed = run_suite(suite, constraint_tol=tol)
+    return {r.name: r for r in rows}["member_residual_max"], all_passed
+
+
 @pytest.mark.parametrize("miss, passed", [(0.5, True), (1.5, False)])
 def test_constraint1_member_beyond_the_floor_fails(monkeypatch, miss,
                                                    passed):
     # one member's residual raised to tol plus miss rounding floors
     tol, floor = 1e-16, _floor()
-    real = checks.physical_subspace
+    row, all_passed = _member_row(monkeypatch, "constraint1", tol,
+                                  tol + miss * floor)
+    assert row.measured == tol + miss * floor
+    assert row.passed == all_passed == passed
 
-    def missing(*args):
-        basis = real(*args)
-        residuals = (basis.residuals[:1] + (tol + miss * floor,)
-                     + basis.residuals[2:])
-        return dataclasses.replace(basis, residuals=residuals)
 
-    monkeypatch.setattr(checks, "physical_subspace", missing)
-    rows, all_passed = run_suite("constraint1", constraint_tol=tol)
-    row = {r.name: r for r in rows}["member_residual_max"]
+def _clock_floor():
+    # the rounding floor of constraint2's member row, default constants:
+    # eps of the larger of the clock bound and the time grid's reach
+    k = PhysicalConstants()
+    qg, tg = time_aligned_grids(k, n_t=16)
+    model = ModelSpec(OSCILLATOR, k, qg)
+    return checks.RESIDUAL_ROUNDING_EPS * np.finfo(float).eps * float(
+        np.maximum(clock_scale(model) * model.energy_bound, tg.reach))
+
+
+@pytest.mark.parametrize("tol", [1e-16, 4.44e-16, 1e-15, 0.5000000000000004])
+def test_constraint2_members_carry_a_rounding_floor(tol):
+    # the clock members' residuals carry about 4e-14 of rounding, so at the
+    # three smallest tolerances the bare 2 tol failed them though every
+    # level was counted.  The bound is tol plus the one rounding floor
+    rows, all_passed = run_suite("constraint2", constraint_tol=tol)
+    assert all_passed, [(r.name, r.measured, r.bound) for r in rows]
+    bounds = {r.name: r.bound for r in rows}
+    assert bounds["member_residual_max"] == tol + _clock_floor()
+
+
+@pytest.mark.parametrize("miss, passed", [(0.5, True), (1.5, False)])
+def test_constraint2_member_beyond_the_floor_fails(monkeypatch, miss,
+                                                   passed):
+    tol, floor = 1e-16, _clock_floor()
+    row, all_passed = _member_row(monkeypatch, "constraint2", tol,
+                                  tol + miss * floor)
     assert row.measured == tol + miss * floor
     assert row.passed == all_passed == passed
 

@@ -163,6 +163,46 @@ def test_commands_form_the_hamiltonian_matrix_as_needed(capsys, monkeypatch,
     assert len(counted) == formed
 
 
+SPLIT = ("CirculantPlusDiagonal", True, False)
+
+
+@pytest.mark.parametrize("argv, routes", [
+    (["spectrum"], [(64, *SPLIT)]),
+    (["subspace"], [(64, *SPLIT)]),
+    (["run", "--config", "scenarios/oscillator_jump.json"], [(32, *SPLIT)]),
+    (["check", "--suite", "commutators"], []),
+    (["check", "--suite", "constraint1"], [(64, *SPLIT), (32, *SPLIT)]),
+    (["check", "--suite", "constraint2"],
+     [(64, "OperatorMatrix", False, False),
+      (16, "OperatorMatrix", False, False)]),
+    (["check", "--suite", "generalized"], [(32, *SPLIT)]),
+    (["check", "--suite", "uncertainty"], []),
+    (["check", "--suite", "ladder"], [(64, *SPLIT)]),
+], ids=["spectrum", "subspace", "run", "commutators", "constraint1",
+        "constraint2", "generalized", "uncertainty", "ladder"])
+def test_each_command_solves_on_its_route(capsys, monkeypatch, argv, routes):
+    # (order, input type, split, matrix formed by the solve) of every
+    # eig_hermitian call a command makes.  Every Hamiltonian splits from
+    # its closed form and forms no matrix; only constraint2's clock and
+    # time operators, dense, are solved whole
+    root = Path(__file__).resolve().parents[1]
+    argv = [str(root / a) if a.startswith("scenarios/") else a for a in argv]
+    calls = []
+    eig_hermitian = chronos.linalg.eig_hermitian
+
+    def recorded(op):
+        unformed = isinstance(op, CirculantPlusDiagonal) \
+            and "matrix" not in vars(op)
+        system = eig_hermitian(op)
+        calls.append((op.dim, type(op).__name__, system.sign is not None,
+                      unformed and "matrix" in vars(op)))
+        return system
+
+    monkeypatch.setattr(chronos.linalg, "eig_hermitian", recorded)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls == routes
+
+
 def test_check_suite_table(capsys):
     code, out, _ = run_cli(capsys, "check", "--suite", "ladder")
     assert code == 0

@@ -310,16 +310,23 @@ def reflected(a):
     return a + a[np.ix_(flip, flip)]
 
 
+def mirrored_closed_form(rng, n):
+    # a random closed form exactly invariant under the reflection, the one
+    # input the split takes
+    return CirculantPlusDiagonal(*next(closed_form_cases(rng, n)))
+
+
 @pytest.mark.parametrize("n", [4, 10, 64])
 def test_eig_reflection_split_matches_full_eigh(rng, eigh_shapes, n):
-    m = reflected(random_symmetric(rng, n))
-    system = eig_hermitian(operator(m, hermitian=True))
+    column, diagonal = next(closed_form_cases(rng, n))
+    op = CirculantPlusDiagonal(column, diagonal)
+    system = eig_hermitian(op)
     # an even block of n/2 + 1 and an odd block of n/2 - 1, no full solve
     assert eigh_shapes == [(n // 2 + 1,) * 2, (n // 2 - 1,) * 2]
-    again = eig_hermitian(m)
+    again = eig_hermitian(CirculantPlusDiagonal(column, diagonal))
     assert system.values.tobytes() == again.values.tobytes()
     assert system.vectors.tobytes() == again.vectors.tobytes()
-    values, vectors = np.linalg.eigh(m)
+    values, vectors = np.linalg.eigh(op.matrix)
     scale = np.max(np.abs(values))
     assert np.max(np.abs(system.values - values)) <= 1e-11 * scale
     for mine, want in zip(
@@ -335,11 +342,20 @@ def test_eig_reflection_split_matches_full_eigh(rng, eigh_shapes, n):
     pytest.param(lambda rng: reflected(random_hermitian(rng, 8)),
                  id="complex"),
     pytest.param(lambda rng: random_symmetric(rng, 8), id="unreflected"),
+    # a dense matrix is solved whole even when it is real and exactly
+    # reflection-invariant: the split is the closed form's route alone
+    pytest.param(lambda rng: reflected(random_symmetric(rng, 8)),
+                 id="reflected"),
+    pytest.param(lambda rng: OperatorMatrix(
+        reflected(random_symmetric(rng, 8))), id="reflected_operator"),
+    pytest.param(lambda rng: mirrored_closed_form(rng, 9), id="closed_odd"),
+    pytest.param(lambda rng: mirrored_closed_form(rng, 2), id="closed_n2"),
 ])
 def test_eig_full_route_outside_the_split(rng, eigh_shapes, build):
     m = build(rng)
-    eig_hermitian(m)
-    assert eigh_shapes == [m.shape]
+    system = eig_hermitian(m)
+    assert eigh_shapes == [np.shape(getattr(m, "matrix", m))]
+    assert system.sign is None
 
 
 @pytest.mark.parametrize("perturb, match", [
@@ -349,7 +365,7 @@ def test_eig_full_route_outside_the_split(rng, eigh_shapes, build):
     ("duplicate", "orthonormality"),
 ])
 def test_eig_checks_certify_the_split(rng, monkeypatch, perturb, match):
-    m = reflected(random_symmetric(rng, 12))
+    m = mirrored_closed_form(rng, 12)
     eigh = np.linalg.eigh
     shapes = []
 
@@ -371,6 +387,7 @@ def test_eig_checks_certify_the_split(rng, monkeypatch, perturb, match):
     with pytest.raises(ConvergenceError, match=match):
         eig_hermitian(m)
     assert shapes == [(7, 7), (5, 5)]
+    assert "matrix" not in vars(m)
 
 
 @pytest.mark.parametrize("where", ["even_row_0", "even_row_h", "odd",
@@ -378,7 +395,7 @@ def test_eig_checks_certify_the_split(rng, monkeypatch, perturb, match):
 def test_eig_split_checks_refuse_one_nan(rng, monkeypatch, where):
     # one NaN on rows 0 or n/2 of an even column passes the exact parity
     # test, so the half-size Gram products must still refuse it
-    m = reflected(random_symmetric(rng, 12))
+    column, diagonal = next(closed_form_cases(rng, 12))
     eigh = np.linalg.eigh
 
     def poisoned(a):
@@ -395,10 +412,12 @@ def test_eig_split_checks_refuse_one_nan(rng, monkeypatch, where):
     match = "reconstruct" if where == "value" else "orthonormality"
     with np.errstate(invalid="ignore"):
         with pytest.raises(ConvergenceError, match=match):
-            eig_hermitian(m)
-        m[3, 5] = m[5, 3] = m[9, 7] = m[7, 9] = np.nan
+            eig_hermitian(CirculantPlusDiagonal(column, diagonal))
+        # entries (3, 5), (5, 3), (9, 7) and (7, 9), with every other pair
+        # at offsets 2 and 10
+        column[2] = column[10] = np.nan
         with pytest.raises(NotHermitianError):
-            eig_hermitian(m)
+            eig_hermitian(CirculantPlusDiagonal(column, diagonal))
 
 
 @pytest.mark.parametrize("parity, row", [(1, 4), (-1, 4), (-1, 0), (-1, 6)])
@@ -409,7 +428,7 @@ def test_eig_broken_mirror_is_caught_when_vectors_are_formed(rng, monkeypatch,
     # column off zero on row 0 or n/2, its own mirrors, would break the
     # parity of the formed vectors, and the products skip those entries,
     # so the array's parity test must refuse it when it is formed
-    m = reflected(random_symmetric(rng, 12))
+    m = mirrored_closed_form(rng, 12)
     split = linalg._eigh
 
     def broken(a):
@@ -430,8 +449,7 @@ def test_eig_broken_mirror_is_caught_when_vectors_are_formed(rng, monkeypatch,
 
 
 def test_formed_vectors_refuse_a_nan_on_an_odd_mirror_row(rng):
-    m = reflected(random_symmetric(rng, 12))
-    values, rows, sign = split_result(m)
+    values, rows, sign = split_result(mirrored_closed_form(rng, 12))
     rows[6, list(sign).index(-1)] = np.nan
     with pytest.raises(ConvergenceError, match="parity"):
         linalg.EigenSystem(values, rows, sign).vectors
@@ -439,16 +457,15 @@ def test_formed_vectors_refuse_a_nan_on_an_odd_mirror_row(rng):
 
 @pytest.mark.parametrize("n", [1, 2, 6, 7, 12])
 def test_reflection_test_reads_every_entry(rng, n):
-    # the quarter reconstruction compares rows 0 .. n/2 only, so the
-    # reflection test must see a one-ulp change in any entry that is not
-    # its own mirror
+    # the dense reference for CirculantPlusDiagonal.reflection_invariant
+    # must see a one-ulp change in any entry that is not its own mirror
     flip = -np.arange(n) % n
     m = reflected(random_symmetric(rng, n))
-    assert linalg._reflection_invariant(m)
+    assert oracles.dense_reflection_invariant(m)
     for index in np.ndindex(n, n):
         changed = m.copy()
         changed[index] = np.nextafter(changed[index], np.inf)
-        assert linalg._reflection_invariant(changed) \
+        assert oracles.dense_reflection_invariant(changed) \
             == (index == (flip[index[0]], flip[index[1]]))
 
 
@@ -468,26 +485,26 @@ def formed(rows, sign):
 def test_quarter_reconstruction_matches_full_product(rng, n):
     # rows 0 .. n/2 go TILE rows at a time: 130 fits one partial tile,
     # 512 and 1024 end on a one-row tile
-    m = reflected(random_symmetric(rng, n))
+    m = mirrored_closed_form(rng, n)
     values, rows, sign = split_result(m)
-    assert sign is not None and linalg._reflection_invariant(m)
+    assert sign is not None and m.reflection_invariant()
     vectors = formed(rows, sign)
     shifted = values.copy()
     shifted[n // 3] += 1e-6
     for w in (values, shifted):
         quarter = linalg._reconstruction_defect(w, rows, sign, m)
-        full = oracles.dense_reconstruction_defect(w, vectors, m)
-        assert abs(quarter - full) <= 1e-13 * maxnorm(m)
+        full = oracles.dense_reconstruction_defect(w, vectors, m.matrix)
+        assert abs(quarter - full) <= 1e-13 * maxnorm(m.matrix)
 
 
 def test_eig_quarter_reconstruction_refuses_a_wrong_value(rng, monkeypatch):
-    m = reflected(random_symmetric(rng, 12))
+    m = mirrored_closed_form(rng, 12)
     split = linalg._eigh
     seen = []
-    invariant = linalg._reflection_invariant
+    invariant = CirculantPlusDiagonal.reflection_invariant
 
-    def spy(a):
-        seen.append(invariant(a))
+    def spy(self):
+        seen.append(invariant(self))
         return seen[-1]
 
     def shifted(a):
@@ -495,7 +512,7 @@ def test_eig_quarter_reconstruction_refuses_a_wrong_value(rng, monkeypatch):
         values[3] += 1e-3
         return values, rows, sign
 
-    monkeypatch.setattr(linalg, "_reflection_invariant", spy)
+    monkeypatch.setattr(CirculantPlusDiagonal, "reflection_invariant", spy)
     monkeypatch.setattr(linalg, "_eigh", shifted)
     with pytest.raises(ConvergenceError, match="reconstruct"):
         eig_hermitian(m)
@@ -504,38 +521,54 @@ def test_eig_quarter_reconstruction_refuses_a_wrong_value(rng, monkeypatch):
 
 
 def test_eig_reconstruction_reads_rows_below_the_quarter(rng, monkeypatch):
-    # an input changed only in rows n/2 + 1 .. n - 1, still Hermitian but
-    # no longer reflection-invariant, handed the unchanged split result:
-    # rows 0 .. n/2 agree, so only the full product can refuse it
-    m = reflected(random_symmetric(rng, 12))
-    changed = m.copy()
-    changed[8, 10] += 1e-3
-    changed[10, 8] += 1e-3
-    assert np.array_equal(changed[:7], m[:7])
-    values, rows, sign = linalg._eigh(m)
+    # a closed form changed only in row 9 of 12, on its diagonal: still
+    # Hermitian but no longer reflection-invariant.  Handed the unchanged
+    # split result by a route that took it for mirrored, rows 0 .. n/2
+    # agree, so only the certificate's own reflection test and its full
+    # product can refuse it
+    column, diagonal = next(closed_form_cases(rng, 12))
+    base = CirculantPlusDiagonal(column, diagonal)
+    diagonal = diagonal.copy()
+    diagonal[9] += 1e-3
+    changed = CirculantPlusDiagonal(column, diagonal)
+    assert np.array_equal(changed.rows(0, 7), base.rows(0, 7))
+    values, rows, sign = linalg._eigh(base)
     monkeypatch.setattr(linalg, "_eigh", lambda a: (
         values.copy(), rows.copy(), sign.copy()))
-    eig_hermitian(m)
+    eig_hermitian(base)
+    routed = []
+    invariant = CirculantPlusDiagonal.reflection_invariant
+
+    def mirrored_once(self):
+        # the route's test, the first call, passes; the certificate's is
+        # the real one
+        routed.append(self)
+        return len(routed) == 1 or invariant(self)
+
+    monkeypatch.setattr(CirculantPlusDiagonal, "reflection_invariant",
+                        mirrored_once)
     with pytest.raises(ConvergenceError, match="reconstruct"):
         eig_hermitian(changed)
+    assert routed == [changed, changed]
 
 
 def test_eig_nan_below_the_quarter_is_refused(rng):
-    m = reflected(random_symmetric(rng, 12))
-    values, rows, sign = split_result(m)
-    m[9, 10] = m[10, 9] = np.nan
+    column, diagonal = next(closed_form_cases(rng, 12))
+    values, rows, sign = split_result(CirculantPlusDiagonal(column, diagonal))
+    diagonal[9] = np.nan
+    changed = CirculantPlusDiagonal(column, diagonal)
     with np.errstate(invalid="ignore"):
         assert np.isnan(
-            linalg._reconstruction_defect(values, rows, sign, m))
+            linalg._reconstruction_defect(values, rows, sign, changed))
         with pytest.raises(NotHermitianError):
-            eig_hermitian(m)
+            eig_hermitian(changed)
 
 
-def free_particle_matrix(n):
+def centred_hamiltonian(kind, n):
+    # origin -L/2 with exact binary samples, so both models mirror exactly
     return hamiltonian(ModelSpec(
-        FREE_PARTICLE, PhysicalConstants(),
-        AxisGrid(n=n, origin=-20.0, spacing=40.0 / n,
-                 label="position"))).matrix
+        kind, PhysicalConstants(),
+        AxisGrid(n=n, origin=-20.0, spacing=40.0 / n, label="position")))
 
 
 def eigh_blocks(monkeypatch):
@@ -552,15 +585,20 @@ def eigh_blocks(monkeypatch):
     return blocks
 
 
-@pytest.mark.parametrize("build", [
-    pytest.param(lambda rng: reflected(random_symmetric(rng, 4)), id="n4"),
-    pytest.param(lambda rng: reflected(random_symmetric(rng, 12)), id="n12"),
-    pytest.param(lambda rng: reflected(random_symmetric(rng, 64)), id="n64"),
-    pytest.param(lambda rng: free_particle_matrix(256), id="free_particle"),
-])
+SPLIT_INPUTS = [
+    pytest.param(lambda rng, n=n: mirrored_closed_form(rng, n), id="n%d" % n)
+    for n in (4, 12, 64)] + [
+    pytest.param(lambda rng: centred_hamiltonian(FREE_PARTICLE, 256),
+                 id="free_particle"),
+    pytest.param(lambda rng: centred_hamiltonian(OSCILLATOR, 256),
+                 id="oscillator"),
+]
+
+
+@pytest.mark.parametrize("build", SPLIT_INPUTS)
 def test_eigh_merge_matches_scatter_oracle(rng, monkeypatch, build):
     m = build(rng)
-    h = m.shape[0] // 2
+    h = m.dim // 2
     blocks = eigh_blocks(monkeypatch)
     values, rows, sign = linalg._eigh(m)
     assert len(blocks) == 2
@@ -569,15 +607,13 @@ def test_eigh_merge_matches_scatter_oracle(rng, monkeypatch, build):
     assert rows.tobytes() == want_vectors[:h + 1].tobytes()
     assert list(sign) == oracles.reflection_parities(want_vectors)
     assert formed(rows, sign).tobytes() == want_vectors.tobytes()
-    if m.shape[0] == 256:
+    if not m.diagonal.any():  # the free particle's standing-wave pairs
         assert np.count_nonzero(values[1:] == values[:-1]) >= 10
 
 
-@pytest.mark.parametrize("build", [
-    pytest.param(lambda rng, n=n: reflected(random_symmetric(rng, n)),
-                 id="n%d" % n) for n in (4, 12, 64, 512)] + [
-    pytest.param(lambda rng: free_particle_matrix(256), id="free_particle"),
-])
+@pytest.mark.parametrize("build", SPLIT_INPUTS[:3] + [
+    pytest.param(lambda rng: mirrored_closed_form(rng, 512), id="n512")]
+    + SPLIT_INPUTS[3:])
 def test_formed_vectors_match_take_merge_oracle(rng, monkeypatch, build):
     # the n x n vectors formed from the kept rows on first read, bit for
     # bit those of merging both blocks in full, then fixing phases and
@@ -593,24 +629,21 @@ def test_formed_vectors_match_take_merge_oracle(rng, monkeypatch, build):
     assert not system.vectors.flags.writeable
     # once formed, the kept rows are a view of the array, held once
     assert system.rows.base is system.vectors
+    assert "matrix" not in vars(m)
 
 
-@pytest.mark.parametrize("split", [False, True])
-def test_eig_allocation_peak(rng, split):
+def test_eig_allocation_peak(rng):
     m = random_symmetric(rng, 512)
-    if split:
-        m = reflected(m)
     tracemalloc.start()
     try:
         eig_hermitian(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the full route holds the vectors, V diag(w) and its product with V^T
-    # in the reconstruction check: three inputs' worth, where holding
-    # every check temporary at once took five.  The split route holds the
-    # vectors, rows 0 .. n/2 of the merge and the phase magnitudes at most
-    assert peak <= (2.75 if split else 3.5) * m.nbytes
+    # the vectors, V diag(w) and its product with V^T in the
+    # reconstruction check: three inputs' worth, where holding every
+    # check temporary at once took five
+    assert peak <= 3.5 * m.nbytes
 
 
 def test_spectrum_values_allocation_peak():
@@ -656,22 +689,33 @@ def closed_form_hamiltonian(kind, n, shift=0.0):
                                       (1024, 0.0), (2048, 0.0), (64, 0.3)],
                          ids=["n4", "n6", "n64", "n1024", "n2048",
                               "n64-offset"])
-def test_closed_form_eigensystem_matches_formed_matrix(kind, n, shift):
-    # the Hamiltonian solved from its closed form, bit for bit the solve of
-    # its formed matrix; a split never forms the matrix, while the
-    # oscillator on an offset grid is not reflection-invariant and is
-    # formed for today's full route (the free particle has no potential to
-    # break the mirror)
+def test_closed_form_eigensystem_matches_formed_matrix(monkeypatch, kind, n,
+                                                       shift):
+    # the Hamiltonian solved from its closed form.  A split never forms the
+    # matrix, and its values, rows, signs and formed vectors are bit for
+    # bit the take-merge oracle of the two blocks eigh returned; the
+    # oscillator on an offset grid is not reflection-invariant (the free
+    # particle has no potential to break the mirror), so it is formed and
+    # solved whole, bit for bit the solve of its formed matrix
     ham = closed_form_hamiltonian(kind, n, shift)
     assert isinstance(ham, CirculantPlusDiagonal)
+    blocks = eigh_blocks(monkeypatch)
     closed = eig_hermitian(ham)
-    assert (closed.sign is None) == (kind == OSCILLATOR and shift != 0.0)
-    assert ("matrix" in vars(ham)) == (closed.sign is None)
+    split = not (kind == OSCILLATOR and shift != 0.0)
+    assert (closed.sign is not None) == split
+    assert ("matrix" in vars(ham)) != split
+    if split:
+        want_values, want_vectors = oracles.eig_by_take_merge(*blocks)
+        assert closed.values.tobytes() == want_values.tobytes()
+        assert closed.rows.tobytes() == want_vectors[:n // 2 + 1].tobytes()
+        assert list(closed.sign) == oracles.reflection_parities(want_vectors)
+        assert closed.vectors.tobytes() == want_vectors.tobytes()
+        return
     dense = eig_hermitian(ham.matrix)
     for name in ("values", "rows", "vectors"):
         assert getattr(closed, name).tobytes() \
             == getattr(dense, name).tobytes(), name
-    assert repr(closed.sign) == repr(dense.sign)
+    assert dense.sign is None
 
 
 def closed_form_cases(rng, n):
@@ -707,7 +751,7 @@ def test_closed_form_checks_are_the_formed_matrix_checks(rng, n):
             finite = np.isfinite(column).all() and np.isfinite(diagonal).all()
             if finite or np.isnan(m).any():
                 assert op.reflection_invariant() == (
-                    finite and linalg._reflection_invariant(m))
+                    finite and oracles.dense_reflection_invariant(m))
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 7])
@@ -745,14 +789,19 @@ def test_closed_form_rows_are_rows_of_the_formed_matrix(rng, n):
 def test_closed_form_refusals_match_the_formed_matrix(rng):
     # an asymmetric column beyond HERMITIAN_RTOL, and a NaN in the
     # potential, are refused by the closed form with the very error the
-    # formed matrix gets
+    # formed matrix gets, and nothing is formed: also where the route would
+    # form the matrix, off the mirror or at an odd order
     ham = closed_form_hamiltonian(OSCILLATOR, 64)
     column = ham.column.copy()
     column[3] *= 1.0 + 1e-9
     diagonal = ham.diagonal.copy()
     diagonal[10] = np.nan
+    unmirrored = ham.diagonal.copy()
+    unmirrored[5] += 1.0
     for op in (CirculantPlusDiagonal(column, ham.diagonal),
-               CirculantPlusDiagonal(ham.column, diagonal)):
+               CirculantPlusDiagonal(ham.column, diagonal),
+               CirculantPlusDiagonal(column, unmirrored),
+               CirculantPlusDiagonal(column[:63], ham.diagonal[:63])):
         with pytest.raises(NotHermitianError) as closed:
             eig_hermitian(op)
         assert "matrix" not in vars(op)
