@@ -4,8 +4,8 @@ Each one-dimensional variable (particle position, laboratory time) lives
 on an evenly spaced periodic grid.  The variable itself becomes a diagonal
 sample operator; its conjugate is built through the unitary discrete
 Fourier map as frequency times a constant, so conjugate eigenpairs on the
-induced frequency lattice are exact up to rounding, and the conjugate
-keeps that pair as its eigensystem.
+induced frequency lattice are exact up to rounding.  Each operator keeps
+its pair, ascending: the samples and identity, or the symbol and map.
 """
 from __future__ import annotations
 
@@ -188,7 +188,8 @@ def _spectral_operator(grid, symbol):
 def position_operator(grid):
     """Diagonal operator of the position samples."""
     require_label(grid, POSITION, "position operator")
-    return operator(np.diag(grid.samples), hermitian=True)
+    return operator(np.diag(grid.samples), hermitian=True).kept(
+        grid.samples, np.eye(grid.n))
 
 
 def momentum_operator(grid, constants):
@@ -200,7 +201,8 @@ def momentum_operator(grid, constants):
 def time_operator(grid):
     """Diagonal operator of the time samples."""
     require_label(grid, TIME, "time operator")
-    return operator(np.diag(grid.samples), hermitian=True)
+    return operator(np.diag(grid.samples), hermitian=True).kept(
+        grid.samples, np.eye(grid.n))
 
 
 def energy_operator(grid, constants):
@@ -214,9 +216,9 @@ def energy_operator(grid, constants):
 
 
 def band_edge(grid, constants):
-    """Largest |E| the time grid can represent: hbar*pi/spacing."""
+    """Largest |E| on the time grid, max |energy_lattice|: hbar w_top."""
     require_label(grid, TIME, "band edge")
-    return constants.hbar * np.pi / grid.spacing
+    return constants.hbar * grid.top_frequency
 
 
 def energy_lattice(grid, constants):

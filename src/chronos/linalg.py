@@ -15,12 +15,12 @@ Matrices are dense, stored float64 when real and complex128 otherwise, so
 a real symmetric matrix is solved in real arithmetic, whole, by one
 np.linalg.eigh; intended sizes are a few hundred rows per factor space
 and a few thousand for composites.  An operator built from a known
-eigenpair keeps that pair as its eigensystem (OperatorMatrix.kept), and
-its users measure its residual; every other eigendecomposition is
+eigenpair, a sample or Fourier operator, keeps that pair as its
+eigensystem (OperatorMatrix.kept); every other eigendecomposition is
 certified on every route by the input's hermitian defect, orthonormality
 and reconstruction against the caller's full matrix (eig_hermitian).  A
-real circulant plus a diagonal is kept in closed form
-(CirculantPlusDiagonal), its matrix formed on first read; eig_hermitian
+real circulant plus a diagonal, a Hamiltonian or clock, is kept in closed
+form (CirculantPlusDiagonal), its matrix formed on first read; eig_hermitian
 measures its symmetry, scale and invariance under the grid reflection
 j -> (n - j) mod n in O(n), and splits one of even order that is exactly
 invariant into two half-size even and odd blocks from its rows 0 .. n/2,
@@ -517,7 +517,7 @@ def eig_hermitian(op):
     dtype, so real input is solved in real arithmetic into real vectors,
     whole, by one eigh.  Only a CirculantPlusDiagonal of even order n >= 4
     exactly invariant under the reflection j -> (n - j) mod n, as a
-    Hamiltonian on a grid with origin -L/2 is, is split into two half-size
+    Hamiltonian or clock on a mirrored grid is, is split into two half-size
     blocks from its rows 0 .. n/2; each vector comes back exactly even or
     odd, v[(n - j) % n] == +-v[j], degenerate eigenspaces included.  Only
     rows 0 .. n/2 of those vectors are kept, with the column signs, and

@@ -2,12 +2,12 @@
 
 A model couples a position grid with physical constants and provides two
 operators on the system space: the energy operator (Hamiltonian) and the
-clock operator, a rescaled positive operator whose eigenvalues are the
+clock operator, clock_scale > 0 times it, whose eigenvalues are the
 internal time readings paired with the energy levels.  A model keeps its
 Hamiltonian, and the Hamiltonian its eigensystem, once either is built.
-The Hamiltonian is kept in closed form, a circulant's first column plus
-the potential, and forms its n x n matrix only when it is read; its
-values alone, all `spectrum` reads, never form it.
+Both are kept in closed form, a circulant's first column plus the
+potential, the clock's scaled, and form no n x n matrix until it is read;
+their values alone, all `spectrum` reads, never form them.
 """
 from __future__ import annotations
 
@@ -142,9 +142,9 @@ def free_particle_clock_operator(model):
 
 
 def clock_operator(model):
-    """Internal time operator of either model: clock_scale times its energy."""
-    return operator(clock_scale(model) * hamiltonian(model).matrix,
-                    hermitian=True)
+    """The internal time operator, clock_scale * H, in H's closed form."""
+    s, h = clock_scale(model), hamiltonian(model)
+    return CirculantPlusDiagonal(s * h.column, s * h.diagonal)
 
 
 def predicted_time_level(n, constants):

@@ -115,7 +115,7 @@ class Scenario:
                 raise ScenarioValidationError(
                     "must be positive and finite, got %r" % (value,),
                     field="tolerances." + key)
-        # the time grid's energies reach the band edge hbar pi / spacing;
+        # the time grid's energies reach the band edge, hbar w_top;
         # the energy operator sums n of them and a run squares their gaps
         # to the model's energies, so both must stay in the float range
         edge = band_edge(self.t_grid, self.model.constants)

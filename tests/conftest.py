@@ -7,6 +7,8 @@ costly is the dense oracle on the same operator, so each cached operator
 keeps its materialized composite for every test that compares against it.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from chronos.constraints import (
     physical_subspace,
     second_constraint_operator,
 )
+from chronos.linalg import CirculantPlusDiagonal
 from chronos.models import (
     OSCILLATOR,
     ModelSpec,
@@ -97,6 +100,18 @@ def eigh_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
     return shapes
+
+
+@pytest.fixture()
+def formed_matrices(monkeypatch):
+    """Order of every CirculantPlusDiagonal whose matrix the test forms."""
+    formed = []
+    form = CirculantPlusDiagonal.matrix.func
+    matrix = functools.cached_property(
+        lambda op: formed.append(op.dim) or form(op))
+    matrix.__set_name__(CirculantPlusDiagonal, "matrix")
+    monkeypatch.setattr(CirculantPlusDiagonal, "matrix", matrix)
+    return formed
 
 
 ACCEPTANCE_LABELS = {

@@ -73,9 +73,21 @@ def test_fourier_map_matches_entrywise_oracle():
     assert maxnorm(gram - np.eye(8)) < 1e-13
 
 
+def assert_keeps_sample_pair(op, grid):
+    # a sample operator keeps its pair when it is built: the samples,
+    # ascending since spacing > 0, and the identity columns, bit for bit
+    # what an eigensolve of its matrix returns
+    assert "eigensystem" in vars(op)
+    kept, solved = op.eigensystem, eig_hermitian(op.matrix)
+    assert np.array_equal(kept.values, grid.samples)
+    assert kept.values.tobytes() == solved.values.tobytes()
+    assert kept.vectors.tobytes() == solved.vectors.tobytes()
+
+
 def test_position_operator_is_sample_diagonal():
     grid = AxisGrid(n=16, origin=-4.0, spacing=0.5, label="position")
     q = position_operator(grid)
+    assert_keeps_sample_pair(q, grid)
     assert np.count_nonzero(q.matrix - np.diag(np.diag(q.matrix))) == 0
     assert np.allclose(np.diag(q.matrix), grid.samples)
     with pytest.raises(WrongAxisError):
@@ -144,6 +156,7 @@ def test_spectral_operators_keep_their_fourier_pair(n, origin):
 def test_time_operator_is_sample_diagonal():
     grid = AxisGrid(n=8, origin=0.5, spacing=1.0, label="time")
     t = time_operator(grid)
+    assert_keeps_sample_pair(t, grid)
     assert np.count_nonzero(t.matrix - np.diag(np.diag(t.matrix))) == 0
     assert np.allclose(np.diag(t.matrix), grid.samples)
 
@@ -161,6 +174,20 @@ def test_energy_lattice_structure():
     # the asymmetric endpoint rule: +edge is a lattice point, -edge is not
     assert np.min(np.abs(lattice - edge)) < 1e-12
     assert np.min(np.abs(lattice + edge)) > step / 2
+
+
+@pytest.mark.parametrize("hbar", [0.3, 1.0, 7.0, 1000.0])
+@pytest.mark.parametrize("n, period", [
+    (2, 1.0), (16, 8.0), (26, 4.0 * math.pi), (32, 4.0 * math.pi),
+    (64, 4.0 * math.pi / 1.1)])
+def test_band_edge_is_the_largest_lattice_energy(hbar, n, period):
+    # band_edge takes the lattice's own operations, so the top energy is
+    # inside the band exactly, on every grid
+    k = PhysicalConstants(hbar=hbar)
+    grid = AxisGrid(n=n, origin=0.0, spacing=period / n, label="time")
+    lattice = energy_lattice(grid, k)
+    assert band_edge(grid, k) == np.max(np.abs(lattice)) == lattice[-1]
+    energy_eigenvector(grid, lattice[-1], k)
 
 
 def test_nearest_lattice_energy():

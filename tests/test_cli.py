@@ -1,6 +1,5 @@
 """Command-line surface: table formats, exit codes, reproducibility."""
 
-import functools
 import io
 import json
 import os
@@ -146,47 +145,50 @@ def test_spectrum_forms_no_eigenvectors(capsys, monkeypatch):
     (["spectrum"], 0), (["spectrum", "--levels", "3"], 0),
     (["run", "--config", "scenarios/oscillator_jump.json"], 1),
     (["subspace"], 1)], ids=["spectrum", "spectrum-levels", "run", "subspace"])
-def test_commands_form_the_hamiltonian_matrix_as_needed(capsys, monkeypatch,
-                                                        argv, formed):
+def test_commands_form_the_hamiltonian_matrix_as_needed(
+        capsys, formed_matrices, argv, formed):
     # the Hamiltonian keeps its closed form: `spectrum` reads its values
     # from rows 0 .. n/2 alone, while `run` and `subspace` read the n x n
     # matrix, formed once
     root = Path(__file__).resolve().parents[1]
     argv = [str(root / a) if a.startswith("scenarios/") else a for a in argv]
-    counted = []
-    form = CirculantPlusDiagonal.matrix.func
-    matrix = functools.cached_property(
-        lambda op: counted.append(op.dim) or form(op))
-    matrix.__set_name__(CirculantPlusDiagonal, "matrix")
-    monkeypatch.setattr(CirculantPlusDiagonal, "matrix", matrix)
     assert run_cli(capsys, *argv)[0] == 0
-    assert len(counted) == formed
+    assert len(formed_matrices) == formed
 
 
 SPLIT = ("CirculantPlusDiagonal", True, False)
+# SMALL_DOC with its q grid offset by 0.3 of a step, so no sample mirrors
+OFFSET_DOC = dict(SMALL_DOC, preset=dict(
+    SMALL_DOC["preset"], q={"n": 32, "origin": -7.85, "spacing": 0.5}))
 
 
 @pytest.mark.parametrize("argv, routes", [
     (["spectrum"], [(64, *SPLIT)]),
+    (["spectrum", "--config", "offset.json"],
+     [(32, "CirculantPlusDiagonal", False, True)]),
     (["subspace"], [(64, *SPLIT)]),
     (["run", "--config", "scenarios/oscillator_jump.json"], [(32, *SPLIT)]),
     (["check", "--suite", "commutators"], []),
     (["check", "--suite", "constraint1"], [(64, *SPLIT), (32, *SPLIT)]),
-    (["check", "--suite", "constraint2"],
-     [(64, "OperatorMatrix", False, False),
-      (16, "OperatorMatrix", False, False)]),
+    (["check", "--suite", "constraint2"], [(64, *SPLIT)]),
     (["check", "--suite", "generalized"], [(32, *SPLIT)]),
     (["check", "--suite", "uncertainty"], []),
     (["check", "--suite", "ladder"], [(64, *SPLIT)]),
-], ids=["spectrum", "subspace", "run", "commutators", "constraint1",
-        "constraint2", "generalized", "uncertainty", "ladder"])
-def test_each_command_solves_on_its_route(capsys, monkeypatch, argv, routes):
+], ids=["spectrum", "spectrum-offset", "subspace", "run", "commutators",
+        "constraint1", "constraint2", "generalized", "uncertainty", "ladder"])
+def test_each_command_solves_on_its_route(capsys, monkeypatch, tmp_path,
+                                          argv, routes):
     # (order, input type, split, matrix formed by the solve) of every
-    # eig_hermitian call a command makes.  Every Hamiltonian splits from
-    # its closed form and forms no matrix; only constraint2's clock and
-    # time operators, dense, are solved whole
+    # eig_hermitian call a command makes.  Every Hamiltonian and clock on a
+    # mirrored grid splits from its closed form and forms no matrix, and
+    # the sample and Fourier operators keep their pairs, so no command
+    # solves a matrix whole there; a Hamiltonian on an offset grid is
+    # formed and solved whole
     root = Path(__file__).resolve().parents[1]
-    argv = [str(root / a) if a.startswith("scenarios/") else a for a in argv]
+    offset = tmp_path / "offset.json"
+    offset.write_text(json.dumps(OFFSET_DOC), encoding="utf-8")
+    argv = [str(root / a) if a.startswith("scenarios/")
+            else str(offset) if a == "offset.json" else a for a in argv]
     calls = []
     eig_hermitian = chronos.linalg.eig_hermitian
 

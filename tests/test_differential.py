@@ -13,10 +13,10 @@ psi_m (x) e^{i w_k t} / sqrt(n_t) formed here too; the subspace solve,
 runs are drawn from a fixed seed, so every run checks the same ones.
 
 The spectrum sweep draws closed forms C + diag(V) that the reflection
-split solves, random ones mirrored exactly and both models on mirrored
-grids, with both models on offset grids beside them, and compares the
-values of eig_hermitian with oracles.jacobi_spectrum of the formed matrix.
-numpy only; about five seconds.
+split solves, random ones mirrored exactly and both models' Hamiltonians
+and clocks on mirrored grids, with the same on offset grids beside them,
+and compares the values of eig_hermitian with oracles.jacobi_spectrum of
+the formed matrix.  numpy only; about five seconds.
 """
 
 import json
@@ -46,7 +46,13 @@ from chronos.linalg import (
     kronecker_null_pairs,
     maxnorm,
 )
-from chronos.models import KINDS, OSCILLATOR, ModelSpec, hamiltonian
+from chronos.models import (
+    KINDS,
+    OSCILLATOR,
+    ModelSpec,
+    clock_operator,
+    hamiltonian,
+)
 from chronos.scenario import parse_scenario
 
 import oracles
@@ -141,6 +147,7 @@ def test_suite_count_rows_pass_on_the_gaps(suite):
 
 
 SPECTRUM_DRAWS = 8  # random mirrored closed forms
+CLOCK_K = PhysicalConstants(mass=0.7)
 # Each solver is backward stable: its values are those of a matrix within a
 # few eps ||A||_2 of A, which moves each by as much (Weyl), and
 # ||A||_2 <= n maxnorm(A).  The split's block sums round each entry once
@@ -157,13 +164,16 @@ def spectrum_cases():
         mirror = -np.arange(n) % n
         yield "random-%d" % n, CirculantPlusDiagonal(
             column + column[mirror], diagonal + diagonal[mirror])
-    for kind in KINDS:
-        for shift in (0.0, 0.3):  # of a step: the offset grid
-            n = int(rng.choice([16, 32, 64]))
-            grid = AxisGrid(n=n, origin=(shift - n / 2) * 0.5, spacing=0.5,
-                            label="position")
-            yield "%s-%d-%g" % (kind, n, shift), hamiltonian(
-                ModelSpec(kind, K, grid))
+    # the clocks take mass 0.7, so clock_scale is no power of two and
+    # scales every entry with rounding
+    for build, k in ((hamiltonian, K), (clock_operator, CLOCK_K)):
+        for kind in KINDS:
+            for shift in (0.0, 0.3):  # of a step: the offset grid
+                n = int(rng.choice([16, 32, 64]))
+                grid = AxisGrid(n=n, origin=(shift - n / 2) * 0.5,
+                                spacing=0.5, label="position")
+                yield "%s-%s-%d-%g" % (kind, build.__name__, n, shift), \
+                    build(ModelSpec(kind, k, grid))
 
 
 def test_split_spectrum_matches_jacobi_oracle():
@@ -178,8 +188,8 @@ def test_split_spectrum_matches_jacobi_oracle():
         ratio = float(np.max(np.abs(system.values - reference))) / bound
         assert ratio <= 1.0, (name, ratio)
         worst = np.maximum(worst, ratio)
-    # every case but the oscillator on its offset grid takes the split
-    assert len(split) == SPECTRUM_DRAWS + 3
+    # every case but the oscillator's two on its offset grid take the split
+    assert len(split) == SPECTRUM_DRAWS + 6
     assert not any(name.startswith(OSCILLATOR) and name.endswith("-0.3")
                    for name in split)
     # shown with pytest -s: 0.330 at SEED 31

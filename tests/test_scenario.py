@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from chronos.axes import (
+    TIME,
+    AxisGrid,
     PhysicalConstants,
     band_edge,
     energy_aligned_grids,
@@ -353,21 +355,37 @@ def test_cli_refuses_a_band_edge_that_overflows(tmp_path, capsys, hbar,
         % edge in err
 
 
-def test_band_edge_refusal_uses_the_band_edge_of_the_run():
-    # the refusal squares band_edge, hbar pi / spacing, the edge the run
-    # tests energies against.  On this 26-point grid the top frequency's
-    # energy, 2 pi hbar (n / 2) / (n spacing), rounds one ulp above it, to
-    # the first float whose square overflows, while the band edge's square
-    # stays finite, so the grid is accepted
+def test_band_edge_refusal_uses_the_band_edge_of_the_run(tmp_path, capsys):
+    # the refusal squares band_edge, hbar times the top frequency, the edge
+    # the run tests energies against.  On this 26-point grid that edge is
+    # the first float whose square overflows (hbar pi / spacing rounds one
+    # ulp below it, to a float whose square does not), so the grid is
+    # refused when it is parsed, and by every command
     doc = base_doc(preset={"q": {"n": 32, "origin": -8.0, "spacing": 0.5},
                            "t": {"n": 26, "origin": 0.0,
                                  "spacing": 2.34310684491081e-154}})
-    sc = parse_scenario(json.dumps(doc))
-    edge = band_edge(sc.t_grid, sc.model.constants)
-    assert edge == 1.3407807929942596e+154
-    assert math.isfinite((edge + sc.model.energy_bound) ** 2)
-    assert sc.model.constants.hbar * sc.t_grid.top_frequency \
-        == math.nextafter(edge, math.inf)
+    with pytest.raises(ScenarioValidationError) as info:
+        parse_scenario(json.dumps(doc))
+    assert info.value.field == "preset.t.spacing"
+    grid = AxisGrid(n=26, origin=0.0, spacing=2.34310684491081e-154,
+                    label=TIME)
+    edge = band_edge(grid, PhysicalConstants())
+    assert edge == math.nextafter(1.3407807929942596e+154, math.inf)
+    assert math.isinf(edge * edge)
+    code, err = refused_by_cli(tmp_path, capsys, doc, ["run"])
+    assert code == 2 and "preset.t.spacing" in err
+
+
+def test_check_accepts_the_top_lattice_energy(tmp_path, capsys):
+    # hbar 1000 on the energy-aligned grids puts the lattice's top energy
+    # at 8000, which tolerance 5000 pairs with a level; the suite builds
+    # its eigenvector, inside the band since the band edge is that energy
+    doc = base_doc(preset="energy-aligned",
+                   tolerances={"constraint_tol": 5000.0})
+    doc["constants"]["hbar"] = 1000.0
+    code, err = refused_by_cli(tmp_path, capsys, doc,
+                               ["check", "--suite", "constraint1"])
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("suite", ["constraint1", "ladder", "commutators"])
