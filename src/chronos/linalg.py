@@ -24,10 +24,10 @@ form (CirculantPlusDiagonal), its matrix formed on first read; eig_hermitian
 measures its symmetry, scale and invariance under the grid reflection
 j -> (n - j) mod n in O(n), and splits one of even order that is exactly
 invariant into two half-size even and odd blocks from its rows 0 .. n/2,
-so its values never form the matrix.  The split keeps rows 0 .. n/2 of
-its exactly even or odd vectors, certified at a quarter of the n^3 cost,
-and EigenSystem.vectors forms the n x n array on first read, its parity
-tested exactly.  The hermitian defect, the phase convention's magnitudes
+so its values never form the matrix.  The split keeps both block
+eigensystems where eigh returns them, each certified at a quarter of the
+n^3 cost, and one merge order; EigenSystem.vectors forms the n x n array
+on first read.  The hermitian defect, the phase convention's magnitudes
 and the split's reconstruction are taken TILE rows at a time; every
 hermitian, unitary and decomposition check fails on NaN.
 """
@@ -290,43 +290,39 @@ def identity(dim):
 class EigenSystem:
     """Eigenvalues ascending with matching orthonormal eigenvector columns.
 
-    rows holds the vectors, or, when sign is given, rows 0 .. n/2 of the
-    vectors of a reflection-split solve (eig_hermitian), column j exactly
-    even (sign[j] = +1) or odd (-1) under j -> (n - j) mod n.  vectors is
-    then formed on first read, rows n/2 + 1 .. n - 1 as rows n/2 - 1 .. 1
-    times sign, once an exact parity test has found every odd column zero
-    on rows 0 and n/2, its own mirrors; ConvergenceError otherwise.
+    rows holds the vectors, or, from a reflection-split solve of order n
+    (eig_hermitian), rows 0 .. n/2 of the exactly even vectors, with _split
+    holding rows 1 .. n/2 - 1 of the exactly odd ones, the merge order
+    (the column of [even | odd] of each value) and the odd columns' zeros
+    on rows 0 and n/2, signed by their phases.  vectors is then formed on
+    first read (_formed), and the system keeps it alone.
     """
 
     values: np.ndarray
     rows: np.ndarray
-    sign: np.ndarray | None = None
+    _split: tuple | None = None
 
     def __post_init__(self):
-        for name in ("values", "rows", "sign"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _frozen(getattr(self, name)))
-        if self.values.shape[0] != self.rows.shape[1]:
+        for name in ("values", "rows"):  # eig_hermitian freezes _split
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        count = len(self._split[1]) if self._split else self.rows.shape[1]
+        if self.values.shape[0] != count:
             raise DimensionMismatchError(
                 "%d eigenvalues for %d eigenvectors"
-                % (self.values.shape[0], self.rows.shape[1]))
+                % (self.values.shape[0], count))
 
     @cached_property
     def vectors(self):
-        if self.sign is None:
+        if self._split is None:
             return self.rows
-        h = self.rows.shape[0] - 1
-        if not (self.rows[::h, self.sign < 0] == 0.0).all():  # NaN fails
-            raise ConvergenceError("eigenvectors lost exact parity")
-        vectors = _mirrored(self.rows, self.sign)
+        vectors = _formed(self.rows, self._split)
         vectors.setflags(write=False)
-        # the kept rows become a view of the array, so both are held once
-        object.__setattr__(self, "rows", vectors[:h + 1])
+        vars(self).update(rows=vectors, _split=None)
         return vectors
 
     @property
     def dim(self):
-        return self.count if self.sign is not None else self.rows.shape[0]
+        return self.count if self._split is not None else self.rows.shape[0]
 
     @property
     def count(self):
@@ -352,15 +348,17 @@ def canonical_phase(vectors):
     real: their phase is an exact sign.  An all-zero column is left as it
     is.
     """
-    return _fix_phase(np.array(_stored(vectors), copy=True))
+    vectors = np.array(_stored(vectors), copy=True)
+    _fix_phase(vectors)
+    return vectors
 
 
 def _fix_phase(vectors):
     # canonical_phase in place on an array the caller owns: one pivot per
-    # column from the thresholded magnitudes, then one row of phases.  The
-    # magnitudes are taken TILE rows at a time, so none is held whole
+    # column from the thresholded magnitudes, then one row of phases, which
+    # is returned.  The magnitudes are taken TILE rows at a time
     if not vectors.size:
-        return vectors
+        return np.ones(vectors.shape[1], dtype=vectors.dtype)
     n, count = vectors.shape
     peak = np.zeros(count)
     for i in range(0, n, TILE):  # np.maximum carries a NaN to its column
@@ -377,54 +375,59 @@ def _fix_phase(vectors):
     np.multiply(vectors, phase.conj(), out=vectors, where=live)
     pivot = pivot[0][live], pivot[1][live]
     vectors[pivot] = vectors[pivot].real  # exact by convention
-    return vectors
+    return phase
 
 
-def _order_degenerate(values, vectors, sign=None):
+def _order_degenerate(values, vectors, split=None):
     # eigh gives ascending values; inside exact ties fix the column order
     # lexicographically, real part before imaginary and row by row, so
     # equal inputs always produce equal outputs.  One lexsort orders all
-    # tied columns; its last key, which leads, is the tie group.  Given the
-    # rows and sign of a split solve, the tied columns are formed in full
-    # for their keys, and sign is permuted with them.
+    # tied columns; its last key, which leads, is the tie group.  Given a
+    # split (EigenSystem), tied columns are _formed for the keys and the
+    # merge order is permuted.
     rises = values[1:] != values[:-1]
     if rises.all():
         return vectors
     group = np.concatenate(([0], np.cumsum(rises)))
     tied = np.flatnonzero(np.bincount(group)[group] > 1)
-    block = vectors[:, tied]
-    if sign is not None:
-        block = _mirrored(block, sign[tied])
+    block = vectors[:, tied] if split is None \
+        else _formed(vectors, split, tied)
     parts = (block.real, block.imag) if np.iscomplexobj(block) else (block,)
     keys = np.stack(parts, axis=1).reshape(-1, tied.size)[::-1]
-    order = tied[np.lexsort(np.vstack((keys, group[tied])))]
-    vectors[:, tied] = vectors[:, order]
-    if sign is not None:
-        sign[tied] = sign[order]
+    moved = tied[np.lexsort(np.vstack((keys, group[tied])))]
+    columns = vectors if split is None else split[1][None]  # order, a row
+    columns[:, tied] = columns[:, moved]
     return vectors
 
 
-def _mirrored(rows, sign):
-    # the n x count vectors, exactly: rows, then rows n/2 - 1 .. 1 times sign
-    return np.concatenate((rows, rows[-2:0:-1] * sign))
+def _formed(even, split, columns=slice(None)):
+    # the n x n vectors, or those columns, exactly: column k is column
+    # order[k] of [even | odd], an odd one its signed zeros on rows 0 and
+    # n/2, and rows n/2 + 1 .. n - 1 are rows n/2 - 1 .. 1, negated if odd
+    (odd, order, zeros), h = split, even.shape[0] - 1
+    top = np.concatenate((even, np.vstack((zeros, odd, zeros))), axis=1)
+    order = order[columns]
+    vectors = np.empty((2 * h, order.size))
+    np.take(top, order, axis=1, out=vectors[:h + 1])
+    np.multiply(vectors[h - 1:0:-1], np.where(order > h, -1.0, 1.0),
+                out=vectors[h + 1:])
+    return vectors
 
 
 def _eigh(m):
-    # (values, vectors, None) from np.linalg.eigh of a matrix m, or, for the
-    # closed form that eig_hermitian hands over only when it is exactly
-    # invariant under the reflection j -> (n - j) mod n, of even order
-    # n >= 4, the split into two half-size blocks (Golub & Van Loan, Matrix
-    # Computations, sec. 8.1): on the basis e_0, (e_j + e_{n-j})/sqrt(2),
-    # e_{n/2} of even vectors and (e_j - e_{n-j})/sqrt(2) of odd ones, for
-    # 0 < j < n/2.  The blocks are built from rows 0 .. n/2 of m, generated
-    # and dropped before the solves.  The split returns the values
-    # ascending, rows 0 .. n/2 of their vectors, each exactly even or odd,
-    # and the column signs, +1 for an even column and -1 for an odd one; it
-    # forms no n x n array.
+    # (values, vectors, None, None) from np.linalg.eigh of a matrix m, or,
+    # for the closed form that eig_hermitian hands over only when it is
+    # exactly invariant under the reflection j -> (n - j) mod n, of even
+    # order n >= 4, the split into two half-size blocks (Golub & Van Loan,
+    # Matrix Computations, sec. 8.1): on the basis e_0, (e_j + e_{n-j})/
+    # sqrt(2), e_{n/2} of even vectors and (e_j - e_{n-j})/sqrt(2) of odd
+    # ones, for 0 < j < n/2, built from rows 0 .. n/2 of m, generated and
+    # dropped before the solves.  It returns the values ascending, both
+    # blocks' vectors, on rows 0 .. n/2 and 1 .. n/2 - 1, and the merge
+    # order, and forms no n x n array.
     if not isinstance(m, CirculantPlusDiagonal):
-        return (*np.linalg.eigh(m), None)
-    n = m.dim
-    h = n // 2
+        return (*np.linalg.eigh(m), None, None)
+    h = m.dim // 2
     r = np.sqrt(0.5)
     top = m.rows(0, h + 1)
     # even[a, b] = m[a, b] + m[a, n - b], scaled by sqrt(1/2) on each side
@@ -442,67 +445,64 @@ def _eigh(m):
     del odd
     even_vectors[1:h] *= r
     odd_vectors *= r
-    # block column k, [even | odd], is scattered straight into its place in
-    # ascending order; an odd column is zero on rows 0 and h
     values = np.concatenate((even_values, odd_values))
     order = np.argsort(values, kind="stable")
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)
-    rows = np.empty((h + 1, n))
-    rows[:, column[:h + 1]] = even_vectors
-    rows[::h, column[h + 1:]] = 0.0
-    rows[1:h, column[h + 1:]] = odd_vectors
-    return values[order], rows, np.where(order > h, -1.0, 1.0)
+    return values[order], even_vectors, odd_vectors, order
 
 
-def _orthonormality_defect(rows, sign):
-    # maxnorm(V^H V - I).  With sign, V is the vectors formed from rows,
-    # each odd column taken as zero on rows 0 and n/2, as their parity test
-    # holds it: even and odd columns are orthogonal term by term, so the
-    # defect is that of two half-size products, rows 0 .. n/2 of the even
-    # columns and 1 .. n/2 - 1 of the odd ones, rows 1 .. n/2 - 1 (which
-    # rows n/2 + 1 .. n - 1 repeat) weighted by sqrt(2).
-    if sign is None:
-        return unitary_defect(rows)
-    h = rows.shape[0] - 1
-    even_rows = np.take(rows, np.flatnonzero(sign > 0), axis=1)
-    odd_rows = np.take(rows[1:h], np.flatnonzero(sign < 0), axis=1)
-    even_rows[1:h] *= np.sqrt(2.0)
-    odd_rows *= np.sqrt(2.0)
-    return np.maximum(unitary_defect(even_rows), unitary_defect(odd_rows))
+def _orthonormality_defect(vectors, split):
+    # maxnorm(V^H V - I).  Given a split, V is _formed of both blocks, even
+    # and odd columns orthogonal term by term: the defect is each block's
+    # own, rows 1 .. n/2 - 1 (repeated as n/2 + 1 .. n - 1) weighted sqrt(2).
+    if split is None:
+        return unitary_defect(vectors)
+    odd = unitary_defect(np.sqrt(2.0) * split[0])
+    even = vectors.copy()
+    even[1:-1] *= np.sqrt(2.0)
+    return np.maximum(unitary_defect(even), odd)
 
 
-def _reconstruction_defect(values, rows, sign, m):
-    # maxnorm(V diag(w) V^H - m).  With sign, V as in _orthonormality_defect
-    # and m a closed form that is exactly reflection-invariant, tested here
-    # again whatever routed the solve, P V = V diag(sign) for the
-    # reflection P, so V diag(w) V^T - m is exactly invariant too and its
-    # rows 0 .. n/2 hold a representative of every entry.  Only those are
-    # formed, TILE rows at a time, by two half-size products less the same
-    # rows of m; columns n/2 + 1 .. n - 1 are the reflected columns
+def _symmetric_product(block, w):
+    # block diag(w) block^T as W W^T, W = block |w|^(1/2), less the same for
+    # w < 0: numpy solves X @ X.T by a symmetric rank-k update, half a gemm
+    scaled = block * np.sqrt(np.abs(w))
+    if not (w < 0).any():
+        return scaled @ scaled.T
+    pos, neg = scaled[:, ~(w < 0)], scaled[:, w < 0]
+    return pos @ pos.T - neg @ neg.T
+
+
+def _reconstruction_defect(values, vectors, split, m):
+    # maxnorm(V diag(w) V^H - m).  Given a split, V as in
+    # _orthonormality_defect and m a closed form that is exactly
+    # reflection-invariant, tested here again whatever routed the solve,
+    # V diag(w) V^T - m is exactly invariant under the reflection too and
+    # its rows 0 .. n/2 hold a representative of every entry.  Only those
+    # are formed, TILE rows at a time, the rows of m less both blocks'
+    # products; columns n/2 + 1 .. n - 1 are the reflected columns
     # 1 .. n/2 - 1, the even part plus and the odd part minus.  Any other m
     # gets the full product of the formed vectors, differenced in place
     # from the matrix, formed if m is a closed form that fails the test.
     h = m.shape[0] // 2
-    if sign is not None and not m.reflection_invariant():
-        rows, sign, m = _mirrored(rows, sign), None, m.matrix
-    if sign is None:
-        recon = (rows * values) @ rows.conj().T
+    if split is not None and not m.reflection_invariant():
+        vectors, split, m = _formed(vectors, split), None, m.matrix
+    if split is None:
+        recon = (vectors * values) @ vectors.conj().T
         recon -= m
         return _owned_maxnorm(recon)
-    even, odd = np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)
-    even_rows = np.take(rows, even, axis=1)
-    odd_rows = np.take(rows, odd, axis=1)
-    odd_rows[::h] = 0.0
+    w = np.empty_like(values)
+    w[split[1]] = values  # each block column's value
+    even = _symmetric_product(vectors, w[:h + 1])
+    odd = _symmetric_product(split[0], w[h + 1:])
 
     def tiles():
-        for i in range(0, h + 1, TILE):
-            part = (even_rows[i:i + TILE] * values[even]) @ even_rows.T
-            top = np.concatenate((part, part[:, h - 1:0:-1]), 1)
-            part = (odd_rows[i:i + TILE] * values[odd]) @ odd_rows.T
-            top[:, :h + 1] += part
-            top[:, h + 1:] -= part[:, h - 1:0:-1]
-            top -= m.rows(i, min(i + TILE, h + 1))
+        for i in range(0, h + 1, TILE):  # each tile of m - V diag(w) V^T
+            top = m.rows(i, min(i + TILE, h + 1))
+            top[:, :h + 1] -= even[i:i + TILE]
+            top[:, h + 1:] -= even[i:i + TILE, h - 1:0:-1]
+            a, b = max(i, 1), min(i + TILE, h)  # the tile's odd rows
+            top[a - i:b - i, 1:h] -= odd[a - 1:b - 1]
+            top[a - i:b - i, :h:-1] += odd[a - 1:b - 1]
             yield top
     return tiled_maxnorm(tiles())
 
@@ -519,26 +519,24 @@ def eig_hermitian(op):
     exactly invariant under the reflection j -> (n - j) mod n, as a
     Hamiltonian or clock on a mirrored grid is, is split into two half-size
     blocks from its rows 0 .. n/2; each vector comes back exactly even or
-    odd, v[(n - j) % n] == +-v[j], degenerate eigenspaces included.  Only
-    rows 0 .. n/2 of those vectors are kept, with the column signs, and
-    phases and tie order are fixed on them: an even or odd column has its
-    peak and first significant entry there.
-    EigenSystem.vectors forms the n x n array on first read, after an exact
-    test of its parity, so a caller that reads only the values never pays.
+    odd, v[(n - j) % n] == +-v[j], degenerate eigenspaces included.  The
+    two block eigensystems are kept, and phases fixed on each, as eigh
+    returns them, and ties ordered in one merge order; EigenSystem.vectors
+    forms the n x n array on first read, so reading values never pays.
 
     Three checks run on every route, each written so that NaN fails it:
     - the input's hermitian defect, O(n^2), tile by tile, or O(n) from
       a CirculantPlusDiagonal's two arrays, which stand in for its matrix
       on every route that does not form it;
     - orthonormality of the phase-fixed and ordered vectors,
-      maxnorm(V^H V - I) <= 1e-10: on the split route two half-size
-      products of the kept rows, a quarter of the n^3 cost;
+      maxnorm(V^H V - I) <= 1e-10: on the split route each block's own
+      product, a quarter of the n^3 cost;
     - reconstruction against the caller's full matrix, maxnorm(V diag(w)
       V^H - A) <= 1e-9 maxnorm(A), so it certifies the split too: when
       the closed form is exactly reflection-invariant, tested again in
       O(n), every entry of the difference equals one in its rows
-      0 .. n/2, formed from the kept rows TILE rows at a time at a quarter
-      of the n^3 cost; otherwise the full product of the formed vectors.
+      0 .. n/2, formed from the two blocks TILE rows at a time at a
+      quarter of the n^3 cost; otherwise the full product of the vectors.
     A matrix that is not square raises DimensionMismatchError.
     """
     if isinstance(op, CirculantPlusDiagonal):
@@ -552,18 +550,20 @@ def eig_hermitian(op):
             m.dim % 2 or m.dim < 4 or not m.reflection_invariant()):
         m = m.matrix  # solved whole; below n = 4 a split saves nothing
     try:
-        values, rows, sign = _eigh(m)
+        values, vectors, odd, order = _eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("eigendecomposition failed: %s" % exc) from exc
-    _fix_phase(rows)
-    _order_degenerate(values, rows, sign)
-    if not _orthonormality_defect(rows, sign) <= ORTHONORMAL_ATOL:
+    _fix_phase(vectors)
+    split = None if odd is None else (odd, order, 0.0 * _fix_phase(odd))
+    _order_degenerate(values, vectors, split)
+    if not _orthonormality_defect(vectors, split) <= ORTHONORMAL_ATOL:
         raise ConvergenceError("eigenvectors lost orthonormality")
-    if not _reconstruction_defect(values, rows, sign, m) \
+    if not _reconstruction_defect(values, vectors, split, m) \
             <= RECONSTRUCT_RTOL * max(scale, 1e-300):
         raise ConvergenceError("eigendecomposition does not reconstruct input")
-    rows.setflags(write=False)  # stored by EigenSystem without a copy
-    return EigenSystem(values, rows, sign)
+    for a in (vectors,) + (split or ()):
+        a.setflags(write=False)  # stored by EigenSystem without a copy
+    return EigenSystem(values, vectors, split)
 
 
 def kron(a, b):

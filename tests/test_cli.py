@@ -137,7 +137,7 @@ def test_spectrum_forms_no_eigenvectors(capsys, monkeypatch):
                         lambda model: built.append(build(model)) or built[-1])
     assert run_cli(capsys, "spectrum", "--levels", "3")[0] == 0
     system = vars(built[0])["eigensystem"]
-    assert system.sign is not None
+    assert system._split is not None
     assert "vectors" not in vars(system)
 
 
@@ -196,7 +196,7 @@ def test_each_command_solves_on_its_route(capsys, monkeypatch, tmp_path,
         unformed = isinstance(op, CirculantPlusDiagonal) \
             and "matrix" not in vars(op)
         system = eig_hermitian(op)
-        calls.append((op.dim, type(op).__name__, system.sign is not None,
+        calls.append((op.dim, type(op).__name__, system._split is not None,
                       unformed and "matrix" in vars(op)))
         return system
 

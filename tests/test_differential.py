@@ -180,7 +180,7 @@ def test_split_spectrum_matches_jacobi_oracle():
     worst, split = 0.0, []
     for name, op in spectrum_cases():
         system = eig_hermitian(op)
-        if system.sign is not None:
+        if system._split is not None:
             split.append(name)
         reference = oracles.jacobi_spectrum(op.matrix)
         bound = SPECTRUM_EPS * op.dim * np.finfo(float).eps \

@@ -355,7 +355,7 @@ def test_eig_full_route_outside_the_split(rng, eigh_shapes, build):
     m = build(rng)
     system = eig_hermitian(m)
     assert eigh_shapes == [np.shape(getattr(m, "matrix", m))]
-    assert system.sign is None
+    assert system._split is None
 
 
 @pytest.mark.parametrize("perturb, match", [
@@ -420,39 +420,25 @@ def test_eig_split_checks_refuse_one_nan(rng, monkeypatch, where):
             eig_hermitian(CirculantPlusDiagonal(column, diagonal))
 
 
-@pytest.mark.parametrize("parity, row", [(1, 4), (-1, 4), (-1, 0), (-1, 6)])
+@pytest.mark.parametrize("parity, row", [(1, 4), (-1, 4)])
 def test_eig_broken_mirror_is_caught_when_vectors_are_formed(rng, monkeypatch,
                                                               parity, row):
-    # the split keeps rows 0 .. n/2 and each column's sign.  A kept row
-    # 1 .. n/2 - 1 that is off breaks the half-size Gram products; an odd
-    # column off zero on row 0 or n/2, its own mirrors, would break the
-    # parity of the formed vectors, and the products skip those entries,
-    # so the array's parity test must refuse it when it is formed
+    # the split keeps the even block on rows 0 .. n/2 and the odd block on
+    # rows 1 .. n/2 - 1; an entry of either that is off breaks its block's
+    # product, so the solve refuses it before any vectors are formed.  An
+    # odd column's rows 0 and n/2, its own mirrors, are not kept but
+    # written as zeros when the vectors are formed, so none can break
     m = mirrored_closed_form(rng, 12)
     split = linalg._eigh
 
     def broken(a):
-        values, rows, sign = split(a)
-        rows[row, list(sign).index(parity)] += 1e-4
-        return values, rows, sign
+        values, even, odd, order = split(a)
+        (even if parity > 0 else odd)[row - (parity < 0), 1] += 1e-4
+        return values, even, odd, order
 
     monkeypatch.setattr(linalg, "_eigh", broken)
-    if row in (0, 6):
-        system = eig_hermitian(m)
-        assert "vectors" not in vars(system)
-        with pytest.raises(ConvergenceError, match="parity"):
-            system.vectors
-        assert "vectors" not in vars(system)
-    else:
-        with pytest.raises(ConvergenceError, match="orthonormality"):
-            eig_hermitian(m)
-
-
-def test_formed_vectors_refuse_a_nan_on_an_odd_mirror_row(rng):
-    values, rows, sign = split_result(mirrored_closed_form(rng, 12))
-    rows[6, list(sign).index(-1)] = np.nan
-    with pytest.raises(ConvergenceError, match="parity"):
-        linalg.EigenSystem(values, rows, sign).vectors
+    with pytest.raises(ConvergenceError, match="orthonormality"):
+        eig_hermitian(m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 7, 12])
@@ -470,15 +456,17 @@ def test_reflection_test_reads_every_entry(rng, n):
 
 
 def split_result(m):
-    # the split's values, kept rows and signs as eig_hermitian checks them
-    values, rows, sign = linalg._eigh(m)
-    linalg._fix_phase(rows)
-    linalg._order_degenerate(values, rows, sign)
-    return values, rows, sign
+    # the split's values, even block and the rest as eig_hermitian checks
+    # them: the odd block, the merge order and the odd columns' zeros
+    values, even, odd, order = linalg._eigh(m)
+    linalg._fix_phase(even)
+    split = odd, order, 0.0 * linalg._fix_phase(odd)
+    linalg._order_degenerate(values, even, split)
+    return values, even, split
 
 
-def formed(rows, sign):
-    return linalg.EigenSystem(np.zeros(sign.shape), rows, sign).vectors
+def formed(even, split):
+    return linalg.EigenSystem(np.zeros(split[1].shape), even, split).vectors
 
 
 @pytest.mark.parametrize("n", [4, 6, 12, 130, 512, 1024])
@@ -486,13 +474,13 @@ def test_quarter_reconstruction_matches_full_product(rng, n):
     # rows 0 .. n/2 go TILE rows at a time: 130 fits one partial tile,
     # 512 and 1024 end on a one-row tile
     m = mirrored_closed_form(rng, n)
-    values, rows, sign = split_result(m)
-    assert sign is not None and m.reflection_invariant()
-    vectors = formed(rows, sign)
+    values, even, split = split_result(m)
+    assert m.reflection_invariant()
+    vectors = formed(even, split)
     shifted = values.copy()
     shifted[n // 3] += 1e-6
     for w in (values, shifted):
-        quarter = linalg._reconstruction_defect(w, rows, sign, m)
+        quarter = linalg._reconstruction_defect(w, even, split, m)
         full = oracles.dense_reconstruction_defect(w, vectors, m.matrix)
         assert abs(quarter - full) <= 1e-13 * maxnorm(m.matrix)
 
@@ -508,9 +496,9 @@ def test_eig_quarter_reconstruction_refuses_a_wrong_value(rng, monkeypatch):
         return seen[-1]
 
     def shifted(a):
-        values, rows, sign = split(a)
+        values, even, odd, order = split(a)
         values[3] += 1e-3
-        return values, rows, sign
+        return values, even, odd, order
 
     monkeypatch.setattr(CirculantPlusDiagonal, "reflection_invariant", spy)
     monkeypatch.setattr(linalg, "_eigh", shifted)
@@ -532,9 +520,9 @@ def test_eig_reconstruction_reads_rows_below_the_quarter(rng, monkeypatch):
     diagonal[9] += 1e-3
     changed = CirculantPlusDiagonal(column, diagonal)
     assert np.array_equal(changed.rows(0, 7), base.rows(0, 7))
-    values, rows, sign = linalg._eigh(base)
-    monkeypatch.setattr(linalg, "_eigh", lambda a: (
-        values.copy(), rows.copy(), sign.copy()))
+    result = linalg._eigh(base)
+    monkeypatch.setattr(linalg, "_eigh",
+                        lambda a: tuple(part.copy() for part in result))
     eig_hermitian(base)
     routed = []
     invariant = CirculantPlusDiagonal.reflection_invariant
@@ -554,12 +542,13 @@ def test_eig_reconstruction_reads_rows_below_the_quarter(rng, monkeypatch):
 
 def test_eig_nan_below_the_quarter_is_refused(rng):
     column, diagonal = next(closed_form_cases(rng, 12))
-    values, rows, sign = split_result(CirculantPlusDiagonal(column, diagonal))
+    values, even, split = split_result(
+        CirculantPlusDiagonal(column, diagonal))
     diagonal[9] = np.nan
     changed = CirculantPlusDiagonal(column, diagonal)
     with np.errstate(invalid="ignore"):
         assert np.isnan(
-            linalg._reconstruction_defect(values, rows, sign, changed))
+            linalg._reconstruction_defect(values, even, split, changed))
         with pytest.raises(NotHermitianError):
             eig_hermitian(changed)
 
@@ -597,16 +586,23 @@ SPLIT_INPUTS = [
 
 @pytest.mark.parametrize("build", SPLIT_INPUTS)
 def test_eigh_merge_matches_scatter_oracle(rng, monkeypatch, build):
+    # the blocks as eigh returned them, scaled onto the vectors' rows, and
+    # the merge order: formed with plain zeros, no phase fixed, they are the
+    # oracle's scatter of each block column into its ascending place
     m = build(rng)
     h = m.dim // 2
     blocks = eigh_blocks(monkeypatch)
-    values, rows, sign = linalg._eigh(m)
+    values, even, odd, order = linalg._eigh(m)
     assert len(blocks) == 2
     want_values, want_vectors = oracles.scatter_merge(*blocks)
     assert values.tobytes() == want_values.tobytes()
-    assert rows.tobytes() == want_vectors[:h + 1].tobytes()
-    assert list(sign) == oracles.reflection_parities(want_vectors)
-    assert formed(rows, sign).tobytes() == want_vectors.tobytes()
+    place = np.argsort(order)
+    assert even.tobytes() == want_vectors[:h + 1, place[:h + 1]].tobytes()
+    assert odd.tobytes() == want_vectors[1:h, place[h + 1:]].tobytes()
+    assert [-1 if k > h else 1 for k in order] \
+        == oracles.reflection_parities(want_vectors)
+    split = odd, order, np.zeros(h - 1)
+    assert formed(even, split).tobytes() == want_vectors.tobytes()
     if not m.diagonal.any():  # the free particle's standing-wave pairs
         assert np.count_nonzero(values[1:] == values[:-1]) >= 10
 
@@ -627,8 +623,8 @@ def test_formed_vectors_match_take_merge_oracle(rng, monkeypatch, build):
     assert system.vectors.tobytes() == want_vectors.tobytes()
     assert system.vectors is system.vectors
     assert not system.vectors.flags.writeable
-    # once formed, the kept rows are a view of the array, held once
-    assert system.rows.base is system.vectors
+    # once formed, the array is held alone, the blocks dropped
+    assert system.rows is system.vectors and system._split is None
     assert "matrix" not in vars(m)
 
 
@@ -651,12 +647,12 @@ def test_spectrum_values_allocation_peak():
     # as `chronos spectrum` reads them, traced from before the Hamiltonian
     # is built.  It is kept in closed form, and the split generates rows
     # 0 .. n/2 of the matrix, half of its n x n size, drops them once the
-    # blocks are built, and keeps rows 0 .. n/2 of the vectors and the
-    # values and signs; at its peak the reconstruction also holds the even
-    # and odd columns of those rows, a quarter of the matrix each, and
-    # TILE-row temporaries.  Forming the n x n vectors beside an
-    # (n/2 + 1) x n block copy peaked at 18.05 MiB and held 8.01 MiB
-    # afterwards
+    # blocks are built, and keeps the values and both block eigensystems
+    # where eigh returned them, a quarter of the matrix each.  At its peak
+    # the reconstruction also holds both blocks' symmetric products and the
+    # odd block's scaled copy, a quarter each: 1.28 of the matrix's size.
+    # Gathering the even and odd columns out of an (n/2 + 1) x n scatter of
+    # both blocks peaked at 1.45
     model = ModelSpec(OSCILLATOR, PhysicalConstants(),
                       AxisGrid(n=1024, origin=-20.0, spacing=40.0 / 1024,
                                label="position"))
@@ -669,9 +665,10 @@ def test_spectrum_values_allocation_peak():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * size
-    # the kept rows, and room for eight length-n float arrays
-    assert held <= (n // 2 + 1) * n * 8 + 8 * n * 8
+    assert peak <= 1.35 * size
+    # both blocks, and room for eight length-n float arrays
+    h = n // 2
+    assert held <= ((h + 1) ** 2 + (h - 1) ** 2) * 8 + 8 * n * 8
     assert "matrix" not in vars(hamiltonian(model))
 
 
@@ -692,8 +689,8 @@ def closed_form_hamiltonian(kind, n, shift=0.0):
 def test_closed_form_eigensystem_matches_formed_matrix(monkeypatch, kind, n,
                                                        shift):
     # the Hamiltonian solved from its closed form.  A split never forms the
-    # matrix, and its values, rows, signs and formed vectors are bit for
-    # bit the take-merge oracle of the two blocks eigh returned; the
+    # matrix, and its values, blocks, merge order and formed vectors are
+    # bit for bit the take-merge oracle of the two blocks eigh returned; the
     # oscillator on an offset grid is not reflection-invariant (the free
     # particle has no potential to break the mirror), so it is formed and
     # solved whole, bit for bit the solve of its formed matrix
@@ -702,20 +699,29 @@ def test_closed_form_eigensystem_matches_formed_matrix(monkeypatch, kind, n,
     blocks = eigh_blocks(monkeypatch)
     closed = eig_hermitian(ham)
     split = not (kind == OSCILLATOR and shift != 0.0)
-    assert (closed.sign is not None) == split
+    assert (closed._split is not None) == split
     assert ("matrix" in vars(ham)) != split
     if split:
+        h = n // 2
         want_values, want_vectors = oracles.eig_by_take_merge(*blocks)
         assert closed.values.tobytes() == want_values.tobytes()
-        assert closed.rows.tobytes() == want_vectors[:n // 2 + 1].tobytes()
-        assert list(closed.sign) == oracles.reflection_parities(want_vectors)
+        odd, order, zeros = closed._split
+        place = np.argsort(order)
+        for block, rows, columns in ((closed.rows, slice(0, h + 1),
+                                      place[:h + 1]),
+                                     (odd, slice(1, h), place[h + 1:]),
+                                     (zeros, 0, place[h + 1:]),
+                                     (zeros, h, place[h + 1:])):
+            assert block.tobytes() == want_vectors[rows, columns].tobytes()
+        assert [-1 if k > h else 1 for k in order] \
+            == oracles.reflection_parities(want_vectors)
         assert closed.vectors.tobytes() == want_vectors.tobytes()
         return
     dense = eig_hermitian(ham.matrix)
     for name in ("values", "rows", "vectors"):
         assert getattr(closed, name).tobytes() \
             == getattr(dense, name).tobytes(), name
-    assert dense.sign is None
+    assert dense._split is None
 
 
 def closed_form_cases(rng, n):
@@ -817,7 +823,7 @@ def test_closed_form_with_an_unmirrored_potential_takes_the_full_route(
     diagonal[5] = np.nextafter(diagonal[5], np.inf)
     op = CirculantPlusDiagonal(ham.column, diagonal)
     system = eig_hermitian(op)
-    assert eigh_shapes == [(64, 64)] and system.sign is None
+    assert eigh_shapes == [(64, 64)] and system._split is None
     assert "matrix" in vars(op)
     assert system.values.tobytes() == eig_hermitian(op.matrix).values.tobytes()
 

@@ -286,7 +286,7 @@ def test_clock_splits_its_own_closed_form(formed_matrices, kind):
     grid = AxisGrid(n=64, origin=-8.0, spacing=0.25, label="position")
     model = ModelSpec(kind, k, grid)
     system = clock_operator(model).eigensystem
-    assert system.sign is not None
+    assert system._split is not None
     scale = clock_scale(model)
     scaled = scale * hamiltonian(model).eigensystem.values
     assert formed_matrices == []
