@@ -14,8 +14,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, OutOfBandError, WrongAxisError
-from .linalg import kron, identity, operator
+from .exceptions import (
+    ConvergenceError,
+    DimensionMismatchError,
+    OutOfBandError,
+    WrongAxisError,
+)
+from .linalg import ORTHONORMAL_ATOL, identity, kron, operator, unitary_defect
 
 POSITION = "position"
 TIME = "time"
@@ -162,9 +167,19 @@ class AxisGrid:
 
     @cached_property
     def fourier_map(self):
-        """Unitary matrix whose column for frequency w samples e^{i w x}/sqrt(n)."""
+        """Unitary matrix whose column for frequency w samples e^{i w x}/sqrt(n).
+
+        Its phases lose digits as the origin grows, so it is certified when
+        first built: a unitary defect above ORTHONORMAL_ATOL, the bound on
+        every solved basis, raises ConvergenceError.
+        """
         phase = np.outer(self.samples, self.frequencies)
         out = np.exp(1j * phase) / np.sqrt(self.n)
+        defect = unitary_defect(out)
+        if not defect <= ORTHONORMAL_ATOL:
+            raise ConvergenceError(
+                "the %s grid's Fourier map has unitary defect %.3g, above %.0e"
+                % (self.label, defect, ORTHONORMAL_ATOL))
         out.setflags(write=False)
         return out
 

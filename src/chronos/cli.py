@@ -7,7 +7,7 @@ CSV with LF line endings and 17-significant-digit floats; tables go to
 stdout unless --out names a file.
 
 Exit codes: 0 all pass, 1 check or run failure, 2 usage or validation
-error, 3 numerical non-convergence.  Each diagnostic is one plain
+error, 3 a basis that fails its certificate.  Each diagnostic is one plain
 `error: <message>` line on stderr.
 
 At its top this module imports only the standard library and the
@@ -162,8 +162,7 @@ def cmd_run(args):
         _emit(_trajectory_csv(exc.records, aborted_reason=str(exc)),
               args.out)
         _diag(str(exc))
-        cause = exc.__cause__
-        return 3 if isinstance(cause, ConvergenceError) else 1
+        return 1
     _emit(_trajectory_csv(records), args.out)
     return 0
 

@@ -2,7 +2,7 @@
 document format parsed into them.
 
 A Scenario holds a model, the time grid it runs on, an InitialState, its
-Steps and two tolerances; each value refuses, when it is made, what it
+Steps and one tolerance; each value refuses, when it is made, what it
 can judge on its own, and dynamics.run_scenario runs it.  A scenario
 document has exactly the top-level keys constants, preset, model,
 initial, steps, and optionally tolerances.  Unknown keys anywhere are
@@ -43,8 +43,6 @@ GRID_KEYS = ("n", "origin", "spacing")
 # largest grid a scenario may ask for: an n x n complex operator on it
 # takes 1 GiB
 MAX_GRID_N = 8192
-# the default bound on the eigenbasis defect that run certifies
-EIGEN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,22 +97,21 @@ class InitialState:
 @dataclass(frozen=True)
 class Scenario:
     """A model, the time grid it runs on, a start, the steps to take and
-    two tolerances, each refused unless it is positive and finite."""
+    the tolerance of the lattice rule, refused unless it is positive and
+    finite."""
 
     model: ModelSpec
     t_grid: AxisGrid
     initial: InitialState
     steps: tuple
     constraint_tol: float = DEFAULT_TOL
-    eigen_tol: float = EIGEN_TOL
 
     def __post_init__(self):
-        for key in ("constraint_tol", "eigen_tol"):
-            value = getattr(self, key)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ScenarioValidationError(
-                    "must be positive and finite, got %r" % (value,),
-                    field="tolerances." + key)
+        value = self.constraint_tol
+        if not (np.isfinite(value) and value > 0.0):
+            raise ScenarioValidationError(
+                "must be positive and finite, got %r" % (value,),
+                field="tolerances.constraint_tol")
         # the time grid's energies reach the band edge, hbar w_top;
         # the energy operator sums n of them and a run squares their gaps
         # to the model's energies, so both must stay in the float range
@@ -279,10 +276,10 @@ def _parse_steps(value):
 
 
 def _parse_tolerances(value):
-    # only the keys the document gives: Scenario holds the defaults and
+    # only the key the document gives: Scenario holds the default and
     # refuses a tolerance that is not positive
     obj = _fields({} if value is None else value, "tolerances",
-                  ("constraint_tol", "eigen_tol"))
+                  ("constraint_tol",))
     return {key: _number(number, "tolerances." + key)
             for key, number in obj.items()}
 

@@ -362,8 +362,7 @@ def serialize_scenario(sc):
         "model": sc.model.kind,
         "initial": initial,
         "steps": steps,
-        "tolerances": {"constraint_tol": sc.constraint_tol,
-                       "eigen_tol": sc.eigen_tol},
+        "tolerances": {"constraint_tol": sc.constraint_tol},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -26,6 +26,7 @@ from chronos.axes import (
     time_operator,
 )
 from chronos.exceptions import (
+    ConvergenceError,
     DimensionMismatchError,
     OutOfBandError,
     WrongAxisError,
@@ -71,6 +72,33 @@ def test_fourier_map_matches_entrywise_oracle():
     assert maxnorm(grid.fourier_map - expected) < 1e-14
     gram = grid.fourier_map.conj().T @ grid.fourier_map
     assert maxnorm(gram - np.eye(8)) < 1e-13
+
+
+@pytest.mark.parametrize("label", ["position", "time"])
+def test_fourier_map_is_certified_when_built(label):
+    # its phases lose digits as the origin grows: the unitary defect of a
+    # 32-point map of period 4 pi is about 3e-11 at origin 1e5, 2.2e-10 at
+    # 1e6 and 2.8e-7 at 1e9, against eig_hermitian's bound of 1e-10
+    k = PhysicalConstants()
+    for origin in (0.0, 1e4, 1e5, 1e6, 1e9):
+        grid = AxisGrid(32, origin, 4.0 * np.pi / 32, label)
+        defect = unitary_defect(np.exp(1j * np.outer(
+            grid.samples, grid.frequencies)) / np.sqrt(32))
+        build = momentum_operator if label == "position" else energy_operator
+        if defect <= ORTHONORMAL_ATOL:
+            assert origin <= 1e5
+            assert not grid.fourier_map.flags.writeable
+            assert build(grid, k).eigensystem.vectors.shape == (32, 32)
+            continue
+        assert origin >= 1e6
+        # each read measures it again; nothing is kept, nor built from it
+        for read in (lambda: grid.fourier_map, lambda: build(grid, k)):
+            with pytest.raises(ConvergenceError) as info:
+                read()
+            assert str(info.value) == ("the %s grid's Fourier map has "
+                                       "unitary defect %.3g, above 1e-10"
+                                       % (label, defect))
+        assert "fourier_map" not in vars(grid)
 
 
 def assert_keeps_sample_pair(op, grid):

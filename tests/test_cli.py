@@ -143,13 +143,13 @@ def test_spectrum_forms_no_eigenvectors(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, formed", [
     (["spectrum"], 0), (["spectrum", "--levels", "3"], 0),
-    (["run", "--config", "scenarios/oscillator_jump.json"], 1),
+    (["run", "--config", "scenarios/oscillator_jump.json"], 0),
     (["subspace"], 1)], ids=["spectrum", "spectrum-levels", "run", "subspace"])
 def test_commands_form_the_hamiltonian_matrix_as_needed(
         capsys, formed_matrices, argv, formed):
     # the Hamiltonian keeps its closed form: `spectrum` reads its values
-    # from rows 0 .. n/2 alone, while `run` and `subspace` read the n x n
-    # matrix, formed once
+    # from rows 0 .. n/2 alone and `run` its eigensystem alone, while
+    # `subspace` reads the n x n matrix, formed once
     root = Path(__file__).resolve().parents[1]
     argv = [str(root / a) if a.startswith("scenarios/") else a for a in argv]
     assert run_cli(capsys, *argv)[0] == 0
@@ -375,9 +375,9 @@ def test_subspace_lists_one_row_per_run_column(capsys, tmp_path, tol):
     assert "level_count_gap,0,0,pass" in out.splitlines()
 
 
-# eigen_tol is absolute: the free particle on a 0.001-spaced q grid has
-# levels up to about 4.9e6, and the rounding of its eigenbasis, about
-# 1e-15 of that, exceeds the default bound until the file raises it
+# the free particle on a 0.001-spaced q grid has levels up to about
+# 4.9e6; its eigenbasis is certified relative to that scale, by the
+# eigensolve, so the document runs with no tolerance of its own
 STIFF_DOC = {
     "constants": {"hbar": 1.0, "mass": 1.0, "c": 1.0, "omega": 1.0},
     "preset": {
@@ -390,21 +390,117 @@ STIFF_DOC = {
 }
 
 
-def test_stiff_hamiltonian_needs_a_wider_eigen_tol(capsys, tmp_path):
+def test_stiff_hamiltonian_runs_with_no_tolerances(capsys, tmp_path):
+    assert "tolerances" not in STIFF_DOC
     path = tmp_path / "stiff.json"
     path.write_text(json.dumps(STIFF_DOC), encoding="utf-8")
     code, out, err = run_cli(capsys, "run", "--config", str(path))
-    assert (code, out) == (3, "")
-    defect = err.split()[3]
-    assert err == "error: eigenbasis defect %s exceeds eigen_tol 1e-09\n" \
-        % defect
-    assert 1e-9 < float(defect) <= 1e-7
-    path.write_text(json.dumps(dict(STIFF_DOC,
-                                    tolerances={"eigen_tol": 1e-7})),
-                    encoding="utf-8")
-    code, out, err = run_cli(capsys, "run", "--config", str(path))
     assert (code, err) == (0, "")
     assert out.startswith("step_index,kind,")
+    assert out.splitlines()[1].startswith("0,init,")
+
+
+def test_eigen_tol_is_an_unknown_key(capsys, tmp_path):
+    # run keeps no certificate of its own, so it takes no bound for one
+    path = tmp_path / "eigen_tol.json"
+    path.write_text(json.dumps(dict(SMALL_DOC,
+                                    tolerances={"eigen_tol": 1e-7})),
+                    encoding="utf-8")
+    for argv in (["run"], ["subspace"], ["spectrum"]):
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: tolerances: unknown key 'eigen_tol'\n"
+
+
+def far_origin_doc(origin):
+    """The default document's constants and 64-point q grid, with a
+    32-point time grid of period 4 pi starting at origin."""
+    return dict(json.loads(DEFAULT_DOCUMENT), preset={
+        "q": {"n": 64, "origin": -10.0, "spacing": 20.0 / 64},
+        "t": {"n": 32, "origin": origin, "spacing": 4.0 * np.pi / 32}})
+
+
+@pytest.mark.parametrize("command", ["run", "subspace"])
+@pytest.mark.parametrize("origin, code", [
+    (0.0, 0), (1e4, 0), (1e5, 0), (1e6, 3), (1e9, 3)])
+def test_far_origin_time_grid_is_refused_by_every_fourier_reader(
+        capsys, tmp_path, command, origin, code):
+    # the Fourier map's phases lose digits as the origin grows: its
+    # unitary defect is about 3e-11 at 1e5, 2.2e-10 at 1e6 and 2.8e-7 at
+    # 1e9.  At 1e9 the first constraint's 8 members would miss
+    # constraint_tol, with residuals of 1.1e-6 to 2.4e-6
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(far_origin_doc(origin)), encoding="utf-8")
+    got, out, err = run_cli(capsys, command, "--config", str(path))
+    assert got == code
+    if code == 3:
+        assert out == ""
+        assert err.startswith(
+            "error: the time grid's Fourier map has unitary defect ")
+        assert err.endswith(", above 1e-10\n")
+        return
+    assert err == ""
+    rows = out.splitlines()[1:]
+    if command == "subspace":
+        assert len(rows) == 8
+        assert all(float(row.split(",")[2]) <= DEFAULT_TOL for row in rows)
+    else:
+        assert rows[0].startswith("0,init,")
+
+
+def change_units(doc, a, b, c):
+    """doc, which gives no tolerances, in units of length, time and mass
+    scaled by 2^a, 2^b and 2^c: every number, and the default
+    constraint_tol as an energy, multiplied by its power of two, exactly."""
+    energy = c + 2 * a - 2 * b
+    constants = {"hbar": c + 2 * a - b, "mass": c, "c": a - b, "omega": -b}
+    return dict(
+        doc,
+        constants={name: np.ldexp(value, constants[name])
+                   for name, value in doc["constants"].items()},
+        preset={axis: {key: value if key == "n" else np.ldexp(value, e)
+                       for key, value in doc["preset"][axis].items()}
+                for axis, e in (("q", a), ("t", b))},
+        steps=[{"evolve": np.ldexp(step["evolve"], b)} if "evolve" in step
+               else {"jump": dict(step["jump"],
+                                  at=np.ldexp(step["jump"]["at"], b))}
+               for step in doc["steps"]],
+        tolerances={"constraint_tol": np.ldexp(DEFAULT_TOL, energy)})
+
+
+FREE_EVOLVE_DOC = dict(SMALL_DOC, model="free_particle",
+                       steps=[{"evolve": 1.0}, {"evolve": -0.375}])
+
+
+@pytest.mark.parametrize("name, a, b, c", [
+    ("free", 3, -7, 4), ("jump", 1, -1, 2), ("jump", -2, 5, -3)])
+def test_run_keeps_its_output_under_a_change_of_units(capsys, tmp_path,
+                                                      name, a, b, c):
+    # every cell scales by exactly its power of two: positions by 2^a,
+    # momenta by 2^(c+a-b), energies and residuals by 2^(c+2a-2b), and
+    # weights and probabilities not at all
+    root = Path(__file__).resolve().parents[1]
+    doc = FREE_EVOLVE_DOC if name == "free" else json.loads(
+        (root / "scenarios" / "oscillator_jump.json").read_text("utf-8"))
+    factors = {"q_mean": a, "p_mean": c + a - b,
+               "energy_mean": c + 2 * a - 2 * b,
+               "residual1": c + 2 * a - 2 * b}
+    outputs = []
+    for d in (doc, change_units(doc, a, b, c)):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        outputs.append(run_cli(capsys, "run", "--config", str(path)))
+    (code, out, err), (scaled_code, scaled_out, scaled_err) = outputs
+    assert (scaled_code, scaled_err) == (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()]
+    scaled_rows = [line.split(",") for line in scaled_out.splitlines()]
+    assert len(scaled_rows) == len(rows) == len(doc["steps"]) + 2
+    assert scaled_rows[0] == rows[0]
+    for row, scaled_row in zip(rows[1:], scaled_rows[1:]):
+        assert scaled_row[:2] == row[:2]
+        for column, cell, scaled in zip(rows[0][2:], row[2:], scaled_row[2:]):
+            assert float(scaled) == np.ldexp(float(cell),
+                                             factors.get(column, 0)), column
 
 
 def test_subspace_has_no_tolerance_option(capsys):
@@ -585,8 +681,9 @@ def _child_env():
     (SMALL_DOC, ["spectrum", "--levels", "2"], 0),
     (FAR_EVOLVE_DOC, ["run"], 1),
     (dict(SMALL_DOC, initial={"level": -1}), ["run"], 2),
-    (dict(SMALL_DOC, tolerances={"eigen_tol": 1e-300}), ["run"], 3),
-], ids=["spectrum", "aborted-run", "invalid-document", "eigen-defect"])
+    (dict(SMALL_DOC, preset=dict(SMALL_DOC["preset"], t=dict(
+        SMALL_DOC["preset"]["t"], origin=1e9))), ["run"], 3),
+], ids=["spectrum", "aborted-run", "invalid-document", "far-origin"])
 def test_console_script_and_module_entry_agree(tmp_path, doc, argv, code):
     # each exit, including the flush of a partial CSV and its diagnostic
     # after the entry point has frozen the heap
@@ -605,8 +702,9 @@ def test_console_script_and_module_entry_agree(tmp_path, doc, argv, code):
         assert module.stdout.startswith("step_index,kind,")
         assert module.stdout.splitlines()[-1].startswith("# aborted: ")
     elif code == 3:
-        assert module.stderr.startswith("error: eigenbasis defect ")
-        assert module.stderr.endswith(" exceeds eigen_tol 1e-300\n")
+        assert module.stdout == ""
+        assert module.stderr.startswith(
+            "error: the time grid's Fourier map has unitary defect ")
     runs = {"entry point": [sys.executable, "-c", wrapper, *args]}
     installed = shutil.which("chronos")
     if installed is not None:

@@ -54,7 +54,6 @@ def test_parse_explicit_grids():
     assert sc.initial == InitialState("level", level=0)
     assert sc.steps == (Step("evolve", dt=1.0),)
     assert sc.constraint_tol == 1e-6
-    assert sc.eigen_tol == 1e-9
 
 
 def test_parse_named_presets():
@@ -547,12 +546,11 @@ def test_parse_steps_variants():
 
 def test_parse_tolerances():
     sc = parse_scenario(json.dumps(base_doc(
-        tolerances={"constraint_tol": 1e-8, "eigen_tol": 1e-10})))
+        tolerances={"constraint_tol": 1e-8})))
     assert sc.constraint_tol == 1e-8
-    assert sc.eigen_tol == 1e-10
     # a key the document leaves out keeps Scenario's default
-    sc = parse_scenario(json.dumps(base_doc(tolerances={"eigen_tol": 1e-7})))
-    assert (sc.constraint_tol, sc.eigen_tol) == (1e-6, 1e-7)
+    sc = parse_scenario(json.dumps(base_doc(tolerances={})))
+    assert sc.constraint_tol == 1e-6
     with pytest.raises(ScenarioValidationError) as info:
         parse_scenario(json.dumps(base_doc(
             tolerances={"constraint_tol": 0.0})))
