@@ -43,7 +43,6 @@ from .dynamics import ladder_step_down, ladder_step_up
 from .exceptions import TruncationTopError, UnknownSuiteError
 from .linalg import (
     DEFAULT_TOL,
-    TILE,
     hermitian_defect,
     kronecker_null_pairs,
     maxnorm,
@@ -64,6 +63,10 @@ from .models import (
 # eps of its larger factor's bound that a constraint residual may carry in
 # rounding (see _rounding_floor)
 RESIDUAL_ROUNDING_EPS = 8.0
+
+# largest distance of a unit state from a physical subspace it lies in;
+# dimensionless, so it holds in every unit system
+SPAN_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -159,14 +162,7 @@ def _constraint1_suite(k, tol):
                     [cop.residual(s) for s in states], tol + floor))
     rows.append(_le("member_residual_max", basis.residuals, tol + floor))
     if basis.count:
-        # s - B (B^H s) for linalg.TILE states at a time, one product each
-        b = basis.vectors.reshape(-1, basis.count)
-        gaps = []
-        for i in range(0, len(states), TILE):
-            s = np.stack(states[i:i + TILE], axis=1)
-            gaps.extend(np.linalg.norm(s - b @ (s.conj().T @ b).conj().T,
-                                       axis=0))
-        rows.append(_le("span_gap_max", gaps, tol))
+        rows.append(_le("span_gap_max", basis.span_gaps(states), SPAN_GAP))
     # detuned time period: no pair within a tight tol, exact pairs otherwise
     qg_s = AxisGrid(n=32, origin=-8.0, spacing=0.5, label="position")
     period = 4.0 * np.pi * 1.1 / k.omega
@@ -246,17 +242,17 @@ def _generalized_suite(k, tol):
     basis_gen = physical_subspace(gen_first, tol)
     basis_first = physical_subspace(first, tol)
     if basis_gen.count and basis_gen.count == basis_first.count:
-        rows.append(_le("reduction_projector_gap",
-                        basis_gen.projector_gap(basis_first), 1e-8))
+        # equal counts of orthonormal members: a small one-way gap means
+        # equal spans, ||P - P'||_2 <= sqrt(count) times the largest gap
+        rows.append(_le("reduction_span_gap", basis_gen.span_gaps(
+            basis_first.vectors.transpose(2, 0, 1)), SPAN_GAP))
     else:
         rows.append(_le("reduction_count_gap",
                         abs(basis_gen.count - basis_first.count), 0.0))
     tighter = physical_subspace(gen_first, tol * 1e-3)
     if tighter.count and basis_gen.count:
-        members = tighter.vectors.reshape(-1, tighter.count).T
-        rows.append(_le("tolerance_nesting_gap",
-                        [np.linalg.norm(m - basis_gen.project(m))
-                         for m in members], 1e-8))
+        rows.append(_le("tolerance_nesting_gap", basis_gen.span_gaps(
+            tighter.vectors.transpose(2, 0, 1)), SPAN_GAP))
     # triangle bound for the doubly-constrained form
     a_both = h_op.matrix + g_op.matrix  # measured by the builder
     es = energy_eigensystem(model)

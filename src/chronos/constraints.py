@@ -22,8 +22,8 @@ its residual, judged against the one constraint_tol, shows the miss.
 The near-kernel is solved exactly from the eigensystem each factor
 keeps, and applications are Kronecker-factored throughout.  The
 materialized composite is kept, below a size cap, only as a dense oracle.
-Projection onto a physical subspace and the comparison of two go through
-each basis's one member array, so no dense projector is formed.
+A state's distance from a physical subspace goes through the basis's one
+member array, so no dense projector is formed.
 """
 from __future__ import annotations
 
@@ -49,14 +49,13 @@ from .exceptions import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    TILE,
     OperatorMatrix,
-    hermitian_tiles,
     identity,
     kron,
     kronecker_null_space,
     operator,
     require_hermitian,
-    tiled_maxnorm,
 )
 
 # largest composite dimension for which the dense solve is materialized
@@ -210,10 +209,9 @@ class SubspaceBasis:
     vectors holds the members once, as one (n_q, n_t, count) array whose
     reshape to (dim, count) is the member matrix B.  labels holds one
     entry per member, on every constraint: the system eigenvalue a_m of
-    its product factor, repeated across a degenerate level.  Projection is
-    done in factored form, through B: a state is projected as B (B^H s),
-    and two subspaces are compared by the largest entry of B B^H - B' B'^H,
-    formed in square tiles.  No dim x dim projector is built.
+    its product factor, repeated across a degenerate level.  A state is
+    compared with the span in factored form, as s - B (B^H s), so no
+    dim x dim projector is built.
     """
 
     vectors: np.ndarray
@@ -224,46 +222,24 @@ class SubspaceBasis:
     def count(self):
         return self.vectors.shape[2]
 
-    @property
-    def _columns(self):
-        # B, a view of a C-ordered vectors; only read when count > 0
-        return self.vectors.reshape(-1, self.count)
+    def span_gaps(self, states):
+        """||s - B (B^H s)|| of each state, its distance from the span.
 
-    def coefficients(self, state):
-        """Coefficients <member_i | state> of a state of the basis's shape."""
-        if not self.count:
-            raise EmptyBasisError("coefficients against an empty basis")
-        m, _ = _state_matrix(state, *self.vectors.shape[:2])
-        # conjugating the state, not the matrix, copies no member matrix
-        return (m.ravel().conj() @ self._columns).conj()
-
-    def project(self, state):
-        """Orthogonal projection B (B^H s) of a state onto the span."""
-        # coefficients first: they refuse an empty basis, which has no B
-        coefficients = self.coefficients(state)
-        return self._columns @ coefficients
-
-    def projector_gap(self, other):
-        """max |B B^H - B' B'^H|, the distance between the two projectors.
-
-        Only the linalg.hermitian_tiles of this Hermitian difference are
-        formed; a NaN in either basis carries to the result.  A basis of
-        another (n_q, n_t) shape is refused.
+        Each state is read by the constraint operator's shape rule, and
+        linalg.TILE states are stacked for one product each; a NaN in the
+        basis or in a state carries to that state's gap.
         """
-        if not self.count or not other.count:
-            raise EmptyBasisError("projector gap against an empty basis")
-        if self.vectors.shape[:2] != other.vectors.shape[:2]:
-            raise DimensionMismatchError("bases of shapes %s and %s" % (
-                self.vectors.shape[:2], other.vectors.shape[:2]))
-        a, b = self._columns, other._columns
-
-        def tiles():  # the second product is subtracted in place
-            for r, c in hermitian_tiles(a.shape[0]):
-                tile = a[r] @ a[c].conj().T
-                tile -= b[r] @ b[c].conj().T
-                yield tile
-
-        return tiled_maxnorm(tiles())
+        if not self.count:
+            raise EmptyBasisError("span gaps against an empty basis")
+        n_q, n_t, count = self.vectors.shape
+        b = self.vectors.reshape(-1, count)
+        gaps = np.empty(len(states))
+        for i in range(0, len(states), TILE):
+            s = np.stack([_state_matrix(state, n_q, n_t)[0].ravel()
+                          for state in states[i:i + TILE]], axis=1)
+            gaps[i:i + TILE] = np.linalg.norm(
+                s - b @ (s.conj().T @ b).conj().T, axis=0)
+        return gaps
 
 
 def physical_subspace(op, tol=DEFAULT_TOL):

@@ -51,7 +51,7 @@ class TruncationTopError(ChronosError):
 
 
 class EmptyBasisError(ChronosError):
-    """Coefficients or a projector gap were requested of an empty basis."""
+    """Span gaps were requested of an empty basis."""
 
 
 class UnknownSuiteError(ChronosError):

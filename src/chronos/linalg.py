@@ -79,7 +79,7 @@ def _owned_maxnorm(a):
     return maxnorm(a)
 
 
-def tiled_maxnorm(tiles):
+def _tiled_maxnorm(tiles):
     """Largest maxnorm over an iterable of temporary tiles, each one
     overwritten in place; np.maximum, unlike max(), carries a NaN in any
     tile to the result (0.0 for no tiles)."""
@@ -89,7 +89,7 @@ def tiled_maxnorm(tiles):
     return float(norm)
 
 
-def hermitian_tiles(n):
+def _hermitian_tiles(n):
     """(rows, columns) slices of the TILE x TILE tiles of an n x n matrix
     on and above its diagonal, row by row; with their mirrors, every entry."""
     for i in range(0, n, TILE):
@@ -126,13 +126,13 @@ def _frozen(a):
 def hermitian_defect(matrix):
     """max |A_ij - conj(A_ji)|, the distance from exact Hermitian symmetry.
 
-    Each of hermitian_tiles is compared with the conjugate transpose of
+    Each of _hermitian_tiles is compared with the conjugate transpose of
     its mirror, bit-identical to the dense difference; a NaN in any tile
     carries to the result.
     """
     matrix = _square(np.asarray(matrix))
-    return tiled_maxnorm(matrix[r, c] - matrix[c, r].conj().T
-                         for r, c in hermitian_tiles(matrix.shape[0]))
+    return _tiled_maxnorm(matrix[r, c] - matrix[c, r].conj().T
+                          for r, c in _hermitian_tiles(matrix.shape[0]))
 
 
 def require_hermitian(m):
@@ -254,7 +254,7 @@ class CirculantPlusDiagonal(OperatorMatrix):
         """hermitian_defect of the matrix: |column[d] - column[n - d]| off
         the diagonal and 0 on it, or NaN where an entry is not finite."""
         off, on = self._entries()
-        return tiled_maxnorm((off - off[::-1], on - on))
+        return _tiled_maxnorm((off - off[::-1], on - on))
 
     def maxnorm(self):
         """maxnorm of the matrix."""
@@ -504,7 +504,7 @@ def _reconstruction_defect(values, vectors, split, m):
             top[a - i:b - i, 1:h] -= odd[a - 1:b - 1]
             top[a - i:b - i, :h:-1] += odd[a - 1:b - 1]
             yield top
-    return tiled_maxnorm(tiles())
+    return _tiled_maxnorm(tiles())
 
 
 def eig_hermitian(op):

@@ -188,6 +188,19 @@ def dense_projector(basis):
     return b @ b.conj().T
 
 
+def span_gaps(basis, states):
+    """Column norms of (I - B B^H) S, S the states as the columns of a
+    (dim, n) array, through the dense projector."""
+    complement = -dense_projector(basis)
+    complement[np.diag_indices_from(complement)] += 1.0
+    return np.linalg.norm(complement @ states, axis=0)
+
+
+def member_coefficients(basis, amplitudes):
+    """B^H s, the coefficients <member_i | s> of a state's amplitudes."""
+    return basis.vectors.reshape(-1, basis.count).conj().T @ amplitudes
+
+
 def _interleaved_key(column):
     parts = np.empty(2 * column.shape[0])
     parts[0::2] = column.real

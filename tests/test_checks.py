@@ -206,6 +206,18 @@ def test_probes_see_a_relative_change_in_coeff_s():
         assert abs(a.residual(probe) - b.residual(probe)) > 1e-12
 
 
+def test_constraint1_span_gap_keeps_its_bits():
+    # SubspaceBasis.span_gaps stacks the separable solutions as the suite
+    # stacked them itself, so the measured cell keeps every bit; the child
+    # pins BLAS to one thread through the entry point
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-m", "chronos", "check", "--suite", "constraint1"],
+        env=env, check=True, capture_output=True, text=True).stdout
+    assert "span_gap_max,1.4621493111199743e-15,1e-08,pass" \
+        in out.splitlines()
+
+
 def test_generalized_suite_loads_no_random_module():
     code = ("import sys\n"
             "from chronos.checks import run_suite\n"
@@ -245,7 +257,7 @@ def test_suite_solves_each_eigensystem_once(monkeypatch, name, solves):
 @pytest.mark.parametrize("suite, kind, rows", [
     ("constraint1", "first", {"span_gap_max"}),
     ("generalized", "generalized",
-     {"reduction_projector_gap", "tolerance_nesting_gap"}),
+     {"reduction_span_gap", "tolerance_nesting_gap"}),
 ])
 def test_nan_in_a_basis_fails_the_rows_that_read_it(monkeypatch, suite, kind,
                                                     rows):
@@ -319,7 +331,10 @@ NAN_SOURCES = [
      _nan_fourth_probe),
     ("generalized", "second_reduction_gap", "_probe_states", 1,
      _nan_fourth_probe),
-    # the third subspace solve is the one at the tighter tolerance
+    # the second subspace solve is basis_first's, whose members are compared
+    # with basis_gen's span; the third is the one at the tighter tolerance
+    ("generalized", "reduction_span_gap", "physical_subspace", 2,
+     _nan_second_member),
     ("generalized", "tolerance_nesting_gap", "physical_subspace", 3,
      _nan_second_member),
     ("ladder", "up_coefficient_gap", "ladder_step_up", 4,

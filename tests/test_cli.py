@@ -448,16 +448,22 @@ def test_far_origin_time_grid_is_refused_by_every_fourier_reader(
         assert rows[0].startswith("0,init,")
 
 
+def scaled_constants(constants, a, b, c):
+    """constants in units of length, time and mass scaled by 2^a, 2^b and
+    2^c, each multiplied by its power of two, exactly."""
+    powers = {"hbar": c + 2 * a - b, "mass": c, "c": a - b, "omega": -b}
+    return {name: np.ldexp(value, powers[name])
+            for name, value in constants.items()}
+
+
 def change_units(doc, a, b, c):
     """doc, which gives no tolerances, in units of length, time and mass
     scaled by 2^a, 2^b and 2^c: every number, and the default
     constraint_tol as an energy, multiplied by its power of two, exactly."""
     energy = c + 2 * a - 2 * b
-    constants = {"hbar": c + 2 * a - b, "mass": c, "c": a - b, "omega": -b}
     return dict(
         doc,
-        constants={name: np.ldexp(value, constants[name])
-                   for name, value in doc["constants"].items()},
+        constants=scaled_constants(doc["constants"], a, b, c),
         preset={axis: {key: value if key == "n" else np.ldexp(value, e)
                        for key, value in doc["preset"][axis].items()}
                 for axis, e in (("q", a), ("t", b))},
@@ -501,6 +507,26 @@ def test_run_keeps_its_output_under_a_change_of_units(capsys, tmp_path,
         for column, cell, scaled in zip(rows[0][2:], row[2:], scaled_row[2:]):
             assert float(scaled) == np.ldexp(float(cell),
                                              factors.get(column, 0)), column
+
+
+@pytest.mark.parametrize("a, b, c", [(0, 0, 0), (1, -1, 2), (-2, 5, -3),
+                                     (3, -7, 4), (0, 20, 0), (20, 0, 0)])
+def test_constraint1_passes_under_a_change_of_units(capsys, tmp_path,
+                                                    a, b, c):
+    # constraint_tol is an energy, scaled as one; the span rows compare a
+    # dimensionless gap with a dimensionless bound, so neither the
+    # tolerance nor the unit system changes their verdict
+    doc = json.loads(DEFAULT_DOCUMENT)
+    constants = scaled_constants(doc["constants"], a, b, c)
+    path = tmp_path / "doc.json"
+    for tol in (DEFAULT_TOL, 1e-300, 0.5):
+        tolerances = {"constraint_tol": np.ldexp(tol, c + 2 * a - 2 * b)}
+        path.write_text(json.dumps(dict(doc, constants=constants,
+                                        tolerances=tolerances)),
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", "--suite", "constraint1",
+                                 "--config", str(path))
+        assert (code, err) == (0, ""), (tol, out)
 
 
 def test_subspace_has_no_tolerance_option(capsys):

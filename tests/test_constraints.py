@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chronos import checks
 from chronos.axes import (
     AxisGrid,
     CompositeState,
@@ -31,7 +32,6 @@ from chronos.constraints import (
     separable_second,
     uncertainty_product,
 )
-from chronos.dynamics import ZERO_WEIGHT
 from chronos.exceptions import (
     DimensionMismatchError,
     EmptyBasisError,
@@ -342,57 +342,11 @@ def test_generalized_lifted_system_solved_above_cap():
     assert max(basis.residuals) <= DEFAULT_TOL
 
 
-def test_measurement_on_basis_member(energy_bundle):
-    # a member's coefficients pick out that member alone
-    basis = energy_bundle["basis"]
-    weights = np.abs(basis.coefficients(basis.vectors[:, :, 2])) ** 2
-    assert np.sum(weights) == pytest.approx(1.0, abs=1e-10)
-    assert weights[2] == pytest.approx(1.0, abs=1e-10)
-
-
-def test_measurement_of_mixture(energy_bundle):
-    basis = energy_bundle["basis"]
-    n_q, n_t, count = basis.vectors.shape
-    block = basis.vectors.reshape(-1, count)
-    mix = (math.sqrt(0.25) * block[:, 0] + math.sqrt(0.75) * block[:, 1])
-    state = CompositeState(mix, n_q, n_t)
-    weights = np.abs(basis.coefficients(state)) ** 2
-    phased = 1j * np.exp(0.3j) * mix
-    want = [np.vdot(m, phased) for m in block.T]
-    assert np.max(np.abs(basis.coefficients(phased) - want)) < 1e-14
-    assert weights[0] == pytest.approx(0.25, abs=1e-9)
-    assert weights[1] == pytest.approx(0.75, abs=1e-9)
-    assert np.sum(weights) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_measurement_guards(energy_bundle, rng):
-    basis = energy_bundle["basis"]
-    n_q, n_t, count = basis.vectors.shape
-    block = basis.vectors.reshape(-1, count)
-    empty = SubspaceBasis(np.zeros((n_q, n_t, 0), complex), (), ())
-    with pytest.raises(EmptyBasisError):
-        empty.coefficients(block[:, 0])
-    # build a state orthogonal to every member
-    vec = rng.standard_normal(block.shape[0]) \
-        + 1j * rng.standard_normal(block.shape[0])
-    vec -= block @ (block.conj().T @ vec)
-    vec -= block @ (block.conj().T @ vec)
-    vec /= np.linalg.norm(vec)
-    state = CompositeState(vec, n_q, n_t)
-    # no weight in the subspace, below the cut under which run reports no
-    # distribution
-    weight = np.sum(np.abs(basis.coefficients(state)) ** 2)
-    assert weight < ZERO_WEIGHT
-
-
-def random_basis(rng, n_q, n_t, count, near=None):
-    # count orthonormal members from a QR factorization; near=B gives a
-    # span about 1e-6 away from B's
+def random_basis(rng, n_q, n_t, count):
+    # count orthonormal members from a QR factorization
     shape = (n_q * n_t, count)
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if near is not None:
-        raw = near.vectors.reshape(shape) + 1e-6 * raw
-    q, _ = np.linalg.qr(raw)
+    q, _ = np.linalg.qr(rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
     return SubspaceBasis(np.ascontiguousarray(q).reshape(n_q, n_t, count),
                          (None,) * count, (0.0,) * count)
 
@@ -404,105 +358,72 @@ def with_nan(basis, row):
     return dataclasses.replace(basis, vectors=vectors)
 
 
-def projector_gap_bound(basis, other, gap):
-    """How far two computations of max |B B^H - B' B'^H| may differ.
-
-    An entry of B B^H is a complex dot product of `count` terms, so in
-    any summation order and with any kernel it lies within
-    sqrt(2) gamma_{count+2} ||b_i|| ||b_j|| <= sqrt(2) gamma_{count+2} r^2
-    of the exact one, r the largest row norm and gamma_n = n u / (1 - n u)
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1 and
-    3.6): a few ulps of the largest entry |b_i|^2, not of the gap.  The
-    difference and its modulus add 2u of the gap; two computations, each
-    within that of the exact gap, are within twice it of each other.
-    """
-    u = np.finfo(float).eps / 2.0
-
-    def entry_error(b):
-        rows = b.vectors.reshape(-1, b.count)
-        n = b.count + 2
-        return math.sqrt(2.0) * n * u / (1.0 - n * u) \
-            * float(np.max(np.sum(np.abs(rows) ** 2, axis=1)))
-
-    return 2.0 * (entry_error(basis) + entry_error(other) + 2.0 * u * gap)
+def unit_states(rng, basis, n):
+    # n unit states as the columns of a (dim, n) array, every second one
+    # inside the span, so that gaps near 1 and near 0 are both compared
+    b = basis.vectors.reshape(-1, basis.count)
+    states = rng.standard_normal((b.shape[0], n)) \
+        + 1j * rng.standard_normal((b.shape[0], n))
+    states[:, 1::2] = b @ states[:basis.count, 1::2]
+    return states / np.linalg.norm(states, axis=0)
 
 
-def assert_gap_matches_dense_oracle(basis, other):
-    # the tiles and the dense oracle round apart only where BLAS rounds a
-    # tile and the whole product apart, or the dense difference is not
-    # bitwise Hermitian; swapping the two bases negates every tile, so the
-    # gap is symmetric bit for bit
-    dense = oracles.dense_projector(basis)
-    dense -= oracles.dense_projector(other)
-    want = maxnorm(dense)
-    del dense
-    gap = basis.projector_gap(other)
-    assert abs(gap - want) <= projector_gap_bound(basis, other, want)
-    assert other.projector_gap(basis).hex() == gap.hex()
-
-
-# two dims are not multiples of the 128-row tile
+# two dims are not multiples of the 128-row tile, and 128, 129 and 300
+# states cross the edges of the linalg.TILE-state stacks
 @pytest.mark.parametrize("n_q, n_t, count", [(32, 16, 4), (30, 10, 7),
                                              (128, 16, 16), (129, 1, 1)])
-def test_projector_gap_matches_dense_oracle(rng, n_q, n_t, count):
+def test_span_gaps_match_dense_oracle(rng, n_q, n_t, count):
+    # both sides form (I - B B^H) s for a unit s from inner products of at
+    # most n = dim + count terms of vectors of norm at most 1, each within
+    # gamma_n, about n eps, of exact (Higham, Accuracy and Stability of
+    # Numerical Algorithms, sec. 3.1); 4 n eps bounds the difference of the
+    # gaps in any summation order (it measures below 5e-16)
     basis = random_basis(rng, n_q, n_t, count)
-    for other in (random_basis(rng, n_q, n_t, count),
-                  random_basis(rng, n_q, n_t, count, near=basis)):
-        assert_gap_matches_dense_oracle(basis, other)
+    n = n_q * n_t + count
+    bound = 4.0 * n * np.finfo(float).eps
+    for size in (1, 128, 129, 300):
+        states = unit_states(rng, basis, size)
+        gaps = basis.span_gaps(states.T)
+        assert gaps.shape == (size,)
+        assert np.max(np.abs(gaps - oracles.span_gaps(basis, states))) \
+            <= bound
 
 
-# random pairs of random shapes, far apart and about 1e-6 apart, drawn
-# from a fixed seed, within the same bound
-def test_projector_gap_matches_dense_oracle_on_random_pairs():
-    rng = np.random.default_rng(30)
-    for _ in range(120):
-        n_q, n_t = (int(rng.integers(1, 9)) * 16 + int(rng.integers(0, 2)),
-                    int(rng.integers(1, 5)))
-        count = int(rng.integers(1, 17))
-        basis = random_basis(rng, n_q, n_t, count)
-        near = basis if rng.integers(0, 2) else None
-        assert_gap_matches_dense_oracle(
-            basis, random_basis(rng, n_q, n_t, count, near=near))
-
-
-# rows 127, 128 and 256 sit on the edges of the 128 x 128 tiles
+# states 127, 128 and 256 sit on the edges of the linalg.TILE-state stacks
 @pytest.mark.parametrize("row", [0, 127, 128, 200, 256, 299])
-def test_projector_gap_propagates_nan_from_either_basis(rng, row):
-    a, b = random_basis(rng, 30, 10, 3), random_basis(rng, 30, 10, 3)
-    assert math.isnan(with_nan(a, row).projector_gap(b))
-    assert math.isnan(a.projector_gap(with_nan(b, row)))
+def test_span_gaps_propagate_nan(rng, row):
+    basis = random_basis(rng, 30, 10, 3)
+    states = unit_states(rng, basis, 300)
+    # a NaN anywhere in the basis reaches every gap
+    assert np.isnan(with_nan(basis, row).span_gaps(states.T)).all()
+    # a NaN in one state reaches its own gap alone, and fails the row
+    states[row, row] = np.nan
+    gaps = basis.span_gaps(states.T)
+    assert np.array_equal(np.isnan(gaps), np.arange(300) == row)
+    assert not checks._le("span_gap_max", gaps, checks.SPAN_GAP).passed
 
 
-def test_project_matches_dense_projector(rng, energy_bundle):
-    for basis in (energy_bundle["basis"], random_basis(rng, 30, 10, 7)):
-        dense = oracles.dense_projector(basis)
-        dim = dense.shape[0]
-        for _ in range(3):
-            state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            gap = np.linalg.norm(basis.project(state) - dense @ state)
-            assert gap <= 1e-15 * np.linalg.norm(state)
-        # a member projects onto itself, and a CompositeState is projected
-        # like its amplitudes
-        n_q, n_t, count = basis.vectors.shape
-        member = basis.vectors.reshape(-1, count)[:, -1]
-        assert np.linalg.norm(basis.project(member) - member) <= 1e-14
-        assert np.array_equal(basis.project(CompositeState(member, n_q, n_t)),
-                              basis.project(member))
+def test_span_gaps_read_each_state_by_the_shape_rule(energy_bundle):
+    # a member lies in the span, read as its matrix, its amplitudes or a
+    # CompositeState
+    basis = energy_bundle["basis"]
+    n_q, n_t, _ = basis.vectors.shape
+    member = basis.vectors[:, :, -1]
+    gaps = basis.span_gaps([member, member.ravel(),
+                            CompositeState(member, n_q, n_t)])
+    assert gaps[0] <= 1e-14
+    assert gaps[0] == gaps[1] == gaps[2]
 
 
-def test_empty_basis_has_no_projection(energy_bundle):
+def test_empty_basis_has_no_span_gaps(energy_bundle):
     basis = energy_bundle["basis"]
     n_q, n_t, _ = basis.vectors.shape
     empty = SubspaceBasis(np.zeros((n_q, n_t, 0), complex), (), ())
     with pytest.raises(EmptyBasisError):
-        empty.project(basis.vectors[:, :, 0])
-    with pytest.raises(EmptyBasisError):
-        empty.projector_gap(basis)
-    with pytest.raises(EmptyBasisError):
-        basis.projector_gap(empty)
+        empty.span_gaps([basis.vectors[:, :, 0]])
 
 
-@pytest.mark.parametrize("method", ["coefficients", "project"])
+@pytest.mark.parametrize("method", ["span_gaps"])
 def test_state_of_another_shape_is_refused(energy_bundle, method):
     # a state whose length matches but whose shape does not is refused,
     # by the one shape rule the constraint operator applies too
@@ -512,12 +433,12 @@ def test_state_of_another_shape_is_refused(energy_bundle, method):
     with pytest.raises(DimensionMismatchError):
         energy_bundle["constraint"].residual(swapped)
     with pytest.raises(DimensionMismatchError):
-        getattr(basis, method)(swapped)
+        getattr(basis, method)([swapped])
 
 
 def test_physical_subspace_holds_its_members_once(unit_constants):
-    # the basis holds count * dim complex amplitudes once, and projecting
-    # a state copies none of them
+    # the basis holds count * dim complex amplitudes once, and measuring a
+    # state's span gap copies none of them
     q_grid, t_grid = energy_aligned_grids(unit_constants, n_q=128, n_t=64)
     ham = hamiltonian(ModelSpec(OSCILLATOR, unit_constants, q_grid))
     op = first_constraint_operator(ham, t_grid, unit_constants)
@@ -527,11 +448,11 @@ def test_physical_subspace_holds_its_members_once(unit_constants):
     tracemalloc.start()
     try:
         basis = physical_subspace(op)
-        projected = basis.project(state)
+        gaps = basis.span_gaps([state])
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert projected.shape == (op.dim,)
+    assert gaps.shape == (1,)
     assert basis.count == 16
     assert held <= 1.25 * basis.count * op.dim * 16
 
@@ -550,37 +471,12 @@ def test_physical_subspace_peaks_near_its_basis(unit_constants):
     tracemalloc.start()
     try:
         basis = physical_subspace(op)
-        basis.project(state)
+        basis.span_gaps([state])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert basis.count == 32
     assert peak <= 1.25 * basis.vectors.nbytes
-
-
-def test_projector_gap_refuses_other_dimensions(rng):
-    with pytest.raises(DimensionMismatchError):
-        random_basis(rng, 30, 10, 2).projector_gap(random_basis(rng, 30, 9, 2))
-
-
-def test_projector_gap_refuses_another_shape_of_the_same_dimension(rng):
-    # a 32 x 16 basis and a 16 x 32 one have the same dim, but their
-    # members are states of different composite spaces
-    with pytest.raises(DimensionMismatchError):
-        random_basis(rng, 32, 16, 2).projector_gap(random_basis(rng, 16, 32, 2))
-
-
-def test_projector_gap_peak_stays_bounded(rng):
-    # one square tile at a time: two 128-row blocks of the 8192-dim
-    # difference took 49 MiB; the two bases themselves hold 1 MiB
-    a, b = random_basis(rng, 128, 64, 4), random_basis(rng, 128, 64, 4)
-    tracemalloc.start()
-    try:
-        a.projector_gap(b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * 2 ** 20
 
 
 def test_uncertainty_product_gaussian():

@@ -78,7 +78,7 @@ GRIDS = {
 SUITE_GRIDS = {"constraint1": ("energy-aligned", "detuned-32x16"),
                "generalized": ("aligned-32x16", "detuned-32x16")}
 COUNT_ROWS = {"level_count_gap", "detuned_count_gap", "reduction_count_gap",
-              "reduction_projector_gap"}
+              "reduction_span_gap"}
 
 
 def lattice(tg):

@@ -752,7 +752,8 @@ def grid_basis_records(sc):
         elif step is not None:
             state = energy_jump(state, step.from_level, step.to_level,
                                 model, tg, tol=sc.constraint_tol)
-        coeffs = np.abs(basis.coefficients(state)) ** 2
+        coeffs = np.abs(oracles.member_coefficients(
+            basis, state.amplitudes)) ** 2
         weight = float(np.sum(coeffs))
         out.append({"q_mean": oracles.expectation_left(state, q_op),
                     "p_mean": oracles.expectation_left(state, p_op),
