@@ -39,7 +39,6 @@ from .constraints import (
     separable_second,
     uncertainty_product,
 )
-from .dynamics import ladder_step_down, ladder_step_up
 from .exceptions import TruncationTopError, UnknownSuiteError
 from .linalg import (
     DEFAULT_TOL,
@@ -188,11 +187,11 @@ def _constraint2_suite(k, tol):
     es = cop.system_op.eigensystem
     expected = kronecker_null_pairs(es.values, tg.samples, tol)[0].size
     rows.append(_le("level_count_gap", abs(basis.count - expected), 0.0))
+    floor = _rounding_floor(clock_scale(model) * model.energy_bound, tg.reach)
     ground, rounding = separable_second(
         (float(es.values[0]), es.vector(0)), tg)
-    rows.append(_le("ground_residual", cop.residual(ground), 1e-8))
-    rows.append(_le("ground_rounding", rounding, 1e-8))
-    floor = _rounding_floor(clock_scale(model) * model.energy_bound, tg.reach)
+    rows.append(_le("ground_residual", cop.residual(ground), floor))
+    rows.append(_le("ground_rounding", rounding, floor))
     rows.append(_le("member_residual_max", basis.residuals, tol + floor))
     # free-particle mode whose clock value falls between samples: the
     # residual must equal the rounding distance up to rounding noise
@@ -202,7 +201,7 @@ def _constraint2_suite(k, tol):
     t_value = float(np.real(np.vdot(mode, g_free.matrix @ mode)))
     state, distance = separable_second((t_value, mode), tg)
     residual = second_constraint_operator(g_free, tg).residual(state)
-    rows.append(_le("off_grid_residual_gap", abs(residual - distance), 1e-8))
+    rows.append(_le("off_grid_residual_gap", abs(residual - distance), floor))
     return rows
 
 
@@ -293,11 +292,15 @@ def _uncertainty_suite(k, tol):
     lattice = energy_lattice(tg, k)
     mode = energy_eigenvector(tg, float(lattice[len(lattice) // 2 + 3]), k)
     _, ds, _ = uncertainty_product(mode, tg, k)
-    rows.append(_le("eigenvector_energy_spread", ds, 1e-8))
+    # an exact eigenvector has no spread, so ds is the rounding of S mode:
+    # each entry is an n-term sum, up to n eps off at S's scale, band_edge
+    rows.append(_le("eigenvector_energy_spread", ds,
+                    tg.n * np.finfo(float).eps * band_edge(tg, k)))
     return rows
 
 
 def _ladder_suite(k, tol):
+    from .dynamics import ladder_step_down, ladder_step_up
     rows = []
     qg, tg = time_aligned_grids(k)
     model = ModelSpec(OSCILLATOR, k, qg)

@@ -73,6 +73,7 @@ def _diag(message):
 def _emit(text, out_path):
     if out_path is None:
         sys.stdout.write(text)
+        sys.stdout.flush()  # so that a failed write is this command's error
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

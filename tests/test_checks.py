@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 import chronos.linalg
-from chronos import checks
+from chronos import checks, dynamics
 from chronos.axes import (
     TIME,
     AxisGrid,
     CompositeState,
     PhysicalConstants,
+    band_edge,
     energy_aligned_grids,
     time_aligned_grids,
 )
@@ -171,6 +172,75 @@ def test_constraint2_member_beyond_the_floor_fails(monkeypatch, miss,
     assert row.passed == all_passed == passed
 
 
+def test_constraint2_time_rows_share_the_member_floor():
+    # ground_residual, ground_rounding and off_grid_residual_gap are times
+    # that are zero but for rounding, so their bound is the floor alone
+    rows, all_passed = run_suite("constraint2")
+    bounds = {r.name: r.bound for r in rows}
+    assert all_passed
+    for name in ("ground_residual", "ground_rounding",
+                 "off_grid_residual_gap"):
+        assert bounds[name] == _clock_floor(), name
+
+
+def test_constraint2_ground_one_sample_off_fails(monkeypatch):
+    # the ground level's clock reading moved onto the next sample: its
+    # rounding is still exact, but the state is a whole quantum off
+    real, calls = checks.separable_second, itertools.count()
+
+    def shifted(pair, tg):
+        if next(calls) == 0:
+            pair = (pair[0] + tg.spacing, pair[1])
+        return real(pair, tg)
+
+    monkeypatch.setattr(checks, "separable_second", shifted)
+    rows, all_passed = run_suite("constraint2")
+    failed = {r.name for r in rows if not r.passed}
+    assert failed == {"ground_residual"} and not all_passed
+
+
+def _spread_bound(k):
+    # n eps times the band edge of the uncertainty suite's 256-point grid
+    period = 32.0 / k.omega
+    tg = AxisGrid(n=256, origin=0.0, spacing=period / 256, label=TIME)
+    return tg.n * np.finfo(float).eps * band_edge(tg, k)
+
+
+@pytest.mark.parametrize("shift, passed", [(0.0, True), (1e-11, False)])
+def test_uncertainty_spread_bound_sees_a_mode_off_the_lattice(
+        monkeypatch, shift, passed):
+    # a mode 1e-11 lattice steps off its energy spreads by 3.7e-11 hbar
+    # omega: beyond n eps times the band edge (1.4e-12), though a fixed
+    # 1e-8 let it pass
+    k = PhysicalConstants()
+    real = checks.energy_eigenvector
+
+    def detuned(tg, energy, constants):
+        step = 2.0 * np.pi * constants.hbar / tg.period
+        return real(tg, energy + shift * step, constants)
+
+    monkeypatch.setattr(checks, "energy_eigenvector", detuned)
+    rows, _ = run_suite("uncertainty", constants=k)
+    row = {r.name: r for r in rows}["eigenvector_energy_spread"]
+    assert row.bound == _spread_bound(k)
+    assert row.passed == passed
+
+
+# constant sets on which a fixed 1e-8 failed a time or energy row: the
+# decimal energy-aligned document, and hbar and omega a thousandfold and
+# 2^10-fold from 1
+@pytest.mark.parametrize("hbar, mass, c, omega", [
+    (1.0, 0.01, 1.0, 100.0), (1e3, 0.01, 1.0, 0.01), (1e3, 0.01, 10.0, 100.0),
+    (1.0, 0.01, 1.0, 2.0 ** 10), (1e3, 1e2, 1.0, 2.0 ** 10)])
+def test_time_and_energy_rows_pass_across_constants(hbar, mass, c, omega):
+    k = PhysicalConstants(hbar=hbar, mass=mass, c=c, omega=omega)
+    for suite in ("constraint2", "uncertainty"):
+        rows, all_passed = run_suite(suite, constants=k)
+        failing = [(r.name, r.measured, r.bound)
+                   for r in rows if not r.passed]
+        assert all_passed and not failing, (suite, failing)
+
+
 @pytest.mark.parametrize("name, limit_mb", [("constraint1", 4.0),
                                             ("generalized", 1.5)])
 def test_suite_allocation_peak(name, limit_mb):
@@ -318,7 +388,8 @@ def _nan_fourth_probe(probes):
 
 
 # (suite, row, name in checks, call that is poisoned, poison): each NaN
-# enters one measurement that is not the first one the row folds
+# enters one measurement that is not the first one the row folds; the
+# ladder suite imports its steps from dynamics when it runs
 NAN_SOURCES = [
     ("constraint1", "separable_residual_max", "separable_first", 2,
      _nan_state),
@@ -351,14 +422,15 @@ NAN_SOURCES = [
                          ids=["%s-%s" % case[:2] for case in NAN_SOURCES])
 def test_nan_in_a_later_measurement_fails_its_row(monkeypatch, suite, row,
                                                   name, call, poison):
-    real = getattr(checks, name)
+    owner = dynamics if suite == "ladder" else checks
+    real = getattr(owner, name)
     calls = itertools.count(1)
 
     def poisoned(*args):
         out = real(*args)
         return poison(out) if next(calls) == call else out
 
-    monkeypatch.setattr(checks, name, poisoned)
+    monkeypatch.setattr(owner, name, poisoned)
     rows, all_passed = run_suite(suite)
     measured = {r.name: r for r in rows}[row]
     assert math.isnan(measured.measured)

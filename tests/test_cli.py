@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import chronos
+from chronos.checks import SUITES
 from chronos.cli import DEFAULT_DOCUMENT, ResultTable, main
 from chronos.models import free_particle_time_level
 from chronos.axes import PhysicalConstants
@@ -529,6 +530,28 @@ def test_constraint1_passes_under_a_change_of_units(capsys, tmp_path,
         assert (code, err) == (0, ""), (tol, out)
 
 
+@pytest.mark.parametrize("a, b, c", [(1, -1, 2), (3, -7, 4), (0, 20, 0),
+                                     (20, 0, 0), (0, -10, 0)])
+def test_time_and_energy_suites_pass_under_a_change_of_units(capsys,
+                                                             tmp_path,
+                                                             a, b, c):
+    # constraint2's time rows read against its rounding floor, a time, and
+    # uncertainty's spread against n eps times the band edge, an energy;
+    # fixed 1e-8 bounds failed at (0, 20, 0), (3, -7, 4), (20, 0, 0) and
+    # (0, -10, 0)
+    doc = json.loads(DEFAULT_DOCUMENT)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(
+        doc, constants=scaled_constants(doc["constants"], a, b, c),
+        tolerances={"constraint_tol": np.ldexp(DEFAULT_TOL,
+                                               c + 2 * a - 2 * b)})),
+        encoding="utf-8")
+    for suite in ("constraint2", "uncertainty"):
+        code, out, err = run_cli(capsys, "check", "--suite", suite,
+                                 "--config", str(path))
+        assert (code, err) == (0, ""), (suite, out)
+
+
 def test_subspace_has_no_tolerance_option(capsys):
     # the document's constraint_tol is the one source of the tolerance
     code, out, _ = run_cli(capsys, "subspace", "--help")
@@ -712,7 +735,7 @@ def _child_env():
 ], ids=["spectrum", "aborted-run", "invalid-document", "far-origin"])
 def test_console_script_and_module_entry_agree(tmp_path, doc, argv, code):
     # each exit, including the flush of a partial CSV and its diagnostic
-    # after the entry point has frozen the heap
+    # before the entry point's os._exit
     config = tmp_path / "doc.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     args = [*argv, "--config", str(config)]
@@ -777,11 +800,15 @@ def test_parsing_loads_no_numpy_and_no_command_module(argv, code):
         == {"chronos.cli", "chronos.exceptions"}
 
 
+# of the suites, only ladder runs dynamics
 @pytest.mark.parametrize("argv, unused", [
     (["spectrum"], {"constraints", "dynamics", "checks"}),
     (["subspace"], {"dynamics", "checks"}),
     (["run", "--config", "scenarios/oscillator_jump.json"], {"checks"}),
-], ids=["spectrum", "subspace", "run"])
+] + [(["check", "--suite", suite], set() if suite == "ladder"
+      else {"dynamics"}) for suite in sorted(SUITES)],
+    ids=["spectrum", "subspace", "run"]
+    + ["check-" + suite for suite in sorted(SUITES)])
 def test_each_command_loads_only_its_own_modules(argv, unused):
     root = Path(__file__).resolve().parents[1]
     argv = [str(root / a) if a.startswith("scenarios/") else a for a in argv]
@@ -797,33 +824,158 @@ def test_importing_entry_module_runs_nothing():
     assert (child.returncode, child.stdout, child.stderr) == (0, "", "")
 
 
-# in a child, so that this process's heap is never frozen
-FREEZE_PROBE = """
-import contextlib, gc, io, sys
-caller, sys.argv = sys.argv[1], ["chronos", *sys.argv[2:]]
+def _entry_env(buffered):
+    """_child_env with the child's stdout block-buffered or unbuffered."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+# runs `python -m chronos ARGV` (caller "entry") or `cli.main(ARGV)`
+# (caller "library") with cli.main wrapped to report the collector's state
+# on stderr once the command has returned
+COLLECTOR_PROBE = """
+import gc, runpy, sys
+import chronos.cli as cli
+caller, argv, command = sys.argv[1], sys.argv[2:], cli.main
+
+def reporting(argv):
+    code = command(argv)
+    print("collector", gc.isenabled(), gc.get_freeze_count(), file=sys.stderr)
+    return code
+
 if caller == "library":
-    from chronos.cli import main
-    call = lambda: main(sys.argv[1:])
-else:
-    from chronos.__main__ import main as call
-with contextlib.redirect_stdout(io.StringIO()), \\
-        contextlib.redirect_stderr(io.StringIO()):
-    code = call()
-print(code, gc.get_freeze_count() > 0)
+    sys.exit(reporting(argv))
+cli.main, sys.argv = reporting, ["chronos", *argv]
+runpy.run_module("chronos", run_name="__main__")
 """
 
 
-@pytest.mark.parametrize("caller, argv, code, frozen", [
-    ("library", ["check", "--suite", "ladder"], 0, False),
-    ("entry", ["check", "--suite", "ladder"], 0, True),
-    ("entry", ["run"], 2, True),  # --config missing
+@pytest.mark.parametrize("caller, argv, code, enabled", [
+    ("library", ["check", "--suite", "ladder"], 0, True),
+    ("entry", ["check", "--suite", "ladder"], 0, False),
+    ("entry", ["run"], 2, False),  # --config missing
 ], ids=["library", "entry-success", "entry-usage-error"])
-def test_only_the_entry_point_freezes_the_heap(caller, argv, code, frozen):
+def test_only_the_entry_point_turns_the_collector_off(caller, argv, code,
+                                                      enabled):
     child = subprocess.run(
-        [sys.executable, "-c", FREEZE_PROBE, caller, *argv],
+        [sys.executable, "-c", COLLECTOR_PROBE, caller, *argv],
         capture_output=True, text=True, env=_child_env())
-    assert (child.returncode, child.stderr) == (0, "")
-    assert child.stdout == "%d %s\n" % (code, frozen)
+    assert child.returncode == code
+    assert child.stderr.endswith("collector %s 0\n" % enabled)
+
+
+def _entry_cases(tmp_path):
+    """(argv, exit code) of `python -m chronos` for each exit code."""
+    root = Path(__file__).resolve().parents[1]
+    far_origin = dict(SMALL_DOC, preset=dict(SMALL_DOC["preset"], t=dict(
+        SMALL_DOC["preset"]["t"], origin=1e9)))
+    paths = {}
+    for name, doc in (("far-evolve", FAR_EVOLVE_DOC),
+                      ("far-origin", far_origin)):
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
+    jump = str(root / "scenarios" / "oscillator_jump.json")
+    return {
+        "spectrum": (["spectrum"], 0),
+        "run": (["run", "--config", jump], 0),
+        "check": (["check", "--suite", "ladder"], 0),
+        "help": (["spectrum", "--help"], 0),
+        "aborted-run": (["run", "--config", str(paths["far-evolve"])], 1),
+        "usage-error": (["run"], 2),
+        "far-origin": (["run", "--config", str(paths["far-origin"])], 3),
+    }
+
+
+@pytest.mark.parametrize("case", ["spectrum", "run", "check", "help",
+                                  "aborted-run", "usage-error",
+                                  "far-origin"])
+def test_entry_point_prints_and_exits_as_cli_main_returns(
+        capsys, monkeypatch, tmp_path, case):
+    # a block-buffered stdout is the one whose output os._exit could drop;
+    # COLUMNS fixes the width argparse wraps help to, in both processes
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, code = _entry_cases(tmp_path)[case]
+    child = subprocess.run([sys.executable, "-m", "chronos", *argv],
+                           capture_output=True, env=_entry_env(True))
+    in_process = run_cli(capsys, *argv)
+    assert in_process[0] == child.returncode == code
+    assert child.stdout == in_process[1].encode("utf-8")
+    assert child.stderr == in_process[2].encode("utf-8")
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("case", ["spectrum", "run", "check"])
+def test_a_closed_stdout_pipe_is_one_error_line(tmp_path, case, buffered):
+    argv, _ = _entry_cases(tmp_path)[case]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run([sys.executable, "-m", "chronos", *argv],
+                               stdout=write_end, stderr=subprocess.PIPE,
+                               env=_entry_env(buffered))
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) \
+        == (1, b"error: [Errno 32] Broken pipe\n")
+
+
+BUG_PROBE = """
+import runpy, sys
+import chronos.cli as cli
+
+def bug(args):
+    raise RuntimeError("a bug in a command")
+
+cli.cmd_spectrum, sys.argv = bug, ["chronos", "spectrum"]
+runpy.run_module("chronos", run_name="__main__")
+"""
+
+
+def test_an_escaping_exception_prints_its_traceback():
+    child = subprocess.run([sys.executable, "-c", BUG_PROBE],
+                           capture_output=True, text=True, env=_child_env())
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr.startswith("Traceback (most recent call last):\n")
+    assert child.stderr.endswith("RuntimeError: a bug in a command\n")
+
+
+# the collector as the entry point leaves it, saving every unreachable
+# object in gc.garbage at one collection after the last command
+GARBAGE_PROBE = """
+import contextlib, gc, io, json, sys
+gc.disable()
+gc.set_debug(gc.DEBUG_SAVEALL)
+from chronos.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+gc.collect()
+import numpy
+arrays = sum(isinstance(o, numpy.ndarray) for o in gc.garbage)
+print(json.dumps([codes, len(gc.garbage) > 0, arrays]))
+"""
+
+
+def test_no_array_is_left_in_cyclic_garbage(tmp_path):
+    # with the collector off, an array in a reference cycle would stay
+    # allocated until the process ends
+    cases = _entry_cases(tmp_path)
+    commands = [["check", "--suite", suite] for suite in sorted(SUITES)]
+    commands += [cases[name][0] for name in ("spectrum", "run",
+                                             "aborted-run", "usage-error")]
+    commands.append(["subspace"])
+    child = subprocess.run(
+        [sys.executable, "-c", GARBAGE_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=_child_env())
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) \
+        == [[0] * 6 + [0, 0, 1, 2, 0], True, 0]
 
 
 @pytest.mark.parametrize("suite", ["constraint1", "ladder"])

@@ -1,7 +1,8 @@
 """Every imported name and every private module-level name in the
 package is used, a private name stays in the module that defines it,
-every tolerance comparison fails on NaN, and no package module imports
-warnings: stdlib `ast` scans, no linter needed."""
+every tolerance comparison fails on NaN, no package module imports
+warnings, and only the entry point imports gc or calls os._exit: stdlib
+`ast` scans, no linter needed."""
 
 import ast
 import pathlib
@@ -248,6 +249,22 @@ def test_scan_finds_gc_imports():
     assert stdlib_imports(source, "gc") == [1, 3, 5]
 
 
+def os_exits(source):
+    """Lines that read `os._exit` or import `_exit` from os."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "_exit"
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and not node.level and any(a.name == "_exit" for a in node.names))
+
+
+def test_scan_finds_os_exits():
+    source = ("import os\nos._exit(0)\nsys._exit(0)\nfrom os import _exit\n"
+              "from .os import _exit\nx = os.exit, os._exit\n")
+    assert os_exits(source) == [2, 4, 6]
+
+
 SOURCES = sorted(p.relative_to(REPO).as_posix()
                  for p in (REPO / "src" / "chronos").glob("*.py"))
 
@@ -261,11 +278,12 @@ def test_package_issues_no_warnings(path):
 
 @pytest.mark.parametrize("path", SOURCES)
 def test_only_the_entry_point_imports_gc(path):
-    # collector policy is the process's: the entry point freezes the heap
-    # before exit, and no library module may change the collector
+    # the collector and the end of the process are the process's: the entry
+    # point turns the collector off and ends with os._exit, and no library
+    # module may change the collector or skip a caller's teardown
     source = (REPO / path).read_text(encoding="utf-8")
-    found = stdlib_imports(source, "gc")
+    found = stdlib_imports(source, "gc"), os_exits(source)
     if path == "src/chronos/__main__.py":
-        assert len(found) == 1
+        assert [len(lines) for lines in found] == [1, 1]
     else:
-        assert found == []
+        assert found == ([], [])
