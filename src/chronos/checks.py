@@ -260,7 +260,11 @@ def _generalized_suite(k, tol):
                                              k).residual(psi0)
     r1 = first.residual(psi0)
     r2 = second.residual(psi0)
-    rows.append(_le("triangle_excess", r_both - (r1 + r2), 1e-12))
+    # exactly r_both <= r1 + r2; the excess is rounding at the scales of
+    # H + G and of S + T
+    rows.append(_le("triangle_excess", r_both - (r1 + r2), _rounding_floor(
+        model.energy_bound * (1.0 + clock_scale(model)),
+        band_edge(tg, k) + tg.reach)))
     # detuned time period: no pair within a tight tol, the lattice pairs
     # within a wide one
     tg_d = AxisGrid(n=16, origin=0.0, spacing=period * 1.1 / 16, label=TIME)

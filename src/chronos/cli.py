@@ -12,7 +12,8 @@ error, 3 a basis that fails its certificate.  Each diagnostic is one plain
 
 At its top this module imports only the standard library and the
 exception types, so argument parsing, --help and usage errors load no
-numpy.  Each command imports the modules it runs when it runs.
+numpy.  Each command imports the modules it runs when it runs; `check`
+without --config runs on run_suite's defaults and parses no document.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .exceptions import (
     UnknownSuiteError,
 )
 
-# the scenario a command reads when it is given no --config
+# the scenario spectrum and subspace read when given no --config
 DEFAULT_DOCUMENT = (
     '{"constants": {"hbar": 1, "mass": 1, "c": 1, "omega": 1}, '
     '"preset": "energy-aligned", "model": "oscillator", '
@@ -122,10 +123,13 @@ def cmd_spectrum(args):
 
 def cmd_check(args):
     from .checks import run_suite
-    sc = _read_scenario(args)
+    given = {}  # no --config: run_suite's defaults, the default document's
+    if args.config is not None:
+        sc = _read_scenario(args)
+        given = {"constants": sc.model.constants,
+                 "constraint_tol": sc.constraint_tol}
     try:
-        rows, all_passed = run_suite(args.suite, constants=sc.model.constants,
-                                     constraint_tol=sc.constraint_tol)
+        rows, all_passed = run_suite(args.suite, **given)
     except ValueError as exc:
         # a suite reads only the constants and the tolerance, which has
         # passed, so a grid or model it refuses is refused for the constants

@@ -70,6 +70,25 @@ def test_rows_have_stable_shape():
         assert isinstance(row.bound, float)
 
 
+# hbar, mass, c and omega over three to five decades each: 90 sets
+DECIMAL_CONSTANTS = list(itertools.product(
+    (1e-3, 1.0, 1e3), (1e-2, 1.0, 1e2), (1.0, 10.0),
+    (2.0 ** -10, 1e-2, 1.0, 1e2, 2.0 ** 10)))
+
+
+def test_generalized_passes_over_the_decimal_constants():
+    # a fixed 1e-12 triangle_excess bound failed four sets: at (1, 0.01, 1,
+    # 100) it read 1.16e-10, and at (1000, 0.01, 1, 2^-10) 0.874, rounding
+    # on an H + G about 2e16 in scale
+    failing = []
+    for hbar, mass, c, omega in DECIMAL_CONSTANTS:
+        k = PhysicalConstants(hbar=hbar, mass=mass, c=c, omega=omega)
+        rows, all_passed = run_suite("generalized", constants=k)
+        failing += [(k, r.name, r.measured, r.bound)
+                    for r in rows if not r.passed]
+    assert not failing
+
+
 def test_constraint1_passes_at_wide_tolerance(tmp_path, capsys):
     # at tol 0.6 each level meets three lattice energies, one of them the
     # band edge; every pair must be counted and solved at its lattice energy.

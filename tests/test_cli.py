@@ -800,14 +800,17 @@ def test_parsing_loads_no_numpy_and_no_command_module(argv, code):
         == {"chronos.cli", "chronos.exceptions"}
 
 
-# of the suites, only ladder runs dynamics
+# of the suites, only ladder runs dynamics; check parses a document only
+# when --config gives one, and then it loads scenario and json
 @pytest.mark.parametrize("argv, unused", [
     (["spectrum"], {"constraints", "dynamics", "checks"}),
     (["subspace"], {"dynamics", "checks"}),
     (["run", "--config", "scenarios/oscillator_jump.json"], {"checks"}),
-] + [(["check", "--suite", suite], set() if suite == "ladder"
-      else {"dynamics"}) for suite in sorted(SUITES)],
-    ids=["spectrum", "subspace", "run"]
+    (["check", "--suite", "constraint2",
+      "--config", "scenarios/oscillator_jump.json"], {"dynamics"}),
+] + [(["check", "--suite", suite], {"scenario"} if suite == "ladder"
+      else {"scenario", "dynamics"}) for suite in sorted(SUITES)],
+    ids=["spectrum", "subspace", "run", "check-config"]
     + ["check-" + suite for suite in sorted(SUITES)])
 def test_each_command_loads_only_its_own_modules(argv, unused):
     root = Path(__file__).resolve().parents[1]
@@ -816,6 +819,8 @@ def test_each_command_loads_only_its_own_modules(argv, unused):
     assert code == 0
     assert "numpy" in names
     assert not names & {"chronos." + m for m in unused}
+    reader = {"chronos.scenario", "json"}
+    assert names & reader == (set() if "scenario" in unused else reader)
 
 
 def test_importing_entry_module_runs_nothing():
@@ -978,12 +983,21 @@ def test_no_array_is_left_in_cyclic_garbage(tmp_path):
         == [[0] * 6 + [0, 0, 1, 2, 0], True, 0]
 
 
-@pytest.mark.parametrize("suite", ["constraint1", "ladder"])
-def test_check_defaults_match_default_config(capsys, tmp_path, suite):
-    doc = dict(SMALL_DOC, constants=asdict(PhysicalConstants()),
-               tolerances={"constraint_tol": DEFAULT_TOL})
+# a document that states run_suite's defaults in full
+STATED_DEFAULTS = json.dumps(dict(
+    SMALL_DOC, constants=asdict(PhysicalConstants()),
+    tolerances={"constraint_tol": DEFAULT_TOL}))
+
+
+# without --config, check reads no document and runs on run_suite's
+# defaults: they must be the stated ones and the default document's
+@pytest.mark.parametrize("suite, text", [
+    (suite, text) for text in (STATED_DEFAULTS, DEFAULT_DOCUMENT)
+    for suite in sorted(SUITES)],
+    ids=sorted(SUITES) + [s + "-default-document" for s in sorted(SUITES)])
+def test_check_defaults_match_default_config(capsys, tmp_path, suite, text):
     path = tmp_path / "defaults.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     bare = run_cli(capsys, "check", "--suite", suite)
     configured = run_cli(capsys, "check", "--suite", suite,
                          "--config", str(path))
